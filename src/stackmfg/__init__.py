@@ -13,8 +13,7 @@ from .errors import (EnumerationTooLarge, GridSizeError, NoEquilibriumError,
 from .game import GameSpec, ValidationReport, spec_hash, validate
 from .games import (InfectionParams, TechAdoptionParams, build_game,
                     build_infection_game, build_tech_adoption_game)
-from .grids import (GridTable, JointGrid, JointTable, SimplexGrid, build_grid,
-                    interpolate, simplex_weights)
+from .grids import JointGrid, JointTable, SimplexGrid, build_grid, simplex_weights
 from .oracle import (OracleProfile, SMFEResult, TinyGame, deviation_gain,
                      enumerate_smfe, oracle_report, profile_from_generator)
 from .solver import (ConvergenceReport, EquilibriumGenerator, StagePolicy,
@@ -27,8 +26,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GameSpec", "ValidationReport", "validate", "spec_hash",
-    "SimplexGrid", "GridTable", "JointGrid", "JointTable",
-    "build_grid", "interpolate", "simplex_weights",
+    "SimplexGrid", "JointGrid", "JointTable", "build_grid", "simplex_weights",
     "Prescription", "mean_field_step", "belief_step", "belief_step_total",
     "SolverConfig", "StageSolution", "follower_br_set", "leader_optimize",
     "stage_values",

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -18,16 +17,14 @@ from typing import Optional
 import numpy as np
 
 from . import export
-from .dynamics import Prescription
 from .errors import EnumerationTooLarge, NoEquilibriumError, NonConvergenceError
 from .game import spec_hash, validate
 from .gamefile import load_game_dict, load_game_file
 from .games import BUILTIN_GAMES
-from .grids import JointGrid, JointTable, build_grid
+from .grids import JointGrid, build_grid
 from .oracle import TinyGame, oracle_report
-from .solver import (EquilibriumGenerator, StagePolicy, backward_pass,
-                     forward_pass, solve_stationary)
-from .stage import SolverConfig, StageDiagnostics, StageSolution
+from .solver import backward_pass, forward_pass, solve_stationary
+from .stage import SolverConfig
 
 EXIT_OK = 0
 EXIT_VALIDATION = 3
@@ -57,13 +54,11 @@ class RunConfig:
     seed: int = 0
     offgrid: str = "resolve"
     out: Optional[str] = None
-    threads: int = 1
     z0: Optional[list] = None
     pi0: Optional[list] = None
 
     def solver_config(self) -> SolverConfig:
-        return SolverConfig(br_tol=self.br_tol, bayes_eps=self.bayes_eps,
-                            threads=self.threads)
+        return SolverConfig(br_tol=self.br_tol, bayes_eps=self.bayes_eps)
 
 
 def _err(msg: str):
@@ -86,8 +81,14 @@ def build_spec(config: RunConfig):
     if config.game_file:
         spec = load_game_file(config.game_file)
         if config.horizon is not None and spec.horizon != config.horizon:
-            import dataclasses
-            spec = dataclasses.replace(spec, horizon=config.horizon)
+            # Rebuild from a config that records the override, so the
+            # manifest and state.npz describe the game that is solved.
+            cfg = spec.metadata["config"]
+            if "builtin" in cfg:
+                cfg = dict(cfg, params=dict(cfg.get("params", {}), horizon=config.horizon))
+            else:
+                cfg = dict(cfg, horizon=config.horizon)
+            spec = load_game_dict(cfg)
     elif config.game:
         if config.game not in BUILTIN_GAMES:
             raise ValueError(f"unknown game {config.game!r}; "
@@ -116,6 +117,25 @@ def _grids(spec, config: RunConfig) -> JointGrid:
     pi_res = config.pi_resolution if spec.n_leader_states > 1 else 1
     return JointGrid(pi_grid=build_grid(spec.n_leader_states, pi_res),
                      z_grid=build_grid(spec.n_follower_states, z_res))
+
+
+def _roll_forward(spec, generator, config: RunConfig):
+    """(steps, trajectory) from the configured start.
+
+    ``--steps`` defaults to 200 for a stationary solve and to the horizon of
+    a finite one, and is clamped to that horizon.
+    """
+    pi0 = np.asarray(config.pi0, dtype=np.float64) if config.pi0 else spec.initial_leader_belief
+    z0 = np.asarray(config.z0, dtype=np.float64) if config.z0 else spec.initial_mean_field
+    steps = config.steps
+    if generator.stationary:
+        steps = 200 if steps is None else steps
+    else:
+        steps = generator.n_stages if steps is None else min(steps, generator.n_stages)
+    trajectory = forward_pass(spec, generator, pi0, z0, steps=steps,
+                              mode=config.mode, seed=config.seed,
+                              offgrid=config.offgrid, config=config.solver_config())
+    return steps, trajectory
 
 
 def run(config: RunConfig) -> int:
@@ -149,16 +169,7 @@ def run(config: RunConfig) -> int:
         _err(f"{exc}")
         return EXIT_NONCONVERGENCE
 
-    pi0 = np.asarray(config.pi0, dtype=np.float64) if config.pi0 else spec.initial_leader_belief
-    z0 = np.asarray(config.z0, dtype=np.float64) if config.z0 else spec.initial_mean_field
-    steps = config.steps
-    if steps is None:
-        steps = 200 if spec.infinite_horizon else spec.horizon
-    if not spec.infinite_horizon:
-        steps = min(steps, spec.horizon)
-    trajectory = forward_pass(spec, generator, pi0, z0, steps=steps,
-                              mode=config.mode, seed=config.seed,
-                              offgrid=config.offgrid, config=solver_config)
+    steps, trajectory = _roll_forward(spec, generator, config)
 
     digest = spec_hash(spec)
     outdir = Path(config.out) if config.out else Path("out") / digest
@@ -168,11 +179,9 @@ def run(config: RunConfig) -> int:
         _err(f"cannot create output directory {outdir}: {exc}")
         return EXIT_VALIDATION
 
+    game_config = spec.metadata["config"]
     manifest = {
-        "game": {"name": spec.name,
-                 "config": spec.metadata.get("config",
-                                             {"builtin": spec.name,
-                                              "params": spec.metadata.get("params", {})})},
+        "game": {"name": spec.name, "config": game_config},
         "spec_hash": digest,
         "grids": {"z_resolution": joint.z_grid.resolution,
                   "pi_resolution": joint.pi_grid.resolution},
@@ -197,6 +206,7 @@ def run(config: RunConfig) -> int:
     export.policy_csv(outdir / "policy.csv", generator, spec)
     export.trajectory_csv(outdir / "trajectory.csv", trajectory, spec)
     export.diagnostics_jsonl(outdir / "diagnostics.jsonl", generator)
+    export.write_state(outdir / "state.npz", generator, game_config)
 
     final_z = trajectory.mean_field_path()[-1]
     print(f"spec hash: {digest}")
@@ -264,85 +274,15 @@ def cmd_oracle(config: RunConfig, check_solver: bool) -> int:
     return EXIT_OK
 
 
-def _load_run(run_dir: Path):
-    """Rebuild (spec, generator) from a previous solve's artifacts."""
-    manifest = json.loads((run_dir / "manifest.json").read_text())
-    spec = load_game_dict(manifest["game"]["config"])
-    joint = JointGrid(
-        pi_grid=build_grid(spec.n_leader_states, manifest["grids"]["pi_resolution"]),
-        z_grid=build_grid(spec.n_follower_states, manifest["grids"]["z_resolution"]))
-    stationary = manifest["horizon"] == "infinite"
-
-    policy_rows = (run_dir / "policy.csv").read_text().strip().split("\n")[1:]
-    n_l, n_al = spec.n_leader_states, spec.n_leader_actions
-    n_f, n_af = spec.n_follower_states, spec.n_follower_actions
-    by_stage = {}
-    for row in policy_rows:
-        cells = row.split(",")
-        stage = cells[0]
-        vals = [float(v) for v in cells[1 + n_l + n_f:]]
-        gl = np.asarray(vals[:n_l * n_al]).reshape(n_l, n_al)
-        gf = np.asarray(vals[n_l * n_al:]).reshape(n_f, n_af)
-        gl = gl / gl.sum(axis=1, keepdims=True)
-        gf = gf / gf.sum(axis=1, keepdims=True)
-        by_stage.setdefault(stage, []).append(Prescription(leader=gl, follower=gf))
-
-    value_rows = (run_dir / "values.csv").read_text().strip().split("\n")[1:]
-    tables = {}
-    for row in value_rows:
-        cells = row.split(",")
-        stage, side, state = cells[0], cells[1], cells[2]
-        value = float(cells[-1])
-        tables.setdefault(stage, {"follower": [], "leader": []})[side].append((state, value))
-
-    stages = []
-    stage_keys = sorted(by_stage) if stationary else \
-        [str(t + 1) for t in range(len(by_stage))]
-    table_list = []
-    for stage in stage_keys:
-        vf = np.zeros((joint.pi_grid.n_points, joint.z_grid.n_points, n_f))
-        vl = np.zeros((joint.pi_grid.n_points, joint.z_grid.n_points, n_l))
-        f_entries = tables[stage]["follower"]
-        l_entries = tables[stage]["leader"]
-        pos = 0
-        for i in range(joint.pi_grid.n_points):
-            for j in range(joint.z_grid.n_points):
-                for s in range(n_f):
-                    vf[i, j, s] = f_entries[pos * n_f + s][1]
-                for s in range(n_l):
-                    vl[i, j, s] = l_entries[pos * n_l + s][1]
-                pos += 1
-        solutions = []
-        for flat, prescription in enumerate(by_stage[stage]):
-            i, j = joint.unravel(flat)
-            solutions.append(StageSolution(
-                prescription=prescription,
-                follower_values=vf[i, j, :].copy(),
-                leader_values=vl[i, j, :].copy(),
-                diagnostics=StageDiagnostics()))
-        stages.append(StagePolicy(joint, solutions))
-        table_list.append((JointTable(joint, vf), JointTable(joint, vl)))
-    if not stationary:
-        # continuation_for(t) expects tables[t] = stage-(t+1) tables; append zeros.
-        table_list.append((JointTable.zeros(joint, n_f), JointTable.zeros(joint, n_l)))
-    return spec, EquilibriumGenerator(joint=joint, stages=stages,
-                                      stationary=stationary, tables=table_list)
-
-
 def cmd_export(run_dir: str, config: RunConfig, out_file: Optional[str]) -> int:
     path = Path(run_dir)
-    if not (path / "manifest.json").exists():
-        _err(f"no manifest.json under {run_dir}")
+    state = path / "state.npz"
+    if not state.exists():
+        _err(f"no state.npz under {run_dir}; re-run `stackmfg solve` to write it")
         return EXIT_VALIDATION
-    spec, generator = _load_run(path)
-    pi0 = np.asarray(config.pi0, dtype=np.float64) if config.pi0 else spec.initial_leader_belief
-    z0 = np.asarray(config.z0, dtype=np.float64) if config.z0 else spec.initial_mean_field
-    steps = config.steps
-    if steps is None:
-        steps = 200 if generator.stationary else generator.n_stages
-    trajectory = forward_pass(spec, generator, pi0, z0, steps=steps,
-                              mode=config.mode, seed=config.seed,
-                              offgrid=config.offgrid, config=config.solver_config())
+    game_config, generator = export.read_state(state)
+    spec = load_game_dict(game_config)
+    _, trajectory = _roll_forward(spec, generator, config)
     target = Path(out_file) if out_file else path / "trajectory_export.csv"
     export.trajectory_csv(target, trajectory, spec)
     print(f"trajectory: {target}")
@@ -375,8 +315,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--offgrid", choices=["resolve", "nearest"], default="resolve",
                    help="prescription lookup at off-grid public states")
     p.add_argument("--out", help="output directory (default out/<spec-hash>)")
-    p.add_argument("--threads", type=int,
-                   default=int(os.environ.get("STACKMFG_THREADS", "1")))
     p.add_argument("--z0", type=float, nargs="+", help="initial mean field override")
     p.add_argument("--pi0", type=float, nargs="+", help="initial belief override")
 
@@ -389,7 +327,7 @@ def _config_from(args) -> RunConfig:
         action_resolution=args.action_resolution, tol=args.tol,
         max_iter=args.max_iter, br_tol=args.br_tol, bayes_eps=args.bayes_eps,
         steps=args.steps, mode=args.mode, seed=args.seed, offgrid=args.offgrid,
-        out=args.out, threads=args.threads, z0=args.z0, pi0=args.pi0)
+        out=args.out, z0=args.z0, pi0=args.pi0)
 
 
 def main(argv=None) -> int:

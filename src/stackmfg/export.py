@@ -2,6 +2,8 @@
 
 All numbers are printed with 12 significant digits so reruns with identical
 configuration diff byte-for-byte and regressions show up as real changes.
+Those text artifacts are for reading; ``state.npz`` keeps the exact float64
+run state that ``stackmfg export`` reloads.
 """
 
 from __future__ import annotations
@@ -10,6 +12,11 @@ import json
 from pathlib import Path
 
 import numpy as np
+
+from .dynamics import Prescription
+from .grids import JointGrid, JointTable, build_grid
+from .solver import EquilibriumGenerator, StagePolicy
+from .stage import StageDiagnostics, StageSolution
 
 
 def fmt(x) -> str:
@@ -42,39 +49,6 @@ def write_csv(path, header, rows):
     lines = [",".join(header)]
     lines.extend(",".join(row) for row in rows)
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def grid_table_csv(path, table, state_labels, coord_labels=None):
-    """Flat CSV of a single-simplex table: coordinates, state label, value."""
-    grid = table.grid
-    if coord_labels is None:
-        coord_labels = [f"p{i}" for i in range(grid.dim)]
-    header = list(coord_labels) + ["state", "value"]
-    rows = []
-    for i in range(grid.n_points):
-        coords = [fmt(v) for v in grid.points[i]]
-        for s in range(table.values.shape[1]):
-            rows.append(coords + [str(state_labels[s]), fmt(table.values[i, s])])
-    write_csv(path, header, rows)
-
-
-def joint_table_csv(path, table, pi_labels, z_labels, state_labels, stage=None):
-    """Flat CSV of a joint-grid table with optional stage column."""
-    joint = table.joint
-    header = ([] if stage is None else ["stage"]) \
-        + [f"pi_{v}" for v in pi_labels] + [f"z_{v}" for v in z_labels] \
-        + ["state", "value"]
-    rows = []
-    for i in range(joint.pi_grid.n_points):
-        for j in range(joint.z_grid.n_points):
-            coords = [fmt(v) for v in joint.pi_grid.points[i]] \
-                + [fmt(v) for v in joint.z_grid.points[j]]
-            for s in range(table.n_states):
-                row = coords + [str(state_labels[s]), fmt(table.values[i, j, s])]
-                if stage is not None:
-                    row = [str(stage)] + row
-                rows.append(row)
-    write_csv(path, header, rows)
 
 
 def _joint_tables_rows(tables, spec, joint, stage):
@@ -173,3 +147,52 @@ def diagnostics_jsonl(path, generator):
                 record.update(sol.diagnostics.to_dict())
             lines.append(json.dumps(json_ready(record), sort_keys=True))
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def write_state(path, generator, game_config):
+    """Exact run state: game config, value tables and prescriptions.
+
+    ``follower_values``/``leader_values`` stack ``generator.tables`` (with the
+    terminal zeros of a finite game); the prescription arrays are indexed
+    (stage, flat grid point, type, action).  Every grid point must be solved.
+    """
+    joint = generator.joint
+    np.savez(
+        path,
+        config=json.dumps(game_config, sort_keys=True),
+        stationary=generator.stationary,
+        pi_resolution=joint.pi_grid.resolution,
+        z_resolution=joint.z_grid.resolution,
+        follower_values=np.stack([vf.values for vf, _ in generator.tables]),
+        leader_values=np.stack([vl.values for _, vl in generator.tables]),
+        leader_prescriptions=np.array([[sol.prescription.leader for sol in policy.solutions]
+                                       for policy in generator.stages]),
+        follower_prescriptions=np.array([[sol.prescription.follower for sol in policy.solutions]
+                                         for policy in generator.stages]))
+
+
+def read_state(path):
+    """(game config, EquilibriumGenerator) from a file written by ``write_state``."""
+    with np.load(path, allow_pickle=False) as state:
+        config = json.loads(state["config"].item())
+        stationary = bool(state["stationary"])
+        pi_res, z_res = int(state["pi_resolution"]), int(state["z_resolution"])
+        vf_all, vl_all = state["follower_values"], state["leader_values"]
+        gl_all, gf_all = state["leader_prescriptions"], state["follower_prescriptions"]
+    joint = JointGrid(pi_grid=build_grid(vl_all.shape[-1], pi_res),
+                      z_grid=build_grid(vf_all.shape[-1], z_res))
+    tables = [(JointTable(joint, vf), JointTable(joint, vl))
+              for vf, vl in zip(vf_all, vl_all)]
+    stages = []
+    # tables[k] holds the values of stage k+1; a finite game's terminal
+    # zeros have no stage and drop out of the zip.
+    for (vf, vl), gl_stage, gf_stage in zip(tables, gl_all, gf_all):
+        vf_flat, vl_flat = vf.flat_values(), vl.flat_values()
+        stages.append(StagePolicy(joint, [
+            StageSolution(prescription=Prescription(leader=gl, follower=gf),
+                          follower_values=vf_flat[flat].copy(),
+                          leader_values=vl_flat[flat].copy(),
+                          diagnostics=StageDiagnostics())
+            for flat, (gl, gf) in enumerate(zip(gl_stage, gf_stage))]))
+    return config, EquilibriumGenerator(joint=joint, stages=stages,
+                                        stationary=stationary, tables=tables)

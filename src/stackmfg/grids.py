@@ -151,42 +151,6 @@ def simplex_weights(grid: SimplexGrid, point, tol: float = 1e-9):
     return np.array(idx, dtype=np.int64), np.array(wts, dtype=np.float64)
 
 
-@dataclass
-class GridTable:
-    """Values per (grid point, private state), interpolated between points."""
-
-    grid: SimplexGrid
-    values: np.ndarray                        # (n_points, n_states)
-
-    def __post_init__(self):
-        self.values = np.array(self.values, dtype=np.float64)
-        if self.values.ndim == 1:
-            self.values = self.values[:, None]
-        if self.values.shape[0] != self.grid.n_points:
-            raise ValueError("table rows must match grid point count")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("table contains non-finite values")
-        self.values.flags.writeable = False
-
-    @property
-    def n_states(self) -> int:
-        return self.values.shape[1]
-
-    def interpolate(self, point, state: int) -> float:
-        idx, w = simplex_weights(self.grid, point)
-        return float(w @ self.values[idx, state])
-
-    def interpolate_states(self, point) -> np.ndarray:
-        """Interpolated value for every private state at once."""
-        idx, w = simplex_weights(self.grid, point)
-        return w @ self.values[idx, :]
-
-
-def interpolate(table: GridTable, point, state: int) -> float:
-    """Piecewise-linear interpolation of ``table`` at a simplex point."""
-    return table.interpolate(point, state)
-
-
 @dataclass(frozen=True)
 class JointGrid:
     """Cartesian product of a belief grid and a mean-field grid."""

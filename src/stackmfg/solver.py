@@ -9,7 +9,6 @@ stage entry applied at every time.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -20,13 +19,6 @@ from .errors import NoEquilibriumError, NonConvergenceError
 from .game import GameSpec
 from .grids import JointGrid, JointTable
 from .stage import SolverConfig, StagePointSolver, StageSolution
-
-
-def _run_map(fn, items, threads: int):
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(fn, items))
-    return [fn(item) for item in items]
 
 
 @dataclass
@@ -156,8 +148,7 @@ class _StageWorkspace:
                     raise
                 return None
 
-        solutions = _run_map(solve_point, range(self.joint.n_points),
-                             self.config.threads)
+        solutions = [solve_point(flat) for flat in range(self.joint.n_points)]
         n_pi = self.joint.pi_grid.n_points
         n_z = self.joint.z_grid.n_points
         new_f = np.zeros((n_pi, n_z, self.spec.n_follower_states))

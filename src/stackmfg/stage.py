@@ -40,7 +40,6 @@ class SolverConfig:
     leader_mixed_grid: bool = False
     mixed_step: float = 0.1
     mixed_candidate_cap: int = 100_000
-    threads: int = 1
     branch_cap: int = 64
 
 

@@ -325,7 +325,7 @@ def test_criterion_9_determinism(tmp_path):
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
     names = ["manifest.json", "values.csv", "policy.csv", "trajectory.csv",
-             "diagnostics.jsonl"]
+             "diagnostics.jsonl", "state.npz"]
     for name in names:
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
     ok(9, f"two identical runs: {len(names)} artifacts byte-identical")

@@ -1,13 +1,20 @@
 """Command-line interface: subcommands, exit codes, artifact determinism."""
 
 import json
+from pathlib import Path
 
+import numpy as np
+import pytest
 
+from stackmfg import cli, spec_hash
 from stackmfg.cli import main
 from test_gamefile import TINY_CONFIG
 
 SMALL = ["--z-res", "10", "--action-res", "5", "--tol", "1e-5",
          "--steps", "25", "--seed", "7"]
+ARTIFACTS = ("manifest.json", "values.csv", "policy.csv", "trajectory.csv",
+             "diagnostics.jsonl", "state.npz")
+SAMPLE_GAME = Path(__file__).resolve().parent.parent / "sample_games" / "tiny.json"
 
 
 def run_cli(args):
@@ -33,8 +40,7 @@ def test_solve_writes_artifacts(tmp_path):
     out = tmp_path / "run"
     assert run_cli(["solve", "--game", "infection", "--infinite",
                     *SMALL, "--out", str(out)]) == 0
-    for name in ("manifest.json", "values.csv", "policy.csv",
-                 "trajectory.csv", "diagnostics.jsonl"):
+    for name in ARTIFACTS:
         assert (out / name).exists(), name
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["convergence"]["converged"] is True
@@ -57,8 +63,7 @@ def test_determinism_byte_identical(tmp_path):
     args = ["solve", "--game", "infection", "--infinite", *SMALL]
     assert run_cli(args + ["--out", str(a)]) == 0
     assert run_cli(args + ["--out", str(b)]) == 0
-    for name in ("manifest.json", "values.csv", "policy.csv",
-                 "trajectory.csv", "diagnostics.jsonl"):
+    for name in ARTIFACTS:
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
@@ -118,15 +123,92 @@ def test_nonconvergence_exit_code(tmp_path):
                     "--out", str(out)]) == 5
 
 
-def test_threads_env_default(monkeypatch):
-    monkeypatch.setenv("STACKMFG_THREADS", "3")
-    assert run_cli(["validate", "--game", "infection"]) == 0
+def signal_game(seed=5):
+    """Finite JSON game with two leader types, stochastic kernels and
+    full-precision floats, so reloading it from rounded text would drift."""
+    rng = np.random.default_rng(seed)
+    shape = (2, 2, 2, 2)                       # (x_l, x_f, a_l, a_f)
+    return {
+        "name": "signal-roundtrip",
+        "follower_states": ["lo", "hi"], "leader_states": ["weak", "strong"],
+        "follower_actions": ["stay", "move"], "leader_actions": ["low", "high"],
+        "discount": 0.9, "horizon": 3,
+        "initial_leader_belief": [0.4, 0.6], "initial_mean_field": [0.7, 0.3],
+        "follower_kernel": rng.dirichlet(np.ones(2), size=shape).tolist(),
+        "leader_kernel": rng.dirichlet(np.ones(2), size=(2, 2)).tolist(),
+        "follower_reward": rng.normal(size=shape).tolist(),
+        "leader_reward": [[{"const": float(c), "z": [0.0, float(w)]}
+                           for c, w in zip(row_c, row_w)]
+                          for row_c, row_w in zip(rng.normal(size=(2, 2)),
+                                                  rng.normal(size=(2, 2)))],
+    }
 
 
-def test_threads_flag_same_artifacts(tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
-    args = ["solve", "--game", "infection", "--infinite", *SMALL]
-    assert run_cli(args + ["--threads", "1", "--out", str(a)]) == 0
-    assert run_cli(args + ["--threads", "4", "--out", str(b)]) == 0
-    for name in ("values.csv", "policy.csv", "trajectory.csv"):
-        assert (a / name).read_bytes() == (b / name).read_bytes()
+ROUNDTRIP_CASES = {
+    # (solve arguments, forward arguments that export repeats)
+    "infection": (["--game", "infection", "--infinite", *SMALL],
+                  ["--steps", "25", "--seed", "7"]),
+    "rounded-param": (["--game", "infection", "--infinite", *SMALL, "--mode", "sampled",
+                       "--param", "k=0.1234567890123456"],
+                      ["--steps", "25", "--seed", "7", "--mode", "sampled"]),
+    "two-leader-types": (["--game-file", "{tmp}/signal.json", "--pi-res", "2",
+                          "--z-res", "4"], []),
+    "horizon-override": (["--game-file", str(SAMPLE_GAME), "--horizon", "3",
+                          "--z-res", "8"], []),
+    "builtin-file-horizon": (["--game-file", "{tmp}/tech.json", "--horizon", "2",
+                              "--z-res", "6"], []),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROUNDTRIP_CASES))
+def test_export_reloads_exact_run_state(tmp_path, monkeypatch, case):
+    """export rolls forward the solved game with the exact solved tables."""
+    (tmp_path / "signal.json").write_text(json.dumps(signal_game()))
+    (tmp_path / "tech.json").write_text(json.dumps(
+        {"builtin": "tech", "params": {"price_points": 5}}))
+    solve_args, forward_args = ROUNDTRIP_CASES[case]
+    solve_args = [a.format(tmp=tmp_path) for a in solve_args]
+    seen = []
+    original = cli.forward_pass
+
+    def record(spec, generator, *args, **kwargs):
+        seen.append((spec, generator))
+        return original(spec, generator, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "forward_pass", record)
+    out, target = tmp_path / "run", tmp_path / "again.csv"
+    assert run_cli(["solve", *solve_args, "--out", str(out)]) == 0
+    assert run_cli(["export", "--run-dir", str(out), *forward_args,
+                    "--out-file", str(target)]) == 0
+    (_, solved), (spec, loaded) = seen
+
+    assert loaded.stationary == solved.stationary
+    assert len(loaded.tables) == len(solved.tables)
+    for (vf1, vl1), (vf2, vl2) in zip(solved.tables, loaded.tables):
+        assert np.array_equal(vf1.values, vf2.values)
+        assert np.array_equal(vl1.values, vl2.values)
+    assert len(loaded.stages) == len(solved.stages)
+    for p1, p2 in zip(solved.stages, loaded.stages):
+        assert len(p1.solutions) == len(p2.solutions)
+        for s1, s2 in zip(p1.solutions, p2.solutions):
+            assert np.array_equal(s1.prescription.leader, s2.prescription.leader)
+            assert np.array_equal(s1.prescription.follower, s2.prescription.follower)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert spec_hash(spec) == manifest["spec_hash"]
+    assert target.read_bytes() == (out / "trajectory.csv").read_bytes()
+
+
+def test_export_clamps_steps_to_horizon(tmp_path):
+    out, target = tmp_path / "run", tmp_path / "long.csv"
+    assert run_cli(["solve", "--game", "tech", "--horizon", "4", "--z-res", "8",
+                    "--action-res", "5", "--out", str(out)]) == 0
+    assert run_cli(["export", "--run-dir", str(out), "--steps", "10",
+                    "--out-file", str(target)]) == 0
+    rows = target.read_text().strip().split("\n")[1:]
+    assert [row.split(",")[0] for row in rows] == ["1", "2", "3", "4"]
+
+
+def test_export_without_state_exits_3(tmp_path, capsys):
+    assert run_cli(["export", "--run-dir", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert str(tmp_path) in err and "re-run" in err

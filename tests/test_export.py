@@ -2,7 +2,6 @@
 
 import numpy as np
 
-import stackmfg as s
 from stackmfg import export
 
 
@@ -10,33 +9,6 @@ def test_fmt_twelve_significant_digits():
     assert export.fmt(1 / 3) == "0.333333333333"
     assert export.fmt(1.0) == "1"
     assert export.fmt(-2.5e-13) == "-2.5e-13"
-
-
-def test_grid_table_csv_roundtrip(tmp_path):
-    grid = s.build_grid(2, 4)
-    table = s.GridTable(grid, np.arange(10, dtype=float).reshape(5, 2))
-    path = tmp_path / "table.csv"
-    export.grid_table_csv(path, table, state_labels=["u", "v"],
-                          coord_labels=["healthy", "infected"])
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "healthy,infected,state,value"
-    assert len(lines) == 1 + 5 * 2
-    assert lines[1] == "0,1,u,0"
-    # deterministic rewrite
-    export.grid_table_csv(tmp_path / "again.csv", table, state_labels=["u", "v"],
-                          coord_labels=["healthy", "infected"])
-    assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
-
-
-def test_joint_table_csv(tmp_path):
-    joint = s.JointGrid(pi_grid=s.build_grid(1, 1), z_grid=s.build_grid(2, 2))
-    table = s.JointTable(joint, np.ones((1, 3, 2)) * 0.5)
-    path = tmp_path / "joint.csv"
-    export.joint_table_csv(path, table, pi_labels=["L"], z_labels=["a", "b"],
-                           state_labels=["a", "b"], stage=3)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "stage,pi_L,z_a,z_b,state,value"
-    assert all(line.startswith("3,") for line in lines[1:])
 
 
 def test_json_ready_types():

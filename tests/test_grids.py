@@ -1,12 +1,25 @@
-"""Simplex grid enumeration and piecewise-linear interpolation."""
+"""Simplex grid enumeration and piecewise-linear interpolation.
+
+Interpolation goes through ``JointTable`` with a one-point belief grid; its
+belief weight is exactly 1.0, so the results are those of the mean-field
+stencil alone, bitwise.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stackmfg import GridSizeError, GridTable, OffSimplexError, build_grid, interpolate
+from stackmfg import GridSizeError, JointGrid, JointTable, OffSimplexError, build_grid
 from stackmfg.grids import simplex_weights
+
+PI = [1.0]
+
+
+def line_table(grid, values):
+    """JointTable over ``grid`` with a one-point belief grid; values (n_points, n_states)."""
+    joint = JointGrid(pi_grid=build_grid(1, 1), z_grid=grid)
+    return JointTable(joint, np.asarray(values, dtype=float)[None])
 
 
 def test_dim2_res4_points():
@@ -45,25 +58,25 @@ def test_size_cap():
 
 def test_interpolate_line():
     grid = build_grid(2, 1)                   # points (0,1), (1,0)
-    table = GridTable(grid, np.array([[0.0], [1.0]]))
-    assert interpolate(table, [0.3, 0.7], 0) == pytest.approx(0.3, abs=1e-15)
+    table = line_table(grid, [[0.0], [1.0]])
+    assert table.interpolate(PI, [0.3, 0.7], 0) == pytest.approx(0.3, abs=1e-15)
 
 
 def test_interpolate_exact_at_nodes():
     grid = build_grid(3, 4)
     rng = np.random.default_rng(5)
-    table = GridTable(grid, rng.normal(size=(grid.n_points, 2)))
+    table = line_table(grid, rng.normal(size=(grid.n_points, 2)))
     for i in range(grid.n_points):
         for state in range(2):
-            assert interpolate(table, grid.points[i], state) == table.values[i, state]
+            assert table.interpolate(PI, grid.points[i], state) == table.values[0, i, state]
 
 
 def test_kuhn_dim3_m1_barycentric():
     # Single-cell grid: weights are the coordinates themselves.
     grid = build_grid(3, 1)                   # lex order: (0,0,1),(0,1,0),(1,0,0)
-    table = GridTable(grid, np.array([[1.0], [2.0], [3.0]]))
+    table = line_table(grid, [[1.0], [2.0], [3.0]])
     # 0.5*1 + 0.3*2 + 0.2*3, frozen by hand
-    assert interpolate(table, [0.2, 0.3, 0.5], 0) == pytest.approx(1.7, abs=1e-12)
+    assert table.interpolate(PI, [0.2, 0.3, 0.5], 0) == pytest.approx(1.7, abs=1e-12)
 
 
 def test_kuhn_dim3_m2_frozen():
@@ -71,8 +84,8 @@ def test_kuhn_dim3_m2_frozen():
     # vertices (1,1,0)/2, (1,0,1)/2, (0,1,1)/2 with weights 0.5, 0.1, 0.4;
     # values = lattice index in lex order gives 0.5*4 + 0.1*3 + 0.4*1 = 2.7.
     grid = build_grid(3, 2)
-    table = GridTable(grid, np.arange(grid.n_points, dtype=float)[:, None])
-    assert interpolate(table, [0.3, 0.45, 0.25], 0) == pytest.approx(2.7, abs=1e-12)
+    table = line_table(grid, np.arange(grid.n_points, dtype=float)[:, None])
+    assert table.interpolate(PI, [0.3, 0.45, 0.25], 0) == pytest.approx(2.7, abs=1e-12)
 
 
 @given(st.integers(2, 4), st.integers(1, 6), st.integers(0, 10 ** 6))
@@ -83,10 +96,10 @@ def test_affine_reproduction(dim, res, seed):
     grid = build_grid(dim, res)
     coeff = rng.normal(size=dim)
     offset = rng.normal()
-    table = GridTable(grid, (grid.points @ coeff + offset)[:, None])
+    table = line_table(grid, (grid.points @ coeff + offset)[:, None])
     p = rng.dirichlet(np.ones(dim))
     expected = float(p @ coeff + offset)
-    assert interpolate(table, p, 0) == pytest.approx(expected, abs=1e-10)
+    assert table.interpolate(PI, p, 0) == pytest.approx(expected, abs=1e-10)
 
 
 def test_weights_are_convex():
@@ -105,27 +118,27 @@ def test_lipschitz_bound(dim, res):
     """1-norm Lipschitz constant bounded by resolution * max |value|."""
     grid = build_grid(dim, res)
     rng = np.random.default_rng(2)
-    table = GridTable(grid, rng.uniform(-1, 1, size=(grid.n_points, 1)))
+    table = line_table(grid, rng.uniform(-1, 1, size=(grid.n_points, 1)))
     bound = grid.resolution * np.max(np.abs(table.values))
     for _ in range(300):
         p = rng.dirichlet(np.ones(dim))
         q = rng.dirichlet(np.ones(dim))
-        gap = abs(interpolate(table, p, 0) - interpolate(table, q, 0))
+        gap = abs(table.interpolate(PI, p, 0) - table.interpolate(PI, q, 0))
         assert gap <= bound * np.sum(np.abs(p - q)) + 1e-12
 
 
 def test_off_simplex_rejected():
     grid = build_grid(2, 4)
-    table = GridTable(grid, np.zeros((5, 1)))
+    table = line_table(grid, np.zeros((5, 1)))
     with pytest.raises(OffSimplexError):
-        interpolate(table, [0.7, 0.7], 0)
+        table.interpolate(PI, [0.7, 0.7], 0)
     with pytest.raises(OffSimplexError):
-        interpolate(table, [-0.2, 1.2], 0)
+        table.interpolate(PI, [-0.2, 1.2], 0)
     # tiny drift inside tolerance is renormalized, not rejected
-    interpolate(table, [0.5 + 1e-12, 0.5], 0)
+    table.interpolate(PI, [0.5 + 1e-12, 0.5], 0)
 
 
 def test_rejects_nonfinite_table():
     grid = build_grid(2, 2)
     with pytest.raises(ValueError):
-        GridTable(grid, np.array([[np.nan]] * grid.n_points))
+        line_table(grid, np.array([[np.nan]] * grid.n_points))

@@ -189,16 +189,6 @@ def test_backward_requires_finite_horizon(infection_spec):
         s.backward_pass(infection_spec, joint)
 
 
-def test_threads_do_not_change_results():
-    spec = toy_spec(horizon=2, seed=13)
-    joint = toy_joint_grid(spec)
-    gen1, tables1 = s.backward_pass(spec, joint)
-    gen2, tables2 = s.backward_pass(spec, joint, config=s.SolverConfig(threads=4))
-    for (f1, l1), (f2, l2) in zip(tables1, tables2):
-        assert np.array_equal(f1.values, f2.values)
-        assert np.array_equal(l1.values, l2.values)
-
-
 def test_branch_cap_lumps_low_weight_branches():
     """Two revealing leader types split the tree each step; a cap of one
     branch keeps the heaviest and records the lumped weight."""
