@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -181,7 +181,7 @@ def run(config: RunConfig) -> int:
 
     game_config = spec.metadata["config"]
     manifest = {
-        "game": {"name": spec.name, "config": game_config},
+        "game": {"name": spec.name, "config": export.Exact(game_config)},
         "spec_hash": digest,
         "grids": {"z_resolution": joint.z_grid.resolution,
                   "pi_resolution": joint.pi_grid.resolution},
@@ -206,7 +206,7 @@ def run(config: RunConfig) -> int:
     export.policy_csv(outdir / "policy.csv", generator, spec)
     export.trajectory_csv(outdir / "trajectory.csv", trajectory, spec)
     export.diagnostics_jsonl(outdir / "diagnostics.jsonl", generator)
-    export.write_state(outdir / "state.npz", generator, game_config)
+    export.write_state(outdir / "state.npz", generator, game_config, solver_config)
 
     final_z = trajectory.mean_field_path()[-1]
     print(f"spec hash: {digest}")
@@ -276,11 +276,12 @@ def cmd_oracle(config: RunConfig, check_solver: bool) -> int:
 
 def cmd_export(run_dir: str, config: RunConfig, out_file: Optional[str]) -> int:
     path = Path(run_dir)
-    state = path / "state.npz"
-    if not state.exists():
-        _err(f"no state.npz under {run_dir}; re-run `stackmfg solve` to write it")
+    try:
+        game_config, generator, solver_config = export.read_state(path / "state.npz")
+    except (FileNotFoundError, KeyError):
+        _err(f"no complete state.npz under {run_dir}; re-run `stackmfg solve` to write it")
         return EXIT_VALIDATION
-    game_config, generator = export.read_state(state)
+    config.br_tol, config.bayes_eps = solver_config.br_tol, solver_config.bayes_eps
     spec = load_game_dict(game_config)
     _, trajectory = _roll_forward(spec, generator, config)
     target = Path(out_file) if out_file else path / "trajectory_export.csv"
@@ -293,7 +294,8 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--game", help="built-in game name (infection, tech)")
     p.add_argument("--game-file", help="path to a JSON game definition")
     p.add_argument("--param", action="append", type=_parse_param, default=[],
-                   metavar="KEY=VALUE", help="built-in game parameter override")
+                   dest="params", metavar="KEY=VALUE",
+                   help="built-in game parameter override")
     p.add_argument("--horizon", type=int, help="finite horizon length")
     p.add_argument("--infinite", action="store_true",
                    help="stationary discounted solve")
@@ -309,25 +311,18 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--br-tol", type=float, default=1e-9,
                    help="best-response fixed-point tolerance")
     p.add_argument("--bayes-eps", type=float, default=1e-12)
+    p.add_argument("--out", help="output directory (default out/<spec-hash>)")
+    _add_forward(p)
+
+
+def _add_forward(p: argparse.ArgumentParser):
     p.add_argument("--steps", type=int, help="forward steps (default 200 stationary)")
     p.add_argument("--mode", choices=["expected", "sampled"], default="expected")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--offgrid", choices=["resolve", "nearest"], default="resolve",
                    help="prescription lookup at off-grid public states")
-    p.add_argument("--out", help="output directory (default out/<spec-hash>)")
     p.add_argument("--z0", type=float, nargs="+", help="initial mean field override")
     p.add_argument("--pi0", type=float, nargs="+", help="initial belief override")
-
-
-def _config_from(args) -> RunConfig:
-    return RunConfig(
-        game=args.game, game_file=args.game_file, params=dict(args.param),
-        horizon=args.horizon, infinite=args.infinite,
-        z_resolution=args.z_resolution, pi_resolution=args.pi_resolution,
-        action_resolution=args.action_resolution, tol=args.tol,
-        max_iter=args.max_iter, br_tol=args.br_tol, bayes_eps=args.bayes_eps,
-        steps=args.steps, mode=args.mode, seed=args.seed, offgrid=args.offgrid,
-        out=args.out, z0=args.z0, pi0=args.pi0)
 
 
 def main(argv=None) -> int:
@@ -347,13 +342,16 @@ def main(argv=None) -> int:
     p_oracle.add_argument("--check-solver", action="store_true",
                           help="also run the solver and report membership")
 
-    p_export = sub.add_parser("export", help="re-export a trajectory from a run")
-    _add_common(p_export)
+    p_export = sub.add_parser("export", help="re-export a trajectory from a run",
+                              allow_abbrev=False)
+    _add_forward(p_export)
     p_export.add_argument("--run-dir", required=True)
     p_export.add_argument("--out-file")
 
     args = parser.parse_args(argv)
-    config = _config_from(args)
+    known = {f.name for f in fields(RunConfig)}
+    config = RunConfig(**{k: v for k, v in vars(args).items() if k in known})
+    config.params = dict(config.params)
     if args.command == "solve":
         return run(config)
     if args.command == "validate":

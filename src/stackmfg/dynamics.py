@@ -54,13 +54,8 @@ class Prescription:
     @classmethod
     def pure(cls, leader_actions, follower_actions, n_leader_actions, n_follower_actions):
         """Build a deterministic prescription from per-state action indices."""
-        la = np.zeros((len(leader_actions), n_leader_actions))
-        for x, a in enumerate(leader_actions):
-            la[x, a] = 1.0
-        fa = np.zeros((len(follower_actions), n_follower_actions))
-        for x, a in enumerate(follower_actions):
-            fa[x, a] = 1.0
-        return cls(leader=la, follower=fa)
+        return cls(leader=np.eye(n_leader_actions)[list(leader_actions)],
+                   follower=np.eye(n_follower_actions)[list(follower_actions)])
 
     def pure_actions(self):
         """(leader tuple, follower tuple) of argmax actions if both are pure, else None."""

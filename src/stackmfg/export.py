@@ -16,7 +16,7 @@ import numpy as np
 from .dynamics import Prescription
 from .grids import JointGrid, JointTable, build_grid
 from .solver import EquilibriumGenerator, StagePolicy
-from .stage import StageDiagnostics, StageSolution
+from .stage import SolverConfig, StageDiagnostics, StageSolution
 
 
 def fmt(x) -> str:
@@ -24,8 +24,14 @@ def fmt(x) -> str:
     return f"{float(x):.12g}"
 
 
+class Exact(dict):
+    """A JSON mapping that ``json_ready`` passes through without rounding."""
+
+
 def json_ready(obj):
     """Recursively convert to JSON-serializable values with canonical floats."""
+    if isinstance(obj, Exact):
+        return dict(obj)
     if isinstance(obj, dict):
         return {str(k): json_ready(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -149,8 +155,8 @@ def diagnostics_jsonl(path, generator):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def write_state(path, generator, game_config):
-    """Exact run state: game config, value tables and prescriptions.
+def write_state(path, generator, game_config, config: SolverConfig):
+    """Exact run state: game config, solver tolerances, value tables and prescriptions.
 
     ``follower_values``/``leader_values`` stack ``generator.tables`` (with the
     terminal zeros of a finite game); the prescription arrays are indexed
@@ -161,6 +167,7 @@ def write_state(path, generator, game_config):
         path,
         config=json.dumps(game_config, sort_keys=True),
         stationary=generator.stationary,
+        br_tol=config.br_tol, bayes_eps=config.bayes_eps,
         pi_resolution=joint.pi_grid.resolution,
         z_resolution=joint.z_grid.resolution,
         follower_values=np.stack([vf.values for vf, _ in generator.tables]),
@@ -172,10 +179,12 @@ def write_state(path, generator, game_config):
 
 
 def read_state(path):
-    """(game config, EquilibriumGenerator) from a file written by ``write_state``."""
+    """(game config, EquilibriumGenerator, SolverConfig) from ``write_state``'s file."""
     with np.load(path, allow_pickle=False) as state:
         config = json.loads(state["config"].item())
         stationary = bool(state["stationary"])
+        solver_config = SolverConfig(br_tol=float(state["br_tol"]),
+                                     bayes_eps=float(state["bayes_eps"]))
         pi_res, z_res = int(state["pi_resolution"]), int(state["z_resolution"])
         vf_all, vl_all = state["follower_values"], state["leader_values"]
         gl_all, gf_all = state["leader_prescriptions"], state["follower_prescriptions"]
@@ -194,5 +203,5 @@ def read_state(path):
                           leader_values=vl_flat[flat].copy(),
                           diagnostics=StageDiagnostics())
             for flat, (gl, gf) in enumerate(zip(gl_stage, gf_stage))]))
-    return config, EquilibriumGenerator(joint=joint, stages=stages,
-                                        stationary=stationary, tables=tables)
+    return config, EquilibriumGenerator(joint=joint, stages=stages, stationary=stationary,
+                                        tables=tables), solver_config

@@ -99,37 +99,23 @@ class GameSpec:
 
     def follower_kernel_tensor(self, z) -> np.ndarray:
         """Q^f at a fixed mean field: shape (n_l, n_f, n_al, n_af, n_f)."""
-        n_l, n_f = self.n_leader_states, self.n_follower_states
-        n_al, n_af = self.n_leader_actions, self.n_follower_actions
-        out = np.empty((n_l, n_f, n_al, n_af, n_f))
-        for xl in range(n_l):
-            for xf in range(n_f):
-                for al in range(n_al):
-                    for af in range(n_af):
-                        out[xl, xf, al, af, :] = np.asarray(
-                            self.follower_kernel(z, xl, xf, al, af), dtype=np.float64)
-        return out
+        shape = (self.n_leader_states, self.n_follower_states,
+                 self.n_leader_actions, self.n_follower_actions)
+        rows = [self.follower_kernel(z, *idx) for idx in np.ndindex(shape)]
+        return np.array(rows, dtype=np.float64).reshape(shape + (self.n_follower_states,))
 
     def leader_kernel_tensor(self, z) -> np.ndarray:
         """Q^l at a fixed mean field: shape (n_l, n_al, n_l)."""
-        n_l, n_al = self.n_leader_states, self.n_leader_actions
-        out = np.empty((n_l, n_al, n_l))
-        for xl in range(n_l):
-            for al in range(n_al):
-                out[xl, al, :] = np.asarray(self.leader_kernel(z, al, xl), dtype=np.float64)
-        return out
+        shape = (self.n_leader_states, self.n_leader_actions)
+        rows = [self.leader_kernel(z, al, xl) for xl, al in np.ndindex(shape)]
+        return np.array(rows, dtype=np.float64).reshape(shape + (self.n_leader_states,))
 
     def follower_reward_tensor(self, z) -> np.ndarray:
         """R^f at a fixed mean field: shape (n_l, n_f, n_al, n_af)."""
-        n_l, n_f = self.n_leader_states, self.n_follower_states
-        n_al, n_af = self.n_leader_actions, self.n_follower_actions
-        out = np.empty((n_l, n_f, n_al, n_af))
-        for xl in range(n_l):
-            for xf in range(n_f):
-                for al in range(n_al):
-                    for af in range(n_af):
-                        out[xl, xf, al, af] = float(self.follower_reward(z, xl, xf, al, af))
-        return out
+        shape = (self.n_leader_states, self.n_follower_states,
+                 self.n_leader_actions, self.n_follower_actions)
+        rewards = [float(self.follower_reward(z, *idx)) for idx in np.ndindex(shape)]
+        return np.array(rewards).reshape(shape)
 
 
 @dataclass

@@ -175,8 +175,13 @@ class JointGrid:
 
 def joint_weights(joint: JointGrid, pi_point, z_point):
     """Flat gather indices and product weights for a joint-grid query."""
-    pi_idx, pi_w = simplex_weights(joint.pi_grid, pi_point)
-    z_idx, z_w = simplex_weights(joint.z_grid, z_point)
+    return stencil_product(joint, simplex_weights(joint.pi_grid, pi_point),
+                           simplex_weights(joint.z_grid, z_point))
+
+
+def stencil_product(joint: JointGrid, pi_stencil, z_stencil):
+    """Joint stencil from the (indices, weights) stencils of the two factors."""
+    (pi_idx, pi_w), (z_idx, z_w) = pi_stencil, z_stencil
     nz = joint.z_grid.n_points
     flat = (pi_idx[:, None] * nz + z_idx[None, :]).ravel()
     w = (pi_w[:, None] * z_w[None, :]).ravel()

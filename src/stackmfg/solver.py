@@ -9,7 +9,7 @@ stage entry applied at every time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -18,7 +18,7 @@ from .dynamics import Prescription, belief_step_total, mean_field_step
 from .errors import NoEquilibriumError, NonConvergenceError
 from .game import GameSpec
 from .grids import JointGrid, JointTable
-from .stage import SolverConfig, StagePointSolver, StageSolution
+from .stage import SolverConfig, StageEngine, StageSolution, leader_optimize
 
 
 @dataclass
@@ -50,10 +50,6 @@ class EquilibriumGenerator:
     @property
     def n_stages(self) -> int:
         return len(self.stages)
-
-    @property
-    def partial(self) -> bool:
-        return bool(self.failures)
 
     def policy_for(self, t: int) -> StagePolicy:
         """Stage policy used at 1-based stage ``t``."""
@@ -103,67 +99,15 @@ class ConvergenceReport:
         return len(self.deltas)
 
     def to_dict(self):
-        return {
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "tolerance": self.tolerance,
-            "deltas": self.deltas,
-            "prescription_stable": self.prescription_stable,
-        }
+        return {"iterations": self.iterations, **asdict(self)}
 
 
-class _StageWorkspace:
-    """Lazy per-point solvers, reused across stages and sweeps."""
-
-    def __init__(self, spec: GameSpec, joint: JointGrid, config: SolverConfig):
-        self.spec = spec
-        self.joint = joint
-        self.config = config
-        self._solvers = [None] * joint.n_points
-
-    def solver(self, flat: int) -> StagePointSolver:
-        if self._solvers[flat] is None:
-            pi, z = self.joint.point(flat)
-            self._solvers[flat] = StagePointSolver(self.spec, pi, z, self.joint,
-                                                   self.config)
-        return self._solvers[flat]
-
-    def sweep(self, vf: JointTable, vl: JointTable, t: Optional[int] = None,
-              prefer: Optional[Callable] = None, allow_partial: bool = False):
-        """Solve every grid point against the given continuation tables."""
-        vf_flat = vf.flat_values()
-        vl_flat = vl.flat_values()
-        failures = []
-
-        def solve_point(flat):
-            solver = self.solver(flat)
-            wrapped = None
-            if prefer is not None:
-                pi, z = self.joint.point(flat)
-                wrapped = lambda gl, bf: prefer(t, pi, z, gl, bf)
-            try:
-                return solver.solve(vf_flat, vl_flat, prefer=wrapped, t=t)
-            except NoEquilibriumError:
-                if not allow_partial:
-                    raise
-                return None
-
-        solutions = [solve_point(flat) for flat in range(self.joint.n_points)]
-        n_pi = self.joint.pi_grid.n_points
-        n_z = self.joint.z_grid.n_points
-        new_f = np.zeros((n_pi, n_z, self.spec.n_follower_states))
-        new_l = np.zeros((n_pi, n_z, self.spec.n_leader_states))
-        for flat, sol in enumerate(solutions):
-            i, j = self.joint.unravel(flat)
-            if sol is None:
-                pi, z = self.joint.point(flat)
-                failures.append((t, pi.copy(), z.copy()))
-                continue
-            new_f[i, j, :] = sol.follower_values
-            new_l[i, j, :] = sol.leader_values
-        return (StagePolicy(self.joint, solutions),
-                JointTable(self.joint, new_f), JointTable(self.joint, new_l),
-                failures)
+def _sweep(engine: StageEngine, vf: JointTable, vl: JointTable, **kwargs):
+    """One engine sweep over the grid: (StageSweep, new V^f, new V^l)."""
+    sweep = engine.sweep(vf.flat_values(), vl.flat_values(), **kwargs)
+    shape = vf.values.shape[:2] + (-1,)
+    return (sweep, JointTable(vf.joint, sweep.follower_values.reshape(shape)),
+            JointTable(vl.joint, sweep.leader_values.reshape(shape)))
 
 
 def backward_pass(spec: GameSpec, joint: JointGrid,
@@ -179,9 +123,8 @@ def backward_pass(spec: GameSpec, joint: JointGrid,
     if spec.horizon is None:
         raise ValueError("backward_pass needs a finite horizon; "
                          "use solve_stationary for discounted infinite games")
-    config = config or SolverConfig()
     T = spec.horizon
-    ws = _StageWorkspace(spec, joint, config)
+    engine = StageEngine(spec, joint, config=config)
     tables = [None] * (T + 1)
     tables[T] = (JointTable.zeros(joint, spec.n_follower_states),
                  JointTable.zeros(joint, spec.n_leader_states))
@@ -189,11 +132,12 @@ def backward_pass(spec: GameSpec, joint: JointGrid,
     failures = []
     for t in range(T, 0, -1):
         vf_next, vl_next = tables[t]
-        policy, vf, vl, fails = ws.sweep(vf_next, vl_next, t=t, prefer=prefer,
-                                         allow_partial=allow_partial)
-        stages[t - 1] = policy
+        sweep, vf, vl = _sweep(engine, vf_next, vl_next, t=t, prefer=prefer,
+                               allow_partial=allow_partial)
+        stages[t - 1] = StagePolicy(joint, engine.solutions(sweep))
         tables[t - 1] = (vf, vl)
-        failures.extend(fails)
+        failures.extend((t, pi.copy(), z.copy()) for sol, (pi, z)
+                        in zip(stages[t - 1].solutions, engine.states) if sol is None)
     gen = EquilibriumGenerator(joint=joint, stages=stages, stationary=False,
                                tables=tables, failures=failures)
     return gen, tables
@@ -214,31 +158,27 @@ def solve_stationary(spec: GameSpec, joint: JointGrid, tol: float = 1e-6,
         raise ValueError("solve_stationary expects an infinite-horizon spec")
     if not spec.discount < 1.0:
         raise ValueError("stationary solve requires discount < 1")
-    config = config or SolverConfig()
-    ws = _StageWorkspace(spec, joint, config)
+    engine = StageEngine(spec, joint, config=config)
     if initial_tables is None:
         vf = JointTable.zeros(joint, spec.n_follower_states)
         vl = JointTable.zeros(joint, spec.n_leader_states)
     else:
         vf, vl = initial_tables
     report = ConvergenceReport(tolerance=tol)
-    prev_prescriptions = None
+    prev = None
     for _ in range(max_iter):
-        policy, new_vf, new_vl, _ = ws.sweep(vf, vl, t=None, prefer=prefer)
+        sweep, new_vf, new_vl = _sweep(engine, vf, vl, prefer=prefer)
         delta = max(new_vf.max_abs_diff(vf), new_vl.max_abs_diff(vl))
-        prescriptions = [(sol.prescription.leader, sol.prescription.follower)
-                         for sol in policy.solutions]
-        stable = prev_prescriptions is not None and all(
-            np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
-            for a, b in zip(prescriptions, prev_prescriptions))
+        stable = (prev is not None and np.array_equal(sweep.leader, prev.leader)
+                  and np.array_equal(sweep.follower, prev.follower))
         report.deltas.append(float(delta))
         report.prescription_stable.append(stable)
-        prev_prescriptions = prescriptions
+        prev = sweep
         vf, vl = new_vf, new_vl
         if delta < tol:
             report.converged = True
-            gen = EquilibriumGenerator(joint=joint, stages=[policy],
-                                       stationary=True, tables=[(vf, vl)])
+            gen = EquilibriumGenerator(joint=joint, stationary=True, tables=[(vf, vl)],
+                                       stages=[StagePolicy(joint, engine.solutions(sweep))])
             return gen, (vf, vl), report
     raise NonConvergenceError(
         f"stationary solve did not reach {tol:g} in {max_iter} sweeps "
@@ -293,24 +233,16 @@ class Trajectory:
 
 def _branch_prescription(spec, generator, t, branch, offgrid, config):
     flat, exact = generator.grid_lookup(branch.pi, branch.z)
-    if exact:
-        sol = generator.policy_for(t).solution(flat)
-        if sol is None:
-            raise NoEquilibriumError("trajectory hit an unsolved grid point",
-                                     t=t, pi=branch.pi, z=branch.z)
-        return sol.prescription, 0
-    if offgrid == "nearest":
-        sol = generator.policy_for(t).solution(flat)
-        if sol is None:
-            raise NoEquilibriumError("trajectory hit an unsolved grid point",
-                                     t=t, pi=branch.pi, z=branch.z)
-        return sol.prescription, 1
-    if offgrid == "resolve":
+    if not exact and offgrid == "resolve":
         vf, vl = generator.continuation_for(t)
-        solver = StagePointSolver(spec, branch.pi, branch.z, generator.joint, config)
-        sol = solver.solve(vf.flat_values(), vl.flat_values(), t=t)
-        return sol.prescription, 1
-    raise ValueError(f"unknown offgrid policy {offgrid!r}")
+        return leader_optimize(branch.pi, branch.z, vl, vf, spec, config, t=t).prescription, 1
+    if not exact and offgrid != "nearest":
+        raise ValueError(f"unknown offgrid policy {offgrid!r}")
+    sol = generator.policy_for(t).solution(flat)
+    if sol is None:
+        raise NoEquilibriumError("trajectory hit an unsolved grid point",
+                                 t=t, pi=branch.pi, z=branch.z)
+    return sol.prescription, int(not exact)
 
 
 def _instant_rewards(spec, branch, gamma: Prescription):

@@ -1,4 +1,4 @@
-"""Stage fixed point at one public state (belief, mean field).
+"""Stage fixed point at a set of public states (belief, mean field).
 
 For a candidate leader prescription the follower side must be a
 self-consistent best response: the next mean field is computed from the
@@ -9,22 +9,35 @@ prescriptions is the fallback when no pure fixed point exists.  The leader
 then picks the prescription pair maximizing her expected stage value, with
 optimistic selection over follower multiplicity and lexicographic
 tie-breaking for determinism.
+
+``StageEngine`` stacks every (public state, leader candidate, follower map)
+pair into arrays once; a sweep is a gather, elementwise contractions, a
+masked fixed-point test and a per-state selection.  No sweep contraction
+goes through BLAS, so pairs with identical inputs get bit-identical
+objectives wherever they sit in the batch, and exact ties decide selection.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass, field, fields
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .dynamics import Prescription, belief_step_total, mean_field_step
 from .errors import NoEquilibriumError
 from .game import GameSpec
-from .grids import JointGrid, JointTable, joint_weights
+from .grids import JointGrid, JointTable, simplex_weights, stencil_product
 
 _ARGMAX_TIE_TOL = 1e-12
+SELECTION_TOL = 1e-9        # near-optimality window for forced tie-breaking
+DAMPING = 0.5               # weight on the new best response in the fallback
+DAMP_MAX_ITER = 500
+DAMP_TOL = 1e-9
+MIXED_STEP = 0.1            # mesh of the optional mixed leader grid
+MIXED_CANDIDATE_CAP = 100_000
+_SPLIT = 134217729.0        # 2**27 + 1, Dekker's splitting constant
 
 
 @dataclass
@@ -32,14 +45,8 @@ class SolverConfig:
     """Numerical knobs shared by the stage and horizon solvers."""
 
     br_tol: float = 1e-9            # slack accepted in best-response certificates
-    selection_tol: float = 1e-9     # near-optimality window for forced tie-breaking
-    damping: float = 0.5            # weight on the new best response in the fallback
-    damp_max_iter: int = 500
-    damp_tol: float = 1e-9
     bayes_eps: float = 1e-12
     leader_mixed_grid: bool = False
-    mixed_step: float = 0.1
-    mixed_candidate_cap: int = 100_000
     branch_cap: int = 64
 
 
@@ -53,19 +60,12 @@ class StageDiagnostics:
     used_damped_fallback: bool = False
     bayes_fallbacks: int = 0
     # (leader actions, follower actions, leader objective) per evaluated pair;
-    # follower part is the leader-best element of the BR set.
+    # follower part is None for a damped mixed fixed point.
     candidate_objectives: list = field(default_factory=list)
 
     def to_dict(self):
-        return {
-            "n_leader_candidates": self.n_leader_candidates,
-            "n_follower_candidates": self.n_follower_candidates,
-            "br_set_sizes": self.br_set_sizes,
-            "empty_br_candidates": self.empty_br_candidates,
-            "tie_events": self.tie_events,
-            "used_damped_fallback": self.used_damped_fallback,
-            "bayes_fallbacks": self.bayes_fallbacks,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name != "candidate_objectives"}
 
 
 @dataclass
@@ -80,252 +80,310 @@ class StageSolution:
 
 def _pure_candidates(n_states: int, n_actions: int):
     """All deterministic type-to-action maps, lexicographic by action tuple."""
-    out = []
-    for tup in itertools.product(range(n_actions), repeat=n_states):
-        mat = np.zeros((n_states, n_actions))
-        for x, a in enumerate(tup):
-            mat[x, a] = 1.0
-        out.append((tup, mat))
+    return [(tup, np.eye(n_actions)[list(tup)])
+            for tup in itertools.product(range(n_actions), repeat=n_states)]
+
+
+def _leader_candidates(spec: GameSpec, config: SolverConfig):
+    """Pure leader maps, then the strictly mixed grid when configured."""
+    out = _pure_candidates(spec.n_leader_states, spec.n_leader_actions)
+    if not config.leader_mixed_grid:
+        return out
+    denom = round(1.0 / MIXED_STEP)
+    rows = [np.array(comp, dtype=np.float64) / denom
+            for comp in itertools.product(range(denom + 1), repeat=spec.n_leader_actions)
+            if sum(comp) == denom]
+    total = len(rows) ** spec.n_leader_states
+    if total > MIXED_CANDIDATE_CAP:
+        raise ValueError(f"mixed leader grid would enumerate {total} candidates "
+                         f"(cap {MIXED_CANDIDATE_CAP})")
+    for combo in itertools.product(rows, repeat=spec.n_leader_states):
+        mat = np.stack(combo)
+        if not np.all(np.max(mat, axis=1) == 1.0):     # pure rows already enumerated
+            out.append((None, mat))
     return out
 
 
-def _mixed_rows(n_actions: int, step: float):
-    denom = round(1.0 / step)
-    rows = []
-    for comp in itertools.product(range(denom + 1), repeat=n_actions):
-        if sum(comp) == denom:
-            rows.append(np.array(comp, dtype=np.float64) / denom)
-    return rows
+def _tensors(spec: GameSpec, z):
+    return (spec.follower_kernel_tensor(z), spec.follower_reward_tensor(z),
+            spec.leader_kernel_tensor(z))
 
 
-class _PairData:
-    """Iteration-independent data for one (leader, follower) prescription pair.
+class _Pairs(NamedTuple):
+    """Table-independent data of stacked (leader, follower) prescription pairs.
 
-    Everything except the continuation-table values is frozen here:
-    the induced next mean field, per-action posteriors, gather stencils into
-    the joint value tables, and the reward/kernel contractions.  Re-solving
-    with updated tables is then a handful of small gathers.
+    Rows index (public state, leader candidate), columns follower maps, slots
+    the leader actions a row plays; slots and stencils are zero-padded.
     """
 
-    __slots__ = ("z_next", "rel_actions", "gather", "base_obj", "cont_op",
-                 "lead_base", "lead_cont", "vl_base", "vl_cont", "bayes_fallbacks")
+    idx: np.ndarray         # (R, F, A, K) flat gather indices into the joint tables
+    w: np.ndarray           # (R, F, A, K) joint interpolation weights
+    lead_base: np.ndarray   # (R, F) belief-averaged leader reward
+    vl_base: np.ndarray     # (R, F, n_l) leader reward per leader type
+    base_obj: np.ndarray    # (R, n_f, n_af) belief-averaged follower reward
+    cont_op: np.ndarray     # (R, A, n_f, n_af, n_f) belief-weighted follower kernel
+    lead_cont: np.ndarray   # (R, A, n_l) belief-weighted leader kernel
+    vl_cont: np.ndarray     # (R, A, n_l, n_l) leader kernel per leader type
+    bayes: np.ndarray       # (R,) played actions where Bayes rule kept the prior
 
-    def __init__(self, spec, joint, tensors, pi, z, G, Ff, rl_mat, bayes_eps):
-        QF, RF, QL = tensors
-        n_l, n_f = spec.n_leader_states, spec.n_follower_states
-        prescription = Prescription(leader=G, follower=Ff)
-        self.z_next = mean_field_step(pi, z, prescription, spec)
 
-        self.rel_actions = [al for al in range(spec.n_leader_actions)
-                            if np.any(G[:, al] > 0.0)]
-        self.bayes_fallbacks = 0
-        self.gather = {}
-        for al in self.rel_actions:
+def _build_pairs(spec: GameSpec, joint: JointGrid, pi, z, tensors, leaders, followers,
+                 n_slots: int, bayes_eps: float) -> _Pairs:
+    """Pair arrays of one public state: rows ``leaders``, columns ``followers``."""
+    QF, RF, QL = tensors
+    n_l, n_f, n_af = spec.n_leader_states, spec.n_follower_states, spec.n_follower_actions
+    R, F, A, K = len(leaders), len(followers), n_slots, joint.pi_grid.dim * joint.z_grid.dim
+    p = _Pairs(idx=np.zeros((R, F, A, K), dtype=np.int64), w=np.zeros((R, F, A, K)),
+               lead_base=np.empty((R, F)), vl_base=np.empty((R, F, n_l)),
+               base_obj=np.empty((R, n_f, n_af)), cont_op=np.zeros((R, A, n_f, n_af, n_f)),
+               lead_cont=np.zeros((R, A, n_l)), vl_cont=np.zeros((R, A, n_l, n_l)),
+               bayes=np.zeros(R, dtype=np.int64))
+    rl = [np.array([[float(spec.leader_reward(z, xl, al, Ff))
+                     for al in range(spec.n_leader_actions)] for xl in range(n_l)])
+          for Ff in followers]
+    for r, G in enumerate(leaders):
+        w_la = pi[:, None] * G                              # (n_l, n_al)
+        p.base_obj[r] = np.einsum("la,lfab->fb", w_la, RF)
+        pi_stencils = []
+        for a, al in enumerate(np.flatnonzero(np.any(G > 0.0, axis=0))):
             pi_next, fell_back = belief_step_total(pi, z, G, al, spec, eps=bayes_eps)
-            if fell_back:
-                self.bayes_fallbacks += 1
-            self.gather[al] = joint_weights(joint, pi_next, self.z_next)
-
-        w_la = pi[:, None] * G                           # (n_l, n_al)
-        self.base_obj = np.einsum("la,lfab->fb", w_la, RF)
-        self.cont_op = {al: np.einsum("l,lfbn->fbn", w_la[:, al], QF[:, :, al, :, :])
-                        for al in self.rel_actions}
-        self.lead_base = float(np.sum(w_la * rl_mat))
-        self.lead_cont = {al: w_la[:, al] @ QL[:, al, :] for al in self.rel_actions}
-        self.vl_base = np.sum(G * rl_mat, axis=1)        # (n_l,)
-        self.vl_cont = [[(al, G[xl, al] * QL[xl, al, :])
-                         for al in self.rel_actions if G[xl, al] > 0.0]
-                        for xl in range(n_l)]
-
-    def _state_vectors(self, flat_values):
-        return {al: w @ flat_values[idx, :] for al, (idx, w) in self.gather.items()}
-
-    def follower_objectives(self, vf_flat, discount):
-        """Per (follower type, action) expected reward-to-go, self-consistent z'."""
-        obj = self.base_obj.copy()
-        if discount != 0.0:
-            vecs = self._state_vectors(vf_flat)
-            for al, op in self.cont_op.items():
-                obj += discount * np.einsum("fbn,n->fb", op, vecs[al])
-        return obj
-
-    def leader_objective(self, vl_flat, discount):
-        total = self.lead_base
-        if discount != 0.0:
-            vecs = self._state_vectors(vl_flat)
-            for al, w in self.lead_cont.items():
-                total += discount * float(w @ vecs[al])
-        return total
-
-    def leader_values(self, vl_flat, discount):
-        """Stage value per leader type under this pair (type known, not averaged)."""
-        out = self.vl_base.copy()
-        if discount != 0.0:
-            vecs = self._state_vectors(vl_flat)
-            for xl, terms in enumerate(self.vl_cont):
-                for al, w in terms:
-                    out[xl] += discount * float(w @ vecs[al])
-        return out
+            pi_stencils.append(simplex_weights(joint.pi_grid, pi_next))
+            p.bayes[r] += fell_back
+            p.cont_op[r, a] = np.einsum("l,lfbn->fbn", w_la[:, al], QF[:, :, al, :, :])
+            p.lead_cont[r, a] = w_la[:, al] @ QL[:, al, :]
+            p.vl_cont[r, a] = G[:, al, None] * QL[:, al, :]
+        for c, Ff in enumerate(followers):
+            z_next = mean_field_step(pi, z, Prescription(leader=G, follower=Ff), spec)
+            z_stencil = simplex_weights(joint.z_grid, z_next)
+            for a, pi_stencil in enumerate(pi_stencils):
+                flat, wts = stencil_product(joint, pi_stencil, z_stencil)
+                p.idx[r, c, a, :len(flat)] = flat
+                p.w[r, c, a, :len(flat)] = wts
+            p.lead_base[r, c] = np.sum(w_la * rl[c])
+            p.vl_base[r, c] = np.sum(G * rl[c], axis=1)
+    return p
 
 
-class StagePointSolver:
-    """Reusable stage solver bound to one public state and one joint grid."""
+def _stack(parts) -> _Pairs:
+    return _Pairs(*(np.concatenate(arrays) for arrays in zip(*parts)))
 
-    def __init__(self, spec: GameSpec, pi, z, joint: JointGrid,
-                 config: Optional[SolverConfig] = None):
-        self.spec = spec
-        self.joint = joint
+
+def _fma(a, b, c):
+    """Correctly rounded a * b + c in float64, without a hardware FMA.
+
+    Dekker's product and two-sums give a * b + c exactly as th + tl + e; the
+    tail is rounded to odd and added once (Boldo & Melquiond 2008).
+    """
+    t = a * _SPLIT
+    a_hi = t - (t - a)
+    t = b * _SPLIT
+    b_hi = t - (t - b)
+    p = a * b
+    e = ((a_hi * b_hi - p) + a_hi * (b - b_hi) + (a - a_hi) * b_hi) + (a - a_hi) * (b - b_hi)
+    th, tl = _two_sum(c, p)
+    v, err = _two_sum(tl, e)
+    even = (v.view(np.int64) & 1) == 0
+    v = np.where((err != 0) & even, np.nextafter(v, np.copysign(np.inf, err)), v)
+    return th + v
+
+
+def _two_sum(a, b):
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _interpolate(p: _Pairs, flat_values):
+    """Table values at every pair's next state per slot, (R, F, A, n): the
+    stencil summed in order as a chain of fused multiply-adds."""
+    gathered = flat_values[p.idx]                       # (R, F, A, K, n)
+    out = p.w[..., 0, None] * gathered[..., 0, :]
+    for k in range(1, p.w.shape[-1]):
+        out = _fma(p.w[..., k, None], gathered[..., k, :], out)
+    return out
+
+
+def _dot(x, y):
+    """Sum of products over the last axis, left to right, elementwise."""
+    out = x[..., 0] * y[..., 0]
+    for n in range(1, x.shape[-1]):
+        out = out + x[..., n] * y[..., n]
+    return out
+
+
+def _evaluate(p: _Pairs, follower_mats, vf_flat, vl_flat, discount: float):
+    """Every pair against continuation tables, at its self-consistent next state.
+
+    Returns follower objectives (R, F, n_f, n_af), follower values under
+    ``follower_mats`` (R, F, n_f), leader objectives (R, F) and leader values
+    per leader type (R, F, n_l); only the first two without ``vl_flat``.
+    """
+    vf = _interpolate(p, vf_flat)
+    obj = np.repeat(p.base_obj[:, None], p.w.shape[1], axis=1)
+    for a in range(p.w.shape[2]):
+        obj += discount * _dot(p.cont_op[:, None, a], vf[:, :, a, None, None, :])
+    if vl_flat is None:
+        return obj, _dot(follower_mats, obj)
+    vl = _interpolate(p, vl_flat)
+    lead, lv = p.lead_base.copy(), p.vl_base.copy()
+    for a in range(p.w.shape[2]):
+        lead += discount * _dot(p.lead_cont[:, None, a], vl[:, :, a])
+        lv += discount * _dot(p.vl_cont[:, None, a], vl[:, :, a, None, :])
+    return obj, _dot(follower_mats, obj), lead, lv
+
+
+@dataclass
+class StageSweep:
+    """Per-state outcome of one sweep, as arrays over the engine's states."""
+
+    leader: np.ndarray              # (S, n_l, n_al) chosen leader prescriptions
+    follower: np.ndarray            # (S, n_f, n_af) chosen follower prescriptions
+    follower_values: np.ndarray     # (S, n_f), zero where unsolved
+    leader_values: np.ndarray       # (S, n_l), zero where unsolved
+    objectives: np.ndarray          # (S, L, F + 1), -inf off the BR set; column F: damped
+
+
+class StageEngine:
+    """Stage fixed points at a set of public states against value tables.
+
+    Builds the pair arrays of every (state, leader candidate, follower map)
+    once; each ``sweep`` then solves all states against one pair of
+    continuation tables.  ``leaders`` defaults to every pure leader map (and
+    the mixed grid when configured) as (action tuple or None, matrix).
+    """
+
+    def __init__(self, spec: GameSpec, joint: JointGrid, states=None,
+                 config: Optional[SolverConfig] = None, leaders=None):
+        if states is None:          # every joint grid point, in flat order
+            states = [joint.point(flat) for flat in range(joint.n_points)]
+        self.spec, self.joint = spec, joint
         self.config = config or SolverConfig()
-        self.pi = np.asarray(pi, dtype=np.float64)
-        self.z = np.asarray(z, dtype=np.float64)
-        self.tensors = (spec.follower_kernel_tensor(self.z),
-                        spec.follower_reward_tensor(self.z),
-                        spec.leader_kernel_tensor(self.z))
-        self.leader_candidates = _pure_candidates(spec.n_leader_states,
-                                                  spec.n_leader_actions)
-        if self.config.leader_mixed_grid:
-            self.leader_candidates = self.leader_candidates + self._mixed_leader_candidates()
-        self.follower_candidates = _pure_candidates(spec.n_follower_states,
-                                                    spec.n_follower_actions)
-        self._rl_cache = {}
-        self._pair_cache = {}
+        self.states = [(np.asarray(pi, dtype=np.float64), np.asarray(z, dtype=np.float64))
+                       for pi, z in states]
+        self.leaders = leaders or _leader_candidates(spec, self.config)
+        self.followers = _pure_candidates(spec.n_follower_states, spec.n_follower_actions)
+        self._follower_mats = np.array([Ff for _, Ff in self.followers])
+        self._actions = np.array([bf for bf, _ in self.followers])[None, :, :, None]
+        # (leader actions, follower actions) per flat (leader, follower map or damped) entry
+        self._keys = [(gl, bf) for gl, _ in self.leaders
+                      for bf in [bf for bf, _ in self.followers] + [None]]
+        self._slots = max(int(np.sum(np.any(G > 0.0, axis=0))) for _, G in self.leaders)
+        self._tensors = [_tensors(spec, z) for _, z in self.states]
+        self.pairs = _stack(self._build(s, [G for _, G in self.leaders], self._follower_mats)
+                            for s in range(len(self.states)))
 
-    def _mixed_leader_candidates(self):
-        rows = _mixed_rows(self.spec.n_leader_actions, self.config.mixed_step)
-        total = len(rows) ** self.spec.n_leader_states
-        if total > self.config.mixed_candidate_cap:
-            raise ValueError(
-                f"mixed leader grid would enumerate {total} candidates "
-                f"(cap {self.config.mixed_candidate_cap})")
-        out = []
-        for combo in itertools.product(rows, repeat=self.spec.n_leader_states):
-            mat = np.stack(combo)
-            if np.all(np.max(mat, axis=1) == 1.0):
-                continue        # pure rows already enumerated
-            out.append((None, mat))
+    def _build(self, s: int, leaders, followers) -> _Pairs:
+        return _build_pairs(self.spec, self.joint, *self.states[s], self._tensors[s],
+                            leaders, followers, self._slots, self.config.bayes_eps)
+
+    def _evaluate_pure(self, vf_flat, vl_flat):
+        """Evaluated pure pairs and the (R, F) mask of follower fixed points."""
+        obj, fv, lead, lv = _evaluate(self.pairs, self._follower_mats, vf_flat, vl_flat,
+                                      self.spec.discount)
+        played = np.take_along_axis(obj, self._actions, axis=3)[..., 0]
+        return fv, lead, lv, np.all(played >= obj.max(axis=3) - self.config.br_tol, axis=2)
+
+    def _damped(self, rows, vf_flat, vl_flat):
+        """Damped best-response iteration over mixed follower prescriptions.
+
+        Runs ``rows`` in lockstep from the uniform prescription, each stopping
+        on its own; every step builds each row's one mixed pair.  Returns
+        {row: (follower prescription, leader objective, follower values,
+        leader values)} for the rows whose limit is certified.
+        """
+        L = len(self.leaders)
+        n_f, n_af = self.spec.n_follower_states, self.spec.n_follower_actions
+
+        def evaluate(rows, Ff, vl_flat=None):
+            pairs = _stack(self._build(r // L, [self.leaders[r % L][1]], [F])
+                           for r, F in zip(rows, Ff))
+            ev = _evaluate(pairs, Ff[:, None], vf_flat, vl_flat, self.spec.discount)
+            return [x[:, 0] for x in ev]
+
+        Ff = np.full((len(rows), n_f, n_af), 1.0 / n_af)
+        active = np.ones(len(rows), dtype=bool)
+        for _ in range(DAMP_MAX_ITER):
+            live = np.flatnonzero(active)
+            if not len(live):
+                break
+            obj = evaluate(rows[live], Ff[live])[0]
+            ties = obj >= obj.max(axis=2, keepdims=True) - _ARGMAX_TIE_TOL
+            br = ties * (1.0 / ties.sum(axis=2, keepdims=True))
+            new = (1.0 - DAMPING) * Ff[live] + DAMPING * br
+            step = np.max(np.abs(new - Ff[live]), axis=(1, 2))
+            Ff[live] = new
+            active[live[step < DAMP_TOL]] = False
+        rows, Ff = rows[~active], Ff[~active]
+        if not len(rows):
+            return {}
+        obj, fv, lead, lv = evaluate(rows, Ff, vl_flat)
+        ok = ~np.any(fv < obj.max(axis=2) - self.config.br_tol, axis=1)
+        return {int(r): (Ff[i], lead[i], fv[i], lv[i]) for i, r in enumerate(rows) if ok[i]}
+
+    def sweep(self, vf_flat, vl_flat, t: Optional[int] = None,
+              prefer: Optional[Callable] = None, allow_partial: bool = False) -> StageSweep:
+        """Solve every state; raises NoEquilibriumError unless ``allow_partial``.
+
+        The leader takes the exact maximum objective, the first in
+        (leader, follower) order on ties.  ``prefer(t, pi, z, gl, bf)``
+        overrides that with the first preferred pair within SELECTION_TOL.
+        """
+        S, L, F = len(self.states), len(self.leaders), len(self.followers)
+        fv, lead, lv, fixed = self._evaluate_pure(vf_flat, vl_flat)
+        damped = self._damped(np.flatnonzero(~fixed.any(axis=1)), vf_flat, vl_flat)
+
+        values = np.full((S * L, F + 1), -np.inf)
+        values[:, :F] = np.where(fixed, lead, -np.inf)
+        values[list(damped), F] = [d[1] for d in damped.values()]
+        flat_values = values.reshape(S, L * (F + 1))
+        best = flat_values.max(axis=1)
+        solved = best > -np.inf
+        if not (allow_partial or solved.all()):
+            pi, z = self.states[int(np.argmin(solved))]
+            raise NoEquilibriumError("no leader candidate admits a follower fixed point",
+                                     t=t, pi=pi.copy(), z=z.copy())
+        chosen = np.argmax(flat_values == best[:, None], axis=1)
+        if prefer is not None:
+            for s in np.flatnonzero(solved):
+                near = np.flatnonzero(flat_values[s] >= best[s] - SELECTION_TOL)
+                chosen[s] = next((e for e in near if prefer(t, *self.states[s], *self._keys[e])),
+                                 chosen[s])
+
+        rows, cols = np.arange(S) * L + chosen // (F + 1), chosen % (F + 1)
+        pure = np.minimum(cols, F - 1)      # damped entries are overwritten below
+        out = StageSweep(
+            leader=np.array([G for _, G in self.leaders])[chosen // (F + 1)],
+            follower=self._follower_mats[pure],
+            follower_values=np.where(solved[:, None], fv[rows, pure], 0.0),
+            leader_values=np.where(solved[:, None], lv[rows, pure], 0.0),
+            objectives=values.reshape(S, L, F + 1))
+        for s in np.flatnonzero(solved & (cols == F)):
+            out.follower[s], _, out.follower_values[s], out.leader_values[s] = damped[rows[s]]
         return out
 
-    def _rl_matrix(self, gf_key, Ff):
-        if gf_key is not None and gf_key in self._rl_cache:
-            return self._rl_cache[gf_key]
-        n_l, n_al = self.spec.n_leader_states, self.spec.n_leader_actions
-        mat = np.empty((n_l, n_al))
-        for xl in range(n_l):
-            for al in range(n_al):
-                mat[xl, al] = float(self.spec.leader_reward(self.z, xl, al, Ff))
-        if gf_key is not None:
-            self._rl_cache[gf_key] = mat
-        return mat
-
-    def _pair(self, gl_key, gf_key, G, Ff) -> _PairData:
-        key = (gl_key, gf_key)
-        if gl_key is not None and gf_key is not None and key in self._pair_cache:
-            return self._pair_cache[key]
-        pair = _PairData(self.spec, self.joint, self.tensors, self.pi, self.z,
-                         G, Ff, self._rl_matrix(gf_key, Ff), self.config.bayes_eps)
-        if gl_key is not None and gf_key is not None:
-            self._pair_cache[key] = pair
-        return pair
-
-    def _is_fixed_point(self, obj, actions) -> bool:
-        row_max = obj.max(axis=1)
-        for x, a in enumerate(actions):
-            if obj[x, a] < row_max[x] - self.config.br_tol:
-                return False
-        return True
-
-    def follower_br(self, gl_key, G, vf_flat, with_pairs=False):
-        """All pure follower fixed points under ``G``; damped fallback if none."""
-        found = []
-        for gf_idx, (bf, Ff) in enumerate(self.follower_candidates):
-            pair = self._pair(gl_key, gf_idx, G, Ff)
-            obj = pair.follower_objectives(vf_flat, self.spec.discount)
-            if self._is_fixed_point(obj, bf):
-                found.append((gf_idx, bf, Ff, pair, obj))
-        fallback = False
-        if not found:
-            mixed = self._damped_follower_br(G, vf_flat)
-            fallback = True
-            if mixed is not None:
-                Ff, pair, obj = mixed
-                found.append((None, None, Ff, pair, obj))
-        if with_pairs:
-            return found, fallback
-        return [entry[2] for entry in found]
-
-    def _damped_follower_br(self, G, vf_flat):
-        n_f, n_af = self.spec.n_follower_states, self.spec.n_follower_actions
-        cfg = self.config
-        Ff = np.full((n_f, n_af), 1.0 / n_af)
-        pair = obj = None
-        for _ in range(cfg.damp_max_iter):
-            pair = self._pair(None, None, G, Ff)
-            obj = pair.follower_objectives(vf_flat, self.spec.discount)
-            br = np.zeros_like(Ff)
-            for x in range(n_f):
-                top = obj[x].max()
-                ties = obj[x] >= top - _ARGMAX_TIE_TOL
-                br[x, ties] = 1.0 / ties.sum()
-            new = (1.0 - cfg.damping) * Ff + cfg.damping * br
-            step = float(np.max(np.abs(new - Ff)))
-            Ff = new
-            if step < cfg.damp_tol:
-                break
-        else:
-            return None
-        pair = self._pair(None, None, G, Ff)
-        obj = pair.follower_objectives(vf_flat, self.spec.discount)
-        row_val = np.sum(Ff * obj, axis=1)
-        if np.any(row_val < obj.max(axis=1) - cfg.br_tol):
-            return None
-        return Ff, pair, obj
-
-    def solve(self, vf_flat, vl_flat, prefer: Optional[Callable] = None,
-              t: Optional[int] = None) -> StageSolution:
-        """Run the stage fixed point; raises NoEquilibriumError if nothing solves."""
-        cfg = self.config
-        diag = StageDiagnostics(
-            n_leader_candidates=len(self.leader_candidates),
-            n_follower_candidates=len(self.follower_candidates))
-        entries = []        # (objective, order, gl_tuple, bf_tuple, G, Ff, pair, obj)
-        order = 0
-        for gl_idx, (gl_tuple, G) in enumerate(self.leader_candidates):
-            gl_key = gl_idx if gl_tuple is not None else None
-            found, fell_back = self.follower_br(gl_key, G, vf_flat, with_pairs=True)
-            diag.used_damped_fallback |= fell_back
-            diag.br_set_sizes.append(len(found))
-            if not found:
-                diag.empty_br_candidates += 1
+    def solutions(self, sweep: StageSweep) -> list:
+        """StageSolution per state (None where unsolved)."""
+        L, F = len(self.leaders), len(self.followers)
+        bayes = self.pairs.bayes.reshape(-1, L)
+        out = []
+        for s, values in enumerate(sweep.objectives):
+            if values.max() == -np.inf:
+                out.append(None)
                 continue
-            for gf_idx, bf, Ff, pair, obj in found:
-                diag.bayes_fallbacks += pair.bayes_fallbacks
-                value = pair.leader_objective(vl_flat, self.spec.discount)
-                entries.append((value, order, gl_tuple, bf, G, Ff, pair, obj))
-                diag.candidate_objectives.append((gl_tuple, bf, value))
-                order += 1
-        if not entries:
-            raise NoEquilibriumError(
-                "no leader candidate admits a follower fixed point",
-                t=t, pi=self.pi.copy(), z=self.z.copy())
-
-        best_value = max(e[0] for e in entries)
-        ties = [e for e in entries if e[0] == best_value]
-        diag.tie_events += len(ties) - 1
-        chosen = min(ties, key=lambda e: e[1])
-        if prefer is not None:
-            near = [e for e in entries if e[0] >= best_value - cfg.selection_tol]
-            preferred = [e for e in near if prefer(e[2], e[3])]
-            if preferred:
-                chosen = min(preferred, key=lambda e: e[1])
-        _, _, _, _, G, Ff, pair, obj = chosen
-
-        follower_values = np.sum(Ff * obj, axis=1)
-        leader_values = pair.leader_values(vl_flat, self.spec.discount)
-        return StageSolution(
-            prescription=Prescription(leader=G, follower=Ff),
-            follower_values=follower_values,
-            leader_values=leader_values,
-            diagnostics=diag)
+            sizes = np.isfinite(values).sum(axis=1)
+            diag = StageDiagnostics(
+                n_leader_candidates=L, n_follower_candidates=F,
+                br_set_sizes=sizes.tolist(), empty_br_candidates=int(np.sum(sizes == 0)),
+                tie_events=int(np.sum(values == values.max())) - 1,
+                used_damped_fallback=bool(np.any(np.all(values[:, :F] == -np.inf, axis=1))),
+                bayes_fallbacks=int(np.sum(sizes * bayes[s])),
+                candidate_objectives=[(*self._keys[e], float(v)) for e, v
+                                      in enumerate(values.ravel()) if v > -np.inf])
+            out.append(StageSolution(
+                prescription=Prescription(leader=sweep.leader[s], follower=sweep.follower[s]),
+                follower_values=sweep.follower_values[s].copy(),
+                leader_values=sweep.leader_values[s].copy(), diagnostics=diag))
+        return out
 
 
 def follower_br_set(pi, z, gamma_l, v_f_next: JointTable, spec: GameSpec,
@@ -336,9 +394,14 @@ def follower_br_set(pi, z, gamma_l, v_f_next: JointTable, spec: GameSpec,
     exists, a single damped-iteration mixed solution, or an empty list when
     even that fails to converge.
     """
-    solver = StagePointSolver(spec, pi, z, v_f_next.joint, config)
     G = np.asarray(gamma_l, dtype=np.float64)
-    return solver.follower_br(None, G, v_f_next.flat_values())
+    engine = StageEngine(spec, v_f_next.joint, [(pi, z)], config, leaders=[(None, G)])
+    vf_flat = v_f_next.flat_values()
+    no_leader_table = np.zeros((len(vf_flat), spec.n_leader_states))
+    fixed = engine._evaluate_pure(vf_flat, no_leader_table)[3][0]
+    if fixed.any():
+        return [Ff for (_, Ff), ok in zip(engine.followers, fixed) if ok]
+    return [d[0] for d in engine._damped(np.array([0]), vf_flat, no_leader_table).values()]
 
 
 def leader_optimize(pi, z, v_l_next: JointTable, v_f_next: JointTable,
@@ -346,9 +409,24 @@ def leader_optimize(pi, z, v_l_next: JointTable, v_f_next: JointTable,
                     prefer: Optional[Callable] = None,
                     t: Optional[int] = None) -> StageSolution:
     """Full stage solve: enumerate leader prescriptions, pick the best pair."""
-    solver = StagePointSolver(spec, pi, z, v_l_next.joint, config)
-    return solver.solve(v_f_next.flat_values(), v_l_next.flat_values(),
-                        prefer=prefer, t=t)
+    engine = StageEngine(spec, v_l_next.joint, [(pi, z)], config)
+    wrapped = None if prefer is None else (lambda t, pi, z, gl, bf: prefer(gl, bf))
+    sweep = engine.sweep(v_f_next.flat_values(), v_l_next.flat_values(), t=t, prefer=wrapped)
+    return engine.solutions(sweep)[0]
+
+
+def pair_objectives(pi, z, prescription: Prescription, v_f_next: JointTable,
+                    v_l_next: JointTable, spec: GameSpec,
+                    config: Optional[SolverConfig] = None):
+    """(follower objectives, follower values, leader objective, leader values)
+    of one prescription pair at one public state."""
+    G, Ff = prescription.leader, prescription.follower
+    z = np.asarray(z, dtype=np.float64)
+    pairs = _build_pairs(spec, v_f_next.joint, np.asarray(pi, dtype=np.float64), z,
+                         _tensors(spec, z), [G], [Ff], G.shape[1],
+                         (config or SolverConfig()).bayes_eps)
+    ev = _evaluate(pairs, Ff, v_f_next.flat_values(), v_l_next.flat_values(), spec.discount)
+    return tuple(x[0, 0] for x in ev)
 
 
 def stage_values(pi, z, prescription: Prescription, v_f_next: JointTable,
@@ -360,11 +438,4 @@ def stage_values(pi, z, prescription: Prescription, v_f_next: JointTable,
     prescription; leader values condition on the leader type.  Continuation
     values are interpolated at the updated (belief, mean field).
     """
-    solver = StagePointSolver(spec, pi, z, v_f_next.joint, config)
-    G = np.asarray(prescription.leader, dtype=np.float64)
-    Ff = np.asarray(prescription.follower, dtype=np.float64)
-    pair = solver._pair(None, None, G, Ff)
-    obj = pair.follower_objectives(v_f_next.flat_values(), spec.discount)
-    follower_values = np.sum(Ff * obj, axis=1)
-    leader_values = pair.leader_values(v_l_next.flat_values(), spec.discount)
-    return follower_values, leader_values
+    return pair_objectives(pi, z, prescription, v_f_next, v_l_next, spec, config)[1::2]

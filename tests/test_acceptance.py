@@ -14,7 +14,7 @@ import pytest
 
 import stackmfg as s
 from stackmfg.oracle import node_key
-from stackmfg.stage import StagePointSolver
+from stackmfg.stage import pair_objectives
 from conftest import solve_clean_tiny
 
 Z50 = s.build_grid(2, 50)
@@ -92,10 +92,9 @@ def visited_public_states(trajectory):
 
 
 def follower_one_stage_gains(spec, pi, z, gamma, vf_table):
-    solver = StagePointSolver(spec, pi, z, vf_table.joint, s.SolverConfig())
-    pair = solver._pair(None, None, gamma.leader, gamma.follower)
-    obj = pair.follower_objectives(vf_table.flat_values(), spec.discount)
-    played = np.sum(gamma.follower * obj, axis=1)
+    vl_table = s.JointTable.zeros(vf_table.joint, spec.n_leader_states)
+    obj, played, _, _ = pair_objectives(pi, z, gamma, vf_table, vl_table, spec,
+                                        s.SolverConfig())
     return obj.max(axis=1) - played
 
 

@@ -6,8 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stackmfg import cli, spec_hash
+from stackmfg import cli, export, spec_hash
 from stackmfg.cli import main
+from stackmfg.gamefile import load_game_dict
 from test_gamefile import TINY_CONFIG
 
 SMALL = ["--z-res", "10", "--action-res", "5", "--tol", "1e-5",
@@ -212,3 +213,49 @@ def test_export_without_state_exits_3(tmp_path, capsys):
     assert run_cli(["export", "--run-dir", str(tmp_path)]) == 3
     err = capsys.readouterr().err
     assert str(tmp_path) in err and "re-run" in err
+
+
+def test_export_rejects_solve_flags(tmp_path):
+    """export replays the saved run; a game, grid or solver flag would be
+    ignored, so it is a usage error."""
+    out = tmp_path / "run"
+    assert run_cli(["solve", "--game", "tech", "--horizon", "4", "--z-res", "8",
+                    "--action-res", "5", "--out", str(out)]) == 0
+    for flag in (["--game", "infection"], ["--game-file", "x.json"], ["--param", "k=0.3"],
+                 ["--horizon", "10"], ["--infinite"], ["--z-res", "3"], ["--pi-res", "3"],
+                 ["--action-res", "3"], ["--tol", "1e-3"], ["--max-iter", "5"],
+                 ["--br-tol", "1e-3"], ["--bayes-eps", "1e-3"],
+                 ["--out", str(tmp_path / "elsewhere")]):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["export", "--run-dir", str(out), *flag])
+        assert exc.value.code == 2, flag
+    assert not (out / "trajectory_export.csv").exists()
+    assert not (tmp_path / "elsewhere").exists()
+
+
+def test_export_resolves_with_solved_tolerances(tmp_path, monkeypatch):
+    out = tmp_path / "run"
+    assert run_cli(["solve", "--game", "infection", "--infinite", *SMALL,
+                    "--br-tol", "1e-7", "--bayes-eps", "1e-10", "--out", str(out)]) == 0
+    _, _, config = export.read_state(out / "state.npz")
+    assert (config.br_tol, config.bayes_eps) == (1e-7, 1e-10)
+    seen = []
+    original = cli.forward_pass
+
+    def record(*args, **kwargs):
+        seen.append(kwargs["config"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "forward_pass", record)
+    assert run_cli(["export", "--run-dir", str(out), "--z0", "0.9", "0.1",
+                    "--steps", "3"]) == 0
+    assert (seen[0].br_tol, seen[0].bayes_eps) == (1e-7, 1e-10)
+
+
+def test_manifest_game_config_is_exact(tmp_path):
+    out = tmp_path / "run"
+    assert run_cli(["solve", "--game", "infection", "--infinite", *SMALL,
+                    "--param", "k=0.1234567890123456", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["game"]["config"]["params"]["k"] == 0.1234567890123456
+    assert spec_hash(load_game_dict(manifest["game"]["config"])) == manifest["spec_hash"]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import stackmfg as s
+from stackmfg.gamefile import load_game_dict
 from conftest import solve_clean_tiny, toy_joint_grid, toy_spec
 
 
@@ -19,6 +20,38 @@ def zeroed_rewards(spec):
         initial_mean_field=spec.initial_mean_field)
 
 
+def signal_family_spec():
+    """Finite game with 2 leader and 3 follower types, 2 actions per side.
+
+    Dirichlet kernels and mean-field-affine rewards drawn from seed 0, in the
+    draw order of the benchmark's signal family; at pi-res 2 / z-res 2 its
+    backward pass needs the damped mixed fallback.
+    """
+    n_l, n_f, n_al, n_af = 2, 3, 2, 2
+    rng = np.random.default_rng(0)
+    fk = rng.dirichlet(np.ones(n_f), size=(n_l, n_f, n_al, n_af))
+    lk = rng.dirichlet(np.ones(n_l), size=(n_l, n_al))
+    fr_c = rng.normal(size=(n_l, n_f, n_al, n_af))
+    fr_w = rng.normal(scale=0.5, size=(n_l, n_f, n_al, n_af, n_f))
+    lr_c = rng.normal(size=(n_l, n_al))
+    lr_w = rng.normal(scale=0.5, size=(n_l, n_al, n_f))
+
+    def affine(const, coef):
+        return {"const": float(const), "z": coef.tolist()}
+
+    return load_game_dict({
+        "name": "signal", "follower_states": ["f0", "f1", "f2"],
+        "leader_states": ["lo", "hi"], "follower_actions": ["a0", "a1"],
+        "leader_actions": ["b0", "b1"], "discount": 0.9, "horizon": 4,
+        "initial_leader_belief": [0.5, 0.5], "initial_mean_field": [0.4, 0.3, 0.3],
+        "follower_kernel": fk.tolist(), "leader_kernel": lk.tolist(),
+        "follower_reward": [[[[affine(fr_c[xl, xf, al, af], fr_w[xl, xf, al, af])
+                               for af in range(n_af)] for al in range(n_al)]
+                             for xf in range(n_f)] for xl in range(n_l)],
+        "leader_reward": [[affine(lr_c[xl, al], lr_w[xl, al]) for al in range(n_al)]
+                          for xl in range(n_l)]})
+
+
 def test_single_stage_game_matches_leader_optimize():
     spec = toy_spec(horizon=1, seed=2)
     joint = toy_joint_grid(spec)
@@ -32,6 +65,26 @@ def test_single_stage_game_matches_leader_optimize():
         assert np.array_equal(direct.prescription.follower, sol.prescription.follower)
         assert direct.follower_values == pytest.approx(sol.follower_values)
         assert direct.leader_values == pytest.approx(sol.leader_values)
+
+    # Informative leader, damped fallback: the grid sweep and the one-state
+    # solve agree exactly at every grid point of every stage.
+    spec = signal_family_spec()
+    joint = toy_joint_grid(spec, z_res=2, pi_res=2)
+    gen, tables = s.backward_pass(spec, joint)
+    damped = 0
+    for t in range(1, spec.horizon + 1):
+        vf_next, vl_next = tables[t]
+        for flat in range(joint.n_points):
+            pi, z = joint.point(flat)
+            direct = s.leader_optimize(pi, z, vl_next, vf_next, spec, t=t)
+            sol = gen.stages[t - 1].solution(flat)
+            assert np.array_equal(direct.prescription.leader, sol.prescription.leader)
+            assert np.array_equal(direct.prescription.follower, sol.prescription.follower)
+            assert np.array_equal(direct.follower_values, sol.follower_values)
+            assert np.array_equal(direct.leader_values, sol.leader_values)
+            assert direct.diagnostics.to_dict() == sol.diagnostics.to_dict()
+            damped += sol.diagnostics.used_damped_fallback
+    assert damped >= 1
 
 
 def test_zero_rewards_give_zero_tables():

@@ -1,9 +1,12 @@
 """Per-point stage fixed point: follower best responses, leader choice, values."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 import stackmfg as s
+from stackmfg.stage import StageEngine, _fma
 from conftest import toy_joint_grid, toy_spec
 
 
@@ -198,3 +201,30 @@ def test_no_equilibrium_is_surfaced():
         s.leader_optimize([1.0], [0.5, 0.5], vl, vf, spec, t=2)
     assert err.value.t == 2
     assert err.value.z == pytest.approx([0.5, 0.5])
+
+
+def test_fused_multiply_add_is_correctly_rounded():
+    """The emulated a * b + c rounds once, like a hardware FMA, including
+    near-total cancellation and exact zeros."""
+    rng = np.random.default_rng(7)
+    a = np.concatenate([rng.random(600), np.zeros(50), rng.random(350)])
+    b = rng.normal(size=1000) * 10.0 ** rng.integers(-8, 8, size=1000)
+    c = rng.normal(size=1000) * 10.0 ** rng.integers(-8, 8, size=1000)
+    c[:300] = -(a[:300] * b[:300]) * (1.0 + rng.normal(size=300) * 1e-15)
+    exact = [float(Fraction(x) * Fraction(y) + Fraction(w)) for x, y, w in zip(a, b, c)]
+    assert np.array_equal(_fma(a, b, c), exact)
+
+
+def test_identical_pairs_get_identical_objectives_anywhere_in_the_batch():
+    """A public state listed twice, third and last, sweeps bit-identically."""
+    spec = s.build_tech_adoption_game(s.TechAdoptionParams(price_points=7))
+    joint = s.JointGrid(pi_grid=s.build_grid(1, 1), z_grid=s.build_grid(2, 6))
+    states = [joint.point(flat) for flat in range(joint.n_points)]
+    engine = StageEngine(spec, joint, states + [states[2]])
+    rng = np.random.default_rng(3)
+    vf = rng.normal(size=(joint.n_points, 2))
+    vl = rng.normal(size=(joint.n_points, 1))
+    sweep = engine.sweep(vf, vl)
+    assert np.array_equal(sweep.objectives[2], sweep.objectives[-1])
+    assert np.array_equal(sweep.follower_values[2], sweep.follower_values[-1])
+    assert np.array_equal(sweep.leader_values[2], sweep.leader_values[-1])
