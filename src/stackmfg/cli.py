@@ -17,11 +17,12 @@ from typing import Optional
 import numpy as np
 
 from . import export
-from .errors import EnumerationTooLarge, NoEquilibriumError, NonConvergenceError
+from .errors import (EnumerationTooLarge, NoEquilibriumError, NonConvergenceError,
+                     OffSimplexError)
 from .game import spec_hash, validate
 from .gamefile import load_game_dict, load_game_file
 from .games import BUILTIN_GAMES
-from .grids import JointGrid, build_grid
+from .grids import JointGrid, build_grid, project_to_simplex
 from .oracle import TinyGame, oracle_report
 from .solver import backward_pass, forward_pass, solve_stationary
 from .stage import SolverConfig
@@ -119,6 +120,25 @@ def _grids(spec, config: RunConfig) -> JointGrid:
                      z_grid=build_grid(spec.n_follower_states, z_res))
 
 
+def _bad_start(spec, config: RunConfig) -> bool:
+    """Report a ``--z0`` or ``--pi0`` that is not a start of ``spec``."""
+    for flag, vec, dim, what in (("--z0", config.z0, spec.n_follower_states, "follower"),
+                                 ("--pi0", config.pi0, spec.n_leader_states, "leader")):
+        if vec is None:
+            continue
+        try:
+            project_to_simplex(vec, dim, tol=1e-9)
+        except OffSimplexError as exc:
+            _err(f"{flag} {vec} is not a {what}-state distribution of length {dim}: {exc}")
+            return True
+    return False
+
+
+def _no_equilibrium(exc: NoEquilibriumError, where: str) -> int:
+    _err(f"no stage equilibrium{where}: {exc} at t={exc.t}, pi={exc.pi}, z={exc.z}")
+    return EXIT_NO_EQUILIBRIUM
+
+
 def _roll_forward(spec, generator, config: RunConfig):
     """(steps, trajectory) from the configured start.
 
@@ -145,6 +165,8 @@ def run(config: RunConfig) -> int:
     except (ValueError, FileNotFoundError, KeyError) as exc:
         _err(str(exc))
         return EXIT_VALIDATION
+    if _bad_start(spec, config):
+        return EXIT_VALIDATION
 
     joint = _grids(spec, config)
     report = validate(spec, grid_resolution=min(joint.z_grid.resolution, 25))
@@ -163,13 +185,14 @@ def run(config: RunConfig) -> int:
         else:
             generator, _ = backward_pass(spec, joint, config=solver_config)
     except NoEquilibriumError as exc:
-        _err(f"no stage equilibrium: {exc} at t={exc.t}, pi={exc.pi}, z={exc.z}")
-        return EXIT_NO_EQUILIBRIUM
+        return _no_equilibrium(exc, "")
     except NonConvergenceError as exc:
         _err(f"{exc}")
         return EXIT_NONCONVERGENCE
-
-    steps, trajectory = _roll_forward(spec, generator, config)
+    try:
+        steps, trajectory = _roll_forward(spec, generator, config)
+    except NoEquilibriumError as exc:
+        return _no_equilibrium(exc, " in the forward pass")
 
     digest = spec_hash(spec)
     outdir = Path(config.out) if config.out else Path("out") / digest
@@ -283,7 +306,12 @@ def cmd_export(run_dir: str, config: RunConfig, out_file: Optional[str]) -> int:
         return EXIT_VALIDATION
     config.br_tol, config.bayes_eps = solver_config.br_tol, solver_config.bayes_eps
     spec = load_game_dict(game_config)
-    _, trajectory = _roll_forward(spec, generator, config)
+    if _bad_start(spec, config):
+        return EXIT_VALIDATION
+    try:
+        _, trajectory = _roll_forward(spec, generator, config)
+    except NoEquilibriumError as exc:
+        return _no_equilibrium(exc, " in the forward pass")
     target = Path(out_file) if out_file else path / "trajectory_export.csv"
     export.trajectory_csv(target, trajectory, spec)
     print(f"trajectory: {target}")

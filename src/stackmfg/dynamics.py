@@ -9,6 +9,7 @@ and does not depend on how prescriptions were generated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,10 +21,18 @@ BAYES_EPS = 1e-12
 
 
 def _clean_distribution(vec: np.ndarray) -> np.ndarray:
-    # Clamp cancellation noise (entries >= -1e-15) and renormalize.
+    # Clamp cancellation noise (entries >= -1e-15) and renormalize each row.
     vec = np.where(vec < 0.0, 0.0, vec)
-    s = vec.sum()
-    return vec / s
+    return vec / vec.sum(axis=-1, keepdims=True)
+
+
+def _check_rows(mat: np.ndarray, name: str):
+    """The checks of ``Prescription`` on a stack of prescription matrices."""
+    if mat.min() < -1e-15:
+        raise ValueError(f"{name} prescription has negative entries")
+    sums = mat.sum(axis=-1)
+    if np.abs(sums - 1.0).max() > 1e-12:
+        raise ValueError(f"{name} prescription rows must sum to 1, got {sums}")
 
 
 @dataclass(frozen=True)
@@ -42,11 +51,7 @@ class Prescription:
             mat = np.asarray(getattr(self, name), dtype=np.float64)
             if mat.ndim != 2:
                 raise ValueError(f"{name} prescription must be a matrix")
-            if np.min(mat) < -1e-15:
-                raise ValueError(f"{name} prescription has negative entries")
-            sums = mat.sum(axis=1)
-            if np.max(np.abs(sums - 1.0)) > 1e-12:
-                raise ValueError(f"{name} prescription rows must sum to 1, got {sums}")
+            _check_rows(mat, name)
             mat = mat.copy()
             mat.flags.writeable = False
             object.__setattr__(self, name, mat)
@@ -98,6 +103,40 @@ def mean_field_step(pi, z, prescription: Prescription, spec: GameSpec) -> np.nda
                     out += w * np.asarray(spec.follower_kernel(z, xl, xf, al, af),
                                           dtype=np.float64)
     return _clean_distribution(out)
+
+
+def mean_field_batch(pi, z, leader, follower, kernel) -> np.ndarray:
+    """``mean_field_step`` for a batch of public states and prescriptions.
+
+    ``pi`` (..., n_l), ``z`` (..., n_f), ``leader`` (..., n_l, n_al),
+    ``follower`` (..., n_f, n_af) and ``kernel``, the follower kernel tensor
+    (..., n_l, n_f, n_al, n_af, n_f) at ``z``, broadcast over their leading
+    axes; returns the next mean fields (..., n_f).  Each row adds the same
+    terms as the scalar step, the nonzero-weight ones, one after another in
+    its (x_l, a_l, x_f, a_f) order, so it is bit-identical to it.
+    """
+    pi, z, leader, follower, kernel = (np.asarray(a, dtype=np.float64)
+                                       for a in (pi, z, leader, follower, kernel))
+    _check_rows(leader, "leader")
+    _check_rows(follower, "follower")
+    w = (pi[..., :, None] * leader)[..., :, :, None, None] * z[..., None, None, :, None]
+    w = w * follower[..., None, None, :, :]                     # (..., x_l, a_l, x_f, a_f)
+    batch = np.broadcast_shapes(w.shape[:-4], kernel.shape[:-5])
+    n_f, n_terms = kernel.shape[-1], math.prod(w.shape[-4:])
+    kernel = np.swapaxes(kernel, -4, -3).reshape(kernel.shape[:-5] + (n_terms, n_f))
+    kernel = np.broadcast_to(kernel, batch + (n_terms, n_f)).reshape(-1, n_terms, n_f)
+    w = np.broadcast_to(w, batch + w.shape[-4:]).reshape(-1, n_terms)
+    # Row r's k-th nonzero term goes to slot k and zeros fill the slots after
+    # its last.  A left-to-right cumulative sum then equals the scalar running
+    # sum, except that it starts from the first term rather than +0 plus it,
+    # which can leave -0 where the scalar sum has +0; adding +0 removes that.
+    used = w != 0.0
+    row, term = np.nonzero(used)                # row-major: each row's terms in order
+    slot = np.cumsum(used, axis=1)[row, term] - 1
+    terms = np.zeros((len(w), slot.max(initial=0) + 1, n_f))
+    terms[row, slot] = w[row, term][:, None] * kernel[row, term]
+    out = np.cumsum(terms, axis=1)[:, -1] + 0.0
+    return _clean_distribution(out.reshape(batch + (n_f,)))
 
 
 def belief_step(pi, z, gamma_l, a_l: int, spec: GameSpec,

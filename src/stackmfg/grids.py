@@ -34,6 +34,7 @@ class SimplexGrid:
     points: np.ndarray = field(repr=False)          # (n_points, dim) float
     compositions: np.ndarray = field(repr=False)    # (n_points, dim) int
     _index: dict = field(repr=False)
+    _rank: np.ndarray = field(repr=False)           # see _rank_offsets
 
     @property
     def n_points(self) -> int:
@@ -74,8 +75,28 @@ def build_grid(dim: int, resolution: int, max_points: int = DEFAULT_MAX_POINTS) 
     points.flags.writeable = False
     comps.flags.writeable = False
     index = {tuple(int(v) for v in c): i for i, c in enumerate(comps)}
+    rank = _rank_offsets(dim, resolution)
+    rank.flags.writeable = False
     return SimplexGrid(dim=dim, resolution=resolution, points=points,
-                       compositions=comps, _index=index)
+                       compositions=comps, _index=index, _rank=rank)
+
+
+def _rank_offsets(dim: int, resolution: int) -> np.ndarray:
+    """Lexicographic rank table of the compositions of ``resolution``.
+
+    Entry [j, r, c] counts the compositions that agree with a given one
+    before part j, leave r for parts j.. and put less than c in part j; a
+    composition's index in ``build_grid`` order is the sum of its entries.
+    """
+    ks = np.arange(resolution + 1)
+    gap = ks[:, None] - ks[None, :]                 # r - k: left for the parts after j
+    out = np.zeros((dim - 1, resolution + 1, resolution + 1), dtype=np.int64)
+    for j in range(dim - 1):
+        parts = dim - 1 - j
+        count = np.array([math.comb(k + parts - 1, parts - 1) for k in ks], dtype=np.int64)
+        per_value = np.where(gap >= 0, count[np.maximum(gap, 0)], 0)
+        out[j, :, 1:] = np.cumsum(per_value, axis=1)[:, :-1]
+    return out
 
 
 def project_to_simplex(point, dim: int, tol: float = 1e-9) -> np.ndarray:
@@ -151,6 +172,67 @@ def simplex_weights(grid: SimplexGrid, point, tol: float = 1e-9):
     return np.array(idx, dtype=np.int64), np.array(wts, dtype=np.float64)
 
 
+def simplex_stencils(grid: SimplexGrid, points, tol: float = 1e-9):
+    """``simplex_weights`` of many points at once: (n, dim) indices and weights.
+
+    Row i holds the stencil of ``points[i]`` as ``simplex_weights`` returns
+    it, positive weights in vertex order, followed by zero padding (index 0,
+    weight 0.0).  Every step is the elementwise counterpart of the scalar
+    one, so the stencils are bit-identical; vertex indices come from a rank
+    table instead of per-vertex dictionary lookups.  Raises the error
+    ``project_to_simplex`` raises for the first point off the simplex.
+    """
+    d, m = grid.dim, grid.resolution
+    p = np.asarray(points, dtype=np.float64)
+    if p.ndim != 2 or p.shape[1] != d:
+        raise OffSimplexError(f"expected vector of length {d}, got shape {p.shape[1:]}")
+    finite = np.isfinite(p).all(axis=1)
+    q = np.where(finite[:, None], p, 0.0)
+    bad = ~finite | (q.min(axis=1) < -tol) | (np.abs(q.sum(axis=1) - 1.0) > tol)
+    if bad.any():
+        project_to_simplex(p[np.argmax(bad)], d, tol)    # raises with its message
+    p = np.maximum(p, 0.0)                  # np.clip(p, 0.0, None), as the scalar path
+    p = p / p.sum(axis=1, keepdims=True)
+    n = len(p)
+    if d == 1:
+        return np.zeros((n, 1), dtype=np.int64), np.ones((n, 1))
+
+    suffix = np.cumsum(p[:, ::-1], axis=1)[:, ::-1]
+    t = np.clip(m * suffix[:, 1:], 0.0, float(m))
+    t = np.minimum.accumulate(t, axis=1)
+    near = np.rint(t)
+    t = np.where(np.abs(t - near) <= _SNAP, near, t)
+    base = np.floor(t).astype(np.int64)
+    frac = t - base
+    # Position of each coordinate in descending fractional order, ties toward
+    # the lower index (the scalar sort key (-frac, j)), and the sorted values.
+    j = np.arange(d - 1)
+    ahead = ((frac[:, None, :] > frac[:, :, None])
+             | ((frac[:, None, :] == frac[:, :, None]) & (j < j[:, None])))
+    position = ahead.sum(axis=2)
+    fs = np.empty_like(frac)
+    fs[np.arange(n)[:, None], position] = frac
+    weights = np.concatenate([1.0 - fs[:, :1], fs[:, :-1] - fs[:, 1:], fs[:, -1:]], axis=1)
+
+    # Vertex k adds 1 to the base tail coordinates at the first k positions;
+    # part j of its composition is the tail before j (m for j = 0) minus the
+    # tail at j.  Zero-weight vertices may leave the lattice; capping the
+    # tails at m keeps their (unused) table lookups valid indices.
+    tails = np.minimum(base[:, None, :] + (position[:, None, :] < np.arange(d)[:, None]), m)
+    before = np.concatenate([np.full((n, d, 1), m), tails[:, :, :-1]], axis=2)
+    rank = grid._rank[j, before, before - tails].sum(axis=2)
+    keep = weights > 0.0
+    return _pack(keep, rank), _pack(keep, weights)
+
+
+def _pack(keep, values):
+    """Per row, the ``values`` where ``keep`` in their order, then zeros."""
+    r, c = np.nonzero(keep)
+    out = np.zeros_like(values)
+    out[r, np.cumsum(keep, axis=1)[r, c] - 1] = values[r, c]
+    return out
+
+
 @dataclass(frozen=True)
 class JointGrid:
     """Cartesian product of a belief grid and a mean-field grid."""
@@ -186,6 +268,24 @@ def stencil_product(joint: JointGrid, pi_stencil, z_stencil):
     flat = (pi_idx[:, None] * nz + z_idx[None, :]).ravel()
     w = (pi_w[:, None] * z_w[None, :]).ravel()
     return flat, w
+
+
+def stencil_products(joint: JointGrid, pi_stencils, z_stencils):
+    """``stencil_product`` of padded stencils, broadcast over leading axes.
+
+    Takes (..., d_pi) and (..., d_z) stencils as ``simplex_stencils`` lays
+    them out and returns (..., d_pi * d_z) flat indices and weights: the
+    products of positive weights first, in ``stencil_product`` order, then
+    zero padding (index 0, weight 0.0).
+    """
+    (pi_idx, pi_w), (z_idx, z_w) = pi_stencils, z_stencils
+    flat = pi_idx[..., :, None] * joint.z_grid.n_points + z_idx[..., None, :]
+    w = pi_w[..., :, None] * z_w[..., None, :]
+    keep = (pi_w[..., :, None] > 0.0) & (z_w[..., None, :] > 0.0)
+    shape = w.shape[:-2] + (w.shape[-2] * w.shape[-1],)
+    keep = keep.reshape(-1, shape[-1])
+    return (_pack(keep, flat.reshape(keep.shape)).reshape(shape),
+            _pack(keep, w.reshape(keep.shape)).reshape(shape))
 
 
 class JointTable:

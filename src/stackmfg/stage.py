@@ -15,6 +15,16 @@ pair into arrays once; a sweep is a gather, elementwise contractions, a
 masked fixed-point test and a per-state selection.  No sweep contraction
 goes through BLAS, so pairs with identical inputs get bit-identical
 objectives wherever they sit in the batch, and exact ties decide selection.
+
+Pair building is batched per public state: the next mean fields of all its
+(leader, follower) pairs come from one ``mean_field_batch`` call, their
+stencils from one ``simplex_stencils`` call, and the joint gather arrays
+from broadcasting each belief stencil against them.  These kernels repeat
+the scalar ``mean_field_step`` and ``simplex_weights`` operation for
+operation, so the arrays are bit-identical to a per-pair build.  The damped
+fallback keeps each row's leader side (Bayes steps, belief stencils, reward
+and kernel terms) from the stacked arrays, so a damped step rebuilds only
+what the follower prescription moves, for all live rows at once.
 """
 
 from __future__ import annotations
@@ -25,10 +35,10 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .dynamics import Prescription, belief_step_total, mean_field_step
+from .dynamics import Prescription, belief_step_total, mean_field_batch
 from .errors import NoEquilibriumError
 from .game import GameSpec
-from .grids import JointGrid, JointTable, simplex_weights, stencil_product
+from .grids import JointGrid, JointTable, simplex_stencils, stencil_products
 
 _ARGMAX_TIE_TOL = 1e-12
 SELECTION_TOL = 1e-9        # near-optimality window for forced tie-breaking
@@ -125,43 +135,69 @@ class _Pairs(NamedTuple):
     lead_cont: np.ndarray   # (R, A, n_l) belief-weighted leader kernel
     vl_cont: np.ndarray     # (R, A, n_l, n_l) leader kernel per leader type
     bayes: np.ndarray       # (R,) played actions where Bayes rule kept the prior
+    pi_idx: np.ndarray      # (R, A, d_pi) stencil of the next belief per slot
+    pi_w: np.ndarray        # (R, A, d_pi) its weights, zero on unplayed slots
+
+
+def _take(p: _Pairs, rows) -> _Pairs:
+    return _Pairs(*(None if a is None else a[rows] for a in p))
+
+
+def _joint_stencils(joint: JointGrid, pi_idx, pi_w, z_next):
+    """(..., F, A, K) gather arrays of (..., A, d_pi) belief stencils against
+    the (..., F, n_f) next mean fields, in ``stencil_product`` layout."""
+    z_idx, z_w = simplex_stencils(joint.z_grid, z_next.reshape(-1, z_next.shape[-1]))
+    shape = z_next.shape[:-1] + (1, -1)
+    return stencil_products(joint, (pi_idx[..., None, :, :], pi_w[..., None, :, :]),
+                            (z_idx.reshape(shape), z_w.reshape(shape)))
+
+
+def _leader_terms(spec: GameSpec, pi, z, leaders, followers):
+    """Belief-averaged leader reward (R, F) and the reward per leader type
+    (R, F, n_l) of leader prescriptions (R, n_l, n_al) against follower
+    prescriptions (F, n_f, n_af)."""
+    rl = np.array([[[float(spec.leader_reward(z, xl, al, Ff))
+                     for al in range(spec.n_leader_actions)]
+                    for xl in range(spec.n_leader_states)] for Ff in followers])
+    w_la = pi[:, None] * leaders
+    return (np.sum(w_la[:, None] * rl, axis=(2, 3)),
+            np.sum(leaders[:, None] * rl, axis=3))
 
 
 def _build_pairs(spec: GameSpec, joint: JointGrid, pi, z, tensors, leaders, followers,
                  n_slots: int, bayes_eps: float) -> _Pairs:
-    """Pair arrays of one public state: rows ``leaders``, columns ``followers``."""
+    """Pair arrays of one public state: rows ``leaders``, columns ``followers``.
+
+    The next mean fields and their stencils come from one batched call each
+    for all (leader, follower) pairs of the state.
+    """
     QF, RF, QL = tensors
+    leaders = np.asarray(leaders, dtype=np.float64)
+    followers = np.asarray(followers, dtype=np.float64)
     n_l, n_f, n_af = spec.n_leader_states, spec.n_follower_states, spec.n_follower_actions
-    R, F, A, K = len(leaders), len(followers), n_slots, joint.pi_grid.dim * joint.z_grid.dim
-    p = _Pairs(idx=np.zeros((R, F, A, K), dtype=np.int64), w=np.zeros((R, F, A, K)),
-               lead_base=np.empty((R, F)), vl_base=np.empty((R, F, n_l)),
-               base_obj=np.empty((R, n_f, n_af)), cont_op=np.zeros((R, A, n_f, n_af, n_f)),
-               lead_cont=np.zeros((R, A, n_l)), vl_cont=np.zeros((R, A, n_l, n_l)),
-               bayes=np.zeros(R, dtype=np.int64))
-    rl = [np.array([[float(spec.leader_reward(z, xl, al, Ff))
-                     for al in range(spec.n_leader_actions)] for xl in range(n_l)])
-          for Ff in followers]
+    R, A = len(leaders), n_slots
+    base_obj, bayes = np.empty((R, n_f, n_af)), np.zeros(R, dtype=np.int64)
+    cont_op, lead_cont = np.zeros((R, A, n_f, n_af, n_f)), np.zeros((R, A, n_l))
+    vl_cont = np.zeros((R, A, n_l, n_l))
+    pi_next, played = np.tile(pi, (R, A, 1)), np.zeros((R, A), dtype=bool)
     for r, G in enumerate(leaders):
         w_la = pi[:, None] * G                              # (n_l, n_al)
-        p.base_obj[r] = np.einsum("la,lfab->fb", w_la, RF)
-        pi_stencils = []
+        base_obj[r] = np.einsum("la,lfab->fb", w_la, RF)
         for a, al in enumerate(np.flatnonzero(np.any(G > 0.0, axis=0))):
-            pi_next, fell_back = belief_step_total(pi, z, G, al, spec, eps=bayes_eps)
-            pi_stencils.append(simplex_weights(joint.pi_grid, pi_next))
-            p.bayes[r] += fell_back
-            p.cont_op[r, a] = np.einsum("l,lfbn->fbn", w_la[:, al], QF[:, :, al, :, :])
-            p.lead_cont[r, a] = w_la[:, al] @ QL[:, al, :]
-            p.vl_cont[r, a] = G[:, al, None] * QL[:, al, :]
-        for c, Ff in enumerate(followers):
-            z_next = mean_field_step(pi, z, Prescription(leader=G, follower=Ff), spec)
-            z_stencil = simplex_weights(joint.z_grid, z_next)
-            for a, pi_stencil in enumerate(pi_stencils):
-                flat, wts = stencil_product(joint, pi_stencil, z_stencil)
-                p.idx[r, c, a, :len(flat)] = flat
-                p.w[r, c, a, :len(flat)] = wts
-            p.lead_base[r, c] = np.sum(w_la * rl[c])
-            p.vl_base[r, c] = np.sum(G * rl[c], axis=1)
-    return p
+            pi_next[r, a], fell_back = belief_step_total(pi, z, G, al, spec, eps=bayes_eps)
+            played[r, a] = True
+            bayes[r] += fell_back
+            cont_op[r, a] = np.einsum("l,lfbn->fbn", w_la[:, al], QF[:, :, al, :, :])
+            lead_cont[r, a] = w_la[:, al] @ QL[:, al, :]
+            vl_cont[r, a] = G[:, al, None] * QL[:, al, :]
+    pi_idx, pi_w = simplex_stencils(joint.pi_grid, pi_next.reshape(R * A, n_l))
+    pi_idx = np.where(played[..., None], pi_idx.reshape(R, A, -1), 0)
+    pi_w = np.where(played[..., None], pi_w.reshape(R, A, -1), 0.0)
+    z_next = mean_field_batch(pi, z, leaders[:, None], followers[None], QF)
+    idx, w = _joint_stencils(joint, pi_idx, pi_w, z_next)
+    lead_base, vl_base = _leader_terms(spec, pi, z, leaders, followers)
+    return _Pairs(idx, w, lead_base, vl_base, base_obj, cont_op, lead_cont, vl_cont, bayes,
+                  pi_idx, pi_w)
 
 
 def _stack(parts) -> _Pairs:
@@ -269,12 +305,10 @@ class StageEngine:
                       for bf in [bf for bf, _ in self.followers] + [None]]
         self._slots = max(int(np.sum(np.any(G > 0.0, axis=0))) for _, G in self.leaders)
         self._tensors = [_tensors(spec, z) for _, z in self.states]
-        self.pairs = _stack(self._build(s, [G for _, G in self.leaders], self._follower_mats)
-                            for s in range(len(self.states)))
-
-    def _build(self, s: int, leaders, followers) -> _Pairs:
-        return _build_pairs(self.spec, self.joint, *self.states[s], self._tensors[s],
-                            leaders, followers, self._slots, self.config.bayes_eps)
+        leader_mats = [G for _, G in self.leaders]
+        self.pairs = _stack(_build_pairs(spec, joint, *state, tensors, leader_mats,
+                                         self._follower_mats, self._slots, self.config.bayes_eps)
+                            for state, tensors in zip(self.states, self._tensors))
 
     def _evaluate_pure(self, vf_flat, vl_flat):
         """Evaluated pure pairs and the (R, F) mask of follower fixed points."""
@@ -283,42 +317,73 @@ class StageEngine:
         played = np.take_along_axis(obj, self._actions, axis=3)[..., 0]
         return fv, lead, lv, np.all(played >= obj.max(axis=3) - self.config.br_tol, axis=2)
 
+    def _mixed(self, rows):
+        """Pair builder for ``rows`` (state × leader candidate) against one
+        mixed follower prescription each.
+
+        The leader side of a row (Bayes steps, belief stencils, follower
+        reward and kernel terms) is taken from ``self.pairs`` once; the
+        returned ``pairs(i, Ff, leader_terms=False)`` builds, for the rows
+        ``rows[i]`` and prescriptions ``Ff`` (n, n_f, n_af), only what the
+        follower prescription moves: the next mean fields, their stencils
+        and the gather arrays, batched over the rows.  The leader rewards
+        depend on ``Ff`` too and are built only with ``leader_terms``.
+        """
+        L = len(self.leaders)
+        states = rows // L
+        pi = np.array([self.states[s][0] for s in states])
+        z = np.array([self.states[s][1] for s in states])
+        QF = np.array([self._tensors[s][0] for s in states])
+        G = np.array([self.leaders[r % L][1] for r in rows], dtype=np.float64)
+        fixed = _take(self.pairs._replace(idx=None, w=None, lead_base=None, vl_base=None), rows)
+
+        def pairs(i, Ff, leader_terms=False) -> _Pairs:
+            part = _take(fixed, i)
+            z_next = mean_field_batch(pi[i], z[i], G[i], Ff, QF[i])
+            idx, w = _joint_stencils(self.joint, part.pi_idx, part.pi_w, z_next[:, None])
+            part = part._replace(idx=idx, w=w)
+            if not leader_terms:
+                return part
+            terms = [_leader_terms(self.spec, pi[k], z[k], G[k, None], F[None])
+                     for k, F in zip(i, Ff)]
+            return part._replace(lead_base=np.concatenate([t[0] for t in terms]),
+                                 vl_base=np.concatenate([t[1] for t in terms]))
+        return pairs
+
     def _damped(self, rows, vf_flat, vl_flat):
         """Damped best-response iteration over mixed follower prescriptions.
 
         Runs ``rows`` in lockstep from the uniform prescription, each stopping
-        on its own; every step builds each row's one mixed pair.  Returns
-        {row: (follower prescription, leader objective, follower values,
-        leader values)} for the rows whose limit is certified.
+        on its own; a step rebuilds only the follower side of the live rows
+        (``_mixed``), and leader terms are built once, for the certificate of
+        the rows that stopped.  Returns {row: (follower prescription, leader
+        objective, follower values, leader values)} for the rows whose limit
+        is certified.
         """
-        L = len(self.leaders)
         n_f, n_af = self.spec.n_follower_states, self.spec.n_follower_actions
-
-        def evaluate(rows, Ff, vl_flat=None):
-            pairs = _stack(self._build(r // L, [self.leaders[r % L][1]], [F])
-                           for r, F in zip(rows, Ff))
-            ev = _evaluate(pairs, Ff[:, None], vf_flat, vl_flat, self.spec.discount)
-            return [x[:, 0] for x in ev]
-
+        pairs, discount = self._mixed(rows), self.spec.discount
         Ff = np.full((len(rows), n_f, n_af), 1.0 / n_af)
         active = np.ones(len(rows), dtype=bool)
         for _ in range(DAMP_MAX_ITER):
             live = np.flatnonzero(active)
             if not len(live):
                 break
-            obj = evaluate(rows[live], Ff[live])[0]
+            obj = _evaluate(pairs(live, Ff[live]), Ff[live, None], vf_flat, None,
+                            discount)[0][:, 0]
             ties = obj >= obj.max(axis=2, keepdims=True) - _ARGMAX_TIE_TOL
             br = ties * (1.0 / ties.sum(axis=2, keepdims=True))
             new = (1.0 - DAMPING) * Ff[live] + DAMPING * br
             step = np.max(np.abs(new - Ff[live]), axis=(1, 2))
             Ff[live] = new
             active[live[step < DAMP_TOL]] = False
-        rows, Ff = rows[~active], Ff[~active]
-        if not len(rows):
+        done = np.flatnonzero(~active)
+        if not len(done):
             return {}
-        obj, fv, lead, lv = evaluate(rows, Ff, vl_flat)
+        obj, fv, lead, lv = (x[:, 0] for x in _evaluate(
+            pairs(done, Ff[done], leader_terms=True), Ff[done, None], vf_flat, vl_flat, discount))
         ok = ~np.any(fv < obj.max(axis=2) - self.config.br_tol, axis=1)
-        return {int(r): (Ff[i], lead[i], fv[i], lv[i]) for i, r in enumerate(rows) if ok[i]}
+        return {int(rows[i]): (Ff[i], lead[k], fv[k], lv[k])
+                for k, i in enumerate(done) if ok[k]}
 
     def sweep(self, vf_flat, vl_flat, t: Optional[int] = None,
               prefer: Optional[Callable] = None, allow_partial: bool = False) -> StageSweep:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import stackmfg as s
+from stackmfg.gamefile import load_game_dict
 
 
 def toy_spec(horizon=2, discount=0.9, n_leader_actions=2, seed=3,
@@ -113,6 +114,38 @@ def solve_clean_tiny(seed, horizon=2, n_leader_actions=2, two_leader_states=Fals
             if sol.prescription.pure_actions() is None:
                 return None
     return spec, joint, gen, tables
+
+
+def signal_family_spec():
+    """Finite game with 2 leader and 3 follower types, 2 actions per side.
+
+    Dirichlet kernels and mean-field-affine rewards drawn from seed 0, in the
+    draw order of the benchmark's signal family; at pi-res 2 / z-res 2 its
+    backward pass needs the damped mixed fallback.
+    """
+    n_l, n_f, n_al, n_af = 2, 3, 2, 2
+    rng = np.random.default_rng(0)
+    fk = rng.dirichlet(np.ones(n_f), size=(n_l, n_f, n_al, n_af))
+    lk = rng.dirichlet(np.ones(n_l), size=(n_l, n_al))
+    fr_c = rng.normal(size=(n_l, n_f, n_al, n_af))
+    fr_w = rng.normal(scale=0.5, size=(n_l, n_f, n_al, n_af, n_f))
+    lr_c = rng.normal(size=(n_l, n_al))
+    lr_w = rng.normal(scale=0.5, size=(n_l, n_al, n_f))
+
+    def affine(const, coef):
+        return {"const": float(const), "z": coef.tolist()}
+
+    return load_game_dict({
+        "name": "signal", "follower_states": ["f0", "f1", "f2"],
+        "leader_states": ["lo", "hi"], "follower_actions": ["a0", "a1"],
+        "leader_actions": ["b0", "b1"], "discount": 0.9, "horizon": 4,
+        "initial_leader_belief": [0.5, 0.5], "initial_mean_field": [0.4, 0.3, 0.3],
+        "follower_kernel": fk.tolist(), "leader_kernel": lk.tolist(),
+        "follower_reward": [[[[affine(fr_c[xl, xf, al, af], fr_w[xl, xf, al, af])
+                               for af in range(n_af)] for al in range(n_al)]
+                             for xf in range(n_f)] for xl in range(n_l)],
+        "leader_reward": [[affine(lr_c[xl, al], lr_w[xl, al]) for al in range(n_al)]
+                          for xl in range(n_l)]})
 
 
 def random_distribution(rng, n):

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stackmfg import cli, export, spec_hash
+from stackmfg import NoEquilibriumError, cli, export, solver, spec_hash
 from stackmfg.cli import main
 from stackmfg.gamefile import load_game_dict
 from test_gamefile import TINY_CONFIG
@@ -259,3 +259,63 @@ def test_manifest_game_config_is_exact(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["game"]["config"]["params"]["k"] == 0.1234567890123456
     assert spec_hash(load_game_dict(manifest["game"]["config"])) == manifest["spec_hash"]
+
+
+@pytest.fixture(scope="module")
+def tech_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("tech") / "run"
+    assert run_cli(["solve", "--game", "tech", "--horizon", "4", "--z-res", "8",
+                    "--action-res", "5", "--out", str(out)]) == 0
+    return out
+
+
+def assert_start_rejected(tmp_path, capsys, run_dir, flag, values, reason):
+    """Both solve and export exit 3 on the start, naming the flag and vector,
+    and neither writes anything."""
+    target, out = tmp_path / "query.csv", tmp_path / "never"
+    for args in (["export", "--run-dir", str(run_dir), "--out-file", str(target)],
+                 ["solve", "--game-file", str(SAMPLE_GAME), "--out", str(out)]):
+        assert run_cli([*args, flag, *values]) == 3, args[0]
+        err = capsys.readouterr().err
+        assert f"{flag} [{', '.join(values)}]" in err and reason in err, err
+    assert not target.exists() and not out.exists()
+
+
+def test_start_off_the_simplex_exits_3(tmp_path, capsys, tech_run):
+    assert_start_rejected(tmp_path, capsys, tech_run, "--z0", ["0.5", "0.6"], "sum to 1.1")
+
+
+def test_start_with_negative_entry_exits_3(tmp_path, capsys, tech_run):
+    assert_start_rejected(tmp_path, capsys, tech_run, "--z0", ["1.2", "-0.2"],
+                          "negative component")
+
+
+def test_start_of_wrong_length_exits_3(tmp_path, capsys, tech_run):
+    assert_start_rejected(tmp_path, capsys, tech_run, "--z0", ["0.3", "0.3", "0.4"],
+                          "length 2")
+    assert_start_rejected(tmp_path, capsys, tech_run, "--pi0", ["0.5", "0.5"], "length 1")
+
+
+def test_start_within_tolerance_is_accepted(tmp_path, tech_run):
+    target = tmp_path / "query.csv"
+    assert run_cli(["export", "--run-dir", str(tech_run), "--z0", "0.4", "0.6000000001",
+                    "--out-file", str(target)]) == 0
+    assert target.read_text().split("\n")[1].split(",")[4] == "0.4"
+
+
+def test_forward_pass_without_equilibrium_exits_4(tmp_path, capsys, monkeypatch, tech_run):
+    """An off-grid re-solve that finds no equilibrium surfaces as exit 4 with
+    its stage and public state, from solve and from export."""
+    def no_equilibrium(pi, z, *args, t=None, **kwargs):
+        raise NoEquilibriumError("no leader candidate admits a follower fixed point",
+                                 t=t, pi=pi, z=z)
+
+    monkeypatch.setattr(solver, "leader_optimize", no_equilibrium)
+    start = ["--z0", "0.37", "0.63"]         # off both lattices
+    out, target = tmp_path / "run", tmp_path / "query.csv"
+    for args in (["solve", "--game-file", str(SAMPLE_GAME), "--z-res", "4", "--out", str(out)],
+                 ["export", "--run-dir", str(tech_run), "--out-file", str(target)]):
+        assert run_cli([*args, *start]) == 4, args[0]
+        err = capsys.readouterr().err
+        assert "forward pass" in err and "t=1" in err and "z=[0.37 0.63]" in err, err
+    assert not out.exists() and not target.exists()

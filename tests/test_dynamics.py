@@ -1,12 +1,17 @@
 """Mean-field and belief transition maps."""
 
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stackmfg as s
-from conftest import random_prescription, random_stochastic_spec
+from stackmfg.dynamics import mean_field_batch
+from stackmfg.gamefile import load_game_file
+from conftest import random_prescription, random_stochastic_spec, signal_family_spec
 
 
 def uniform_prescription(spec):
@@ -155,3 +160,79 @@ def test_prescription_validation():
         s.Prescription(leader=np.array([[1.0]]), follower=np.array([[-0.1, 1.1]]))
     p = s.Prescription.pure((1,), (0, 1), 2, 2)
     assert p.pure_actions() == ((1,), (0, 1))
+
+
+TINY_GAME = Path(__file__).resolve().parent.parent / "sample_games" / "tiny.json"
+def signed_zero_kernel(spec):
+    """``spec`` with every zero of its follower kernel returned as -0.0."""
+    def follower_kernel(z, xl, xf, al, af):
+        row = np.asarray(spec.follower_kernel(z, xl, xf, al, af), dtype=np.float64)
+        return np.where(row == 0.0, -0.0, row)
+    return dataclasses.replace(spec, follower_kernel=follower_kernel)
+
+
+BATCH_GAMES = {
+    "infection": lambda: s.build_infection_game(),
+    "tech": lambda: s.build_tech_adoption_game(s.TechAdoptionParams(price_points=7)),
+    "signal": signal_family_spec,
+    "tiny": lambda: load_game_file(TINY_GAME),
+    "tiny-signed-zeros": lambda: signed_zero_kernel(load_game_file(TINY_GAME)),
+}
+
+
+def batch_prescriptions(rng, n, n_states, n_actions):
+    """Pure, mixed and partly pure prescriptions, (n, n_states, n_actions)."""
+    out = []
+    for k in range(n):
+        mat = random_prescription(rng, n_states, n_actions)
+        if k % 3 == 0:
+            mat = np.eye(n_actions)[rng.integers(n_actions, size=n_states)]
+        elif k % 3 == 1:
+            mat[0] = np.eye(n_actions)[rng.integers(n_actions)]
+        out.append(mat)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("game", sorted(BATCH_GAMES))
+def test_batched_mean_field_step_matches_scalar(game):
+    """mean_field_batch equals mean_field_step bit for bit (sign of zero too),
+    on interior states, a zero belief entry and mean fields on a vertex or an
+    edge of the simplex."""
+    spec = BATCH_GAMES[game]()
+    n_l, n_f = spec.n_leader_states, spec.n_follower_states
+    rng = np.random.default_rng(len(game))
+    states = [(rng.dirichlet(np.ones(n_l)), rng.dirichlet(np.ones(n_f))) for _ in range(4)]
+    states += [(np.eye(n_l)[-1], np.eye(n_f)[0]), (np.eye(n_l)[0], np.eye(n_f)[-1])]
+    edge = rng.dirichlet(np.ones(n_f))
+    edge[0] = 0.0
+    states.append((rng.dirichlet(np.ones(n_l)), edge / edge.sum()))
+    for pi, z in states:
+        leaders = batch_prescriptions(rng, 4, n_l, spec.n_leader_actions)
+        followers = batch_prescriptions(rng, 5, n_f, spec.n_follower_actions)
+        kernel = spec.follower_kernel_tensor(z)
+        out = mean_field_batch(pi, z, leaders[:, None], followers[None], kernel)
+        assert out.shape == (4, 5, n_f)
+        for i, G in enumerate(leaders):
+            for j, Ff in enumerate(followers):
+                ref = s.mean_field_step(pi, z, s.Prescription(leader=G, follower=Ff), spec)
+                for got in (out[i, j], mean_field_batch(pi, z, G, Ff, kernel)):
+                    assert np.array_equal(got, ref)
+                    assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+
+def test_batched_mean_field_step_checks_prescriptions():
+    spec = s.build_infection_game()
+    z, pi = np.array([0.5, 0.5]), np.array([1.0])
+    kernel = spec.follower_kernel_tensor(z)
+    leader = np.full((1, 1, spec.n_leader_actions), 1.0 / spec.n_leader_actions)
+    follower = np.full((2, 2, 2), 0.5)
+    mean_field_batch(pi, z, leader, follower, kernel)
+    bad = follower.copy()
+    bad[1, 0] = [-0.1, 1.1]
+    with pytest.raises(ValueError, match="follower prescription has negative"):
+        mean_field_batch(pi, z, leader, bad, kernel)
+    bad[1, 0] = [0.5, 0.6]
+    with pytest.raises(ValueError, match="follower prescription rows must sum to 1"):
+        mean_field_batch(pi, z, leader, bad, kernel)
+    with pytest.raises(ValueError, match="leader prescription rows must sum to 1"):
+        mean_field_batch(pi, z, leader * 0.5, follower, kernel)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stackmfg import GridSizeError, JointGrid, JointTable, OffSimplexError, build_grid
-from stackmfg.grids import simplex_weights
+from stackmfg.grids import simplex_stencils, simplex_weights
 
 PI = [1.0]
 
@@ -142,3 +142,60 @@ def test_rejects_nonfinite_table():
     grid = build_grid(2, 2)
     with pytest.raises(ValueError):
         line_table(grid, np.array([[np.nan]] * grid.n_points))
+
+
+def stencil_queries(grid, rng, n_random=150):
+    """Random interior and boundary points, lattice points and the centres of
+    triangulation cells and of their edges."""
+    d = grid.dim
+    points = list(rng.dirichlet(np.ones(d), size=n_random))
+    for p in rng.dirichlet(np.ones(d), size=30):
+        p[rng.integers(d)] = 0.0
+        points.append(p / p.sum() if p.sum() > 0 else np.eye(d)[0])
+    lattice = grid.points[rng.choice(grid.n_points, size=min(grid.n_points, 120),
+                                     replace=False)]
+    points.extend(lattice)
+    for p in rng.dirichlet(np.ones(d), size=60):
+        idx, _ = simplex_weights(grid, p)
+        cell = grid.points[idx]
+        points.append(cell.mean(axis=0))
+        points.append(cell[:2].mean(axis=0))
+    points.extend(np.eye(d))
+    return np.array(points)
+
+
+@pytest.mark.parametrize("dim,res", [(1, 1), (1, 7), (2, 1), (2, 4), (2, 50), (3, 3),
+                                     (3, 10), (3, 50), (4, 2), (4, 5), (4, 12)])
+def test_batched_stencils_match_scalar(dim, res):
+    """simplex_stencils equals simplex_weights bit for bit, zero-padded."""
+    grid = build_grid(dim, res)
+    points = stencil_queries(grid, np.random.default_rng(dim * 100 + res))
+    idx, w = simplex_stencils(grid, points)
+    assert idx.shape == w.shape == (len(points), dim)
+    assert idx.dtype == np.int64 and w.dtype == np.float64
+    for p, row_idx, row_w in zip(points, idx, w):
+        ref_idx, ref_w = simplex_weights(grid, p)
+        n = len(ref_idx)
+        assert np.array_equal(row_idx[:n], ref_idx)
+        assert np.array_equal(row_w[:n], ref_w)
+        assert np.array_equal(row_w[n:], np.zeros(dim - n))
+        assert np.array_equal(row_idx[n:], np.zeros(dim - n, dtype=np.int64))
+
+
+@pytest.mark.parametrize("bad", [[0.7, 0.7, 0.0], [-0.2, 1.2, 0.0], [np.nan, 0.5, 0.5],
+                                 [0.5, 0.5], [0.2, 0.3, 0.5, 0.0]])
+def test_batched_stencils_reject_like_scalar(bad):
+    """A bad point anywhere in the batch raises the scalar function's error."""
+    grid = build_grid(3, 4)
+    with pytest.raises(OffSimplexError) as scalar:
+        simplex_weights(grid, bad)
+    batch = [[0.2, 0.3, 0.5], bad, [1.0, 0.0, 0.0]] if len(bad) == 3 else [bad]
+    with pytest.raises(OffSimplexError) as batched:
+        simplex_stencils(grid, batch)
+    assert str(batched.value) == str(scalar.value)
+    # drift within the tolerance is renormalized, as in the scalar function
+    near = [0.3 + 1e-12, 0.2, 0.5]
+    ref_idx, ref_w = simplex_weights(grid, near)
+    idx, w = simplex_stencils(grid, [near])
+    assert np.array_equal(idx[0, :len(ref_idx)], ref_idx)
+    assert np.array_equal(w[0, :len(ref_w)], ref_w)

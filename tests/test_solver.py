@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 import stackmfg as s
-from stackmfg.gamefile import load_game_dict
-from conftest import solve_clean_tiny, toy_joint_grid, toy_spec
+from conftest import signal_family_spec, solve_clean_tiny, toy_joint_grid, toy_spec
 
 
 def zeroed_rewards(spec):
@@ -18,38 +17,6 @@ def zeroed_rewards(spec):
         discount=spec.discount, horizon=spec.horizon,
         initial_leader_belief=spec.initial_leader_belief,
         initial_mean_field=spec.initial_mean_field)
-
-
-def signal_family_spec():
-    """Finite game with 2 leader and 3 follower types, 2 actions per side.
-
-    Dirichlet kernels and mean-field-affine rewards drawn from seed 0, in the
-    draw order of the benchmark's signal family; at pi-res 2 / z-res 2 its
-    backward pass needs the damped mixed fallback.
-    """
-    n_l, n_f, n_al, n_af = 2, 3, 2, 2
-    rng = np.random.default_rng(0)
-    fk = rng.dirichlet(np.ones(n_f), size=(n_l, n_f, n_al, n_af))
-    lk = rng.dirichlet(np.ones(n_l), size=(n_l, n_al))
-    fr_c = rng.normal(size=(n_l, n_f, n_al, n_af))
-    fr_w = rng.normal(scale=0.5, size=(n_l, n_f, n_al, n_af, n_f))
-    lr_c = rng.normal(size=(n_l, n_al))
-    lr_w = rng.normal(scale=0.5, size=(n_l, n_al, n_f))
-
-    def affine(const, coef):
-        return {"const": float(const), "z": coef.tolist()}
-
-    return load_game_dict({
-        "name": "signal", "follower_states": ["f0", "f1", "f2"],
-        "leader_states": ["lo", "hi"], "follower_actions": ["a0", "a1"],
-        "leader_actions": ["b0", "b1"], "discount": 0.9, "horizon": 4,
-        "initial_leader_belief": [0.5, 0.5], "initial_mean_field": [0.4, 0.3, 0.3],
-        "follower_kernel": fk.tolist(), "leader_kernel": lk.tolist(),
-        "follower_reward": [[[[affine(fr_c[xl, xf, al, af], fr_w[xl, xf, al, af])
-                               for af in range(n_af)] for al in range(n_al)]
-                             for xf in range(n_f)] for xl in range(n_l)],
-        "leader_reward": [[affine(lr_c[xl, al], lr_w[xl, al]) for al in range(n_al)]
-                          for xl in range(n_l)]})
 
 
 def test_single_stage_game_matches_leader_optimize():

@@ -1,13 +1,19 @@
 """Per-point stage fixed point: follower best responses, leader choice, values."""
 
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import stackmfg as s
+from stackmfg import stage
+from stackmfg.gamefile import load_game_file
+from stackmfg.grids import simplex_weights, stencil_product
 from stackmfg.stage import StageEngine, _fma
-from conftest import toy_joint_grid, toy_spec
+from conftest import (signal_family_spec, toy_joint_grid, toy_spec,
+                      toy_spec_two_leader_states)
 
 
 def zero_tables(spec, joint):
@@ -228,3 +234,202 @@ def test_identical_pairs_get_identical_objectives_anywhere_in_the_batch():
     assert np.array_equal(sweep.objectives[2], sweep.objectives[-1])
     assert np.array_equal(sweep.follower_values[2], sweep.follower_values[-1])
     assert np.array_equal(sweep.leader_values[2], sweep.leader_values[-1])
+
+
+def reference_pairs(spec, joint, pi, z, leaders, followers, n_slots, bayes_eps=1e-12):
+    """The pair arrays rebuilt one pair at a time from the scalar kernels:
+    ``mean_field_step``, ``belief_step_total``, ``simplex_weights`` and
+    ``stencil_product``, laid out as ``stage._Pairs``."""
+    QF, RF = spec.follower_kernel_tensor(z), spec.follower_reward_tensor(z)
+    QL = spec.leader_kernel_tensor(z)
+    n_l, n_al = spec.n_leader_states, spec.n_leader_actions
+    n_f, n_af = spec.n_follower_states, spec.n_follower_actions
+    R, F, A = len(leaders), len(followers), n_slots
+    d_pi, K = joint.pi_grid.dim, joint.pi_grid.dim * joint.z_grid.dim
+    out = {"idx": np.zeros((R, F, A, K), dtype=np.int64), "w": np.zeros((R, F, A, K)),
+           "lead_base": np.zeros((R, F)), "vl_base": np.zeros((R, F, n_l)),
+           "base_obj": np.zeros((R, n_f, n_af)), "cont_op": np.zeros((R, A, n_f, n_af, n_f)),
+           "lead_cont": np.zeros((R, A, n_l)), "vl_cont": np.zeros((R, A, n_l, n_l)),
+           "bayes": np.zeros(R, dtype=np.int64),
+           "pi_idx": np.zeros((R, A, d_pi), dtype=np.int64), "pi_w": np.zeros((R, A, d_pi))}
+    for r, G in enumerate(leaders):
+        w_la = pi[:, None] * G
+        out["base_obj"][r] = np.einsum("la,lfab->fb", w_la, RF)
+        pi_stencils = []
+        for a, al in enumerate(np.flatnonzero(np.any(G > 0.0, axis=0))):
+            pi_next, fell_back = s.belief_step_total(pi, z, G, al, spec, eps=bayes_eps)
+            pi_stencils.append(simplex_weights(joint.pi_grid, pi_next))
+            n = len(pi_stencils[-1][0])
+            out["pi_idx"][r, a, :n], out["pi_w"][r, a, :n] = pi_stencils[-1]
+            out["bayes"][r] += fell_back
+            out["cont_op"][r, a] = np.einsum("l,lfbn->fbn", w_la[:, al], QF[:, :, al, :, :])
+            out["lead_cont"][r, a] = w_la[:, al] @ QL[:, al, :]
+            out["vl_cont"][r, a] = G[:, al, None] * QL[:, al, :]
+        for c, Ff in enumerate(followers):
+            z_next = s.mean_field_step(pi, z, s.Prescription(leader=G, follower=Ff), spec)
+            z_stencil = simplex_weights(joint.z_grid, z_next)
+            for a, pi_stencil in enumerate(pi_stencils):
+                flat, wts = stencil_product(joint, pi_stencil, z_stencil)
+                out["idx"][r, c, a, :len(flat)], out["w"][r, c, a, :len(flat)] = flat, wts
+            rl = np.array([[float(spec.leader_reward(z, xl, al, Ff)) for al in range(n_al)]
+                           for xl in range(n_l)])
+            out["lead_base"][r, c] = np.sum(w_la * rl)
+            out["vl_base"][r, c] = np.sum(G * rl, axis=1)
+    return out
+
+
+def assert_pairs_equal(pairs, expected):
+    assert set(pairs._fields) == set(expected)
+    for name in pairs._fields:
+        got = getattr(pairs, name)
+        assert got.shape == expected[name].shape, name
+        assert got.dtype == expected[name].dtype, name
+        assert np.array_equal(got, expected[name]), name
+        assert np.array_equal(np.signbit(got), np.signbit(expected[name])), name
+
+
+PAIR_GAMES = {
+    "signal": lambda: (signal_family_spec(), 2, 2, False),
+    "tech": lambda: (s.build_tech_adoption_game(s.TechAdoptionParams(price_points=7)), 6, 1,
+                     False),
+    "infection": lambda: (s.build_infection_game(), 5, 1, False),
+    "tiny": lambda: (load_game_file(Path(__file__).resolve().parent.parent / "sample_games"
+                                    / "tiny.json"), 4, 1, False),
+    "two-leader-types-mixed-grid": lambda: (toy_spec_two_leader_states(), 3, 2, True),
+}
+
+
+@pytest.mark.parametrize("game", sorted(PAIR_GAMES))
+def test_engine_pairs_match_per_pair_rebuild(game):
+    """Every field of the batched pair arrays equals a per-pair rebuild from
+    the scalar kernels, bit for bit, at every grid point."""
+    spec, z_res, pi_res, mixed = PAIR_GAMES[game]()
+    joint = toy_joint_grid(spec, z_res=z_res, pi_res=pi_res)
+    engine = StageEngine(spec, joint, config=s.SolverConfig(leader_mixed_grid=mixed))
+    L = len(engine.leaders)
+    assert L > spec.n_leader_actions ** spec.n_leader_states or not mixed
+    for k, (pi, z) in enumerate(engine.states):
+        rows = slice(k * L, (k + 1) * L)
+        expected = reference_pairs(spec, joint, pi, z, [G for _, G in engine.leaders],
+                                   engine._follower_mats, engine._slots)
+        assert_pairs_equal(stage._take(engine.pairs, rows), expected)
+
+
+def crowding_spec():
+    """Followers move to the state their action names, so against a table
+    that penalises crowded states no pure map is a fixed point from z = (1, 0)
+    under leader action 0, and the uniform map is one (a tie at (1/2, 1/2)).
+    Leader action 1 blurs the move, and leader rewards depend on the
+    follower prescription."""
+    return s.GameSpec(
+        follower_states=("a", "b"), leader_states=("L",), follower_actions=("a", "b"),
+        leader_actions=("0", "1"), leader_kernel=lambda z, al, xl: np.array([1.0]),
+        follower_kernel=lambda z, xl, xf, al, af: (np.array([0.7, 0.3]) if al and af
+                                                   else np.eye(2)[af]),
+        follower_reward=lambda z, xl, xf, al, af: 0.0,
+        leader_reward=lambda z, xl, al, gf: -3.0 * al + gf[0, 1] + z[1] / 3,
+        discount=0.9, horizon=1, initial_leader_belief=[1.0], initial_mean_field=[1.0, 0.0])
+
+
+def damped_cases():
+    """(spec, joint, engine, V^f, V^l) of sweeps with damped rows: the signal
+    family against its stage-3 tables, whose damped rows run every step and
+    stay uncertified, and the crowding game, whose damped rows are certified."""
+    spec = signal_family_spec()
+    joint = toy_joint_grid(spec, z_res=2, pi_res=2)
+    _, tables = s.backward_pass(spec, joint)
+    vf, vl = (table.flat_values() for table in tables[3])
+    yield spec, joint, StageEngine(spec, joint), vf, vl
+
+    spec = crowding_spec()
+    joint = s.JointGrid(pi_grid=s.build_grid(1, 1), z_grid=s.build_grid(2, 4))
+    vf = -np.array(joint.z_grid.points)
+    vl = np.random.default_rng(0).normal(size=(joint.n_points, 1))
+    engine = StageEngine(spec, joint, [([1.0], [1.0, 0.0]), ([1.0], [0.9, 0.1])])
+    yield spec, joint, engine, vf, vl
+
+
+def test_damped_pairs_match_per_pair_rebuild():
+    """The follower side a damped step rebuilds, and the leader terms of the
+    certificate, equal a per-pair rebuild with the mixed prescription."""
+    rng = np.random.default_rng(5)
+    certified = 0
+    for spec, joint, engine, vf, vl in damped_cases():
+        fixed = engine._evaluate_pure(vf, vl)[3]
+        rows = np.flatnonzero(~fixed.any(axis=1))
+        assert len(rows)
+        certified += len(engine._damped(rows, vf, vl))
+        n_f, n_af = spec.n_follower_states, spec.n_follower_actions
+        prescriptions = [np.full((len(rows), n_f, n_af), 1.0 / n_af),
+                         rng.dirichlet(np.ones(n_af), size=(len(rows), n_f)),
+                         np.eye(n_af)[rng.integers(n_af, size=(len(rows), n_f))]]
+        build = engine._mixed(rows)
+        L = len(engine.leaders)
+        for Ff in prescriptions:
+            for leader_terms in (False, True):
+                pairs = build(np.arange(len(rows)), Ff, leader_terms=leader_terms)
+                for k, row in enumerate(rows):
+                    pi, z = engine.states[row // L]
+                    expected = reference_pairs(spec, joint, pi, z, [engine.leaders[row % L][1]],
+                                               [Ff[k]], engine._slots)
+                    got = stage._take(pairs, [k])
+                    if not leader_terms:        # built for the certificate only
+                        assert got.lead_base is None and got.vl_base is None
+                        got = got._replace(lead_base=expected["lead_base"],
+                                           vl_base=expected["vl_base"])
+                    assert_pairs_equal(got, expected)
+    assert certified >= 1
+
+
+def test_certified_damped_rows_match_pair_objectives():
+    """A certified damped row's leader objective and values are those of its
+    (leader, mixed follower) pair evaluated on its own."""
+    spec, joint, engine, vf, vl = list(damped_cases())[1]
+    sweep = engine.sweep(vf, vl)
+    shape = (joint.pi_grid.n_points, joint.z_grid.n_points, -1)
+    vf_table, vl_table = s.JointTable(joint, vf.reshape(shape)), s.JointTable(joint, vl.reshape(shape))
+    certified = 0
+    for k, (pi, z) in enumerate(engine.states):
+        for l, (_, G) in enumerate(engine.leaders):
+            if not np.isfinite(sweep.objectives[k, l, -1]):
+                continue
+            row = k * len(engine.leaders) + l
+            (Ff, lead, fv, lv), = engine._damped(np.array([row]), vf, vl).values()
+            _, fv_ref, lead_ref, lv_ref = stage.pair_objectives(
+                pi, z, s.Prescription(leader=G, follower=Ff), vf_table, vl_table, spec)
+            assert sweep.objectives[k, l, -1] == lead == lead_ref
+            assert np.array_equal(fv, fv_ref) and np.array_equal(lv, lv_ref)
+            certified += 1
+    assert certified >= 1
+    assert np.array_equal(sweep.follower[0], np.full((2, 2), 0.5))
+
+
+def test_damped_steps_do_not_repeat_leader_side_work(monkeypatch):
+    """A sweep whose damped rows run all DAMP_MAX_ITER steps makes no Bayes
+    update at all: the leader side of every row comes from the arrays built
+    with the engine, so the work does not grow with the damped step count."""
+    spec, joint, engine, vf, vl = next(damped_cases())
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(stage, "belief_step_total",
+                        counted("bayes", stage.belief_step_total))
+    monkeypatch.setattr(s.dynamics, "belief_step_total",
+                        counted("bayes", s.dynamics.belief_step_total))
+    monkeypatch.setattr(stage, "mean_field_batch",
+                        counted("mean_field", stage.mean_field_batch))
+    seen, full = {}, stage.DAMP_MAX_ITER
+    for steps in (full, 3):
+        monkeypatch.setattr(stage, "DAMP_MAX_ITER", steps)
+        counts.clear()
+        sweep = engine.sweep(vf, vl, t=3)
+        damped = np.isfinite(sweep.objectives[:, :, -1])
+        assert not damped.any()         # no row certified: every step ran
+        assert counts["mean_field"] == steps
+        seen[steps] = counts["bayes"]
+    assert seen == {full: 0, 3: 0}
