@@ -318,7 +318,13 @@ def cmd_export(run_dir: str, config: RunConfig, out_file: Optional[str]) -> int:
     return EXIT_OK
 
 
-def _add_common(p: argparse.ArgumentParser):
+def _positive_int(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return int(text)
+
+
+def _add_game(p: argparse.ArgumentParser):
     p.add_argument("--game", help="built-in game name (infection, tech)")
     p.add_argument("--game-file", help="path to a JSON game definition")
     p.add_argument("--param", action="append", type=_parse_param, default=[],
@@ -327,24 +333,24 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--horizon", type=int, help="finite horizon length")
     p.add_argument("--infinite", action="store_true",
                    help="stationary discounted solve")
+    p.add_argument("--action-res", type=int, dest="action_resolution",
+                   help="leader action grid density for built-in games")
+
+
+def _add_grid(p: argparse.ArgumentParser):
     p.add_argument("--z-res", type=int, dest="z_resolution",
                    help="mean-field grid resolution (default 50 for 2 types)")
     p.add_argument("--pi-res", type=int, dest="pi_resolution", default=10,
                    help="belief grid resolution (default 10)")
-    p.add_argument("--action-res", type=int, dest="action_resolution",
-                   help="leader action grid density for built-in games")
-    p.add_argument("--tol", type=float, default=1e-6,
-                   help="value-iteration stopping tolerance")
-    p.add_argument("--max-iter", type=int, default=2000)
     p.add_argument("--br-tol", type=float, default=1e-9,
                    help="best-response fixed-point tolerance")
     p.add_argument("--bayes-eps", type=float, default=1e-12)
-    p.add_argument("--out", help="output directory (default out/<spec-hash>)")
-    _add_forward(p)
+    p.add_argument("--out", help="output directory (solve: default out/<spec-hash>)")
 
 
 def _add_forward(p: argparse.ArgumentParser):
-    p.add_argument("--steps", type=int, help="forward steps (default 200 stationary)")
+    p.add_argument("--steps", type=_positive_int,
+                   help="forward steps, at least 1 (default 200 stationary)")
     p.add_argument("--mode", choices=["expected", "sampled"], default="expected")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--offgrid", choices=["resolve", "nearest"], default="resolve",
@@ -360,13 +366,19 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", help="solve a game and export artifacts")
-    _add_common(p_solve)
+    _add_game(p_solve)
+    _add_grid(p_solve)
+    p_solve.add_argument("--tol", type=float, default=1e-6,
+                         help="value-iteration stopping tolerance")
+    p_solve.add_argument("--max-iter", type=int, default=2000)
+    _add_forward(p_solve)
 
     p_val = sub.add_parser("validate", help="check a game definition")
-    _add_common(p_val)
+    _add_game(p_val)
 
     p_oracle = sub.add_parser("oracle", help="brute-force a tiny game")
-    _add_common(p_oracle)
+    _add_game(p_oracle)
+    _add_grid(p_oracle)
     p_oracle.add_argument("--check-solver", action="store_true",
                           help="also run the solver and report membership")
 

@@ -85,6 +85,7 @@ def mean_field_step(pi, z, prescription: Prescription, spec: GameSpec) -> np.nda
     pi = np.asarray(pi, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)
     gl, gf = prescription.leader, prescription.follower
+    kernel = spec.follower_kernel(z)
     out = np.zeros(spec.n_follower_states)
     for xl in range(spec.n_leader_states):
         if pi[xl] == 0.0:
@@ -100,8 +101,7 @@ def mean_field_step(pi, z, prescription: Prescription, spec: GameSpec) -> np.nda
                     w = w_l * z[xf] * gf[xf, af]
                     if w == 0.0:
                         continue
-                    out += w * np.asarray(spec.follower_kernel(z, xl, xf, al, af),
-                                          dtype=np.float64)
+                    out += w * kernel[xl, xf, al, af]
     return _clean_distribution(out)
 
 
@@ -159,12 +159,13 @@ def belief_step(pi, z, gamma_l, a_l: int, spec: GameSpec,
     if denom <= eps:
         raise ZeroProbabilityAction(
             f"leader action {a_l} has probability {denom:.3e} under the current belief")
+    kernel = spec.leader_kernel(z)
     out = np.zeros(spec.n_leader_states)
     for xl in range(spec.n_leader_states):
         w = pi[xl] * col[xl]
         if w == 0.0:
             continue
-        out += w * np.asarray(spec.leader_kernel(z, a_l, xl), dtype=np.float64)
+        out += w * kernel[xl, a_l]
     return _clean_distribution(out / denom)
 
 

@@ -3,10 +3,11 @@
 A game is defined by ordered label sets for states and actions, transition
 kernels and reward functions that may depend on the continuous mean field,
 a discount factor, a horizon, and initial distributions.  Kernels and
-rewards are callables of the mean field because the interesting models
-couple transition probabilities to the population state; the validator
-probes them on a lattice plus random interior points instead of trying to
-verify them symbolically.
+rewards are array functions of the mean field, batched over leading axes,
+because the interesting models couple transition probabilities to the
+population state and every consumer needs them at many mean fields at
+once; the validator probes them on a lattice plus random interior points
+instead of trying to verify them symbolically.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import numpy as np
 from .grids import build_grid
 
 ROW_SUM_TOL = 1e-12
+MAX_REPORTED = 50
 
 
 def _frozen_array(values, n: int, name: str) -> np.ndarray:
@@ -36,13 +38,18 @@ def _frozen_array(values, n: int, name: str) -> np.ndarray:
 class GameSpec:
     """Complete description of one leader/followers mean-field game.
 
-    Kernel signatures (all index-based):
-      leader_kernel(z, a_l, x_l)            -> distribution over leader states
-      follower_kernel(z, x_l, x_f, a_l, a_f) -> distribution over follower states
-      follower_reward(z, x_l, x_f, a_l, a_f) -> float
-      leader_reward(z, x_l, a_l, gamma_f)    -> float, where gamma_f is the
-          follower prescription matrix (n_f, n_af); social-welfare style
-          objectives use it, others ignore it.
+    Kernels and rewards take mean fields ``Z`` of shape (..., n_f) and
+    return whole tensors, batched over the leading axes:
+      follower_kernel(Z)     -> (..., n_l, n_f, n_al, n_af, n_f), rows are
+                                distributions over next follower states
+      leader_kernel(Z)       -> (..., n_l, n_al, n_l), rows over next leader states
+      follower_reward(Z)     -> (..., n_l, n_f, n_al, n_af)
+      leader_reward(Z, Gf)   -> (..., n_l, n_al), where ``Gf`` holds follower
+          prescription matrices (..., n_f, n_af) whose leading axes broadcast
+          against those of ``Z``; social-welfare style objectives use it,
+          others ignore it.
+    Index order is (x_l, x_f, a_l, a_f).  ``from_callables`` builds a spec
+    from scalar functions of one index tuple.
 
     ``horizon`` is the number of stages for a finite game, or None for the
     stationary discounted game (requires discount < 1).
@@ -77,6 +84,42 @@ class GameSpec:
             _frozen_array(self.initial_mean_field, self.n_follower_states, "initial_mean_field"),
         )
 
+    @classmethod
+    def from_callables(cls, *, leader_kernel: Callable, follower_kernel: Callable,
+                       follower_reward: Callable, leader_reward: Callable,
+                       **fields) -> "GameSpec":
+        """Spec from scalar functions of one mean field and one index tuple:
+          leader_kernel(z, a_l, x_l)             -> row over next leader states
+          follower_kernel(z, x_l, x_f, a_l, a_f) -> row over next follower states
+          follower_reward(z, x_l, x_f, a_l, a_f) -> float
+          leader_reward(z, x_l, a_l, gamma_f)    -> float, for one follower
+              prescription matrix gamma_f (n_f, n_af)
+        The other keyword arguments are the spec's remaining fields.  Each
+        array function calls its scalar function once per mean field and
+        index tuple.
+        """
+        n_l, n_f = len(fields["leader_states"]), len(fields["follower_states"])
+        n_al, n_af = len(fields["leader_actions"]), len(fields["follower_actions"])
+        pairs = (n_l, n_f, n_al, n_af)
+
+        def tabulate(fn, shape, entry=()):
+            def array_fn(Z, *Gf):       # Gf: follower prescriptions, leader reward only
+                args = [(np.asarray(Z, dtype=np.float64), (n_f,))]
+                args += [(np.asarray(G, dtype=np.float64), (n_f, n_af)) for G in Gf]
+                batch = np.broadcast_shapes(*(a.shape[:a.ndim - len(c)] for a, c in args))
+                rows = zip(*(np.broadcast_to(a, batch + c).reshape((-1,) + c) for a, c in args))
+                flat = [[fn(*row, *idx) for idx in np.ndindex(shape)] for row in rows]
+                return np.array(flat, dtype=np.float64).reshape(batch + shape + entry)
+            return array_fn
+
+        return cls(
+            leader_kernel=tabulate(lambda z, xl, al: leader_kernel(z, al, xl),
+                                   (n_l, n_al), (n_l,)),
+            follower_kernel=tabulate(follower_kernel, pairs, (n_f,)),
+            follower_reward=tabulate(lambda z, *idx: float(follower_reward(z, *idx)), pairs),
+            leader_reward=tabulate(lambda z, g, xl, al: float(leader_reward(z, xl, al, g)),
+                                   (n_l, n_al)), **fields)
+
     @property
     def n_follower_states(self) -> int:
         return len(self.follower_states)
@@ -96,26 +139,6 @@ class GameSpec:
     @property
     def infinite_horizon(self) -> bool:
         return self.horizon is None
-
-    def follower_kernel_tensor(self, z) -> np.ndarray:
-        """Q^f at a fixed mean field: shape (n_l, n_f, n_al, n_af, n_f)."""
-        shape = (self.n_leader_states, self.n_follower_states,
-                 self.n_leader_actions, self.n_follower_actions)
-        rows = [self.follower_kernel(z, *idx) for idx in np.ndindex(shape)]
-        return np.array(rows, dtype=np.float64).reshape(shape + (self.n_follower_states,))
-
-    def leader_kernel_tensor(self, z) -> np.ndarray:
-        """Q^l at a fixed mean field: shape (n_l, n_al, n_l)."""
-        shape = (self.n_leader_states, self.n_leader_actions)
-        rows = [self.leader_kernel(z, al, xl) for xl, al in np.ndindex(shape)]
-        return np.array(rows, dtype=np.float64).reshape(shape + (self.n_leader_states,))
-
-    def follower_reward_tensor(self, z) -> np.ndarray:
-        """R^f at a fixed mean field: shape (n_l, n_f, n_al, n_af)."""
-        shape = (self.n_leader_states, self.n_follower_states,
-                 self.n_leader_actions, self.n_follower_actions)
-        rewards = [float(self.follower_reward(z, *idx)) for idx in np.ndindex(shape)]
-        return np.array(rewards).reshape(shape)
 
 
 @dataclass
@@ -140,35 +163,53 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _is_distribution(vec: np.ndarray, tol: float = ROW_SUM_TOL):
-    if not np.all(np.isfinite(vec)):
-        return False, "non-finite entries"
-    if np.min(vec) < -1e-15:
-        return False, f"negative entry {np.min(vec):.3e}"
-    s = float(np.sum(vec))
-    if abs(s - 1.0) > tol:
-        return False, f"row sums to {s:.15g}"
-    return True, ""
+def _row_faults(rows: np.ndarray, tol: float = ROW_SUM_TOL):
+    """(index, reason) for each row along the last axis that is not a
+    distribution, in row-major order."""
+    with np.errstate(invalid="ignore"):
+        finite, low, sums = np.isfinite(rows).all(axis=-1), rows.min(axis=-1), rows.sum(axis=-1)
+        bad = ~finite | (low < -1e-15) | (np.abs(sums - 1.0) > tol)
+    return [(idx, "non-finite entries" if not finite[idx]
+             else f"negative entry {low[idx]:.3e}" if low[idx] < -1e-15
+             else f"row sums to {float(sums[idx]):.15g}") for idx in zip(*np.nonzero(bad))]
 
 
 def _mean_field_probes(spec: GameSpec, grid_resolution: Optional[int], n_random: int, seed: int):
     n_f = spec.n_follower_states
     if grid_resolution is None:
         grid_resolution = 10 if n_f > 2 else 50
-    grid = build_grid(n_f, grid_resolution)
-    probes = [grid.points[i] for i in range(grid.n_points)]
     rng = np.random.default_rng(seed)
-    for _ in range(n_random):
-        probes.append(rng.dirichlet(np.ones(n_f)))
-    return probes
+    return np.array([*build_grid(n_f, grid_resolution).points,
+                     *(rng.dirichlet(np.ones(n_f)) for _ in range(n_random))])
+
+
+def _probe_gammas(n_f: int, n_af: int) -> np.ndarray:
+    """The uniform follower prescription, then each pure one playing a single action."""
+    return np.concatenate([np.full((1, n_f, n_af), 1.0 / n_af),
+                           np.repeat(np.eye(n_af)[:, None, :], n_f, axis=1)])
+
+
+def _tabulated(report: ValidationReport, name: str, fn, args, shape) -> np.ndarray:
+    """``fn(*args)`` as a float array of ``shape``; after a failure, which is
+    reported, an empty array of probes, so no row of it is checked."""
+    try:
+        out = np.asarray(fn(*args), dtype=np.float64)
+        if out.shape == shape:
+            return out
+        report.add(f"{name} returned shape {out.shape}, expected {shape}")
+    except Exception as exc:        # a user-supplied function: any failure is a finding
+        report.add(f"{name} raised {type(exc).__name__}: {exc}")
+    return np.zeros((0,) + shape[1:])
 
 
 def validate(spec: GameSpec, grid_resolution: Optional[int] = None,
              n_random: int = 100, seed: int = 20240) -> ValidationReport:
     """Probe kernels, rewards and scalars; report every violated invariant.
 
-    Never raises: a report naming each bad row/value is returned instead, so
-    callers can surface all problems at once.
+    Each kernel and reward function is called once over all probes.  Never
+    raises: a report naming each bad row/value is returned instead, so
+    callers can surface all problems at once.  Past MAX_REPORTED issues,
+    the remaining probes are skipped.
     """
     report = ValidationReport()
     d = spec.discount
@@ -178,81 +219,61 @@ def validate(spec: GameSpec, grid_resolution: Optional[int] = None,
         report.add("discount must be < 1 for an infinite horizon")
     if spec.horizon is not None and spec.horizon < 1:
         report.add(f"finite horizon must be >= 1, got {spec.horizon}")
+    for what, vec in (("leader belief", spec.initial_leader_belief),
+                      ("mean field", spec.initial_mean_field)):
+        for _, why in _row_faults(vec[None], tol=1e-9):
+            report.add(f"initial {what} is not a distribution: {why}")
 
-    ok, why = _is_distribution(spec.initial_leader_belief, tol=1e-9)
-    if not ok:
-        report.add(f"initial leader belief is not a distribution: {why}")
-    ok, why = _is_distribution(spec.initial_mean_field, tol=1e-9)
-    if not ok:
-        report.add(f"initial mean field is not a distribution: {why}")
-
-    probe_gammas = [np.full((spec.n_follower_states, spec.n_follower_actions),
-                            1.0 / spec.n_follower_actions)]
-    for a in range(spec.n_follower_actions):
-        g = np.zeros((spec.n_follower_states, spec.n_follower_actions))
-        g[:, a] = 1.0
-        probe_gammas.append(g)
-
+    n_l, n_f = spec.n_leader_states, spec.n_follower_states
+    n_al, n_af = spec.n_leader_actions, spec.n_follower_actions
     probes = _mean_field_probes(spec, grid_resolution, n_random, seed)
-    report.probes = len(probes)
-    max_reported = 50
-    for pz, z in enumerate(probes):
-        if len(report.issues) >= max_reported:
+    gammas = _probe_gammas(n_f, n_af)
+    P = report.probes = len(probes)
+    ql = _tabulated(report, "leader kernel", spec.leader_kernel, (probes,), (P, n_l, n_al, n_l))
+    qf = _tabulated(report, "follower kernel", spec.follower_kernel, (probes,),
+                    (P, n_l, n_f, n_al, n_af, n_f))
+    rf = _tabulated(report, "follower reward", spec.follower_reward, (probes,),
+                    (P, n_l, n_f, n_al, n_af))
+    rl = _tabulated(report, "leader reward", spec.leader_reward, (probes[:, None], gammas),
+                    (P, len(gammas), n_l, n_al))
+    # Findings per probe, keyed so that sorting restores the order of a
+    # scan over (x_l, a_l): leader kernel row, then (x_f, a_f) kernel row
+    # and reward, then the leader reward per probe prescription.
+    found = [[] for _ in range(P)]
+    for (pz, xl, al), why in _row_faults(ql):
+        found[pz].append(((xl, al, 0), f"leader kernel row (a^l={al}, x^l={xl})"
+                                        f" at probe {pz}: {why}"))
+    for (pz, xl, xf, al, af), why in _row_faults(qf):
+        found[pz].append(((xl, al, 1, xf, af, 0),
+                          f"follower kernel row (x^l={xl}, x^f={xf}, a^l={al}, a^f={af})"
+                          f" at probe {pz}: {why}"))
+    for pz, xl, xf, al, af in zip(*np.nonzero(~np.isfinite(rf))):
+        found[pz].append(((xl, al, 1, xf, af, 1),
+                          f"follower reward (x^l={xl}, x^f={xf}, a^l={al}, a^f={af})"
+                          f" at probe {pz} is {float(rf[pz, xl, xf, al, af])}"))
+    for pz, g, xl, al in zip(*np.nonzero(~np.isfinite(rl))):
+        found[pz].append(((xl, al, 2, g), f"leader reward (x^l={xl}, a^l={al}) at probe {pz}"
+                                          f" is {float(rl[pz, g, xl, al])}"))
+    for issues in found:
+        if len(report.issues) >= MAX_REPORTED:
             report.add("... further issues suppressed")
             break
-        for xl in range(spec.n_leader_states):
-            for al in range(spec.n_leader_actions):
-                row = np.asarray(spec.leader_kernel(z, al, xl), dtype=np.float64)
-                if row.shape != (spec.n_leader_states,):
-                    report.add(f"leader kernel row (a^l={al}, x^l={xl}) has shape {row.shape}")
-                    continue
-                ok, why = _is_distribution(row)
-                if not ok:
-                    report.add(f"leader kernel row (a^l={al}, x^l={xl}) at probe {pz}: {why}")
-                for xf in range(spec.n_follower_states):
-                    for af in range(spec.n_follower_actions):
-                        frow = np.asarray(spec.follower_kernel(z, xl, xf, al, af),
-                                          dtype=np.float64)
-                        if frow.shape != (spec.n_follower_states,):
-                            report.add(
-                                f"follower kernel row (x^l={xl}, x^f={xf}, a^l={al}, a^f={af})"
-                                f" has shape {frow.shape}")
-                            continue
-                        ok, why = _is_distribution(frow)
-                        if not ok:
-                            report.add(
-                                f"follower kernel row (x^l={xl}, x^f={xf}, a^l={al}, a^f={af})"
-                                f" at probe {pz}: {why}")
-                        r = float(spec.follower_reward(z, xl, xf, al, af))
-                        if not np.isfinite(r):
-                            report.add(
-                                f"follower reward (x^l={xl}, x^f={xf}, a^l={al}, a^f={af})"
-                                f" at probe {pz} is {r}")
-                for g in probe_gammas:
-                    rl = float(spec.leader_reward(z, xl, al, g))
-                    if not np.isfinite(rl):
-                        report.add(f"leader reward (x^l={xl}, a^l={al}) at probe {pz} is {rl}")
+        report.issues.extend(msg for _, msg in sorted(issues))
     return report
 
 
 def spec_hash(spec: GameSpec) -> str:
     """Deterministic fingerprint of the game data.
 
-    Kernels and rewards are callables, so they are fingerprinted by value on
-    a fixed probe set; any parameter change that alters behaviour anywhere
-    on the probes changes the hash.
+    Kernels and rewards are functions of the mean field, so they are
+    fingerprinted by value on a fixed probe set; any parameter change that
+    alters behaviour anywhere on the probes changes the hash.
     """
     n_f = spec.n_follower_states
-    probes = [np.eye(n_f)[i] for i in range(n_f)]
-    probes.append(np.full(n_f, 1.0 / n_f))
     rng = np.random.default_rng(1234321)
-    for _ in range(8):
-        probes.append(rng.dirichlet(np.ones(n_f)))
-    gammas = [np.full((n_f, spec.n_follower_actions), 1.0 / spec.n_follower_actions)]
-    for a in range(spec.n_follower_actions):
-        g = np.zeros((n_f, spec.n_follower_actions))
-        g[:, a] = 1.0
-        gammas.append(g)
+    probes = np.array([*np.eye(n_f), np.full(n_f, 1.0 / n_f),
+                       *(rng.dirichlet(np.ones(n_f)) for _ in range(8))])
+    gammas = _probe_gammas(n_f, spec.n_follower_actions)
 
     payload = {
         "follower_states": spec.follower_states,
@@ -267,17 +288,13 @@ def spec_hash(spec: GameSpec) -> str:
         # changes are visible in the fingerprint
         "params": spec.metadata.get("params"),
     }
-    samples = []
-    for z in probes:
-        samples.append(spec.follower_kernel_tensor(z).tobytes())
-        samples.append(spec.leader_kernel_tensor(z).tobytes())
-        samples.append(spec.follower_reward_tensor(z).tobytes())
-        rl = np.array([[[spec.leader_reward(z, xl, al, g) for g in gammas]
-                        for al in range(spec.n_leader_actions)]
-                       for xl in range(spec.n_leader_states)])
-        samples.append(rl.tobytes())
+    # Per probe: Q^f, Q^l, R^f, then R^l in (x_l, a_l, probe prescription) order.
+    tensors = [spec.follower_kernel(probes), spec.leader_kernel(probes),
+               spec.follower_reward(probes),
+               np.moveaxis(spec.leader_reward(probes[:, None], gammas), 1, -1)]
     h = hashlib.sha256()
     h.update(json.dumps(payload, sort_keys=True, default=repr).encode())
-    for s in samples:
-        h.update(s)
+    for p in range(len(probes)):
+        for tensor in tensors:
+            h.update(np.asarray(tensor[p], dtype=np.float64).tobytes())
     return h.hexdigest()[:16]

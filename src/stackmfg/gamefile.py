@@ -58,6 +58,19 @@ def _affine_table(nested, shape, n_z, name):
     return const, coef
 
 
+def _affine_at(const, coef, Z, rows=False):
+    """``const + coef @ z`` at every mean field ``z`` of ``Z`` (..., n_z), for
+    entries that are numbers or, with ``rows``, kernel rows (coefficient
+    matrices (n_row, n_z)).  ``np.matmul`` over the stacked entries makes the
+    BLAS call of the per-entry ``coef[idx] @ z`` (a dot product, or a
+    matrix-vector product), so each value keeps the bits of that expression."""
+    Z = np.ascontiguousarray(Z, dtype=np.float64)
+    mat = coef if rows else coef[..., None, :]
+    col = Z.reshape(Z.shape[:-1] + (1,) * (mat.ndim - 2) + (Z.shape[-1], 1))
+    prod = np.matmul(mat, col)[..., 0]
+    return const + (prod if rows else prod[..., 0])
+
+
 def _as_labels(raw, name):
     labels = tuple(str(v) for v in raw)
     if not labels:
@@ -95,23 +108,17 @@ def load_game_dict(cfg: dict) -> GameSpec:
                                (n_l, n_al), n_f, "leader_reward")
     welfare = bool(cfg.get("leader_reward_includes_welfare", False))
 
-    def follower_kernel(z, xl, xf, al, af):
-        return fk_c[xl, xf, al, af] + fk_w[xl, xf, al, af] @ np.asarray(z)
-
-    def leader_kernel(z, al, xl):
-        return lk_c[xl, al] + lk_w[xl, al] @ np.asarray(z)
-
-    def follower_reward(z, xl, xf, al, af):
-        return fr_c[xl, xf, al, af] + float(fr_w[xl, xf, al, af] @ np.asarray(z))
-
-    def leader_reward(z, xl, al, gamma_f):
-        z = np.asarray(z)
-        total = lr_c[xl, al] + float(lr_w[xl, al] @ z)
+    def leader_reward(Z, Gf):
+        Z, Gf = np.asarray(Z, dtype=np.float64), np.asarray(Gf, dtype=np.float64)
+        total = _affine_at(lr_c, lr_w, Z)
         if welfare:
+            rf = _affine_at(fr_c, fr_w, Z)
             for xf in range(n_f):
                 for af in range(n_af):
-                    total += z[xf] * gamma_f[xf, af] * follower_reward(z, xl, xf, al, af)
-        return total
+                    total = total + ((Z[..., xf] * Gf[..., xf, af])[..., None, None]
+                                     * rf[..., :, xf, :, af])
+        batch = np.broadcast_shapes(Z.shape[:-1], Gf.shape[:-2])
+        return np.broadcast_to(total, batch + total.shape[-2:]).copy()
 
     horizon = cfg.get("horizon")
     if horizon in ("infinite", None):
@@ -124,9 +131,9 @@ def load_game_dict(cfg: dict) -> GameSpec:
         leader_states=leader_states,
         follower_actions=follower_actions,
         leader_actions=leader_actions,
-        leader_kernel=leader_kernel,
-        follower_kernel=follower_kernel,
-        follower_reward=follower_reward,
+        leader_kernel=lambda Z: _affine_at(lk_c, lk_w, Z, rows=True),
+        follower_kernel=lambda Z: _affine_at(fk_c, fk_w, Z, rows=True),
+        follower_reward=lambda Z: _affine_at(fr_c, fr_w, Z),
         leader_reward=leader_reward,
         discount=float(cfg["discount"]),
         horizon=horizon,

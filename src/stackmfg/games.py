@@ -19,6 +19,22 @@ import numpy as np
 from .game import GameSpec
 
 
+def _constant(table: np.ndarray, Z) -> np.ndarray:
+    """``table`` at every mean field of ``Z`` (..., n_f)."""
+    return np.broadcast_to(table, np.shape(Z)[:-1] + table.shape).copy()
+
+
+def _priced_game(prices, share: float, **fields) -> GameSpec:
+    """A game with binary follower types whose leader has a single private
+    state and posts a price from ``prices``; ``share`` is the initial
+    fraction of follower type 1."""
+    n_al = len(prices)
+    return GameSpec(leader_states=("L",), leader_actions=tuple(f"{v:g}" for v in prices),
+                    leader_kernel=lambda Z: np.ones(np.shape(Z)[:-1] + (1, n_al, 1)),
+                    initial_leader_belief=np.array([1.0]),
+                    initial_mean_field=np.array([1.0 - share, share]), **fields)
+
+
 def _uniform_grid(high: float, n: int):
     if n < 1 or high < 0:
         raise ValueError("grid needs n >= 1 points on a nonnegative range")
@@ -78,45 +94,38 @@ def build_infection_game(params: InfectionParams = None) -> GameSpec:
     p = params or InfectionParams()
     prices = np.array(p.subsidy_grid)
     k, q, c = p.k, p.q, p.c
+    n_al = len(prices)
+    # R^f(x^f, a^l, a^f) = -k x^f - price(a^l) a^f, whatever the mean field
+    cost = -k * np.arange(2.0)[:, None, None] - prices[:, None] * np.arange(2.0)
 
-    def follower_kernel(z, xl, xf, al, af):
-        if af == 1:
-            return np.array([1.0, 0.0])
-        if xf == 1:
-            return np.array([0.0, 1.0])
-        w = q * z[1]
-        return np.array([1.0 - w, w])
+    def follower_kernel(Z):
+        Z = np.asarray(Z, dtype=np.float64)
+        w = (q * Z[..., 1])[..., None, None]
+        out = np.zeros(Z.shape[:-1] + (1, 2, n_al, 2, 2))
+        out[..., 1, 0] = 1.0                  # repairing lands healthy
+        out[..., 1, :, 0, 1] = 1.0            # an infected node that waits stays infected
+        out[..., 0, :, 0, 0] = 1.0 - w        # a healthy one is infected w.p. q z(infected)
+        out[..., 0, :, 0, 1] = w
+        return out
 
-    def leader_kernel(z, al, xl):
-        return np.array([1.0])
+    def follower_reward(Z):
+        return _constant(cost[None], Z)
 
-    def follower_reward(z, xl, xf, al, af):
-        return -k * xf - prices[al] * af
-
-    def leader_reward(z, xl, al, gamma_f):
+    def leader_reward(Z, Gf):
+        Z, Gf = np.asarray(Z, dtype=np.float64), np.asarray(Gf, dtype=np.float64)
         welfare = 0.0
         for xf in range(2):
             for af in range(2):
-                welfare += z[xf] * gamma_f[xf, af] * (-k * xf - prices[al] * af)
-        return welfare + (prices[al] - c)
+                welfare = welfare + (Z[..., xf] * Gf[..., xf, af])[..., None] * cost[xf, :, af]
+        return (welfare + (prices - c))[..., None, :]
 
-    return GameSpec(
-        follower_states=("healthy", "infected"),
-        leader_states=("L",),
-        follower_actions=("wait", "repair"),
-        leader_actions=tuple(f"{v:g}" for v in prices),
-        leader_kernel=leader_kernel,
-        follower_kernel=follower_kernel,
-        follower_reward=follower_reward,
-        leader_reward=leader_reward,
-        discount=p.delta,
-        horizon=p.horizon,
-        initial_leader_belief=np.array([1.0]),
-        initial_mean_field=np.array([1.0 - p.initial_infected, p.initial_infected]),
-        name="infection",
+    return _priced_game(
+        prices, p.initial_infected, follower_states=("healthy", "infected"),
+        follower_actions=("wait", "repair"), follower_kernel=follower_kernel,
+        follower_reward=follower_reward, leader_reward=leader_reward,
+        discount=p.delta, horizon=p.horizon, name="infection",
         metadata={"params": {"k": k, "q": q, "lam": p.lam, "c": c,
-                             "delta": p.delta, "subsidy_grid": list(prices)}},
-    )
+                             "delta": p.delta, "subsidy_grid": list(prices)}})
 
 
 @dataclass
@@ -161,44 +170,35 @@ def build_tech_adoption_game(params: TechAdoptionParams = None) -> GameSpec:
     """
     p = params or TechAdoptionParams()
     prices = np.array(p.price_grid)
-    vals = (-1.0, 1.0)
+    vals = np.array([-1.0, 1.0])
+    # Q^f(x^f, a^f, x'): the preference flips w.p. p1 after buying the
+    # matching product and w.p. p2 otherwise
+    flip = np.where(np.eye(2, dtype=bool), p.p1, p.p2)[..., None]
+    kernel = np.where(np.eye(2, dtype=bool)[:, None], 1.0 - flip, flip)
+    kernel = np.repeat(kernel[None, :, None], len(prices), axis=2)
+    match = vals[:, None] * vals                                    # x * a
+    cost = np.where(np.arange(2) == 1, prices[:, None], p.c_minus1)  # (a_l, a_f)
 
-    def follower_kernel(z, xl, xf, al, af):
-        flip = p.p1 if af == xf else p.p2
-        row = np.zeros(2)
-        row[xf] = 1.0 - flip
-        row[1 - xf] = flip
-        return row
+    def follower_kernel(Z):
+        return _constant(kernel, Z)
 
-    def leader_kernel(z, al, xl):
-        return np.array([1.0])
+    def follower_reward(Z):
+        Z = np.asarray(Z, dtype=np.float64)
+        network = (2.0 * Z[..., 1] - 1.0)[..., None, None, None] * vals
+        return (match[:, None, :] + network - cost)[..., None, :, :, :]
 
-    def follower_reward(z, xl, xf, al, af):
-        x, a = vals[xf], vals[af]
-        cost = prices[al] if af == 1 else p.c_minus1
-        return x * a + (2.0 * z[1] - 1.0) * a - cost
+    def leader_reward(Z, Gf):
+        Z, Gf = np.asarray(Z, dtype=np.float64), np.asarray(Gf, dtype=np.float64)
+        buying = Z[..., 1] * Gf[..., 1, 1] + Z[..., 0] * Gf[..., 0, 1]
+        return (prices * buying[..., None])[..., None, :]
 
-    def leader_reward(z, xl, al, gamma_f):
-        buying = z[1] * gamma_f[1, 1] + z[0] * gamma_f[0, 1]
-        return prices[al] * buying
-
-    return GameSpec(
-        follower_states=("-1", "1"),
-        leader_states=("L",),
-        follower_actions=("-1", "1"),
-        leader_actions=tuple(f"{v:g}" for v in prices),
-        leader_kernel=leader_kernel,
-        follower_kernel=follower_kernel,
-        follower_reward=follower_reward,
-        leader_reward=leader_reward,
-        discount=p.delta,
-        horizon=p.horizon,
-        initial_leader_belief=np.array([1.0]),
-        initial_mean_field=np.array([1.0 - p.initial_adopters, p.initial_adopters]),
-        name="tech",
+    return _priced_game(
+        prices, p.initial_adopters, follower_states=("-1", "1"),
+        follower_actions=("-1", "1"), follower_kernel=follower_kernel,
+        follower_reward=follower_reward, leader_reward=leader_reward,
+        discount=p.delta, horizon=p.horizon, name="tech",
         metadata={"params": {"p1": p.p1, "p2": p.p2, "c_minus1": p.c_minus1,
-                             "delta": p.delta, "price_grid": list(prices)}},
-    )
+                             "delta": p.delta, "price_grid": list(prices)}})
 
 
 BUILTIN_GAMES = {

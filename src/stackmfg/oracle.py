@@ -203,7 +203,6 @@ class ProfileEvaluation:
 def evaluate_profile(game: TinyGame, profile: OracleProfile,
                      initial_index: int = 0) -> ProfileEvaluation:
     spec = game.spec
-    delta = spec.discount
     pi1, z1 = game.initial_points[initial_index]
     tree = build_tree(game, profile, initial_index)
     by_depth = sorted(tree.items(), key=lambda kv: -kv[1].t)
@@ -212,41 +211,15 @@ def evaluate_profile(game: TinyGame, profile: OracleProfile,
     for key, node in by_depth:
         pi, z = node.pi, node.z
         lm, fm = node.leader_map, node.follower_map
-        n_f, n_l = spec.n_follower_states, spec.n_leader_states
-        n_af = spec.n_follower_actions
-        zero = np.zeros(n_f)
-
-        def action_value(xf, af, continuation):
-            total = 0.0
-            for xl in range(n_l):
-                if pi[xl] == 0.0:
-                    continue
-                al = lm[xl]
-                r = float(spec.follower_reward(z, xl, xf, al, af))
-                child = continuation[node.children[al]] if node.children else zero
-                q = np.asarray(spec.follower_kernel(z, xl, xf, al, af))
-                total += pi[xl] * (r + delta * float(q @ child))
-            return total
-
+        n_f = spec.n_follower_states
         # Profile value plays the assigned action against the profile's own
         # continuation; the best-response DP maxes over actions against the
         # best continuation, covering history-dependent deviations.
-        vals[key] = np.array([action_value(xf, fm[xf], vals) for xf in range(n_f)])
-        best[key] = np.array([max(action_value(xf, af, best) for af in range(n_af))
-                              for xf in range(n_f)])
+        vals[key] = _action_values(spec, pi, z, lm, _after(node, vals, n_f))[np.arange(n_f), fm]
+        best[key] = _action_values(spec, pi, z, lm, _after(node, best, n_f)).max(axis=1)
 
-        gamma_f = _pure_prescription(spec, lm, fm).follower
-        vl = np.zeros(n_l)
-        for xl in range(n_l):
-            al = lm[xl]
-            r = float(spec.leader_reward(z, xl, al, gamma_f))
-            if node.children:
-                child = lead[node.children[al]]
-                q = np.asarray(spec.leader_kernel(z, al, xl))
-                vl[xl] = r + delta * float(q @ child)
-            else:
-                vl[xl] = r
-        lead[key] = vl
+        lead[key] = _leader_values(spec, z, lm, fm, lambda al: (lead[node.children[al]]
+                                                                if node.children else None))
 
     root = node_key(1, pi1, z1)
     gap = max(float(np.max(best[k] - vals[k])) for k in tree)
@@ -256,6 +229,40 @@ def evaluate_profile(game: TinyGame, profile: OracleProfile,
         leader_values=lead, root_key=root,
         root_leader_value=float(pi1 @ lead[root]),
         max_follower_gap=gap, consistent=consistent)
+
+
+def _action_values(spec, pi, z, leader_map, child) -> np.ndarray:
+    """(n_f, n_af) expected reward-to-go of each follower type and action
+    when leader type x_l plays ``leader_map[x_l]``; ``child(a_l)`` is the
+    follower value row after leader action a_l."""
+    qf, rf = spec.follower_kernel(z), spec.follower_reward(z)
+    out = np.zeros((spec.n_follower_states, spec.n_follower_actions))
+    for xl in np.flatnonzero(np.asarray(pi) != 0.0):
+        al = leader_map[xl]
+        # (1, n_f) @ (n_f, 1): one dot product per kernel row
+        ahead = np.matmul(qf[xl, :, al, :, None, :], child(al)[:, None])[..., 0, 0]
+        out += pi[xl] * (rf[xl, :, al] + spec.discount * ahead)
+    return out
+
+
+def _after(node: _Node, table: dict, n_f: int):
+    """``child`` for ``_action_values``: the ``table`` row of the node's child
+    after each leader action, zeros at the last stage."""
+    return lambda al: table[node.children[al]] if node.children else np.zeros(n_f)
+
+
+def _leader_values(spec, z, leader_map, follower_map, child) -> np.ndarray:
+    """Leader value per type under a pure prescription pair; ``child(a_l)``
+    is the leader value row after leader action a_l, or None at the end."""
+    rl = spec.leader_reward(z, _pure_prescription(spec, leader_map, follower_map).follower)
+    ql = spec.leader_kernel(z)
+    vl = np.zeros(spec.n_leader_states)
+    for xl, al in enumerate(leader_map):
+        after = child(al)
+        vl[xl] = rl[xl, al]
+        if after is not None:
+            vl[xl] += spec.discount * float(ql[xl, al] @ after)
+    return vl
 
 
 def _check_consistency(spec, tree) -> bool:
@@ -299,7 +306,6 @@ class _ExactStageRecursion:
             return self._stage[key]
         pi = np.asarray(pi, dtype=np.float64)
         z = np.asarray(z, dtype=np.float64)
-        delta = spec.discount
         n_f, n_l = spec.n_follower_states, spec.n_leader_states
         zero_f, zero_l = np.zeros(n_f), np.zeros(n_l)
         out = []
@@ -312,31 +318,10 @@ class _ExactStageRecursion:
                         cont[al] = self.values(t + 1, pi_next, z_next)
                     else:
                         cont[al] = (zero_f, zero_l)
-                ok = True
-                for xf in range(n_f):
-                    vals = []
-                    for af in range(spec.n_follower_actions):
-                        total = 0.0
-                        for xl in range(n_l):
-                            if pi[xl] == 0.0:
-                                continue
-                            al = lm[xl]
-                            r = float(spec.follower_reward(z, xl, xf, al, af))
-                            q = np.asarray(spec.follower_kernel(z, xl, xf, al, af))
-                            total += pi[xl] * (r + delta * float(q @ cont[al][0]))
-                        vals.append(total)
-                    if vals[fm[xf]] < max(vals) - self.tol:
-                        ok = False
-                        break
-                if not ok:
+                vals = _action_values(spec, pi, z, lm, lambda al: cont[al][0])
+                if np.any(vals[np.arange(n_f), fm] < vals.max(axis=1) - self.tol):
                     continue
-                gamma_f = _pure_prescription(spec, lm, fm).follower
-                vl = np.zeros(n_l)
-                for xl in range(n_l):
-                    al = lm[xl]
-                    r = float(spec.leader_reward(z, xl, al, gamma_f))
-                    q = np.asarray(spec.leader_kernel(z, al, xl))
-                    vl[xl] = r + delta * float(q @ cont[al][1])
+                vl = _leader_values(spec, z, lm, fm, lambda al: cont[al][1])
                 out.append((lm, fm, float(pi @ vl), vl))
         self._stage[key] = out
         return out
@@ -358,21 +343,14 @@ class _ExactStageRecursion:
         pi = np.asarray(pi, dtype=np.float64)
         z = np.asarray(z, dtype=np.float64)
         z_next, children = _node_children(spec, pi, z, lm, fm)
-        vf = np.zeros(spec.n_follower_states)
-        for xf in range(spec.n_follower_states):
-            total = 0.0
-            for xl in range(spec.n_leader_states):
-                if pi[xl] == 0.0:
-                    continue
-                al = lm[xl]
-                if t < self.horizon:
-                    cont_f = self.values(t + 1, children[al][1], z_next)[0]
-                else:
-                    cont_f = np.zeros(spec.n_follower_states)
-                r = float(spec.follower_reward(z, xl, xf, al, fm[xf]))
-                q = np.asarray(spec.follower_kernel(z, xl, xf, al, fm[xf]))
-                total += pi[xl] * (r + spec.discount * float(q @ cont_f))
-            vf[xf] = total
+        n_f = spec.n_follower_states
+
+        def child(al):
+            if t < self.horizon:
+                return self.values(t + 1, children[al][1], z_next)[0]
+            return np.zeros(n_f)
+
+        vf = _action_values(spec, pi, z, lm, child)[np.arange(n_f), fm]
         self._values[key] = (vf, vl)
         return self._values[key]
 
@@ -466,20 +444,8 @@ def deviation_gain(profile: OracleProfile, game: TinyGame, player: str,
 def _one_shot_gain(spec, ev: ProfileEvaluation, key, xf: int) -> float:
     """Gain from changing the follower action at one node/type only."""
     node = ev.tree[key]
-    delta = spec.discount
-    dev_best = -np.inf
-    for af in range(spec.n_follower_actions):
-        total = 0.0
-        for xl in range(spec.n_leader_states):
-            if node.pi[xl] == 0.0:
-                continue
-            al = node.leader_map[xl]
-            r = float(spec.follower_reward(node.z, xl, xf, al, af))
-            child = (ev.follower_values[node.children[al]]
-                     if node.children else np.zeros(spec.n_follower_states))
-            q = np.asarray(spec.follower_kernel(node.z, xl, xf, al, af))
-            total += node.pi[xl] * (r + delta * float(q @ child))
-        dev_best = max(dev_best, total)
+    child = _after(node, ev.follower_values, spec.n_follower_states)
+    dev_best = _action_values(spec, node.pi, node.z, node.leader_map, child)[xf].max()
     return dev_best - float(ev.follower_values[key][xf])
 
 

@@ -33,72 +33,63 @@ class _ZTable:
         self.grid = grid
         self.values = np.asarray(values, dtype=np.float64)
 
-    def at(self, z):
-        idx, w = simplex_weights(self.grid, z)
-        return w @ self.values[idx]
+
+def _pairs_at(spec: GameSpec, grid: SimplexGrid, z):
+    """The table-independent data of every (a^l, pure follower map) pair at
+    one mean field, in enumeration order: a^l, the map, the follower reward
+    (n_f, n_af) and kernel rows (n_f, n_af, n_f) under a^l, the leader
+    reward against the map, and the stencil of the next mean field."""
+    n_f, n_af = spec.n_follower_states, spec.n_follower_actions
+    z = np.asarray(z, dtype=np.float64)
+    maps = list(itertools.product(range(n_af), repeat=n_f))
+    qf, rf = spec.follower_kernel(z)[0], spec.follower_reward(z)[0]
+    rl = spec.leader_reward(z, np.array([np.eye(n_af)[list(bf)] for bf in maps]))[:, 0]
+    out = []
+    for al in range(spec.n_leader_actions):
+        for m, bf in enumerate(maps):
+            z_next = np.zeros(n_f)
+            for xf in range(n_f):
+                z_next += z[xf] * qf[xf, al, bf[xf]]
+            z_next = np.clip(z_next, 0.0, None)
+            z_next = z_next / z_next.sum()
+            idx, w = simplex_weights(grid, z_next) if spec.discount != 0.0 else (None, None)
+            out.append((al, bf, rf[:, al], qf[:, al], float(rl[m, al]), idx, w))
+    return out
 
 
-def _stage_at(spec: GameSpec, z, vf_next: _ZTable, vl_next: _ZTable,
+def _stage_at(pairs, z, delta: float, vf_next: _ZTable, vl_next: _ZTable,
               br_tol: float = 1e-9):
     """One stage solve at a single mean field; returns values and prescription.
 
-    Enumerates leader actions and pure follower maps; a follower map is a
-    fixed point if each type's played action attains the row maximum of the
-    expected reward-to-go computed with the next mean field induced by the
-    map itself.
+    Enumerates leader actions and pure follower maps (``pairs``); a follower
+    map is a fixed point if each type's played action attains the row
+    maximum of the expected reward-to-go computed with the next mean field
+    induced by the map itself.
     """
-    n_f, n_af = spec.n_follower_states, spec.n_follower_actions
-    n_al = spec.n_leader_actions
-    delta = spec.discount
-    z = np.asarray(z, dtype=np.float64)
-
-    best = None     # (value, al, bf, obj, z_next)
-    for al in range(n_al):
-        for bf in itertools.product(range(n_af), repeat=n_f):
-            z_next = np.zeros(n_f)
-            for xf in range(n_f):
-                z_next += z[xf] * np.asarray(
-                    spec.follower_kernel(z, 0, xf, al, bf[xf]), dtype=np.float64)
-            z_next = np.clip(z_next, 0.0, None)
-            z_next = z_next / z_next.sum()
-            if delta != 0.0:
-                idx, w = simplex_weights(vf_next.grid, z_next)
-                vf_interp = w @ vf_next.values[idx, :]
-            else:
-                vf_interp = np.zeros(n_f)
-
-            obj = np.empty((n_f, n_af))
-            for xf in range(n_f):
-                for af in range(n_af):
-                    r = float(spec.follower_reward(z, 0, xf, al, af))
-                    q = np.asarray(spec.follower_kernel(z, 0, xf, al, af),
-                                   dtype=np.float64)
-                    obj[xf, af] = r + delta * float(q @ vf_interp)
-            if any(obj[xf, bf[xf]] < obj[xf].max() - br_tol for xf in range(n_f)):
-                continue
-
-            gamma_f = np.zeros((n_f, n_af))
-            for xf, af in enumerate(bf):
-                gamma_f[xf, af] = 1.0
-            lead = float(spec.leader_reward(z, 0, al, gamma_f))
-            if delta != 0.0:
-                li, lw = simplex_weights(vl_next.grid, z_next)
-                lead += delta * float(lw @ vl_next.values[li, 0])
-            if best is None or lead > best[0]:
-                best = (lead, al, bf, obj, z_next)
+    best = None     # (value, al, bf, obj)
+    for al, bf, reward, kernel, lead, idx, w in pairs:
+        n_f = len(bf)
+        vf_interp = w @ vf_next.values[idx, :] if delta != 0.0 else np.zeros(n_f)
+        # (1, n_f) @ (n_f, 1) per entry: the dot product of each kernel row
+        obj = reward + delta * np.matmul(kernel[..., None, :], vf_interp[:, None])[..., 0, 0]
+        if np.any(obj[np.arange(n_f), bf] < obj.max(axis=1) - br_tol):
+            continue
+        if delta != 0.0:
+            lead += delta * float(w @ vl_next.values[idx, 0])
+        if best is None or lead > best[0]:
+            best = (lead, al, bf, obj)
     if best is None:
         raise NoEquilibriumError("no stage fixed point", pi=np.array([1.0]), z=z)
-    lead, al, bf, obj, _ = best
-    vf_row = np.array([obj[xf, bf[xf]] for xf in range(n_f)])
-    return vf_row, lead, (al, bf)
+    lead, al, bf, obj = best
+    return obj[np.arange(len(bf)), bf], lead, (al, bf)
 
 
-def _sweep(spec, grid, vf, vl, br_tol):
+def _sweep(spec, grid, pairs, vf, vl, br_tol):
     new_f = np.zeros_like(vf.values)
     new_l = np.zeros_like(vl.values)
     policy = []
     for i in range(grid.n_points):
-        vf_row, lead, choice = _stage_at(spec, grid.points[i], vf, vl, br_tol)
+        vf_row, lead, choice = _stage_at(pairs[i], grid.points[i], spec.discount, vf, vl, br_tol)
         new_f[i, :] = vf_row
         new_l[i, 0] = lead
         policy.append(choice)
@@ -118,6 +109,7 @@ def backward_finite(spec: GameSpec, grid: SimplexGrid, horizon: Optional[int] = 
     T = horizon if horizon is not None else spec.horizon
     if T is None:
         raise ValueError("horizon required")
+    pairs = [_pairs_at(spec, grid, z) for z in grid.points]
     vf = _ZTable(grid, np.zeros((grid.n_points, spec.n_follower_states)))
     vl = _ZTable(grid, np.zeros((grid.n_points, 1)))
     f_tables = [None] * (T + 1)
@@ -125,7 +117,7 @@ def backward_finite(spec: GameSpec, grid: SimplexGrid, horizon: Optional[int] = 
     policies = [None] * T
     f_tables[T], l_tables[T] = vf, vl
     for t in range(T, 0, -1):
-        vf, vl, policy = _sweep(spec, grid, vf, vl, br_tol)
+        vf, vl, policy = _sweep(spec, grid, pairs, vf, vl, br_tol)
         f_tables[t - 1], l_tables[t - 1] = vf, vl
         policies[t - 1] = policy
     return f_tables, l_tables, policies
@@ -141,13 +133,14 @@ def value_iteration(spec: GameSpec, grid: SimplexGrid, tol: float = 1e-6,
     Returns (follower table, leader table, policy, deltas).
     """
     _require_single_leader_state(spec)
+    pairs = [_pairs_at(spec, grid, z) for z in grid.points]
     vf = _ZTable(grid, np.zeros((grid.n_points, spec.n_follower_states)))
     vl = _ZTable(grid, np.zeros((grid.n_points, 1)))
     deltas = []
     policy = None
     limit = n_iters if n_iters is not None else max_iter
     for _ in range(limit):
-        new_f, new_l, policy = _sweep(spec, grid, vf, vl, br_tol)
+        new_f, new_l, policy = _sweep(spec, grid, pairs, vf, vl, br_tol)
         delta = max(float(np.max(np.abs(new_f.values - vf.values))),
                     float(np.max(np.abs(new_l.values - vl.values))))
         deltas.append(delta)

@@ -248,13 +248,12 @@ def _branch_prescription(spec, generator, t, branch, offgrid, config):
 def _instant_rewards(spec, branch, gamma: Prescription):
     pi, z, xi = branch.pi, branch.z, branch.xi
     gl, gf = gamma.leader, gamma.follower
-    rf = spec.follower_reward_tensor(z)                 # (n_l, n_f, n_al, n_af)
+    rf = spec.follower_reward(z)                        # (n_l, n_f, n_al, n_af)
+    lead = spec.leader_reward(z, gf)                    # (n_l, n_al)
     w_la = pi[:, None] * gl
     rl = 0.0
-    for xl in range(spec.n_leader_states):
-        for al in range(spec.n_leader_actions):
-            if w_la[xl, al] > 0.0:
-                rl += w_la[xl, al] * float(spec.leader_reward(z, xl, al, gf))
+    for xl, al in zip(*np.nonzero(w_la > 0.0)):
+        rl += w_la[xl, al] * float(lead[xl, al])
     per_type = np.einsum("la,lfab,fb->f", w_la, rf, gf)  # E[R^f | x^f]
     pop = float(z @ per_type)
     rep = xi @ per_type                                  # per starting type
@@ -265,7 +264,7 @@ def _transition_kernels(spec, branch, gamma: Prescription):
     """Per leader action: (marginal prob, posterior, follower transition matrix)."""
     pi, z = branch.pi, branch.z
     gl, gf = gamma.leader, gamma.follower
-    qf = spec.follower_kernel_tensor(z)
+    qf = spec.follower_kernel(z)
     out = {}
     for al in range(spec.n_leader_actions):
         w = float(pi @ gl[:, al])
@@ -405,9 +404,10 @@ def exact_values(spec: GameSpec, policy: Callable, pi1, z1, horizon: int,
         gamma = policy(t, pi, z)
         gl, gf = gamma.leader, gamma.follower
         z_next = mean_field_step(pi, z, gamma, spec)
-        qf = spec.follower_kernel_tensor(z)
-        rf = spec.follower_reward_tensor(z)
-        ql = spec.leader_kernel_tensor(z)
+        qf = spec.follower_kernel(z)
+        rf = spec.follower_reward(z)
+        ql = spec.leader_kernel(z)
+        rl = spec.leader_reward(z, gf)
 
         children = {}
         for al in range(spec.n_leader_actions):
@@ -427,7 +427,7 @@ def exact_values(spec: GameSpec, policy: Callable, pi1, z1, horizon: int,
                     vf += w_pub * inst
                 if gl[xl, al] > 0.0:
                     vl[xl] += gl[xl, al] * (
-                        float(spec.leader_reward(z, xl, al, gf))
+                        float(rl[xl, al])
                         + spec.discount * float(ql[xl, al, :] @ child[1]))
         memo[key] = (vf, vl)
         return memo[key]

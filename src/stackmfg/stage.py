@@ -114,9 +114,11 @@ def _leader_candidates(spec: GameSpec, config: SolverConfig):
     return out
 
 
-def _tensors(spec: GameSpec, z):
-    return (spec.follower_kernel_tensor(z), spec.follower_reward_tensor(z),
-            spec.leader_kernel_tensor(z))
+def _tensors(spec: GameSpec, Z, followers):
+    """Q^f, R^f, Q^l at the mean fields ``Z`` (S, n_f), and R^l against each
+    follower prescription (F, n_f, n_af): (S, F, n_l, n_al)."""
+    return (spec.follower_kernel(Z), spec.follower_reward(Z), spec.leader_kernel(Z),
+            spec.leader_reward(Z[:, None], followers[None]))
 
 
 class _Pairs(NamedTuple):
@@ -152,13 +154,10 @@ def _joint_stencils(joint: JointGrid, pi_idx, pi_w, z_next):
                             (z_idx.reshape(shape), z_w.reshape(shape)))
 
 
-def _leader_terms(spec: GameSpec, pi, z, leaders, followers):
+def _leader_terms(pi, leaders, rl):
     """Belief-averaged leader reward (R, F) and the reward per leader type
-    (R, F, n_l) of leader prescriptions (R, n_l, n_al) against follower
-    prescriptions (F, n_f, n_af)."""
-    rl = np.array([[[float(spec.leader_reward(z, xl, al, Ff))
-                     for al in range(spec.n_leader_actions)]
-                    for xl in range(spec.n_leader_states)] for Ff in followers])
+    (R, F, n_l) of leader prescriptions (R, n_l, n_al), from the leader
+    rewards (F, n_l, n_al) against F follower prescriptions."""
     w_la = pi[:, None] * leaders
     return (np.sum(w_la[:, None] * rl, axis=(2, 3)),
             np.sum(leaders[:, None] * rl, axis=3))
@@ -168,10 +167,11 @@ def _build_pairs(spec: GameSpec, joint: JointGrid, pi, z, tensors, leaders, foll
                  n_slots: int, bayes_eps: float) -> _Pairs:
     """Pair arrays of one public state: rows ``leaders``, columns ``followers``.
 
+    ``tensors`` are the state's ``_tensors``, with R^l against ``followers``.
     The next mean fields and their stencils come from one batched call each
     for all (leader, follower) pairs of the state.
     """
-    QF, RF, QL = tensors
+    QF, RF, QL, RL = tensors
     leaders = np.asarray(leaders, dtype=np.float64)
     followers = np.asarray(followers, dtype=np.float64)
     n_l, n_f, n_af = spec.n_leader_states, spec.n_follower_states, spec.n_follower_actions
@@ -195,7 +195,7 @@ def _build_pairs(spec: GameSpec, joint: JointGrid, pi, z, tensors, leaders, foll
     pi_w = np.where(played[..., None], pi_w.reshape(R, A, -1), 0.0)
     z_next = mean_field_batch(pi, z, leaders[:, None], followers[None], QF)
     idx, w = _joint_stencils(joint, pi_idx, pi_w, z_next)
-    lead_base, vl_base = _leader_terms(spec, pi, z, leaders, followers)
+    lead_base, vl_base = _leader_terms(pi, leaders, RL)
     return _Pairs(idx, w, lead_base, vl_base, base_obj, cont_op, lead_cont, vl_cont, bayes,
                   pi_idx, pi_w)
 
@@ -304,11 +304,13 @@ class StageEngine:
         self._keys = [(gl, bf) for gl, _ in self.leaders
                       for bf in [bf for bf, _ in self.followers] + [None]]
         self._slots = max(int(np.sum(np.any(G > 0.0, axis=0))) for _, G in self.leaders)
-        self._tensors = [_tensors(spec, z) for _, z in self.states]
+        self._tensors = _tensors(spec, np.array([z for _, z in self.states]),
+                                 self._follower_mats)
         leader_mats = [G for _, G in self.leaders]
-        self.pairs = _stack(_build_pairs(spec, joint, *state, tensors, leader_mats,
-                                         self._follower_mats, self._slots, self.config.bayes_eps)
-                            for state, tensors in zip(self.states, self._tensors))
+        self.pairs = _stack(_build_pairs(spec, joint, *state, [t[s] for t in self._tensors],
+                                         leader_mats, self._follower_mats, self._slots,
+                                         self.config.bayes_eps)
+                            for s, state in enumerate(self.states))
 
     def _evaluate_pure(self, vf_flat, vl_flat):
         """Evaluated pure pairs and the (R, F) mask of follower fixed points."""
@@ -333,7 +335,7 @@ class StageEngine:
         states = rows // L
         pi = np.array([self.states[s][0] for s in states])
         z = np.array([self.states[s][1] for s in states])
-        QF = np.array([self._tensors[s][0] for s in states])
+        QF = self._tensors[0][states]
         G = np.array([self.leaders[r % L][1] for r in rows], dtype=np.float64)
         fixed = _take(self.pairs._replace(idx=None, w=None, lead_base=None, vl_base=None), rows)
 
@@ -344,8 +346,8 @@ class StageEngine:
             part = part._replace(idx=idx, w=w)
             if not leader_terms:
                 return part
-            terms = [_leader_terms(self.spec, pi[k], z[k], G[k, None], F[None])
-                     for k, F in zip(i, Ff)]
+            rl = self.spec.leader_reward(z[i], Ff)
+            terms = [_leader_terms(pi[k], G[k, None], r[None]) for k, r in zip(i, rl)]
             return part._replace(lead_base=np.concatenate([t[0] for t in terms]),
                                  vl_base=np.concatenate([t[1] for t in terms]))
         return pairs
@@ -487,9 +489,9 @@ def pair_objectives(pi, z, prescription: Prescription, v_f_next: JointTable,
     of one prescription pair at one public state."""
     G, Ff = prescription.leader, prescription.follower
     z = np.asarray(z, dtype=np.float64)
+    tensors = [t[0] for t in _tensors(spec, z[None], Ff[None])]
     pairs = _build_pairs(spec, v_f_next.joint, np.asarray(pi, dtype=np.float64), z,
-                         _tensors(spec, z), [G], [Ff], G.shape[1],
-                         (config or SolverConfig()).bayes_eps)
+                         tensors, [G], [Ff], G.shape[1], (config or SolverConfig()).bayes_eps)
     ev = _evaluate(pairs, Ff, v_f_next.flat_values(), v_l_next.flat_values(), spec.discount)
     return tuple(x[0, 0] for x in ev)
 

@@ -35,7 +35,7 @@ def toy_spec(horizon=2, discount=0.9, n_leader_actions=2, seed=3,
     def leader_reward(z, xl, al, gamma_f):
         return rl[al] + rl_z[al] * z[1] + 0.5 * gamma_f[0, 1]
 
-    return s.GameSpec(
+    return s.GameSpec.from_callables(
         follower_states=("a", "b"), leader_states=("L",),
         follower_actions=("0", "1"),
         leader_actions=tuple(str(i) for i in range(n_leader_actions)),
@@ -74,7 +74,7 @@ def toy_spec_two_leader_states(horizon=2, discount=0.9, seed=11):
     def leader_reward(z, xl, al, gamma_f):
         return rl[xl, al] + 0.4 * z[1]
 
-    return s.GameSpec(
+    return s.GameSpec.from_callables(
         follower_states=("a", "b"), leader_states=("lo", "hi"),
         follower_actions=("0", "1"), leader_actions=("0", "1"),
         leader_kernel=leader_kernel, follower_kernel=follower_kernel,
@@ -177,7 +177,7 @@ def random_stochastic_spec(seed, n_f=2, n_l=2, n_af=2, n_al=2, discount=0.9,
     def leader_reward(z, xl, al, gamma_f):
         return rl[xl, al]
 
-    return s.GameSpec(
+    return s.GameSpec.from_callables(
         follower_states=tuple(f"f{i}" for i in range(n_f)),
         leader_states=tuple(f"l{i}" for i in range(n_l)),
         follower_actions=tuple(f"a{i}" for i in range(n_af)),

@@ -233,6 +233,63 @@ def test_export_rejects_solve_flags(tmp_path):
     assert not (tmp_path / "elsewhere").exists()
 
 
+def test_solve_rejects_steps_below_one(tmp_path):
+    """A forward pass of no steps has no final mean field to report, so
+    ``--steps`` below 1 is a usage error before anything is solved."""
+    out = tmp_path / "run"
+    for extra in (["--steps", "0"], ["--steps", "-1", "--horizon", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["solve", "--game", "infection", "--z-res", "5", "--action-res", "3",
+                     *extra, "--out", str(out)])
+        assert exc.value.code == 2, extra
+    assert not out.exists()
+
+
+def test_export_rejects_steps_below_one(tmp_path):
+    out = tmp_path / "run"
+    assert run_cli(["solve", "--game", "tech", "--horizon", "4", "--z-res", "8",
+                    "--action-res", "5", "--out", str(out)]) == 0
+    for steps in ("0", "-2"):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["export", "--run-dir", str(out), "--steps", steps])
+        assert exc.value.code == 2, steps
+    assert not (out / "trajectory_export.csv").exists()
+
+
+FORWARD_FLAGS = (["--steps", "3"], ["--mode", "sampled"], ["--seed", "1"],
+                 ["--offgrid", "nearest"], ["--z0", "5", "5"], ["--pi0", "3"])
+SOLVE_FLAGS = (["--tol", "5"], ["--max-iter", "-3"])
+
+
+def test_validate_takes_only_game_flags(tmp_path):
+    """validate reads only the flags that select the game; a grid, solver,
+    forward-pass or output flag would be ignored, so it is a usage error."""
+    base = ["validate", "--game", "infection"]
+    assert run_cli(base + ["--horizon", "3", "--action-res", "4", "--param", "k=0.3"]) == 0
+    assert run_cli(base + ["--infinite"]) == 0
+    assert run_cli(["validate", "--game-file", str(SAMPLE_GAME)]) == 0
+    for flag in (*FORWARD_FLAGS, *SOLVE_FLAGS, ["--z-res", "5"], ["--pi-res", "3"],
+                 ["--br-tol", "1e-3"], ["--bayes-eps", "1e-3"], ["--check-solver"],
+                 ["--out", str(tmp_path / "x")]):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(base + flag)
+        assert exc.value.code == 2, flag
+    assert not (tmp_path / "x").exists()
+
+
+def test_oracle_takes_only_game_grid_and_output_flags(tmp_path):
+    base = ["oracle", "--game-file", str(SAMPLE_GAME)]
+    out = tmp_path / "report"
+    assert run_cli(base + ["--horizon", "2", "--z-res", "4", "--pi-res", "2", "--br-tol", "1e-9",
+                           "--bayes-eps", "1e-12", "--check-solver", "--out", str(out)]) == 0
+    assert (out / "oracle_report.json").exists()
+    for flag in (*FORWARD_FLAGS, *SOLVE_FLAGS):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(base + ["--out", str(tmp_path / "x")] + flag)
+        assert exc.value.code == 2, flag
+    assert not (tmp_path / "x").exists()
+
+
 def test_export_resolves_with_solved_tolerances(tmp_path, monkeypatch):
     out = tmp_path / "run"
     assert run_cli(["solve", "--game", "infection", "--infinite", *SMALL,

@@ -79,7 +79,7 @@ def test_belief_uninformative_action_is_pushforward():
     z = spec.initial_mean_field
     gl = np.array([[0.5, 0.5], [0.5, 0.5]])
     out = s.belief_step(pi, z, gl, 0, spec)
-    expected = sum(pi[x] * np.asarray(spec.leader_kernel(z, 0, x)) for x in range(2))
+    expected = sum(pi[x] * np.asarray(spec.leader_kernel(z)[x, 0]) for x in range(2))
     assert out == pytest.approx(expected, abs=1e-14)
 
 
@@ -92,11 +92,13 @@ def test_belief_bayes_frozen():
         return row
 
     base = random_stochastic_spec(3, n_l=2)
-    spec = s.GameSpec(
+    spec = s.GameSpec.from_callables(
         follower_states=base.follower_states, leader_states=base.leader_states,
         follower_actions=base.follower_actions, leader_actions=base.leader_actions,
-        leader_kernel=identity_kernel, follower_kernel=base.follower_kernel,
-        follower_reward=base.follower_reward, leader_reward=base.leader_reward,
+        leader_kernel=identity_kernel,
+        follower_kernel=lambda z, *idx: base.follower_kernel(z)[idx],
+        follower_reward=lambda z, *idx: base.follower_reward(z)[idx],
+        leader_reward=lambda z, xl, al, gf: base.leader_reward(z, gf)[xl, al],
         discount=base.discount, horizon=base.horizon,
         initial_leader_belief=base.initial_leader_belief,
         initial_mean_field=base.initial_mean_field)
@@ -165,8 +167,8 @@ def test_prescription_validation():
 TINY_GAME = Path(__file__).resolve().parent.parent / "sample_games" / "tiny.json"
 def signed_zero_kernel(spec):
     """``spec`` with every zero of its follower kernel returned as -0.0."""
-    def follower_kernel(z, xl, xf, al, af):
-        row = np.asarray(spec.follower_kernel(z, xl, xf, al, af), dtype=np.float64)
+    def follower_kernel(z):
+        row = np.asarray(spec.follower_kernel(z), dtype=np.float64)
         return np.where(row == 0.0, -0.0, row)
     return dataclasses.replace(spec, follower_kernel=follower_kernel)
 
@@ -209,7 +211,7 @@ def test_batched_mean_field_step_matches_scalar(game):
     for pi, z in states:
         leaders = batch_prescriptions(rng, 4, n_l, spec.n_leader_actions)
         followers = batch_prescriptions(rng, 5, n_f, spec.n_follower_actions)
-        kernel = spec.follower_kernel_tensor(z)
+        kernel = spec.follower_kernel(z)
         out = mean_field_batch(pi, z, leaders[:, None], followers[None], kernel)
         assert out.shape == (4, 5, n_f)
         for i, G in enumerate(leaders):
@@ -223,7 +225,7 @@ def test_batched_mean_field_step_matches_scalar(game):
 def test_batched_mean_field_step_checks_prescriptions():
     spec = s.build_infection_game()
     z, pi = np.array([0.5, 0.5]), np.array([1.0])
-    kernel = spec.follower_kernel_tensor(z)
+    kernel = spec.follower_kernel(z)
     leader = np.full((1, 1, spec.n_leader_actions), 1.0 / spec.n_leader_actions)
     follower = np.full((2, 2, 2), 0.5)
     mean_field_batch(pi, z, leader, follower, kernel)

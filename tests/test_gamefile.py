@@ -45,10 +45,10 @@ def test_affine_entries_evaluate():
     spec = load_game_dict(TINY_CONFIG)
     z = np.array([0.25, 0.75])
     # follower_reward[L][lo][cheap][move] = 0.05*z[1]
-    assert spec.follower_reward(z, 0, 0, 0, 1) == pytest.approx(0.05 * 0.75)
+    assert spec.follower_reward(z)[0, 0, 0, 1] == pytest.approx(0.05 * 0.75)
     # leader_reward[L][cheap] = 0.1 + 0.2*z[1]
     gf = np.zeros((2, 2))
-    assert spec.leader_reward(z, 0, 0, gf) == pytest.approx(0.1 + 0.2 * 0.75)
+    assert spec.leader_reward(z, gf)[0, 0] == pytest.approx(0.1 + 0.2 * 0.75)
 
 
 def test_welfare_flag_adds_population_term():
@@ -57,10 +57,10 @@ def test_welfare_flag_adds_population_term():
     spec = load_game_dict(cfg)
     z = np.array([0.5, 0.5])
     gf = np.array([[1.0, 0.0], [0.0, 1.0]])
-    base = load_game_dict(TINY_CONFIG).leader_reward(z, 0, 1, gf)
-    welfare = sum(z[xf] * gf[xf, af] * spec.follower_reward(z, 0, xf, 1, af)
+    base = load_game_dict(TINY_CONFIG).leader_reward(z, gf)[0, 1]
+    welfare = sum(z[xf] * gf[xf, af] * spec.follower_reward(z)[0, xf, 1, af]
                   for xf in range(2) for af in range(2))
-    assert spec.leader_reward(z, 0, 1, gf) == pytest.approx(base + welfare)
+    assert spec.leader_reward(z, gf)[0, 1] == pytest.approx(base + welfare)
 
 
 def test_builtin_config_form():

@@ -13,10 +13,11 @@ def make_tiny(spec, **kw):
 
 def test_zero_reward_game_everything_is_smfe():
     spec = toy_spec(horizon=1, seed=0)
-    zeroed = s.GameSpec(
+    zeroed = s.GameSpec.from_callables(
         follower_states=spec.follower_states, leader_states=spec.leader_states,
         follower_actions=spec.follower_actions, leader_actions=spec.leader_actions,
-        leader_kernel=spec.leader_kernel, follower_kernel=spec.follower_kernel,
+        leader_kernel=lambda z, al, xl: spec.leader_kernel(z)[xl, al],
+        follower_kernel=lambda z, *idx: spec.follower_kernel(z)[idx],
         follower_reward=lambda z, xl, xf, al, af: 0.0,
         leader_reward=lambda z, xl, al, gf: 0.0,
         discount=0.9, horizon=1,
@@ -66,7 +67,7 @@ def test_deviation_gain_dominant_action_gap():
         row[xf] = 1.0
         return row
 
-    spec = s.GameSpec(
+    spec = s.GameSpec.from_callables(
         follower_states=("a", "b"), leader_states=("L",),
         follower_actions=("0", "1"), leader_actions=("x",),
         leader_kernel=lambda z, al, xl: np.array([1.0]),
@@ -85,11 +86,12 @@ def test_deviation_gain_dominant_action_gap():
 
 def test_leader_gain_flat_reward_is_zero():
     spec = toy_spec(horizon=1, seed=10)
-    flat = s.GameSpec(
+    flat = s.GameSpec.from_callables(
         follower_states=spec.follower_states, leader_states=spec.leader_states,
         follower_actions=spec.follower_actions, leader_actions=spec.leader_actions,
-        leader_kernel=spec.leader_kernel, follower_kernel=spec.follower_kernel,
-        follower_reward=spec.follower_reward,
+        leader_kernel=lambda z, al, xl: spec.leader_kernel(z)[xl, al],
+        follower_kernel=lambda z, *idx: spec.follower_kernel(z)[idx],
+        follower_reward=lambda z, *idx: spec.follower_reward(z)[idx],
         leader_reward=lambda z, xl, al, gf: 1.25,
         discount=0.9, horizon=1,
         initial_leader_belief=[1.0], initial_mean_field=[0.5, 0.5])

@@ -8,10 +8,11 @@ from conftest import signal_family_spec, solve_clean_tiny, toy_joint_grid, toy_s
 
 
 def zeroed_rewards(spec):
-    return s.GameSpec(
+    return s.GameSpec.from_callables(
         follower_states=spec.follower_states, leader_states=spec.leader_states,
         follower_actions=spec.follower_actions, leader_actions=spec.leader_actions,
-        leader_kernel=spec.leader_kernel, follower_kernel=spec.follower_kernel,
+        leader_kernel=lambda z, al, xl: spec.leader_kernel(z)[xl, al],
+        follower_kernel=lambda z, *idx: spec.follower_kernel(z)[idx],
         follower_reward=lambda z, xl, xf, al, af: 0.0,
         leader_reward=lambda z, xl, al, gf: 0.0,
         discount=spec.discount, horizon=spec.horizon,
@@ -140,7 +141,7 @@ def test_identity_kernel_keeps_mean_field_constant():
         row[xf] = 1.0
         return row
 
-    spec = s.GameSpec(
+    spec = s.GameSpec.from_callables(
         follower_states=("a", "b"), leader_states=("L",),
         follower_actions=("0", "1"), leader_actions=("x",),
         leader_kernel=lambda z, al, xl: np.array([1.0]),
@@ -223,7 +224,7 @@ def test_branch_cap_lumps_low_weight_branches():
         row[xf] = 1.0
         return row
 
-    spec = s.GameSpec(
+    spec = s.GameSpec.from_callables(
         follower_states=("a", "b"), leader_states=("lo", "hi"),
         follower_actions=("0", "1"), leader_actions=("0", "1"),
         leader_kernel=leader_kernel, follower_kernel=follower_kernel,

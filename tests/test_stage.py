@@ -27,13 +27,15 @@ def test_reward_independent_of_action_gives_all_pure_maps():
     def follower_reward(z, xl, xf, al, af):
         return float(xf) - z[1]
 
-    spec = toy_spec(seed=1)
-    spec = s.GameSpec(
-        follower_states=spec.follower_states, leader_states=spec.leader_states,
-        follower_actions=spec.follower_actions, leader_actions=spec.leader_actions,
-        leader_kernel=spec.leader_kernel, follower_kernel=spec.follower_kernel,
-        follower_reward=follower_reward, leader_reward=spec.leader_reward,
-        discount=spec.discount, horizon=1,
+    base = toy_spec(seed=1)
+    spec = s.GameSpec.from_callables(
+        follower_states=base.follower_states, leader_states=base.leader_states,
+        follower_actions=base.follower_actions, leader_actions=base.leader_actions,
+        leader_kernel=lambda z, al, xl: base.leader_kernel(z)[xl, al],
+        follower_kernel=lambda z, *idx: base.follower_kernel(z)[idx],
+        follower_reward=follower_reward,
+        leader_reward=lambda z, xl, al, gf: base.leader_reward(z, gf)[xl, al],
+        discount=base.discount, horizon=1,
         initial_leader_belief=[1.0], initial_mean_field=[0.5, 0.5])
     joint = toy_joint_grid(spec)
     vf, _ = zero_tables(spec, joint)
@@ -77,7 +79,7 @@ def test_sign_check_toy_br():
         row[xf] = 1.0
         return row
 
-    spec = s.GameSpec(
+    spec = s.GameSpec.from_callables(
         follower_states=("a", "b"), leader_states=("L",),
         follower_actions=("0", "1"), leader_actions=("x",),
         leader_kernel=lambda z, al, xl: np.array([1.0]),
@@ -111,18 +113,19 @@ def test_stage_values_zero_discount_equal_instant_rewards():
     gamma = s.Prescription.pure((1,), (0, 1), 2, 2)
     z = np.array([0.5, 0.5])
     f_vals, l_vals = s.stage_values([1.0], z, gamma, vf, vl, spec)
-    expect_f = [spec.follower_reward(z, 0, 0, 1, 0), spec.follower_reward(z, 0, 1, 1, 1)]
+    expect_f = [spec.follower_reward(z)[0, 0, 1, 0], spec.follower_reward(z)[0, 1, 1, 1]]
     assert f_vals == pytest.approx(expect_f, abs=1e-15)
     assert l_vals[0] == pytest.approx(
-        spec.leader_reward(z, 0, 1, gamma.follower), abs=1e-15)
+        spec.leader_reward(z, gamma.follower)[0, 1], abs=1e-15)
 
 
 def test_stage_values_zero_rewards_zero_tables():
     spec = toy_spec(seed=9)
-    zeroed = s.GameSpec(
+    zeroed = s.GameSpec.from_callables(
         follower_states=spec.follower_states, leader_states=spec.leader_states,
         follower_actions=spec.follower_actions, leader_actions=spec.leader_actions,
-        leader_kernel=spec.leader_kernel, follower_kernel=spec.follower_kernel,
+        leader_kernel=lambda z, al, xl: spec.leader_kernel(z)[xl, al],
+        follower_kernel=lambda z, *idx: spec.follower_kernel(z)[idx],
         follower_reward=lambda z, xl, xf, al, af: 0.0,
         leader_reward=lambda z, xl, al, gf: 0.0,
         discount=spec.discount, horizon=spec.horizon,
@@ -154,8 +157,8 @@ def test_fixed_point_certificate_on_random_toys():
                 for af in range(2):
                     total = 0.0
                     al = int(np.argmax(gamma.leader[0]))
-                    r = spec.follower_reward(z, 0, xf, al, af)
-                    q = spec.follower_kernel(z, 0, xf, al, af)
+                    r = spec.follower_reward(z)[0, xf, al, af]
+                    q = spec.follower_kernel(z)[0, xf, al, af]
                     cont = vf1.interpolate_states([1.0], z_next)
                     total = r + spec.discount * float(q @ cont)
                     values.append(total)
@@ -186,7 +189,7 @@ def test_no_equilibrium_is_surfaced():
         row[af] = 1.0
         return row
 
-    spec = s.GameSpec(
+    spec = s.GameSpec.from_callables(
         follower_states=("a", "b"), leader_states=("L",),
         follower_actions=("0", "1"), leader_actions=("x",),
         leader_kernel=lambda z, al, xl: np.array([1.0]),
@@ -240,9 +243,9 @@ def reference_pairs(spec, joint, pi, z, leaders, followers, n_slots, bayes_eps=1
     """The pair arrays rebuilt one pair at a time from the scalar kernels:
     ``mean_field_step``, ``belief_step_total``, ``simplex_weights`` and
     ``stencil_product``, laid out as ``stage._Pairs``."""
-    QF, RF = spec.follower_kernel_tensor(z), spec.follower_reward_tensor(z)
-    QL = spec.leader_kernel_tensor(z)
-    n_l, n_al = spec.n_leader_states, spec.n_leader_actions
+    QF, RF = spec.follower_kernel(z), spec.follower_reward(z)
+    QL = spec.leader_kernel(z)
+    n_l = spec.n_leader_states
     n_f, n_af = spec.n_follower_states, spec.n_follower_actions
     R, F, A = len(leaders), len(followers), n_slots
     d_pi, K = joint.pi_grid.dim, joint.pi_grid.dim * joint.z_grid.dim
@@ -271,8 +274,7 @@ def reference_pairs(spec, joint, pi, z, leaders, followers, n_slots, bayes_eps=1
             for a, pi_stencil in enumerate(pi_stencils):
                 flat, wts = stencil_product(joint, pi_stencil, z_stencil)
                 out["idx"][r, c, a, :len(flat)], out["w"][r, c, a, :len(flat)] = flat, wts
-            rl = np.array([[float(spec.leader_reward(z, xl, al, Ff)) for al in range(n_al)]
-                           for xl in range(n_l)])
+            rl = spec.leader_reward(z, Ff)
             out["lead_base"][r, c] = np.sum(w_la * rl)
             out["vl_base"][r, c] = np.sum(G * rl, axis=1)
     return out
@@ -321,7 +323,7 @@ def crowding_spec():
     under leader action 0, and the uniform map is one (a tie at (1/2, 1/2)).
     Leader action 1 blurs the move, and leader rewards depend on the
     follower prescription."""
-    return s.GameSpec(
+    return s.GameSpec.from_callables(
         follower_states=("a", "b"), leader_states=("L",), follower_actions=("a", "b"),
         leader_actions=("0", "1"), leader_kernel=lambda z, al, xl: np.array([1.0]),
         follower_kernel=lambda z, xl, xf, al, af: (np.array([0.7, 0.3]) if al and af
