@@ -338,9 +338,9 @@ def _add_game(p: argparse.ArgumentParser):
 
 
 def _add_grid(p: argparse.ArgumentParser):
-    p.add_argument("--z-res", type=int, dest="z_resolution",
+    p.add_argument("--z-res", type=_positive_int, dest="z_resolution",
                    help="mean-field grid resolution (default 50 for 2 types)")
-    p.add_argument("--pi-res", type=int, dest="pi_resolution", default=10,
+    p.add_argument("--pi-res", type=_positive_int, dest="pi_resolution", default=10,
                    help="belief grid resolution (default 10)")
     p.add_argument("--br-tol", type=float, default=1e-9,
                    help="best-response fixed-point tolerance")
@@ -370,7 +370,8 @@ def main(argv=None) -> int:
     _add_grid(p_solve)
     p_solve.add_argument("--tol", type=float, default=1e-6,
                          help="value-iteration stopping tolerance")
-    p_solve.add_argument("--max-iter", type=int, default=2000)
+    p_solve.add_argument("--max-iter", type=_positive_int, default=2000,
+                         help="stationary sweeps before giving up, at least 1")
     _add_forward(p_solve)
 
     p_val = sub.add_parser("validate", help="check a game definition")

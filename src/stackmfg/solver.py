@@ -158,6 +158,8 @@ def solve_stationary(spec: GameSpec, joint: JointGrid, tol: float = 1e-6,
         raise ValueError("solve_stationary expects an infinite-horizon spec")
     if not spec.discount < 1.0:
         raise ValueError("stationary solve requires discount < 1")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     engine = StageEngine(spec, joint, config=config)
     if initial_tables is None:
         vf = JointTable.zeros(joint, spec.n_follower_states)
@@ -236,8 +238,6 @@ def _branch_prescription(spec, generator, t, branch, offgrid, config):
     if not exact and offgrid == "resolve":
         vf, vl = generator.continuation_for(t)
         return leader_optimize(branch.pi, branch.z, vl, vf, spec, config, t=t).prescription, 1
-    if not exact and offgrid != "nearest":
-        raise ValueError(f"unknown offgrid policy {offgrid!r}")
     sol = generator.policy_for(t).solution(flat)
     if sol is None:
         raise NoEquilibriumError("trajectory hit an unsolved grid point",
@@ -287,6 +287,10 @@ def forward_pass(spec: GameSpec, generator: EquilibriumGenerator, pi1, z1,
     merged; at most ``config.branch_cap`` kept by weight).  Sampled mode
     draws one leader action path with the given seed.
     """
+    if mode not in ("expected", "sampled"):
+        raise ValueError(f"unknown mode {mode!r}; expected 'expected' or 'sampled'")
+    if offgrid not in ("resolve", "nearest"):
+        raise ValueError(f"unknown offgrid policy {offgrid!r}; expected 'resolve' or 'nearest'")
     config = config or SolverConfig()
     if steps is None:
         if generator.stationary:

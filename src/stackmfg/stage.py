@@ -24,7 +24,11 @@ the scalar ``mean_field_step`` and ``simplex_weights`` operation for
 operation, so the arrays are bit-identical to a per-pair build.  The damped
 fallback keeps each row's leader side (Bayes steps, belief stencils, reward
 and kernel terms) from the stacked arrays, so a damped step rebuilds only
-what the follower prescription moves, for all live rows at once.
+what the follower prescription moves.  It evaluates several predicted steps
+of every live row in one batch and keeps each row's steps up to its first
+mispredicted best response: a row's step depends only on its own
+prescription and a pair's bits not on its place in the batch, so the result
+is that of one step at a time.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ SELECTION_TOL = 1e-9        # near-optimality window for forced tie-breaking
 DAMPING = 0.5               # weight on the new best response in the fallback
 DAMP_MAX_ITER = 500
 DAMP_TOL = 1e-9
+_BR_WINDOW = 32             # best responses a damped row's lookahead searches for a period
 MIXED_STEP = 0.1            # mesh of the optional mixed leader grid
 MIXED_CANDIDATE_CAP = 100_000
 _SPLIT = 134217729.0        # 2**27 + 1, Dekker's splitting constant
@@ -268,6 +273,25 @@ def _evaluate(p: _Pairs, follower_mats, vf_flat, vl_flat, discount: float):
     return obj, _dot(follower_mats, obj), lead, lv
 
 
+def _br(ties):
+    """Best responses mixing uniformly over each follower type's tied actions."""
+    return ties * (1.0 / ties.sum(axis=-1, keepdims=True))
+
+
+def _br_periods(window, filled):
+    """Per row of best-response tie masks (n, W, n_f, n_af), whose last
+    ``filled`` entries are set: the period p under which the longest run of
+    latest entries repeats the entry p before, the shortest on ties, 1 when
+    no entry does."""
+    n, W = window.shape[:2]
+    codes = np.packbits(window.reshape(n, W, -1), axis=2)
+    back = np.arange(W) - np.arange(1, W)[:, None]         # (p, t): t - p, p = 1 .. W - 1
+    same = (np.all(codes[:, None] == codes[:, np.maximum(back, 0)], axis=3)
+            & (back >= W - filled[:, None, None]))
+    run = np.argmin(np.concatenate([same[..., ::-1], np.zeros((n, W - 1, 1), dtype=bool)],
+                                   axis=2), axis=2)
+    return np.argmax(run, axis=1) + 1
+
 @dataclass
 class StageSweep:
     """Per-state outcome of one sweep, as arrays over the engine's states."""
@@ -355,30 +379,68 @@ class StageEngine:
     def _damped(self, rows, vf_flat, vl_flat):
         """Damped best-response iteration over mixed follower prescriptions.
 
-        Runs ``rows`` in lockstep from the uniform prescription, each stopping
-        on its own; a step rebuilds only the follower side of the live rows
-        (``_mixed``), and leader terms are built once, for the certificate of
-        the rows that stopped.  Returns {row: (follower prescription, leader
+        Each row iterates F <- (1 - DAMPING) F + DAMPING BR(F) from the
+        uniform prescription and stops on its own.  A round evaluates several
+        future steps of every live row in one batch: from the recent history
+        of its best-response tie masks a row predicts its next ones (the
+        period that explains the longest suffix of the last ``_BR_WINDOW``),
+        rolls F forward with them, and keeps the steps up to and including
+        the first whose actual best response differs from the prediction.
+        A row's step depends only on its own F and a pair's objective does
+        not depend on where it sits in the batch, so every kept step is
+        bit-identical to the one-step-at-a-time iteration; a misprediction
+        costs only the evaluations after it.  A row's lookahead doubles after
+        a round without a miss and falls back to its kept run after one; a
+        round evaluates at most as many mixed pairs as the engine has pair
+        rows.  Leader terms are built once, for the certificate of the rows
+        that stopped.  Returns {row: (follower prescription, leader
         objective, follower values, leader values)} for the rows whose limit
         is certified.
         """
         n_f, n_af = self.spec.n_follower_states, self.spec.n_follower_actions
-        pairs, discount = self._mixed(rows), self.spec.discount
+        pairs, discount, W = self._mixed(rows), self.spec.discount, _BR_WINDOW
         Ff = np.full((len(rows), n_f, n_af), 1.0 / n_af)
-        active = np.ones(len(rows), dtype=bool)
-        for _ in range(DAMP_MAX_ITER):
+        window = np.zeros((len(rows), W, n_f, n_af), dtype=bool)  # last BR tie masks
+        steps = np.zeros(len(rows), dtype=np.int64)
+        ahead = np.ones(len(rows), dtype=np.int64)
+        active, stopped = np.ones(len(rows), dtype=bool), np.zeros(len(rows), dtype=bool)
+        budget = len(self.pairs.base_obj)
+        while active.any():
+            # Lay out n steps per live row, predict their best responses from
+            # the row's window and roll its prescription forward with them.
             live = np.flatnonzero(active)
-            if not len(live):
-                break
-            obj = _evaluate(pairs(live, Ff[live]), Ff[live, None], vf_flat, None,
-                            discount)[0][:, 0]
-            ties = obj >= obj.max(axis=2, keepdims=True) - _ARGMAX_TIE_TOL
-            br = ties * (1.0 / ties.sum(axis=2, keepdims=True))
-            new = (1.0 - DAMPING) * Ff[live] + DAMPING * br
-            step = np.max(np.abs(new - Ff[live]), axis=(1, 2))
-            Ff[live] = new
-            active[live[step < DAMP_TOL]] = False
-        done = np.flatnonzero(~active)
+            n = np.minimum(ahead[live], DAMP_MAX_ITER - steps[live])
+            n = np.minimum(n, budget // len(live))
+            k = np.arange(n.max())
+            laid = k < n[:, None]                           # (live rows, steps)
+            period = _br_periods(window[live], np.minimum(steps[live], W))[:, None]
+            pred = window[live[:, None], W - period + k % period]
+            pred_br = _br(pred[:, :-1])
+            F = np.empty(pred.shape)
+            F[:, 0] = Ff[live]
+            for i in range(1, len(k)):
+                F[:, i] = (1.0 - DAMPING) * F[:, i - 1] + DAMPING * pred_br[:, i - 1]
+            # Evaluate the laid-out steps in one batch; each row keeps its
+            # steps up to its first stop, misprediction or last laid-out step.
+            obj = _evaluate(pairs(live[np.nonzero(laid)[0]], F[laid]), F[laid][:, None],
+                            vf_flat, None, discount)[0][:, 0]
+            ties = np.ones(pred.shape, dtype=bool)         # all tied where not laid out
+            ties[laid] = obj >= obj.max(axis=2, keepdims=True) - _ARGMAX_TIE_TOL
+            new = (1.0 - DAMPING) * F + DAMPING * _br(ties)
+            stop = laid & (np.max(np.abs(new - F), axis=(2, 3)) < DAMP_TOL)
+            end = k == n[:, None] - 1
+            miss = laid & ~end & np.any(ties != pred, axis=(2, 3))
+            r = np.arange(len(live))
+            last = np.argmax(stop | miss | end, axis=1)
+            Ff[live] = new[r, last]
+            steps[live] += last + 1
+            stopped[live] = stop[r, last]
+            active[live] = ~stopped[live] & (steps[live] < DAMP_MAX_ITER)
+            ahead[live] = np.where(miss[r, last], last + 1, 2 * n)
+            # Slide each window past the kept steps' actual tie masks.
+            window[live] = np.concatenate([window[live], ties], axis=1)[
+                r[:, None], last[:, None] + 1 + np.arange(W)]
+        done = np.flatnonzero(stopped)
         if not len(done):
             return {}
         obj, fv, lead, lv = (x[:, 0] for x in _evaluate(

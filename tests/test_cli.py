@@ -1,6 +1,9 @@
 """Command-line interface: subcommands, exit codes, artifact determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -254,6 +257,31 @@ def test_export_rejects_steps_below_one(tmp_path):
             run_cli(["export", "--run-dir", str(out), "--steps", steps])
         assert exc.value.code == 2, steps
     assert not (out / "trajectory_export.csv").exists()
+
+
+def test_solve_and_oracle_reject_counts_below_one(tmp_path):
+    """A grid resolution or stationary sweep budget below 1 is a usage error,
+    not a traceback from inside the solver."""
+    out = tmp_path / "run"
+    solve = ["solve", "--game", "infection", "--z-res", "5", "--action-res", "3"]
+    oracle = ["oracle", "--game-file", str(SAMPLE_GAME)]
+    for args in ([*solve, "--max-iter", "0"], [*solve, "--max-iter", "-1"],
+                 ["solve", "--game", "infection", "--z-res", "0"],
+                 ["solve", "--game-file", str(SAMPLE_GAME), "--pi-res", "0"],
+                 [*oracle, "--z-res", "0"], [*oracle, "--pi-res", "0"]):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(args + ["--out", str(out)])
+        assert exc.value.code == 2, args
+    assert not out.exists()
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "stackmfg", "validate", "--game", "infection"],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 FORWARD_FLAGS = (["--steps", "3"], ["--mode", "sampled"], ["--seed", "1"],

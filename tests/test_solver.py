@@ -204,6 +204,26 @@ def test_stationary_nonconvergence_carries_history():
     assert len(err.value.deltas) == 3
 
 
+def test_stationary_rejects_max_iter_below_one():
+    spec = s.build_infection_game(s.InfectionParams(subsidy_points=3))
+    joint = s.JointGrid(pi_grid=s.build_grid(1, 1), z_grid=s.build_grid(2, 4))
+    for max_iter in (0, -2):
+        with pytest.raises(ValueError, match="max_iter"):
+            s.solve_stationary(spec, joint, max_iter=max_iter)
+
+
+def test_forward_pass_rejects_unknown_mode_and_offgrid():
+    """Both are checked before the first step, also from an on-lattice start
+    whose lookups never leave the grid."""
+    spec = toy_spec(horizon=2, seed=8)
+    gen, _ = s.backward_pass(spec, toy_joint_grid(spec))
+    assert gen.grid_lookup([1.0], [0.5, 0.5])[1]
+    for kwargs, accepted in (({"mode": "bogus"}, "'expected' or 'sampled'"),
+                             ({"offgrid": "bogus"}, "'resolve' or 'nearest'")):
+        with pytest.raises(ValueError, match=accepted):
+            s.forward_pass(spec, gen, [1.0], [0.5, 0.5], **kwargs)
+
+
 def test_backward_requires_finite_horizon(infection_spec):
     joint = s.JointGrid(pi_grid=s.build_grid(1, 1), z_grid=s.build_grid(2, 4))
     with pytest.raises(ValueError):

@@ -12,8 +12,8 @@ from stackmfg import stage
 from stackmfg.gamefile import load_game_file
 from stackmfg.grids import simplex_weights, stencil_product
 from stackmfg.stage import StageEngine, _fma
-from conftest import (signal_family_spec, toy_joint_grid, toy_spec,
-                      toy_spec_two_leader_states)
+from conftest import (random_stochastic_spec, signal_family_spec, toy_joint_grid,
+                      toy_spec, toy_spec_two_leader_states)
 
 
 def zero_tables(spec, joint):
@@ -177,13 +177,14 @@ def test_leader_certificate_on_random_toys():
         assert chosen >= best - 1e-9
 
 
-def test_no_equilibrium_is_surfaced():
-    """Anti-coordination continuation values defeat pure search, and the
-    constant-damping fallback oscillates; the error carries coordinates."""
+def anti_coordination_case():
+    """(spec, joint, V^f, V^l) where pure search fails and the constant-damping
+    fallback oscillates at the balanced mean field.
 
-    # Followers move to the state matching their action; continuation values
-    # reward occupying the state the population leaves.  The slight asymmetry
-    # (6 vs 5 at the balanced point) kills the split pure candidates too.
+    Followers move to the state matching their action; continuation values
+    reward occupying the state the population leaves.  The slight asymmetry
+    (6 vs 5 at the balanced point) kills the split pure candidates too.
+    """
     def follower_kernel(z, xl, xf, al, af):
         row = np.zeros(2)
         row[af] = 1.0
@@ -202,8 +203,13 @@ def test_no_equilibrium_is_surfaced():
     vals = np.zeros((1, 3, 2))           # z grid: (0,1), (0.5,0.5), (1,0)
     vals[0, :, 0] = [10.0, 6.0, 0.0]     # state a is best when everyone is in b
     vals[0, :, 1] = [0.0, 5.0, 10.0]
-    vf = s.JointTable(joint, vals)
-    vl = s.JointTable.zeros(joint, 1)
+    return spec, joint, s.JointTable(joint, vals), s.JointTable.zeros(joint, 1)
+
+
+def test_no_equilibrium_is_surfaced():
+    """Anti-coordination continuation values defeat pure search, and the
+    constant-damping fallback oscillates; the error carries coordinates."""
+    spec, joint, vf, vl = anti_coordination_case()
     brs = s.follower_br_set([1.0], [0.5, 0.5], np.array([[1.0]]), vf, spec)
     assert brs == []
     with pytest.raises(s.NoEquilibriumError) as err:
@@ -409,7 +415,9 @@ def test_certified_damped_rows_match_pair_objectives():
 def test_damped_steps_do_not_repeat_leader_side_work(monkeypatch):
     """A sweep whose damped rows run all DAMP_MAX_ITER steps makes no Bayes
     update at all: the leader side of every row comes from the arrays built
-    with the engine, so the work does not grow with the damped step count."""
+    with the engine, so the work does not grow with the damped step count.
+    The lookahead evaluates many steps per batched call, so the mean-field
+    batches stay far fewer than the steps."""
     spec, joint, engine, vf, vl = next(damped_cases())
     counts = Counter()
 
@@ -432,6 +440,79 @@ def test_damped_steps_do_not_repeat_leader_side_work(monkeypatch):
         sweep = engine.sweep(vf, vl, t=3)
         damped = np.isfinite(sweep.objectives[:, :, -1])
         assert not damped.any()         # no row certified: every step ran
-        assert counts["mean_field"] == steps
+        assert counts["mean_field"] <= min(steps, 50)
         seen[steps] = counts["bayes"]
     assert seen == {full: 0, 3: 0}
+
+
+def sequential_damped(engine, rows, vf_flat, vl_flat):
+    """``StageEngine._damped`` one step per batch: every live row evaluates
+    its current prescription, takes one damped step and stops on its own."""
+    n_f, n_af = engine.spec.n_follower_states, engine.spec.n_follower_actions
+    pairs, discount = engine._mixed(rows), engine.spec.discount
+    Ff = np.full((len(rows), n_f, n_af), 1.0 / n_af)
+    active = np.ones(len(rows), dtype=bool)
+    for _ in range(stage.DAMP_MAX_ITER):
+        live = np.flatnonzero(active)
+        if not len(live):
+            break
+        obj = stage._evaluate(pairs(live, Ff[live]), Ff[live, None], vf_flat, None,
+                              discount)[0][:, 0]
+        ties = obj >= obj.max(axis=2, keepdims=True) - stage._ARGMAX_TIE_TOL
+        br = ties * (1.0 / ties.sum(axis=2, keepdims=True))
+        new = (1.0 - stage.DAMPING) * Ff[live] + stage.DAMPING * br
+        step = np.max(np.abs(new - Ff[live]), axis=(1, 2))
+        Ff[live] = new
+        active[live[step < stage.DAMP_TOL]] = False
+    done = np.flatnonzero(~active)
+    if not len(done):
+        return {}
+    obj, fv, lead, lv = (x[:, 0] for x in stage._evaluate(
+        pairs(done, Ff[done], leader_terms=True), Ff[done, None], vf_flat, vl_flat, discount))
+    ok = ~np.any(fv < obj.max(axis=2) - engine.config.br_tol, axis=1)
+    return {int(rows[i]): (Ff[i], lead[k], fv[k], lv[k])
+            for k, i in enumerate(done) if ok[k]}
+
+
+def fallback_cases():
+    """(engine, V^f, V^l, rows needing the damped fallback) of the damped
+    cases, the anti-coordination game on its whole grid and random games
+    against random tables."""
+    for _, _, engine, vf, vl in damped_cases():
+        yield engine, vf, vl
+    spec, joint, vf, vl = anti_coordination_case()
+    yield StageEngine(spec, joint), vf.flat_values(), vl.flat_values()
+    for seed, spec in ((3, toy_spec(seed=3)), (5, toy_spec(seed=5)),
+                       (3, random_stochastic_spec(3)), (4, random_stochastic_spec(4))):
+        joint = toy_joint_grid(spec)
+        rng = np.random.default_rng(seed)
+        yield (StageEngine(spec, joint),
+               rng.normal(scale=3.0, size=(joint.n_points, spec.n_follower_states)),
+               rng.normal(size=(joint.n_points, spec.n_leader_states)))
+
+
+def test_lookahead_damped_matches_sequential_iteration(monkeypatch):
+    """The lookahead returns exactly what one damped step per batch returns,
+    with the step cap and the stop test landing inside lookahead windows.
+
+    A loose stop tolerance stops rows after a few steps, and an infinite
+    certificate slack then returns every stopped row, certified or not."""
+    seen = Counter()
+    for engine, vf, vl in fallback_cases():
+        rows = np.flatnonzero(~engine._evaluate_pure(vf, vl)[3].any(axis=1))
+        assert len(rows)
+        for cap, tol, slack in ((1, stage.DAMP_TOL, None), (3, stage.DAMP_TOL, None),
+                                (7, stage.DAMP_TOL, None), (500, stage.DAMP_TOL, None),
+                                (500, 0.05, np.inf)):
+            monkeypatch.setattr(stage, "DAMP_MAX_ITER", cap)
+            monkeypatch.setattr(stage, "DAMP_TOL", tol)
+            if slack is not None:
+                monkeypatch.setattr(engine.config, "br_tol", slack)
+            got = engine._damped(rows, vf, vl)
+            expected = sequential_damped(engine, rows, vf, vl)
+            assert got.keys() == expected.keys()
+            for row, values in expected.items():
+                assert all(np.array_equal(a, b) for a, b in zip(got[row], values))
+            seen[cap, tol] += len(got)
+            monkeypatch.undo()
+    assert seen[500, stage.DAMP_TOL] >= 2 and seen[500, 0.05] > seen[500, stage.DAMP_TOL]
