@@ -9,7 +9,7 @@ from .dynamics import (Prescription, belief_step, belief_step_total,
                        mean_field_step)
 from .errors import (EnumerationTooLarge, GridSizeError, NoEquilibriumError,
                      NonConvergenceError, OffSimplexError, StackMFGError,
-                     ZeroProbabilityAction)
+                     UncheckableProfile, ZeroProbabilityAction)
 from .game import GameSpec, ValidationReport, spec_hash, validate
 from .games import (InfectionParams, TechAdoptionParams, build_game,
                     build_infection_game, build_tech_adoption_game)
@@ -39,5 +39,5 @@ __all__ = [
     "build_tech_adoption_game", "build_game",
     "StackMFGError", "GridSizeError", "OffSimplexError",
     "ZeroProbabilityAction", "NoEquilibriumError", "NonConvergenceError",
-    "EnumerationTooLarge",
+    "EnumerationTooLarge", "UncheckableProfile",
 ]

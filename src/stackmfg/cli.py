@@ -18,7 +18,7 @@ import numpy as np
 
 from . import export
 from .errors import (EnumerationTooLarge, NoEquilibriumError, NonConvergenceError,
-                     OffSimplexError)
+                     OffSimplexError, UncheckableProfile)
 from .game import spec_hash, validate
 from .gamefile import load_game_dict, load_game_file
 from .games import BUILTIN_GAMES
@@ -281,6 +281,11 @@ def cmd_oracle(config: RunConfig, check_solver: bool) -> int:
     except EnumerationTooLarge as exc:
         _err(str(exc))
         return EXIT_ENUMERATION
+    except UncheckableProfile as exc:
+        _err(str(exc))
+        return EXIT_VALIDATION
+    except NoEquilibriumError as exc:
+        return _no_equilibrium(exc, " in the oracle")
 
     if config.out:
         outdir = Path(config.out)

@@ -40,3 +40,7 @@ class NonConvergenceError(StackMFGError):
 
 class EnumerationTooLarge(StackMFGError):
     """Brute-force profile enumeration would exceed the configured cap."""
+
+
+class UncheckableProfile(StackMFGError, ValueError):
+    """The solver's profile is mixed or leaves the grid, so the oracle cannot check it."""

@@ -7,19 +7,21 @@ tree node against the population's own play, (b) the mean field reproduces
 itself under the profile, and (c) no alternative leader plan, with followers
 re-equilibrating, earns the leader more.  Follower optimality is verified by
 dynamic programming over tree nodes, so deviations conditioning on the full
-public history are covered, not just Markov ones.
+public history are covered, not just Markov ones.  Work that depends only
+on an exact public state is done once per game (one CLI call) and memoised
+in its ``TinyGame``, keyed by exact bytes.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
 from .dynamics import Prescription, belief_step_total, mean_field_step
-from .errors import EnumerationTooLarge, NoEquilibriumError
+from .errors import EnumerationTooLarge, NoEquilibriumError, UncheckableProfile
 from .game import GameSpec
 
 _KEY_DECIMALS = 12
@@ -34,6 +36,14 @@ def node_key(t: int, pi, z) -> tuple:
     return (t, _round_key(pi), _round_key(z))
 
 
+def _exact(vec) -> bytes:
+    return np.asarray(vec, dtype=np.float64).tobytes()
+
+
+def _frozen(arr) -> np.ndarray:
+    return np.broadcast_to(arr, np.shape(arr))      # a read-only view
+
+
 @dataclass
 class TinyGame:
     """A game small enough for exhaustive profile enumeration.
@@ -41,11 +51,17 @@ class TinyGame:
     Bounds: finite horizon <= 2, at most 2 types per side, at most 2 follower
     actions and 3 leader actions.  ``initial_points`` lists the (belief,
     mean field) starting points to analyze; defaults to the spec's own.
+
+    ``_memo`` keeps for the game's lifetime, under the exact float64 bytes
+    of beliefs and mean fields (never rounded node keys), the tensors per
+    mean field (the spec ``_tensors`` reads them), the children per map
+    pair, pure prescriptions, leader reward rows and node keys, read-only.
     """
 
     spec: GameSpec
     initial_points: list = field(default_factory=list)
     max_profiles: int = 10_000_000
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         s = self.spec
@@ -61,6 +77,19 @@ class TinyGame:
         self.initial_points = [
             (np.asarray(pi, dtype=np.float64), np.asarray(z, dtype=np.float64))
             for pi, z in self.initial_points]
+        self._tensors = replace(s, **{
+            name: lambda z, name=name: self._memoised(
+                (name, _exact(z)), lambda: _frozen(getattr(s, name)(z)))
+            for name in ("follower_kernel", "follower_reward", "leader_kernel")})
+
+    def _memoised(self, key, compute):
+        """``compute()``, evaluated once per key over the game's lifetime."""
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
+
+    def _key(self, t: int, pi, z) -> tuple:
+        return self._memoised(("key", t, _exact(pi), _exact(z)), lambda: node_key(t, pi, z))
 
 
 @dataclass(frozen=True)
@@ -89,24 +118,22 @@ class _Node:
     leader_map: tuple
     follower_map: tuple
     children: dict = field(default_factory=dict)   # leader action -> child key
-    weights: dict = field(default_factory=dict)    # leader action -> public prob
 
 
-def _pure_prescription(spec, leader_map, follower_map) -> Prescription:
-    return Prescription.pure(leader_map, follower_map,
-                             spec.n_leader_actions, spec.n_follower_actions)
+def _pure_prescription(game, leader_map, follower_map) -> Prescription:
+    return game._memoised(("gamma", leader_map, follower_map), lambda: Prescription.pure(
+        leader_map, follower_map, game.spec.n_leader_actions, game.spec.n_follower_actions))
 
 
-def _node_children(spec, pi, z, leader_map, follower_map):
-    """(next mean field, {leader action: (weight, next belief)})."""
-    gamma = _pure_prescription(spec, leader_map, follower_map)
-    z_next = mean_field_step(pi, z, gamma, spec)
-    out = {}
-    for al in sorted(set(leader_map)):
-        w = float(sum(pi[xl] for xl, a in enumerate(leader_map) if a == al))
-        pi_next, _ = belief_step_total(pi, z, gamma.leader, al, spec)
-        out[al] = (w, pi_next)
-    return z_next, out
+def _node_children(game, pi, z, leader_map, follower_map):
+    """(next mean field, {leader action: next belief})."""
+    def children():
+        gamma = _pure_prescription(game, leader_map, follower_map)
+        z_next = _frozen(mean_field_step(pi, z, gamma, game._tensors))
+        return z_next, {al: _frozen(belief_step_total(pi, z, gamma.leader, al, game._tensors)[0])
+                        for al in sorted(set(leader_map))}
+    return game._memoised(("children", _exact(pi), _exact(z), leader_map, follower_map),
+                          children)
 
 
 def enumerate_profiles(game: TinyGame, initial_index: int = 0):
@@ -143,27 +170,26 @@ def enumerate_profiles(game: TinyGame, initial_index: int = 0):
                 for key in keys:
                     pi, z = states[key]
                     lm, fm = leader_assign[key], follower_assign[key]
-                    z_next, children = _node_children(spec, pi, z, lm, fm)
-                    for al, (w, pi_next) in children.items():
-                        next_states[node_key(t + 1, pi_next, z_next)] = (pi_next, z_next)
+                    z_next, children = _node_children(game, pi, z, lm, fm)
+                    for pi_next in children.values():
+                        next_states[game._key(t + 1, pi_next, z_next)] = (pi_next, z_next)
             recurse(t + 1, next_states, leader_assign, follower_assign)
             for key in keys:
                 del leader_assign[key]
                 del follower_assign[key]
 
-    recurse(1, {node_key(1, pi1, z1): (pi1, z1)}, {}, {})
+    recurse(1, {game._key(1, pi1, z1): (pi1, z1)}, {}, {})
     return profiles
 
 
 def build_tree(game: TinyGame, profile: OracleProfile, initial_index: int = 0):
     """Expand a profile into its public tree (nodes keyed by (t, belief, mean field))."""
-    spec = game.spec
-    T = spec.horizon
+    T = game.spec.horizon
     pi1, z1 = game.initial_points[initial_index]
     nodes = {}
 
     def visit(t, pi, z):
-        key = node_key(t, pi, z)
+        key = game._key(t, pi, z)
         if key in nodes:
             return key
         lm = profile.leader[key]
@@ -172,10 +198,9 @@ def build_tree(game: TinyGame, profile: OracleProfile, initial_index: int = 0):
                      leader_map=lm, follower_map=fm)
         nodes[key] = node
         if t < T:
-            z_next, children = _node_children(spec, pi, z, lm, fm)
-            for al, (w, pi_next) in children.items():
+            z_next, children = _node_children(game, pi, z, lm, fm)
+            for al, pi_next in children.items():
                 node.children[al] = visit(t + 1, pi_next, z_next)
-                node.weights[al] = w
         return key
 
     visit(1, pi1, z1)
@@ -215,15 +240,15 @@ def evaluate_profile(game: TinyGame, profile: OracleProfile,
         # Profile value plays the assigned action against the profile's own
         # continuation; the best-response DP maxes over actions against the
         # best continuation, covering history-dependent deviations.
-        vals[key] = _action_values(spec, pi, z, lm, _after(node, vals, n_f))[np.arange(n_f), fm]
-        best[key] = _action_values(spec, pi, z, lm, _after(node, best, n_f)).max(axis=1)
+        vals[key] = _action_values(game, pi, z, lm, _after(node, vals, n_f))[np.arange(n_f), fm]
+        best[key] = _action_values(game, pi, z, lm, _after(node, best, n_f)).max(axis=1)
 
-        lead[key] = _leader_values(spec, z, lm, fm, lambda al: (lead[node.children[al]]
+        lead[key] = _leader_values(game, z, lm, fm, lambda al: (lead[node.children[al]]
                                                                 if node.children else None))
 
-    root = node_key(1, pi1, z1)
+    root = game._key(1, pi1, z1)
     gap = max(float(np.max(best[k] - vals[k])) for k in tree)
-    consistent = _check_consistency(spec, tree)
+    consistent = _check_consistency(game, tree)
     return ProfileEvaluation(
         profile=profile, tree=tree, follower_values=vals, follower_best=best,
         leader_values=lead, root_key=root,
@@ -231,10 +256,11 @@ def evaluate_profile(game: TinyGame, profile: OracleProfile,
         max_follower_gap=gap, consistent=consistent)
 
 
-def _action_values(spec, pi, z, leader_map, child) -> np.ndarray:
+def _action_values(game, pi, z, leader_map, child) -> np.ndarray:
     """(n_f, n_af) expected reward-to-go of each follower type and action
     when leader type x_l plays ``leader_map[x_l]``; ``child(a_l)`` is the
     follower value row after leader action a_l."""
+    spec = game._tensors
     qf, rf = spec.follower_kernel(z), spec.follower_reward(z)
     out = np.zeros((spec.n_follower_states, spec.n_follower_actions))
     for xl in np.flatnonzero(np.asarray(pi) != 0.0):
@@ -251,10 +277,12 @@ def _after(node: _Node, table: dict, n_f: int):
     return lambda al: table[node.children[al]] if node.children else np.zeros(n_f)
 
 
-def _leader_values(spec, z, leader_map, follower_map, child) -> np.ndarray:
+def _leader_values(game, z, leader_map, follower_map, child) -> np.ndarray:
     """Leader value per type under a pure prescription pair; ``child(a_l)``
     is the leader value row after leader action a_l, or None at the end."""
-    rl = spec.leader_reward(z, _pure_prescription(spec, leader_map, follower_map).follower)
+    spec = game._tensors
+    rl = game._memoised(("leader_reward", _exact(z), follower_map), lambda: _frozen(
+        spec.leader_reward(z, _pure_prescription(game, leader_map, follower_map).follower)))
     ql = spec.leader_kernel(z)
     vl = np.zeros(spec.n_leader_states)
     for xl, al in enumerate(leader_map):
@@ -265,13 +293,12 @@ def _leader_values(spec, z, leader_map, follower_map, child) -> np.ndarray:
     return vl
 
 
-def _check_consistency(spec, tree) -> bool:
+def _check_consistency(game, tree) -> bool:
     """Stored child mean fields must be reproduced bitwise by the update map."""
     for key, node in tree.items():
         if not node.children:
             continue
-        gamma = _pure_prescription(spec, node.leader_map, node.follower_map)
-        z_next = mean_field_step(node.pi, node.z, gamma, spec)
+        z_next = _node_children(game, node.pi, node.z, node.leader_map, node.follower_map)[0]
         for child_key in node.children.values():
             if not np.array_equal(tree[child_key].z, z_next):
                 return False
@@ -291,7 +318,7 @@ class _ExactStageRecursion:
     """
 
     def __init__(self, game: TinyGame, tol: float = 1e-9):
-        self.spec = game.spec
+        self.game = game
         self.horizon = game.spec.horizon
         self.tol = tol
         self._stage = {}
@@ -300,8 +327,8 @@ class _ExactStageRecursion:
     def stage_candidates(self, t: int, pi, z):
         """(leader map, follower map, ex-ante leader value, V^l rows) per
         stage-valid pair at this public state."""
-        spec = self.spec
-        key = node_key(t, pi, z)
+        game, spec = self.game, self.game.spec
+        key = game._key(t, pi, z)
         if key in self._stage:
             return self._stage[key]
         pi = np.asarray(pi, dtype=np.float64)
@@ -311,24 +338,24 @@ class _ExactStageRecursion:
         out = []
         for lm in itertools.product(range(spec.n_leader_actions), repeat=n_l):
             for fm in itertools.product(range(spec.n_follower_actions), repeat=n_f):
-                z_next, children = _node_children(spec, pi, z, lm, fm)
+                z_next, children = _node_children(game, pi, z, lm, fm)
                 cont = {}
-                for al, (w, pi_next) in children.items():
+                for al, pi_next in children.items():
                     if t < self.horizon:
                         cont[al] = self.values(t + 1, pi_next, z_next)
                     else:
                         cont[al] = (zero_f, zero_l)
-                vals = _action_values(spec, pi, z, lm, lambda al: cont[al][0])
+                vals = _action_values(game, pi, z, lm, lambda al: cont[al][0])
                 if np.any(vals[np.arange(n_f), fm] < vals.max(axis=1) - self.tol):
                     continue
-                vl = _leader_values(spec, z, lm, fm, lambda al: cont[al][1])
+                vl = _leader_values(game, z, lm, fm, lambda al: cont[al][1])
                 out.append((lm, fm, float(pi @ vl), vl))
         self._stage[key] = out
         return out
 
     def values(self, t: int, pi, z):
         """(V^f, V^l) rows of the leader-optimistic stage selection."""
-        key = node_key(t, pi, z)
+        key = self.game._key(t, pi, z)
         if key in self._values:
             return self._values[key]
         cands = self.stage_candidates(t, pi, z)
@@ -339,18 +366,16 @@ class _ExactStageRecursion:
         best = max(c[2] for c in cands)
         lm, fm, _, vl = next(c for c in cands if c[2] == best)
         # follower values of the selected pair, with its own continuation
-        spec = self.spec
-        pi = np.asarray(pi, dtype=np.float64)
-        z = np.asarray(z, dtype=np.float64)
-        z_next, children = _node_children(spec, pi, z, lm, fm)
-        n_f = spec.n_follower_states
+        game = self.game
+        z_next, children = _node_children(game, pi, z, lm, fm)
+        n_f = game.spec.n_follower_states
 
         def child(al):
             if t < self.horizon:
-                return self.values(t + 1, children[al][1], z_next)[0]
+                return self.values(t + 1, children[al], z_next)[0]
             return np.zeros(n_f)
 
-        vf = _action_values(spec, pi, z, lm, child)[np.arange(n_f), fm]
+        vf = _action_values(game, pi, z, lm, child)[np.arange(n_f), fm]
         self._values[key] = (vf, vl)
         return self._values[key]
 
@@ -430,7 +455,7 @@ def deviation_gain(profile: OracleProfile, game: TinyGame, player: str,
             for xf in range(game.spec.n_follower_states):
                 if info is not None and (key, xf) != tuple(info):
                     continue
-                gaps.append(_one_shot_gain(game.spec, ev, key, xf))
+                gaps.append(_one_shot_gain(game, ev, key, xf))
         return max(gaps) if gaps else 0.0
     if player == "leader":
         recursion = _ExactStageRecursion(game)
@@ -441,11 +466,11 @@ def deviation_gain(profile: OracleProfile, game: TinyGame, player: str,
     raise ValueError(f"unknown player {player!r}")
 
 
-def _one_shot_gain(spec, ev: ProfileEvaluation, key, xf: int) -> float:
+def _one_shot_gain(game, ev: ProfileEvaluation, key, xf: int) -> float:
     """Gain from changing the follower action at one node/type only."""
     node = ev.tree[key]
-    child = _after(node, ev.follower_values, spec.n_follower_states)
-    dev_best = _action_values(spec, node.pi, node.z, node.leader_map, child)[xf].max()
+    child = _after(node, ev.follower_values, game.spec.n_follower_states)
+    dev_best = _action_values(game, node.pi, node.z, node.leader_map, child)[xf].max()
     return dev_best - float(ev.follower_values[key][xf])
 
 
@@ -457,28 +482,26 @@ def profile_from_generator(game: TinyGame, generator,
     and every prescription there to be pure; tiny games are built to close
     their dynamics over the grid so this holds.
     """
-    spec = game.spec
-    T = spec.horizon
+    T = game.spec.horizon
     pi1, z1 = game.initial_points[initial_index]
     leader_assign, follower_assign = {}, {}
 
     def visit(t, pi, z):
-        key = node_key(t, pi, z)
+        key = game._key(t, pi, z)
         if key in leader_assign:
             return
         flat, exact = generator.grid_lookup(pi, z)
-        if not exact:
-            raise ValueError(f"reached off-grid public state at t={t}")
-        sol = generator.policy_for(t).solution(flat)
-        pure = sol.prescription.pure_actions()
-        if pure is None:
-            raise ValueError(f"solver prescription at t={t} is not pure")
+        pure = exact and generator.policy_for(t).solution(flat).prescription.pure_actions()
+        if not pure:
+            what = "prescription is not pure" if exact else "reaches an off-grid public state"
+            raise UncheckableProfile(f"solver {what} at t={t}, pi={pi}, z={z}; "
+                                     "the oracle checks pure on-grid profiles only")
         lm, fm = pure
         leader_assign[key] = lm
         follower_assign[key] = fm
         if t < T:
-            z_next, children = _node_children(spec, pi, z, lm, fm)
-            for al, (w, pi_next) in children.items():
+            z_next, children = _node_children(game, pi, z, lm, fm)
+            for pi_next in children.values():
                 visit(t + 1, pi_next, z_next)
 
     visit(1, pi1, z1)

@@ -34,11 +34,11 @@ class _ZTable:
         self.values = np.asarray(values, dtype=np.float64)
 
 
-def _pairs_at(spec: GameSpec, grid: SimplexGrid, z):
+def _pairs_at(spec: GameSpec, z, stencils: dict):
     """The table-independent data of every (a^l, pure follower map) pair at
     one mean field, in enumeration order: a^l, the map, the follower reward
     (n_f, n_af) and kernel rows (n_f, n_af, n_f) under a^l, the leader
-    reward against the map, and the stencil of the next mean field."""
+    reward against the map, and the next mean field's number in ``stencils``."""
     n_f, n_af = spec.n_follower_states, spec.n_follower_actions
     z = np.asarray(z, dtype=np.float64)
     maps = list(itertools.product(range(n_af), repeat=n_f))
@@ -52,30 +52,39 @@ def _pairs_at(spec: GameSpec, grid: SimplexGrid, z):
                 z_next += z[xf] * qf[xf, al, bf[xf]]
             z_next = np.clip(z_next, 0.0, None)
             z_next = z_next / z_next.sum()
-            idx, w = simplex_weights(grid, z_next) if spec.discount != 0.0 else (None, None)
-            out.append((al, bf, rf[:, al], qf[:, al], float(rl[m, al]), idx, w))
+            s = stencils.setdefault(z_next.tobytes(), len(stencils)) if spec.discount else None
+            out.append((al, bf, rf[:, al], qf[:, al], float(rl[m, al]), s))
     return out
 
 
-def _stage_at(pairs, z, delta: float, vf_next: _ZTable, vl_next: _ZTable,
-              br_tol: float = 1e-9):
+def _start(spec: GameSpec, grid: SimplexGrid):
+    """Once per call: the pairs of every grid point, one ``simplex_weights``
+    stencil per next mean field of distinct exact bytes, and zero tables."""
+    stencils = {}
+    pairs = [_pairs_at(spec, z, stencils) for z in grid.points]
+    return (pairs, [simplex_weights(grid, np.frombuffer(key)) for key in stencils],
+            _ZTable(grid, np.zeros((grid.n_points, spec.n_follower_states))),
+            _ZTable(grid, np.zeros((grid.n_points, 1))))
+
+
+def _stage_at(pairs, z, delta: float, vf_next, vl_next, br_tol: float = 1e-9):
     """One stage solve at a single mean field; returns values and prescription.
 
     Enumerates leader actions and pure follower maps (``pairs``); a follower
     map is a fixed point if each type's played action attains the row
     maximum of the expected reward-to-go computed with the next mean field
-    induced by the map itself.
+    induced by the map itself.  ``vf_next``/``vl_next`` go by stencil number.
     """
     best = None     # (value, al, bf, obj)
-    for al, bf, reward, kernel, lead, idx, w in pairs:
+    for al, bf, reward, kernel, lead, s in pairs:
         n_f = len(bf)
-        vf_interp = w @ vf_next.values[idx, :] if delta != 0.0 else np.zeros(n_f)
+        vf_interp = vf_next[s] if delta != 0.0 else np.zeros(n_f)
         # (1, n_f) @ (n_f, 1) per entry: the dot product of each kernel row
         obj = reward + delta * np.matmul(kernel[..., None, :], vf_interp[:, None])[..., 0, 0]
         if np.any(obj[np.arange(n_f), bf] < obj.max(axis=1) - br_tol):
             continue
         if delta != 0.0:
-            lead += delta * float(w @ vl_next.values[idx, 0])
+            lead += delta * vl_next[s]
         if best is None or lead > best[0]:
             best = (lead, al, bf, obj)
     if best is None:
@@ -84,12 +93,15 @@ def _stage_at(pairs, z, delta: float, vf_next: _ZTable, vl_next: _ZTable,
     return obj[np.arange(len(bf)), bf], lead, (al, bf)
 
 
-def _sweep(spec, grid, pairs, vf, vl, br_tol):
+def _sweep(spec, grid, pairs, stencils, vf, vl, br_tol):
     new_f = np.zeros_like(vf.values)
     new_l = np.zeros_like(vl.values)
     policy = []
+    vf_next = [w @ vf.values[idx, :] for idx, w in stencils]
+    vl_next = [float(w @ vl.values[idx, 0]) for idx, w in stencils]
     for i in range(grid.n_points):
-        vf_row, lead, choice = _stage_at(pairs[i], grid.points[i], spec.discount, vf, vl, br_tol)
+        vf_row, lead, choice = _stage_at(pairs[i], grid.points[i], spec.discount,
+                                         vf_next, vl_next, br_tol)
         new_f[i, :] = vf_row
         new_l[i, 0] = lead
         policy.append(choice)
@@ -109,15 +121,13 @@ def backward_finite(spec: GameSpec, grid: SimplexGrid, horizon: Optional[int] = 
     T = horizon if horizon is not None else spec.horizon
     if T is None:
         raise ValueError("horizon required")
-    pairs = [_pairs_at(spec, grid, z) for z in grid.points]
-    vf = _ZTable(grid, np.zeros((grid.n_points, spec.n_follower_states)))
-    vl = _ZTable(grid, np.zeros((grid.n_points, 1)))
+    pairs, stencils, vf, vl = _start(spec, grid)
     f_tables = [None] * (T + 1)
     l_tables = [None] * (T + 1)
     policies = [None] * T
     f_tables[T], l_tables[T] = vf, vl
     for t in range(T, 0, -1):
-        vf, vl, policy = _sweep(spec, grid, pairs, vf, vl, br_tol)
+        vf, vl, policy = _sweep(spec, grid, pairs, stencils, vf, vl, br_tol)
         f_tables[t - 1], l_tables[t - 1] = vf, vl
         policies[t - 1] = policy
     return f_tables, l_tables, policies
@@ -133,14 +143,12 @@ def value_iteration(spec: GameSpec, grid: SimplexGrid, tol: float = 1e-6,
     Returns (follower table, leader table, policy, deltas).
     """
     _require_single_leader_state(spec)
-    pairs = [_pairs_at(spec, grid, z) for z in grid.points]
-    vf = _ZTable(grid, np.zeros((grid.n_points, spec.n_follower_states)))
-    vl = _ZTable(grid, np.zeros((grid.n_points, 1)))
+    pairs, stencils, vf, vl = _start(spec, grid)
     deltas = []
     policy = None
     limit = n_iters if n_iters is not None else max_iter
     for _ in range(limit):
-        new_f, new_l, policy = _sweep(spec, grid, pairs, vf, vl, br_tol)
+        new_f, new_l, policy = _sweep(spec, grid, pairs, stencils, vf, vl, br_tol)
         delta = max(float(np.max(np.abs(new_f.values - vf.values))),
                     float(np.max(np.abs(new_l.values - vl.values))))
         deltas.append(delta)

@@ -391,8 +391,8 @@ class StageEngine:
         bit-identical to the one-step-at-a-time iteration; a misprediction
         costs only the evaluations after it.  A row's lookahead doubles after
         a round without a miss and falls back to its kept run after one; a
-        round evaluates at most as many mixed pairs as the engine has pair
-        rows.  Leader terms are built once, for the certificate of the rows
+        round evaluates at most max(pair rows, ``DAMP_MAX_ITER``) mixed
+        pairs.  Leader terms are built once, for the certificate of the rows
         that stopped.  Returns {row: (follower prescription, leader
         objective, follower values, leader values)} for the rows whose limit
         is certified.
@@ -404,7 +404,7 @@ class StageEngine:
         steps = np.zeros(len(rows), dtype=np.int64)
         ahead = np.ones(len(rows), dtype=np.int64)
         active, stopped = np.ones(len(rows), dtype=bool), np.zeros(len(rows), dtype=bool)
-        budget = len(self.pairs.base_obj)
+        budget = max(len(self.pairs.base_obj), DAMP_MAX_ITER)
         while active.any():
             # Lay out n steps per live row, predict their best responses from
             # the row's window and roll its prescription forward with them.

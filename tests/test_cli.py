@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stackmfg import NoEquilibriumError, cli, export, solver, spec_hash
+from stackmfg import NoEquilibriumError, cli, export, oracle, solver, spec_hash
 from stackmfg.cli import main
 from stackmfg.gamefile import load_game_dict
 from test_gamefile import TINY_CONFIG
@@ -93,6 +93,52 @@ def test_oracle_subcommand(tmp_path):
     entry = report["initial_points"][0]
     assert entry["n_smfe"] >= 1
     assert entry["solver_profile_in_smfe_set"] is True
+
+
+ANTI_COORDINATION = {
+    "name": "anti-coordination", "follower_states": ["a", "b"], "leader_states": ["L"],
+    "follower_actions": ["to_a", "to_b"], "leader_actions": ["x"],
+    "discount": 1.0, "horizon": 2,
+    "initial_leader_belief": [1.0], "initial_mean_field": [0.25, 0.75],
+    # each action moves to its own state; a state's crowd is its cost
+    "follower_kernel": [[[[[1, 0], [0, 1]]], [[[1, 0], [0, 1]]]]],
+    "leader_kernel": [[[1]]],
+    "follower_reward": [[[[{"z": [-1, 0]}, {"z": [-1, 0]}]],
+                         [[{"z": [0, -1]}, {"z": [0, -1]}]]]],
+    "leader_reward": [[0]],
+}
+
+
+@pytest.mark.parametrize("case", ["mixed", "off-grid"])
+def test_oracle_rejects_a_solver_profile_it_cannot_check(tmp_path, capsys, case):
+    """A mixed solver prescription, or a start off the solver's grid, exits 3
+    naming the public state instead of raising."""
+    config = ANTI_COORDINATION if case == "mixed" else json.loads(SAMPLE_GAME.read_text())
+    if case == "off-grid":
+        config["initial_points"] = [{"pi": [1.0], "z": [0.3, 0.7]}]
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "oracle"
+    assert run_cli(["oracle", "--game-file", str(path), "--check-solver", "--z-res", "4",
+                    "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    what = "not pure" if case == "mixed" else "off-grid"
+    assert what in err and "t=1" in err and "pure on-grid profiles only" in err, err
+    assert ("z=[0.25 0.75]" if case == "mixed" else "z=[0.3 0.7]") in err, err
+    assert not out.exists()
+
+
+def test_oracle_without_stage_equilibrium_exits_4(tmp_path, capsys, monkeypatch):
+    """A public state where pricing a leader deviation finds no pure stage
+    equilibrium exits 4 with its stage and public state."""
+    candidates = oracle._ExactStageRecursion.stage_candidates
+    monkeypatch.setattr(oracle._ExactStageRecursion, "stage_candidates",
+                        lambda self, t, pi, z: [] if t == 2 else candidates(self, t, pi, z))
+    out = tmp_path / "oracle"
+    assert run_cli(["oracle", "--game-file", str(SAMPLE_GAME), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert "no stage equilibrium in the oracle" in err and "t=2" in err and "z=[" in err, err
+    assert not out.exists()
 
 
 def test_export_reruns_trajectory(tmp_path):

@@ -1,10 +1,12 @@
 """Exhaustive-enumeration oracle on tiny games."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import stackmfg as s
-from conftest import solve_clean_tiny, toy_spec
+from conftest import solve_clean_tiny, toy_spec, toy_spec_two_leader_states
 
 
 def make_tiny(spec, **kw):
@@ -157,3 +159,84 @@ def test_oracle_report_shape():
     assert entry["solver_profile_in_smfe_set"] is True
     assert entry["n_smfe"] == len(entry["profiles"])
     assert any(p["matches_solver"] for p in entry["profiles"])
+
+
+def counting(fn, seen):
+    """``fn`` that appends the exact bytes of each mean field it is called at."""
+    def wrapped(z):
+        seen.append(np.asarray(z, dtype=np.float64).tobytes())
+        return fn(z)
+    return wrapped
+
+
+@pytest.mark.parametrize("spec", [toy_spec(horizon=2, seed=1, n_leader_actions=3),
+                                  toy_spec_two_leader_states()],
+                         ids=["three-leader-actions", "two-leader-types"])
+def test_enumeration_builds_each_tensor_once_per_exact_mean_field(spec):
+    """Across every profile and every leader deviation priced, each tensor
+    is built at most once per distinct exact mean field reached."""
+    seen = {name: [] for name in ("follower_kernel", "follower_reward", "leader_kernel")}
+    counted = dataclasses.replace(spec, **{name: counting(getattr(spec, name), calls)
+                                           for name, calls in seen.items()})
+    results = s.enumerate_smfe(make_tiny(counted))
+    assert results
+    assert [r.profile for r in results] == [r.profile for r in s.enumerate_smfe(make_tiny(spec))]
+    for name, calls in seen.items():
+        assert len(set(calls)) > 1
+        assert len(calls) == len(set(calls)), name
+
+
+def test_memo_never_shares_states_that_share_a_node_key():
+    """Two starts 1e-14 apart round to the same node key but are analysed
+    with their own tensors: each report entry equals a one-start game's."""
+    spec = toy_spec(horizon=2, seed=1, n_leader_actions=3)
+    z, near = np.array([0.5, 0.5]), np.array([0.5 + 1e-14, 0.5 - 1e-14])
+    pi = np.array([1.0])
+    assert s.oracle.node_key(1, pi, z) == s.oracle.node_key(1, pi, near)
+    both = s.oracle_report(make_tiny(spec, initial_points=[(pi, z), (pi, near)]))
+    alone = [s.oracle_report(make_tiny(spec, initial_points=[(pi, start)]))["initial_points"][0]
+             for start in (z, near)]
+    assert both["initial_points"] == alone
+    values = [[p["leader_root_value"] for p in entry["profiles"]] for entry in alone]
+    assert values[0] != values[1]       # the mean fields matter to the values
+
+
+def test_warm_game_reports_like_a_fresh_one():
+    built = solve_clean_tiny(seed=15)
+    assert built is not None
+    spec, _, gen, _ = built
+    game = make_tiny(spec)
+    first = s.oracle_report(game, generator=gen)
+    assert s.oracle_report(game, generator=gen) == first
+    assert first == s.oracle_report(make_tiny(spec), generator=gen)
+
+
+def test_consistency_check_sees_a_perturbed_child():
+    game = make_tiny(toy_spec(horizon=2, seed=1, n_leader_actions=3))
+    profile = s.enumerate_smfe(game)[0].profile
+    tree = s.oracle.build_tree(game, profile)
+    assert s.oracle._check_consistency(game, tree)
+    child = next(node for node in tree.values() if node.t == 2)
+    child.z = child.z + np.array([1e-13, -1e-13])
+    assert not s.oracle._check_consistency(game, tree)
+
+
+def test_memoised_arrays_are_read_only():
+    """A stray in-place write into a memoised tensor, next mean field or
+    next belief raises instead of corrupting later profiles."""
+    game = make_tiny(toy_spec_two_leader_states())
+    s.oracle_report(game)
+    arrays = {}
+    for key, value in game._memo.items():
+        if key[0] == "children":
+            z_next, children = value
+            value = [z_next, *children.values()]
+        if isinstance(value, np.ndarray):
+            value = [value]
+        if isinstance(value, list):
+            arrays.setdefault(key[0], []).extend(value)
+    assert set(arrays) == {"follower_kernel", "follower_reward", "leader_kernel",
+                           "leader_reward", "children"}
+    for arr in (a for found in arrays.values() for a in found):
+        with pytest.raises(ValueError):
+            arr[...] = 0.0

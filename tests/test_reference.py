@@ -69,3 +69,31 @@ def test_reference_rejects_informative_leader():
     spec = toy_spec_two_leader_states()
     with pytest.raises(ValueError):
         reference.backward_finite(spec, s.build_grid(2, 4))
+
+
+@pytest.mark.parametrize("recursion", ["backward_finite", "value_iteration"])
+def test_one_stencil_per_distinct_next_mean_field(monkeypatch, recursion):
+    """The 924 (grid point x leader action x follower map) pairs of infection
+    at z-res 10 reach 26 distinct next mean fields; each is interpolated once
+    per call, whatever the number of sweeps."""
+    calls = []
+
+    def counted(grid, z):
+        calls.append(np.asarray(z).tobytes())
+        return s.simplex_weights(grid, z)
+
+    monkeypatch.setattr(reference, "simplex_weights", counted)
+    spec = s.build_infection_game(s.InfectionParams(horizon=4))
+    grid = s.build_grid(2, 10)
+    if recursion == "backward_finite":
+        reference.backward_finite(spec, grid)
+    else:
+        reference.value_iteration(spec, grid, n_iters=3)
+    assert len(calls) == len(set(calls)) == 26
+
+
+def test_zero_discount_needs_no_stencil(monkeypatch):
+    spec = toy_spec(horizon=2, seed=21, discount=0.0)
+    monkeypatch.setattr(reference, "simplex_weights", None)
+    f_ref, _, _ = reference.backward_finite(spec, s.build_grid(2, 6))
+    assert np.all(np.isfinite(f_ref[0].values))

@@ -218,6 +218,28 @@ def test_no_equilibrium_is_surfaced():
     assert err.value.z == pytest.approx([0.5, 0.5])
 
 
+def test_one_state_damped_rows_look_ahead(monkeypatch):
+    """A one-state engine's damped row batches its steps instead of
+    evaluating one per call, and still ends in the same failure."""
+    spec, joint, vf, vl = anti_coordination_case()
+    calls = Counter()
+    evaluate = stage._evaluate
+
+    def counted(*args, **kwargs):
+        calls["evaluate"] += 1
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(stage, "_evaluate", counted)
+    assert s.follower_br_set([1.0], [0.5, 0.5], np.array([[1.0]]), vf, spec) == []
+    assert calls["evaluate"] <= 20
+    calls.clear()
+    with pytest.raises(s.NoEquilibriumError) as err:
+        s.leader_optimize([1.0], [0.5, 0.5], vl, vf, spec, t=2)
+    assert calls["evaluate"] <= 20
+    assert err.value.t == 2
+    assert err.value.z == pytest.approx([0.5, 0.5])
+
+
 def test_fused_multiply_add_is_correctly_rounded():
     """The emulated a * b + c rounds once, like a hardware FMA, including
     near-total cancellation and exact zeros."""
