@@ -9,6 +9,7 @@ and does not depend on how prescriptions were generated.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -111,32 +112,75 @@ def mean_field_batch(pi, z, leader, follower, kernel) -> np.ndarray:
     ``pi`` (..., n_l), ``z`` (..., n_f), ``leader`` (..., n_l, n_al),
     ``follower`` (..., n_f, n_af) and ``kernel``, the follower kernel tensor
     (..., n_l, n_f, n_al, n_af, n_f) at ``z``, broadcast over their leading
-    axes; returns the next mean fields (..., n_f).  Each row adds the same
-    terms as the scalar step, the nonzero-weight ones, one after another in
-    its (x_l, a_l, x_f, a_f) order, so it is bit-identical to it.
+    axes; returns the next mean fields (..., n_f).  A row gathers only its
+    candidate terms: the (x_l, a_l) with nonzero pi(x_l) gamma_l(a_l|x_l)
+    and the (x_f, a_f) with nonzero z(x_f) and gamma_f(a_f|x_f), each packed
+    to the front in scalar order.  It adds their products from +0, leader
+    term outer, so in the scalar (x_l, a_l, x_f, a_f) order; padding and
+    underflowed terms add a signed zero to a sum that is never -0, so every
+    row is bit-identical to the scalar step.
     """
     pi, z, leader, follower, kernel = (np.asarray(a, dtype=np.float64)
                                        for a in (pi, z, leader, follower, kernel))
     _check_rows(leader, "leader")
     _check_rows(follower, "follower")
-    w = (pi[..., :, None] * leader)[..., :, :, None, None] * z[..., None, None, :, None]
-    w = w * follower[..., None, None, :, :]                     # (..., x_l, a_l, x_f, a_f)
-    batch = np.broadcast_shapes(w.shape[:-4], kernel.shape[:-5])
-    n_f, n_terms = kernel.shape[-1], math.prod(w.shape[-4:])
-    kernel = np.swapaxes(kernel, -4, -3).reshape(kernel.shape[:-5] + (n_terms, n_f))
-    kernel = np.broadcast_to(kernel, batch + (n_terms, n_f)).reshape(-1, n_terms, n_f)
-    w = np.broadcast_to(w, batch + w.shape[-4:]).reshape(-1, n_terms)
-    # Row r's k-th nonzero term goes to slot k and zeros fill the slots after
-    # its last.  A left-to-right cumulative sum then equals the scalar running
-    # sum, except that it starts from the first term rather than +0 plus it,
-    # which can leave -0 where the scalar sum has +0; adding +0 removes that.
-    used = w != 0.0
-    row, term = np.nonzero(used)                # row-major: each row's terms in order
-    slot = np.cumsum(used, axis=1)[row, term] - 1
-    terms = np.zeros((len(w), slot.max(initial=0) + 1, n_f))
-    terms[row, slot] = w[row, term][:, None] * kernel[row, term]
-    out = np.cumsum(terms, axis=1)[:, -1] + 0.0
-    return _clean_distribution(out.reshape(batch + (n_f,)))
+    n_l, n_f, n_al, n_af = kernel.shape[-5:-1]
+    w_l = pi[..., :, None] * leader
+    w_l = w_l.reshape(w_l.shape[:-2] + (-1,))                   # (..., n_l n_al)
+    lead, real = _front(w_l != 0.0)
+    w_l = np.where(real, np.take_along_axis(w_l, lead, axis=-1), 0.0)
+    f_batch = np.broadcast_shapes(z.shape[:-1], follower.shape[:-2])
+    g_f = np.broadcast_to(follower.reshape(follower.shape[:-2] + (-1,)),
+                          f_batch + (n_f * n_af,))              # (..., n_f n_af)
+    foll, real = _front(np.repeat(z != 0.0, n_af, axis=-1) & (g_f != 0.0))
+    g_f = np.where(real, np.take_along_axis(g_f, foll, axis=-1), 0.0)
+    x_f, a_f = np.divmod(foll, n_af)
+    z_f = np.take_along_axis(np.broadcast_to(z, f_batch + (n_f,)), x_f, axis=-1)
+    x_l, a_l = np.divmod(lead, n_al)
+    batch = np.broadcast_shapes(lead.shape[:-1], foll.shape[:-1], kernel.shape[:-5])
+    k_batch = np.arange(math.prod(kernel.shape[:-5])).reshape(kernel.shape[:-5])
+    flat = kernel.reshape(-1, n_l * n_f * n_al * n_af, n_f)
+    out = np.zeros(batch + (n_f,))
+    for i, j in itertools.product(range(lead.shape[-1]), range(foll.shape[-1])):
+        w = (w_l[..., i] * z_f[..., j]) * g_f[..., j]
+        term = ((x_l[..., i] * n_f + x_f[..., j]) * n_al + a_l[..., i]) * n_af + a_f[..., j]
+        out += w[..., None] * flat[k_batch, term]
+    return _clean_distribution(out)
+
+
+def _front(keep):
+    """Per row of ``keep`` (..., n), the positions where it is set, in order,
+    then zeros: (..., T) positions, T the largest count (at least 1), and
+    the (..., T) mask of the set ones."""
+    count = keep.sum(axis=-1, keepdims=True)
+    real = np.arange(max(int(count.max(initial=0)), 1)) < count
+    pos = np.zeros(real.shape, dtype=np.int64)
+    pos[real] = np.nonzero(keep)[-1]
+    return pos, real
+
+
+def belief_batch(pi, column, rows, eps: float = BAYES_EPS):
+    """``belief_step_total`` for a batch of beliefs and observed leader actions.
+
+    ``pi`` (..., n_l) are beliefs, ``column`` (..., n_l) the probabilities
+    gamma_l(a_l|x) of the observed action under each leader type and
+    ``rows`` (..., n_l, n_l) its leader kernel rows Q^l(. | z, x, a_l),
+    broadcast over their leading axes.  Returns the next beliefs (..., n_l)
+    and the (...) flags of the actions with probability at most ``eps``,
+    whose belief stays the prior.  The denominator is a stacked matmul, so
+    it comes from the same BLAS dot as the scalar ``pi @ col``, and the
+    numerator adds the same terms from +0 in the same order (a zero weight
+    the scalar skips adds a signed zero to a sum that is never -0), so both
+    outputs are bit-identical to the scalar update's.
+    """
+    pi, column, rows = (np.asarray(a, dtype=np.float64) for a in (pi, column, rows))
+    denom = np.matmul(pi[..., None, :], column[..., :, None])[..., 0, 0]
+    fell_back = denom <= eps
+    out = np.zeros(rows.shape[-1:])
+    for x in range(pi.shape[-1]):
+        out = out + (pi[..., x] * column[..., x])[..., None] * rows[..., x, :]
+    out = np.where(fell_back[..., None], pi, out / np.where(fell_back, 1.0, denom)[..., None])
+    return np.where(fell_back[..., None], pi, _clean_distribution(out)), fell_back
 
 
 def belief_step(pi, z, gamma_l, a_l: int, spec: GameSpec,

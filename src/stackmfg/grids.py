@@ -227,9 +227,8 @@ def simplex_stencils(grid: SimplexGrid, points, tol: float = 1e-9):
 
 def _pack(keep, values):
     """Per row, the ``values`` where ``keep`` in their order, then zeros."""
-    r, c = np.nonzero(keep)
     out = np.zeros_like(values)
-    out[r, np.cumsum(keep, axis=1)[r, c] - 1] = values[r, c]
+    out[np.arange(keep.shape[1]) < keep.sum(axis=1, keepdims=True)] = values[keep]
     return out
 
 

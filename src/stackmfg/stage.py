@@ -16,30 +16,35 @@ masked fixed-point test and a per-state selection.  No sweep contraction
 goes through BLAS, so pairs with identical inputs get bit-identical
 objectives wherever they sit in the batch, and exact ties decide selection.
 
-Pair building is batched per public state: the next mean fields of all its
-(leader, follower) pairs come from one ``mean_field_batch`` call, their
-stencils from one ``simplex_stencils`` call, and the joint gather arrays
-from broadcasting each belief stencil against them.  These kernels repeat
-the scalar ``mean_field_step`` and ``simplex_weights`` operation for
-operation, so the arrays are bit-identical to a per-pair build.  The damped
-fallback keeps each row's leader side (Bayes steps, belief stencils, reward
-and kernel terms) from the stacked arrays, so a damped step rebuilds only
-what the follower prescription moves.  It evaluates several predicted steps
-of every live row in one batch and keeps each row's steps up to its first
-mispredicted best response: a row's step depends only on its own
-prescription and a pair's bits not on its place in the batch, so the result
-is that of one step at a time.
+Pair building is one batch over every (state, leader candidate) row: the
+Bayes steps of all played leader actions come from one ``belief_batch``
+call, the next mean fields of all pairs from one ``mean_field_batch`` call,
+their stencils from one ``simplex_stencils`` call, and the joint gather
+arrays from broadcasting each belief stencil against them.  Per-state
+tensors are indexed by state and broadcast over the leader candidates.
+The kernels repeat the scalar ``belief_step_total``, ``mean_field_step``
+and ``simplex_weights`` operation for operation; sums the scalar path
+leaves to ``einsum`` run as left-to-right chains in its order and those it
+leaves to BLAS as stacked ``matmul``, so the arrays are bit-identical to a
+per-pair build.  The damped fallback keeps each row's leader side (Bayes
+steps, belief stencils, reward and kernel terms) from the pair arrays, so a
+damped step rebuilds only what the follower prescription moves.  It
+evaluates several predicted steps of every live row in one batch and keeps
+each row's steps up to its first mispredicted best response: a row's step
+depends only on its own prescription and a pair's bits not on its place in
+the batch, so the result is that of one step at a time.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .dynamics import Prescription, belief_step_total, mean_field_batch
+from .dynamics import Prescription, belief_batch, mean_field_batch
 from .errors import NoEquilibriumError
 from .game import GameSpec
 from .grids import JointGrid, JointTable, simplex_stencils, stencil_products
@@ -93,10 +98,15 @@ class StageSolution:
     diagnostics: StageDiagnostics
 
 
+def _tuples(n: int, k: int) -> np.ndarray:
+    """All k-tuples over range(n) in lexicographic order, (n**k, k)."""
+    return np.indices((n,) * k).reshape(k, -1).T
+
+
 def _pure_candidates(n_states: int, n_actions: int):
     """All deterministic type-to-action maps, lexicographic by action tuple."""
-    return [(tup, np.eye(n_actions)[list(tup)])
-            for tup in itertools.product(range(n_actions), repeat=n_states)]
+    actions = _tuples(n_actions, n_states)
+    return list(zip(map(tuple, actions.tolist()), np.eye(n_actions)[actions]))
 
 
 def _leader_candidates(spec: GameSpec, config: SolverConfig):
@@ -104,19 +114,20 @@ def _leader_candidates(spec: GameSpec, config: SolverConfig):
     out = _pure_candidates(spec.n_leader_states, spec.n_leader_actions)
     if not config.leader_mixed_grid:
         return out
-    denom = round(1.0 / MIXED_STEP)
-    rows = [np.array(comp, dtype=np.float64) / denom
-            for comp in itertools.product(range(denom + 1), repeat=spec.n_leader_actions)
-            if sum(comp) == denom]
-    total = len(rows) ** spec.n_leader_states
+    denom, n_al = round(1.0 / MIXED_STEP), spec.n_leader_actions
+    n_rows = math.comb(denom + n_al - 1, n_al - 1)
+    total = n_rows ** spec.n_leader_states
     if total > MIXED_CANDIDATE_CAP:
         raise ValueError(f"mixed leader grid would enumerate {total} candidates "
                          f"(cap {MIXED_CANDIDATE_CAP})")
-    for combo in itertools.product(rows, repeat=spec.n_leader_states):
-        mat = np.stack(combo)
-        if not np.all(np.max(mat, axis=1) == 1.0):     # pure rows already enumerated
-            out.append((None, mat))
-    return out
+    # The compositions of denom into n_al parts, lexicographic: the gaps
+    # between n_al - 1 bars placed among denom + n_al - 1 positions.
+    bars = np.array(list(itertools.combinations(range(denom + n_al - 1), n_al - 1)),
+                    dtype=np.int64).reshape(n_rows, n_al - 1)
+    rows = (np.diff(bars, axis=1, prepend=-1, append=denom + n_al - 1) - 1) / denom
+    mats = rows[_tuples(n_rows, spec.n_leader_states)]
+    mixed = ~np.all(np.max(mats, axis=2) == 1.0, axis=1)     # pure rows already enumerated
+    return out + [(None, mat) for mat in mats[mixed]]
 
 
 def _tensors(spec: GameSpec, Z, followers):
@@ -160,53 +171,73 @@ def _joint_stencils(joint: JointGrid, pi_idx, pi_w, z_next):
 
 
 def _leader_terms(pi, leaders, rl):
-    """Belief-averaged leader reward (R, F) and the reward per leader type
-    (R, F, n_l) of leader prescriptions (R, n_l, n_al), from the leader
-    rewards (F, n_l, n_al) against F follower prescriptions."""
-    w_la = pi[:, None] * leaders
-    return (np.sum(w_la[:, None] * rl, axis=(2, 3)),
-            np.sum(leaders[:, None] * rl, axis=3))
+    """Belief-averaged leader reward (..., F) and the reward per leader type
+    (..., F, n_l) of leader prescriptions (..., n_l, n_al) at beliefs
+    (..., n_l), from the leader rewards (..., F, n_l, n_al) against F
+    follower prescriptions; one follower prescription at a time, so the
+    products never span all F."""
+    w_la = pi[..., :, None] * leaders
+    terms = [(np.sum(w_la * r, axis=(-2, -1)), np.sum(leaders * r, axis=-1))
+             for r in np.moveaxis(rl, -3, 0)]
+    return np.stack([t[0] for t in terms], axis=-1), np.stack([t[1] for t in terms], axis=-2)
 
 
-def _build_pairs(spec: GameSpec, joint: JointGrid, pi, z, tensors, leaders, followers,
-                 n_slots: int, bayes_eps: float) -> _Pairs:
-    """Pair arrays of one public state: rows ``leaders``, columns ``followers``.
+def _slot_actions(leaders, n_slots: int):
+    """The leader action each slot of a leader prescription (L, n_l, n_al)
+    plays, its played actions in increasing order, and the mask of slots in
+    use, both (L, A); unused slots name action 0."""
+    played = np.any(leaders > 0.0, axis=1)                      # (L, n_al)
+    used = np.arange(n_slots) < played.sum(axis=1, keepdims=True)
+    actions = np.zeros(used.shape, dtype=np.int64)
+    actions[used] = np.nonzero(played)[1]
+    return actions, used
 
-    ``tensors`` are the state's ``_tensors``, with R^l against ``followers``.
-    The next mean fields and their stencils come from one batched call each
-    for all (leader, follower) pairs of the state.
+
+def _build_pairs(joint: JointGrid, pi, z, tensors, leaders, followers, n_slots: int,
+                 bayes_eps: float) -> _Pairs:
+    """Pair arrays of the public states ``pi`` (S, n_l), ``z`` (S, n_f):
+    rows (state, leader) of ``leaders`` (L, n_l, n_al), state-major, and
+    columns ``followers`` (F, n_f, n_af), all in one batch.
+
+    ``tensors`` are the states' ``_tensors``, with R^l against ``followers``;
+    they are indexed by state and broadcast over the leader candidates.
+    Sums the scalar path leaves to ``einsum`` run as left-to-right chains in
+    its order, those it leaves to BLAS as stacked ``matmul``, and the Bayes
+    steps and next mean fields come from ``belief_batch`` and
+    ``mean_field_batch``, so every array is bit-identical to a per-pair build.
     """
     QF, RF, QL, RL = tensors
-    leaders = np.asarray(leaders, dtype=np.float64)
-    followers = np.asarray(followers, dtype=np.float64)
-    n_l, n_f, n_af = spec.n_leader_states, spec.n_follower_states, spec.n_follower_actions
-    R, A = len(leaders), n_slots
-    base_obj, bayes = np.empty((R, n_f, n_af)), np.zeros(R, dtype=np.int64)
-    cont_op, lead_cont = np.zeros((R, A, n_f, n_af, n_f)), np.zeros((R, A, n_l))
-    vl_cont = np.zeros((R, A, n_l, n_l))
-    pi_next, played = np.tile(pi, (R, A, 1)), np.zeros((R, A), dtype=bool)
-    for r, G in enumerate(leaders):
-        w_la = pi[:, None] * G                              # (n_l, n_al)
-        base_obj[r] = np.einsum("la,lfab->fb", w_la, RF)
-        for a, al in enumerate(np.flatnonzero(np.any(G > 0.0, axis=0))):
-            pi_next[r, a], fell_back = belief_step_total(pi, z, G, al, spec, eps=bayes_eps)
-            played[r, a] = True
-            bayes[r] += fell_back
-            cont_op[r, a] = np.einsum("l,lfbn->fbn", w_la[:, al], QF[:, :, al, :, :])
-            lead_cont[r, a] = w_la[:, al] @ QL[:, al, :]
-            vl_cont[r, a] = G[:, al, None] * QL[:, al, :]
-    pi_idx, pi_w = simplex_stencils(joint.pi_grid, pi_next.reshape(R * A, n_l))
-    pi_idx = np.where(played[..., None], pi_idx.reshape(R, A, -1), 0)
-    pi_w = np.where(played[..., None], pi_w.reshape(R, A, -1), 0.0)
-    z_next = mean_field_batch(pi, z, leaders[:, None], followers[None], QF)
+    n_l, n_al = leaders.shape[1:]
+    actions, used = _slot_actions(leaders, n_slots)            # (L, A)
+    w_la = pi[:, None, :, None] * leaders                       # (S, L, n_l, n_al)
+    base_obj = 0.0
+    for xl, al in itertools.product(range(n_l), range(n_al)):
+        base_obj = base_obj + w_la[:, :, xl, al, None, None] * RF[:, None, xl, :, al]
+    # Per slot: gamma_l(a|.) (L, A, n_l), its weight under the belief
+    # (S, L, A, n_l) and Q^l(.|z, ., a) (S, L, A, n_l, n_l).
+    column = np.swapaxes(leaders, 1, 2)[np.arange(len(leaders))[:, None], actions]
+    w_slot = pi[:, None, None, :] * column
+    q_l = np.swapaxes(QL, 1, 2)[:, actions]
+    pi_next, fell_back = belief_batch(pi[:, None, None], column, q_l, bayes_eps)
+    pi_next = np.where(used[..., None], pi_next, pi[:, None, None])
+    q_f = np.moveaxis(QF, 3, 1)                                 # (S, n_al, n_l, n_f, n_af, n_f)
+    cont_op = 0.0
+    for xl in range(n_l):
+        cont_op = cont_op + w_slot[..., xl, None, None, None] * q_f[:, actions, xl]
+    cont_op = np.where(used[..., None, None, None], cont_op, 0.0)
+    lead_cont = np.where(used[..., None], np.matmul(w_slot[..., None, :], q_l)[..., 0, :], 0.0)
+    vl_cont = np.where(used[..., None, None], column[..., None] * q_l, 0.0)
+    pi_idx, pi_w = simplex_stencils(joint.pi_grid, pi_next.reshape(-1, n_l))
+    pi_idx = np.where(used[..., None], pi_idx.reshape(pi_next.shape[:3] + (-1,)), 0)
+    pi_w = np.where(used[..., None], pi_w.reshape(pi_idx.shape), 0.0)
+    z_next = mean_field_batch(pi[:, None, None], z[:, None, None], leaders[:, None],
+                              followers, QF[:, None, None])
     idx, w = _joint_stencils(joint, pi_idx, pi_w, z_next)
-    lead_base, vl_base = _leader_terms(pi, leaders, RL)
-    return _Pairs(idx, w, lead_base, vl_base, base_obj, cont_op, lead_cont, vl_cont, bayes,
-                  pi_idx, pi_w)
-
-
-def _stack(parts) -> _Pairs:
-    return _Pairs(*(np.concatenate(arrays) for arrays in zip(*parts)))
+    lead_base, vl_base = _leader_terms(pi[:, None], leaders, RL[:, None])
+    bayes = np.sum(fell_back & used, axis=2)
+    return _Pairs(*(a.reshape((-1,) + a.shape[2:]) for a in (
+        idx, w, lead_base, vl_base, base_obj, cont_op, lead_cont, vl_cont, bayes,
+        pi_idx, pi_w)))
 
 
 def _fma(a, b, c):
@@ -322,19 +353,18 @@ class StageEngine:
                        for pi, z in states]
         self.leaders = leaders or _leader_candidates(spec, self.config)
         self.followers = _pure_candidates(spec.n_follower_states, spec.n_follower_actions)
+        self._leader_mats = np.array([G for _, G in self.leaders], dtype=np.float64)
         self._follower_mats = np.array([Ff for _, Ff in self.followers])
         self._actions = np.array([bf for bf, _ in self.followers])[None, :, :, None]
         # (leader actions, follower actions) per flat (leader, follower map or damped) entry
         self._keys = [(gl, bf) for gl, _ in self.leaders
                       for bf in [bf for bf, _ in self.followers] + [None]]
-        self._slots = max(int(np.sum(np.any(G > 0.0, axis=0))) for _, G in self.leaders)
-        self._tensors = _tensors(spec, np.array([z for _, z in self.states]),
-                                 self._follower_mats)
-        leader_mats = [G for _, G in self.leaders]
-        self.pairs = _stack(_build_pairs(spec, joint, *state, [t[s] for t in self._tensors],
-                                         leader_mats, self._follower_mats, self._slots,
-                                         self.config.bayes_eps)
-                            for s, state in enumerate(self.states))
+        self._slots = int(np.any(self._leader_mats > 0.0, axis=1).sum(axis=1).max())
+        self._pi = np.array([pi for pi, _ in self.states])
+        self._z = np.array([z for _, z in self.states])
+        self._tensors = _tensors(spec, self._z, self._follower_mats)
+        self.pairs = _build_pairs(joint, self._pi, self._z, self._tensors, self._leader_mats,
+                                  self._follower_mats, self._slots, self.config.bayes_eps)
 
     def _evaluate_pure(self, vf_flat, vl_flat):
         """Evaluated pure pairs and the (R, F) mask of follower fixed points."""
@@ -355,12 +385,9 @@ class StageEngine:
         and the gather arrays, batched over the rows.  The leader rewards
         depend on ``Ff`` too and are built only with ``leader_terms``.
         """
-        L = len(self.leaders)
-        states = rows // L
-        pi = np.array([self.states[s][0] for s in states])
-        z = np.array([self.states[s][1] for s in states])
-        QF = self._tensors[0][states]
-        G = np.array([self.leaders[r % L][1] for r in rows], dtype=np.float64)
+        states = rows // len(self.leaders)
+        pi, z, QF = self._pi[states], self._z[states], self._tensors[0][states]
+        G = self._leader_mats[rows % len(self.leaders)]
         fixed = _take(self.pairs._replace(idx=None, w=None, lead_base=None, vl_base=None), rows)
 
         def pairs(i, Ff, leader_terms=False) -> _Pairs:
@@ -370,10 +397,9 @@ class StageEngine:
             part = part._replace(idx=idx, w=w)
             if not leader_terms:
                 return part
-            rl = self.spec.leader_reward(z[i], Ff)
-            terms = [_leader_terms(pi[k], G[k, None], r[None]) for k, r in zip(i, rl)]
-            return part._replace(lead_base=np.concatenate([t[0] for t in terms]),
-                                 vl_base=np.concatenate([t[1] for t in terms]))
+            rl = self.spec.leader_reward(z[i], Ff)[:, None]
+            lead_base, vl_base = _leader_terms(pi[i], G[i], rl)
+            return part._replace(lead_base=lead_base, vl_base=vl_base)
         return pairs
 
     def _damped(self, rows, vf_flat, vl_flat):
@@ -397,6 +423,8 @@ class StageEngine:
         objective, follower values, leader values)} for the rows whose limit
         is certified.
         """
+        if not len(rows):
+            return {}
         n_f, n_af = self.spec.n_follower_states, self.spec.n_follower_actions
         pairs, discount, W = self._mixed(rows), self.spec.discount, _BR_WINDOW
         Ff = np.full((len(rows), n_f, n_af), 1.0 / n_af)
@@ -481,7 +509,7 @@ class StageEngine:
         rows, cols = np.arange(S) * L + chosen // (F + 1), chosen % (F + 1)
         pure = np.minimum(cols, F - 1)      # damped entries are overwritten below
         out = StageSweep(
-            leader=np.array([G for _, G in self.leaders])[chosen // (F + 1)],
+            leader=self._leader_mats[chosen // (F + 1)],
             follower=self._follower_mats[pure],
             follower_values=np.where(solved[:, None], fv[rows, pure], 0.0),
             leader_values=np.where(solved[:, None], lv[rows, pure], 0.0),
@@ -550,10 +578,10 @@ def pair_objectives(pi, z, prescription: Prescription, v_f_next: JointTable,
     """(follower objectives, follower values, leader objective, leader values)
     of one prescription pair at one public state."""
     G, Ff = prescription.leader, prescription.follower
-    z = np.asarray(z, dtype=np.float64)
-    tensors = [t[0] for t in _tensors(spec, z[None], Ff[None])]
-    pairs = _build_pairs(spec, v_f_next.joint, np.asarray(pi, dtype=np.float64), z,
-                         tensors, [G], [Ff], G.shape[1], (config or SolverConfig()).bayes_eps)
+    z = np.asarray(z, dtype=np.float64)[None]
+    pairs = _build_pairs(v_f_next.joint, np.asarray(pi, dtype=np.float64)[None], z,
+                         _tensors(spec, z, Ff[None]), G[None], Ff[None], G.shape[1],
+                         (config or SolverConfig()).bayes_eps)
     ev = _evaluate(pairs, Ff, v_f_next.flat_values(), v_l_next.flat_values(), spec.discount)
     return tuple(x[0, 0] for x in ev)
 

@@ -1,6 +1,7 @@
 """Mean-field and belief transition maps."""
 
 import dataclasses
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stackmfg as s
-from stackmfg.dynamics import mean_field_batch
+from stackmfg.dynamics import belief_batch, mean_field_batch
 from stackmfg.gamefile import load_game_file
 from conftest import random_prescription, random_stochastic_spec, signal_family_spec
 
@@ -220,6 +221,95 @@ def test_batched_mean_field_step_matches_scalar(game):
                 for got in (out[i, j], mean_field_batch(pi, z, G, Ff, kernel)):
                     assert np.array_equal(got, ref)
                     assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+
+def with_zeros(rng, n, tiny=False):
+    """A random distribution with its first entry zero (or 1e-300 when
+    ``tiny``, so products with it underflow), unless ``n`` is 1."""
+    vec = rng.dirichlet(np.ones(n))
+    if n > 1:
+        vec[0] = 1e-300 if tiny else 0.0
+    return vec / vec.sum()
+
+
+@pytest.mark.parametrize("game", sorted(BATCH_GAMES))
+def test_batched_mean_field_step_broadcasts_states_leaders_and_followers(game):
+    """One call over (S, L, F) with the kernel at each of the S mean fields
+    equals mean_field_step bit for bit, sign of zero too.  The states have
+    zero entries in pi and z (terms the gather must skip) and entries whose
+    products underflow to zero; leaders and followers are mixed, pure and
+    partly pure."""
+    spec = BATCH_GAMES[game]()
+    n_l, n_f = spec.n_leader_states, spec.n_follower_states
+    rng = np.random.default_rng(7 + len(game))
+    states = [(rng.dirichlet(np.ones(n_l)), rng.dirichlet(np.ones(n_f))),
+              (with_zeros(rng, n_l), with_zeros(rng, n_f)),
+              (rng.dirichlet(np.ones(n_l)), with_zeros(rng, n_f)),
+              (with_zeros(rng, n_l, tiny=True), with_zeros(rng, n_f, tiny=True)),
+              (np.eye(n_l)[0], np.eye(n_f)[-1])]
+    pi, z = (np.array(v) for v in zip(*states))
+    leaders = batch_prescriptions(rng, 4, n_l, spec.n_leader_actions)
+    followers = batch_prescriptions(rng, 5, n_f, spec.n_follower_actions)
+    out = mean_field_batch(pi[:, None, None], z[:, None, None], leaders[:, None], followers,
+                           spec.follower_kernel(z)[:, None, None])
+    assert out.shape == (len(states), 4, 5, n_f)
+    for k, (pi_k, z_k) in enumerate(states):
+        for i, G in enumerate(leaders):
+            for j, Ff in enumerate(followers):
+                ref = s.mean_field_step(pi_k, z_k, s.Prescription(leader=G, follower=Ff), spec)
+                assert np.array_equal(out[k, i, j], ref)
+                assert np.array_equal(np.signbit(out[k, i, j]), np.signbit(ref))
+
+
+def test_batched_mean_field_step_gathers_without_dense_terms():
+    """Every pure tech pair at 51 mean fields in one call: 51 states x 41
+    leaders x 4 follower maps.  A dense (pairs x terms) weight array alone
+    would take 11 MiB here; the gather stays below 4 MiB."""
+    spec = s.build_tech_adoption_game(s.TechAdoptionParams(price_points=41))
+    z = s.build_grid(2, 50).points
+    pi = np.ones((len(z), 1))
+    leaders = np.eye(41)[:, None, :]
+    followers = np.eye(2)[np.indices((2, 2)).reshape(2, -1).T]
+    kernel = spec.follower_kernel(z)
+    tracemalloc.start()
+    try:
+        out = mean_field_batch(pi[:, None, None], z[:, None, None], leaders[:, None],
+                               followers, kernel[:, None, None])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (51, 41, 4, 2)
+    assert peak < 4 * 2 ** 20, peak
+    ref = s.mean_field_step(pi[7], z[7], s.Prescription(leader=leaders[5], follower=followers[2]),
+                            spec)
+    assert np.array_equal(out[7, 5, 2], ref)
+
+
+@pytest.mark.parametrize("game", ["signal", "three-leader-types", "tiny"])
+def test_batched_belief_step_matches_scalar(game):
+    """belief_batch equals belief_step_total bit for bit, fallback flag
+    included, for every observed action of mixed, pure and partly pure
+    leader prescriptions at interior, edge and vertex beliefs."""
+    spec = {"signal": signal_family_spec,
+            "three-leader-types": lambda: random_stochastic_spec(5, n_l=3, n_al=3),
+            "tiny": lambda: load_game_file(TINY_GAME)}[game]()
+    n_l, n_al, n_f = spec.n_leader_states, spec.n_leader_actions, spec.n_follower_states
+    rng = np.random.default_rng(len(game))
+    leaders = batch_prescriptions(rng, 6, n_l, n_al)
+    fell = []
+    for pi in (rng.dirichlet(np.ones(n_l)), with_zeros(rng, n_l), np.eye(n_l)[-1]):
+        z = rng.dirichlet(np.ones(n_f))
+        rows = np.swapaxes(spec.leader_kernel(z), 0, 1)        # (n_al, n_l, n_l)
+        got, flags = belief_batch(pi, np.swapaxes(leaders, 1, 2), rows)
+        assert got.shape == (6, n_al, n_l) and flags.shape == (6, n_al)
+        for i, G in enumerate(leaders):
+            for al in range(n_al):
+                ref, ref_flag = s.belief_step_total(pi, z, G, al, spec)
+                assert np.array_equal(got[i, al], ref)
+                assert np.array_equal(np.signbit(got[i, al]), np.signbit(ref))
+                assert flags[i, al] == ref_flag
+                fell.append(ref_flag)
+    assert any(fell) and not all(fell)
 
 
 def test_batched_mean_field_step_checks_prescriptions():

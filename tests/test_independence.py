@@ -7,7 +7,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "stackmfg"
 ENGINE_MODULES = {"stage", "solver"}
-ENGINE_NAMES = {"mean_field_batch", "simplex_stencils", "stencil_products"}
+ENGINE_NAMES = {"belief_batch", "mean_field_batch", "simplex_stencils", "stencil_products"}
 
 
 @pytest.mark.parametrize("module", ["reference.py", "oracle.py"])

@@ -1,5 +1,6 @@
 """Per-point stage fixed point: follower best responses, leader choice, values."""
 
+import itertools
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -326,6 +327,7 @@ PAIR_GAMES = {
     "tiny": lambda: (load_game_file(Path(__file__).resolve().parent.parent / "sample_games"
                                     / "tiny.json"), 4, 1, False),
     "two-leader-types-mixed-grid": lambda: (toy_spec_two_leader_states(), 3, 2, True),
+    "three-leader-types": lambda: (random_stochastic_spec(7, n_l=3, n_al=2), 3, 3, False),
 }
 
 
@@ -343,6 +345,38 @@ def test_engine_pairs_match_per_pair_rebuild(game):
         expected = reference_pairs(spec, joint, pi, z, [G for _, G in engine.leaders],
                                    engine._follower_mats, engine._slots)
         assert_pairs_equal(stage._take(engine.pairs, rows), expected)
+
+
+def test_mixed_leader_grid_matches_enumeration_and_checks_cap_first():
+    """The mixed leader grid lists every strictly mixed map with MIXED_STEP
+    rows, in the order of filtering all product tuples, after the pure
+    maps; a grid over the cap is refused before it is enumerated (12
+    actions would mean 11**12 tuples to filter)."""
+    config = s.SolverConfig(leader_mixed_grid=True)
+    for spec in (toy_spec_two_leader_states(), toy_spec(n_leader_actions=4)):
+        n_l, n_al = spec.n_leader_states, spec.n_leader_actions
+        rows = [np.array(comp) / 10 for comp in itertools.product(range(11), repeat=n_al)
+                if sum(comp) == 10]
+        expected = [np.stack(combo) for combo in itertools.product(rows, repeat=n_l)
+                    if not np.all(np.max(np.stack(combo), axis=1) == 1.0)]
+        got = stage._leader_candidates(spec, config)
+        pure = stage._pure_candidates(n_l, n_al)
+        assert [gl for gl, _ in got] == [gl for gl, _ in pure] + [None] * len(expected)
+        assert all(np.array_equal(G, E) for (_, G), E in zip(got[len(pure):], expected))
+    spec = s.build_tech_adoption_game(s.TechAdoptionParams(price_points=12))
+    with pytest.raises(ValueError, match="352716 candidates"):
+        stage._leader_candidates(spec, config)
+
+
+def test_three_leader_types_sum_three_terms_and_fall_back():
+    """The three-leader-type pair game has an interior belief, where a leader
+    map playing one action for every type sums three nonzero terms in
+    base_obj, lead_cont and the Bayes denominator, and beliefs under which
+    a played leader action has probability zero, so Bayes rule falls back."""
+    spec, z_res, pi_res, mixed = PAIR_GAMES["three-leader-types"]()
+    engine = StageEngine(spec, toy_joint_grid(spec, z_res=z_res, pi_res=pi_res))
+    assert any(np.all(pi > 0.0) for pi, _ in engine.states)
+    assert engine.pairs.bayes.sum() > 0
 
 
 def crowding_spec():
@@ -449,8 +483,7 @@ def test_damped_steps_do_not_repeat_leader_side_work(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(stage, "belief_step_total",
-                        counted("bayes", stage.belief_step_total))
+    monkeypatch.setattr(stage, "belief_batch", counted("bayes", stage.belief_batch))
     monkeypatch.setattr(s.dynamics, "belief_step_total",
                         counted("bayes", s.dynamics.belief_step_total))
     monkeypatch.setattr(stage, "mean_field_batch",
@@ -465,6 +498,20 @@ def test_damped_steps_do_not_repeat_leader_side_work(monkeypatch):
         assert counts["mean_field"] <= min(steps, 50)
         seen[steps] = counts["bayes"]
     assert seen == {full: 0, 3: 0}
+    counts.clear()
+    StageEngine(spec, joint)
+    assert counts["bayes"] > 0          # the counter sees the engine's Bayes steps
+
+
+def test_sweep_without_damped_rows_sets_up_no_fallback(monkeypatch):
+    """Against zero tables every row has a pure follower fixed point, so a
+    sweep never sets up the damped fallback's mixed pair builder."""
+    spec = toy_spec()
+    joint = toy_joint_grid(spec)
+    engine = StageEngine(spec, joint)
+    monkeypatch.setattr(engine, "_mixed", lambda rows: pytest.fail("damped set-up"))
+    sweep = engine.sweep(*(table.flat_values() for table in zero_tables(spec, joint)))
+    assert np.all(np.isinf(sweep.objectives[:, :, -1]))
 
 
 def sequential_damped(engine, rows, vf_flat, vl_flat):
