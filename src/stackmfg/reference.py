@@ -6,6 +6,12 @@ the leader prescription is an unconditional action distribution, and the
 Bayes update disappears.  This module codes that reduced recursion directly,
 without reusing the stage solver, so the two paths can be cross-checked on
 any single-leader-state game.
+
+Each stage is one array pass over every (grid point x leader action x pure
+follower map) pair.  Every sum keeps the shape a per-pair loop gives it (the
+next mean field accumulated type by type, one (1, n_f) @ (n_f, 1) product
+per kernel row, one stencil product per distinct next mean field), so the
+tables and policies are bit for bit those of that loop.
 """
 
 from __future__ import annotations
@@ -34,78 +40,66 @@ class _ZTable:
         self.values = np.asarray(values, dtype=np.float64)
 
 
-def _pairs_at(spec: GameSpec, z, stencils: dict):
-    """The table-independent data of every (a^l, pure follower map) pair at
-    one mean field, in enumeration order: a^l, the map, the follower reward
-    (n_f, n_af) and kernel rows (n_f, n_af, n_f) under a^l, the leader
-    reward against the map, and the next mean field's number in ``stencils``."""
-    n_f, n_af = spec.n_follower_states, spec.n_follower_actions
-    z = np.asarray(z, dtype=np.float64)
-    maps = list(itertools.product(range(n_af), repeat=n_f))
-    qf, rf = spec.follower_kernel(z)[0], spec.follower_reward(z)[0]
-    rl = spec.leader_reward(z, np.array([np.eye(n_af)[list(bf)] for bf in maps]))[:, 0]
-    out = []
-    for al in range(spec.n_leader_actions):
-        for m, bf in enumerate(maps):
-            z_next = np.zeros(n_f)
-            for xf in range(n_f):
-                z_next += z[xf] * qf[xf, al, bf[xf]]
-            z_next = np.clip(z_next, 0.0, None)
-            z_next = z_next / z_next.sum()
-            s = stencils.setdefault(z_next.tobytes(), len(stencils)) if spec.discount else None
-            out.append((al, bf, rf[:, al], qf[:, al], float(rl[m, al]), s))
-    return out
-
-
 def _start(spec: GameSpec, grid: SimplexGrid):
-    """Once per call: the pairs of every grid point, one ``simplex_weights``
-    stencil per next mean field of distinct exact bytes, and zero tables."""
+    """Once per call, the table-independent data of every (grid point, a^l,
+    pure follower map) pair, stacked (P, M) with M in a^l-major then map
+    order: the follower reward (P, M, n_f, n_af) and kernel rows
+    (P, M, n_f, n_af, n_f) under a^l, the leader reward against the map
+    (P, M), a^l and the map of each pair, and each next mean field's stencil
+    number.  Numbers go by exact bytes in first-seen order, with one
+    ``simplex_weights`` stencil each.  Also returns zero tables."""
+    n_f, n_af, n_al = spec.n_follower_states, spec.n_follower_actions, spec.n_leader_actions
+    Z = grid.points
+    maps = np.array(list(itertools.product(range(n_af), repeat=n_f)), dtype=np.int64)
+    P, M = grid.n_points, n_al * len(maps)
+    # (P, n_al, ...) -> (P, M, ...): each a^l's rows repeated over the maps
+    reward = np.repeat(np.moveaxis(spec.follower_reward(Z)[:, 0], 2, 1), len(maps), axis=1)
+    kernel = np.repeat(np.moveaxis(spec.follower_kernel(Z)[:, 0], 2, 1), len(maps), axis=1)
+    lead = spec.leader_reward(Z[:, None], np.eye(n_af)[maps])[:, :, 0]      # (P, maps, n_al)
+    lead = np.moveaxis(lead, 2, 1).reshape(P, M)
+    al, bf = np.repeat(np.arange(n_al), len(maps)), np.tile(maps, (n_al, 1))
+    rows = kernel[:, np.arange(M)[:, None], np.arange(n_f), bf]     # (P, M, n_f, n_f)
+    z_next = np.zeros((P, M, n_f))
+    for xf in range(n_f):
+        z_next += Z[:, None, xf, None] * rows[:, :, xf]
+    z_next = np.clip(z_next, 0.0, None)
+    z_next = z_next / z_next.sum(axis=-1, keepdims=True)
     stencils = {}
-    pairs = [_pairs_at(spec, z, stencils) for z in grid.points]
-    return (pairs, [simplex_weights(grid, np.frombuffer(key)) for key in stencils],
-            _ZTable(grid, np.zeros((grid.n_points, spec.n_follower_states))),
-            _ZTable(grid, np.zeros((grid.n_points, 1))))
+    s = (np.array([stencils.setdefault(row.tobytes(), len(stencils))
+                   for row in z_next.reshape(-1, n_f)]).reshape(P, M) if spec.discount else None)
+    return ((reward, kernel, lead, al, bf, s),
+            [simplex_weights(grid, np.frombuffer(key)) for key in stencils],
+            _ZTable(grid, np.zeros((P, n_f))), _ZTable(grid, np.zeros((P, 1))))
 
 
-def _stage_at(pairs, z, delta: float, vf_next, vl_next, br_tol: float = 1e-9):
-    """One stage solve at a single mean field; returns values and prescription.
+def _sweep(spec, grid, pairs, stencils, vf, vl, br_tol, t=None):
+    """One stage solve at every grid point; returns tables and prescriptions.
 
-    Enumerates leader actions and pure follower maps (``pairs``); a follower
-    map is a fixed point if each type's played action attains the row
-    maximum of the expected reward-to-go computed with the next mean field
-    induced by the map itself.  ``vf_next``/``vl_next`` go by stencil number.
+    A pair's follower map is a fixed point if each type's played action
+    attains the row maximum of the expected reward-to-go computed with the
+    next mean field induced by the map itself.  Each point takes the first
+    fixed point of greatest leader total in (a^l, map) order.
     """
-    best = None     # (value, al, bf, obj)
-    for al, bf, reward, kernel, lead, s in pairs:
-        n_f = len(bf)
-        vf_interp = vf_next[s] if delta != 0.0 else np.zeros(n_f)
-        # (1, n_f) @ (n_f, 1) per entry: the dot product of each kernel row
-        obj = reward + delta * np.matmul(kernel[..., None, :], vf_interp[:, None])[..., 0, 0]
-        if np.any(obj[np.arange(n_f), bf] < obj.max(axis=1) - br_tol):
-            continue
-        if delta != 0.0:
-            lead += delta * vl_next[s]
-        if best is None or lead > best[0]:
-            best = (lead, al, bf, obj)
-    if best is None:
-        raise NoEquilibriumError("no stage fixed point", pi=np.array([1.0]), z=z)
-    lead, al, bf, obj = best
-    return obj[np.arange(len(bf)), bf], lead, (al, bf)
-
-
-def _sweep(spec, grid, pairs, stencils, vf, vl, br_tol):
-    new_f = np.zeros_like(vf.values)
-    new_l = np.zeros_like(vl.values)
-    policy = []
-    vf_next = [w @ vf.values[idx, :] for idx, w in stencils]
-    vl_next = [float(w @ vl.values[idx, 0]) for idx, w in stencils]
-    for i in range(grid.n_points):
-        vf_row, lead, choice = _stage_at(pairs[i], grid.points[i], spec.discount,
-                                         vf_next, vl_next, br_tol)
-        new_f[i, :] = vf_row
-        new_l[i, 0] = lead
-        policy.append(choice)
-    return _ZTable(grid, new_f), _ZTable(grid, new_l), policy
+    reward, kernel, lead, al, bf, s = pairs
+    delta = spec.discount
+    if delta != 0.0:
+        v = np.array([w @ vf.values[idx, :] for idx, w in stencils])[s]
+        lead = lead + delta * np.array([w @ vl.values[idx, 0] for idx, w in stencils])[s]
+    else:
+        v = np.zeros(reward.shape[:3])
+    # (1, n_f) @ (n_f, 1) per entry: the dot product of each kernel row
+    obj = reward + delta * np.matmul(kernel[..., None, :], v[:, :, None, None, :, None])[..., 0, 0]
+    played = np.take_along_axis(obj, bf[None, :, :, None], axis=-1)[..., 0]
+    fixed = ~np.any(played < obj.max(axis=-1) - br_tol, axis=-1)
+    solved = fixed.any(axis=1)
+    if not solved.all():
+        raise NoEquilibriumError("no stage fixed point", t=t, pi=np.array([1.0]),
+                                 z=grid.points[int(np.argmin(solved))].copy())
+    choice = np.argmax(np.where(fixed, lead, -np.inf), axis=1)
+    points = np.arange(grid.n_points)
+    policy = [(int(al[c]), tuple(bf[c].tolist())) for c in choice]
+    return (_ZTable(grid, played[points, choice]), _ZTable(grid, lead[points, choice][:, None]),
+            policy)
 
 
 def backward_finite(spec: GameSpec, grid: SimplexGrid, horizon: Optional[int] = None,
@@ -127,7 +121,7 @@ def backward_finite(spec: GameSpec, grid: SimplexGrid, horizon: Optional[int] = 
     policies = [None] * T
     f_tables[T], l_tables[T] = vf, vl
     for t in range(T, 0, -1):
-        vf, vl, policy = _sweep(spec, grid, pairs, stencils, vf, vl, br_tol)
+        vf, vl, policy = _sweep(spec, grid, pairs, stencils, vf, vl, br_tol, t)
         f_tables[t - 1], l_tables[t - 1] = vf, vl
         policies[t - 1] = policy
     return f_tables, l_tables, policies
@@ -143,11 +137,12 @@ def value_iteration(spec: GameSpec, grid: SimplexGrid, tol: float = 1e-6,
     Returns (follower table, leader table, policy, deltas).
     """
     _require_single_leader_state(spec)
+    for name, count in (("n_iters", n_iters), ("max_iter", max_iter)):
+        if count is not None and count < 1:
+            raise ValueError(f"{name} must be at least 1, got {count}")
     pairs, stencils, vf, vl = _start(spec, grid)
     deltas = []
-    policy = None
-    limit = n_iters if n_iters is not None else max_iter
-    for _ in range(limit):
+    for _ in range(n_iters if n_iters is not None else max_iter):
         new_f, new_l, policy = _sweep(spec, grid, pairs, stencils, vf, vl, br_tol)
         delta = max(float(np.max(np.abs(new_f.values - vf.values))),
                     float(np.max(np.abs(new_l.values - vl.values))))
