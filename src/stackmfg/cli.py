@@ -329,6 +329,20 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not (np.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and above 0, got {text}")
+    return value
+
+
+def _nonnegative_float(text: str) -> float:
+    value = float(text)
+    if not (np.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be finite and at least 0, got {text}")
+    return value
+
+
 def _add_game(p: argparse.ArgumentParser):
     p.add_argument("--game", help="built-in game name (infection, tech)")
     p.add_argument("--game-file", help="path to a JSON game definition")
@@ -347,9 +361,11 @@ def _add_grid(p: argparse.ArgumentParser):
                    help="mean-field grid resolution (default 50 for 2 types)")
     p.add_argument("--pi-res", type=_positive_int, dest="pi_resolution", default=10,
                    help="belief grid resolution (default 10)")
-    p.add_argument("--br-tol", type=float, default=1e-9,
-                   help="best-response fixed-point tolerance")
-    p.add_argument("--bayes-eps", type=float, default=1e-12)
+    p.add_argument("--br-tol", type=_nonnegative_float, default=1e-9,
+                   help="best-response fixed-point tolerance, finite and at least 0")
+    p.add_argument("--bayes-eps", type=_nonnegative_float, default=1e-12,
+                   help="leader-action probability at or below which no Bayes update "
+                        "is made, finite and at least 0")
     p.add_argument("--out", help="output directory (solve: default out/<spec-hash>)")
 
 
@@ -373,8 +389,8 @@ def main(argv=None) -> int:
     p_solve = sub.add_parser("solve", help="solve a game and export artifacts")
     _add_game(p_solve)
     _add_grid(p_solve)
-    p_solve.add_argument("--tol", type=float, default=1e-6,
-                         help="value-iteration stopping tolerance")
+    p_solve.add_argument("--tol", type=_positive_float, default=1e-6,
+                         help="value-iteration stopping tolerance, finite and above 0")
     p_solve.add_argument("--max-iter", type=_positive_int, default=2000,
                          help="stationary sweeps before giving up, at least 1")
     _add_forward(p_solve)

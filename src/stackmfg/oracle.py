@@ -10,6 +10,12 @@ dynamic programming over tree nodes, so deviations conditioning on the full
 public history are covered, not just Markov ones.  Work that depends only
 on an exact public state is done once per game (one CLI call) and memoised
 in its ``TinyGame``, keyed by exact bytes.
+
+Profiles are formed only from last-stage prescription pairs that pass the
+follower check on their own: with a zero continuation a last-stage node's
+follower gap depends on that node alone, so a profile holding a larger gap
+fails whatever its other nodes do.  Every other profile is still evaluated,
+in enumeration order, so the results are those of the exhaustive search.
 """
 
 from __future__ import annotations
@@ -55,7 +61,8 @@ class TinyGame:
     ``_memo`` keeps for the game's lifetime, under the exact float64 bytes
     of beliefs and mean fields (never rounded node keys), the tensors per
     mean field (the spec ``_tensors`` reads them), the children per map
-    pair, pure prescriptions, leader reward rows and node keys, read-only.
+    pair, pure prescriptions, leader reward rows, last-stage follower action
+    values per leader map, and node keys, read-only.
     """
 
     spec: GameSpec
@@ -136,8 +143,29 @@ def _node_children(game, pi, z, leader_map, follower_map):
                           children)
 
 
-def enumerate_profiles(game: TinyGame, initial_index: int = 0):
-    """All pure Markov profiles on the reachable public tree."""
+def _last_stage_gap(game, pi, z, leader_map, follower_map) -> float:
+    """Largest follower gain from deviating at a last-stage node.
+
+    The continuation is zero there, so the gap reads one ``_action_values``
+    table per (exact state, leader map), memoised in ``game``; it equals the
+    node's term of ``evaluate_profile``'s follower gap bit for bit.
+    """
+    n_f = game.spec.n_follower_states
+    table = game._memoised(("last_stage", _exact(pi), _exact(z), leader_map), lambda: _frozen(
+        _action_values(game, pi, z, leader_map, lambda al: np.zeros(n_f))))
+    return float(np.max(table.max(axis=1) - table[np.arange(n_f), follower_map]))
+
+
+def enumerate_profiles(game: TinyGame, initial_index: int = 0, tol: float = 1e-9):
+    """Pure Markov profiles on the reachable public tree, in enumeration
+    order, less those with a last-stage node whose follower gap exceeds ``tol``.
+
+    Such a profile can never pass ``follower_ok(tol)``: its follower gap is
+    the max over its nodes, or NaN.  A NaN node gap prunes nothing.  The
+    pruned product over each last-stage node's kept pairs is a subsequence
+    of the full product, so survivors keep their order.  ``max_profiles``
+    caps the full, unpruned count.
+    """
     spec = game.spec
     T = spec.horizon
     pi1, z1 = game.initial_points[initial_index]
@@ -152,27 +180,34 @@ def enumerate_profiles(game: TinyGame, initial_index: int = 0):
 
     def recurse(t, states, leader_assign, follower_assign):
         nonlocal count
-        if t > T:
-            count += 1
+        keys = sorted(states)
+        if t == T:
+            count += len(joint) ** len(keys)
             if count > game.max_profiles:
                 raise EnumerationTooLarge(
                     f"profile enumeration exceeded cap {game.max_profiles}")
-            profiles.append(OracleProfile(leader=dict(leader_assign),
-                                          follower=dict(follower_assign)))
+            kept = [[(lm, fm) for lm, fm in joint
+                     if not _last_stage_gap(game, *states[key], lm, fm) > tol]
+                    for key in keys]
+            for combo in itertools.product(*kept):
+                leader, follower = dict(leader_assign), dict(follower_assign)
+                for key, (lm, fm) in zip(keys, combo):
+                    leader[key], follower[key] = lm, fm
+                profiles.append(OracleProfile(leader=leader, follower=follower))
             return
-        keys = sorted(states)
         for combo in itertools.product(joint, repeat=len(keys)):
             for key, (lm, fm) in zip(keys, combo):
                 leader_assign[key] = lm
                 follower_assign[key] = fm
             next_states = {}
-            if t < T:
-                for key in keys:
-                    pi, z = states[key]
-                    lm, fm = leader_assign[key], follower_assign[key]
-                    z_next, children = _node_children(game, pi, z, lm, fm)
-                    for pi_next in children.values():
-                        next_states[game._key(t + 1, pi_next, z_next)] = (pi_next, z_next)
+            for key in keys:
+                pi, z = states[key]
+                lm, fm = leader_assign[key], follower_assign[key]
+                z_next, children = _node_children(game, pi, z, lm, fm)
+                for pi_next in children.values():
+                    # build_tree keeps the first state to reach a node key; with
+                    # a single node before the last stage (horizon <= 2) so does this
+                    next_states.setdefault(game._key(t + 1, pi_next, z_next), (pi_next, z_next))
             recurse(t + 1, next_states, leader_assign, follower_assign)
             for key in keys:
                 del leader_assign[key]
@@ -417,10 +452,15 @@ def enumerate_smfe(game: TinyGame, initial_index: int = 0,
     ``tol`` extra at any reached public state.  Requiring optimality at
     every time excludes time-inconsistent commitment plans that a stagewise
     recursion cannot generate.
+
+    Profiles that a last-stage follower gap rules out are never formed (see
+    ``enumerate_profiles``), so the result, its order and the first leader
+    deviation pricing that raises ``NoEquilibriumError`` are those of the
+    full search.  Leader gaps prune nothing, so no such raise is skipped.
     """
     recursion = _ExactStageRecursion(game, tol)
     out = []
-    for profile in enumerate_profiles(game, initial_index):
+    for profile in enumerate_profiles(game, initial_index, tol):
         ev = evaluate_profile(game, profile, initial_index)
         if not (ev.consistent and ev.follower_ok(tol)):
             continue

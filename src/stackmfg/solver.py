@@ -160,6 +160,8 @@ def solve_stationary(spec: GameSpec, joint: JointGrid, tol: float = 1e-6,
         raise ValueError("stationary solve requires discount < 1")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    if not tol > 0:
+        raise ValueError(f"tol must be above 0, got {tol}")
     engine = StageEngine(spec, joint, config=config)
     if initial_tables is None:
         vf = JointTable.zeros(joint, spec.n_follower_states)

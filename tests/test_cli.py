@@ -321,6 +321,24 @@ def test_solve_and_oracle_reject_counts_below_one(tmp_path):
     assert not out.exists()
 
 
+def test_solve_and_oracle_reject_bad_tolerances(tmp_path, capsys):
+    """A stopping tolerance that is not finite and above 0, or a best-response
+    or Bayes tolerance that is not finite and at least 0, is a usage error,
+    not a misleading failure later in the solve or the oracle."""
+    out = tmp_path / "run"
+    solve = ["solve", "--game", "infection", "--z-res", "3", "--action-res", "3"]
+    oracle = ["oracle", "--game-file", str(SAMPLE_GAME), "--check-solver", "--z-res", "4"]
+    cases = [[*solve, "--tol", value] for value in ("0", "-1e-6", "nan", "inf")]
+    cases += [[*base, flag, value] for base in (solve, oracle)
+              for flag in ("--br-tol", "--bayes-eps") for value in ("-1", "nan", "inf", "-inf")]
+    for args in cases:
+        with pytest.raises(SystemExit) as exc:
+            run_cli(args + ["--out", str(out)])
+        assert exc.value.code == 2, args
+        assert f"argument {args[-2]}" in capsys.readouterr().err, args
+    assert not out.exists()
+
+
 def test_python_dash_m_runs_the_cli():
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -1,21 +1,23 @@
 """Exhaustive-enumeration oracle on tiny games."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 
 import stackmfg as s
 from conftest import solve_clean_tiny, toy_spec, toy_spec_two_leader_states
+from stackmfg.gamefile import load_game_dict
 
 
 def make_tiny(spec, **kw):
     return s.TinyGame(spec, **kw)
 
 
-def test_zero_reward_game_everything_is_smfe():
+def zero_reward_spec():
     spec = toy_spec(horizon=1, seed=0)
-    zeroed = s.GameSpec.from_callables(
+    return s.GameSpec.from_callables(
         follower_states=spec.follower_states, leader_states=spec.leader_states,
         follower_actions=spec.follower_actions, leader_actions=spec.leader_actions,
         leader_kernel=lambda z, al, xl: spec.leader_kernel(z)[xl, al],
@@ -24,7 +26,145 @@ def test_zero_reward_game_everything_is_smfe():
         leader_reward=lambda z, xl, al, gf: 0.0,
         discount=0.9, horizon=1,
         initial_leader_belief=[1.0], initial_mean_field=[0.5, 0.5])
-    game = make_tiny(zeroed)
+
+
+def tiny_game_spec(seed, n_leader_actions):
+    """Grid-closed game file in the shape of the benchmark's tiny games: one
+    leader state, 0/1 follower kernels, rewards affine in the mean field,
+    horizon 2, an interior start on the z-res 4 lattice."""
+    rng = np.random.default_rng(seed)
+    dest = rng.integers(0, 2, size=(2, n_leader_actions, 2))
+    rf = rng.normal(size=(2, n_leader_actions, 2))
+    rl = rng.normal(size=n_leader_actions)
+    rl_z = rng.normal(size=n_leader_actions)
+    infected = float(rng.integers(1, 4)) / 4.0
+    acts = range(n_leader_actions)
+
+    def affine(const, coef):
+        return {"const": float(const), "z": coef}
+
+    return load_game_dict({
+        "name": f"tiny-{seed}", "follower_states": ["a", "b"], "leader_states": ["L"],
+        "follower_actions": ["0", "1"], "leader_actions": [str(a) for a in acts],
+        "discount": 0.9, "horizon": 2,
+        "initial_leader_belief": [1.0], "initial_mean_field": [1.0 - infected, infected],
+        "follower_kernel": [[[[[float(n == dest[xf, al, af]) for n in range(2)]
+                               for af in range(2)] for al in acts] for xf in range(2)]],
+        "leader_kernel": [[[1.0] for _ in acts]],
+        "follower_reward": [[[[affine(rf[xf, al, af], [0.0, 0.3 * af]) for af in range(2)]
+                              for al in acts] for xf in range(2)]],
+        "leader_reward": [[affine(rl[al], [0.0, rl_z[al]]) for al in acts]]})
+
+
+def all_profiles(game, initial_index=0):
+    """Every pure Markov profile on the reachable public tree, unpruned."""
+    spec = game.spec
+    joint = list(itertools.product(
+        itertools.product(range(spec.n_leader_actions), repeat=spec.n_leader_states),
+        itertools.product(range(spec.n_follower_actions), repeat=spec.n_follower_states)))
+
+    def walk(t, states, chosen):
+        if t > spec.horizon:
+            yield chosen
+            return
+        keys = sorted(states)
+        for combo in itertools.product(joint, repeat=len(keys)):
+            assign = {**chosen, **dict(zip(keys, combo))}
+            next_states = {}
+            for key in keys if t < spec.horizon else ():
+                z_next, children = s.oracle._node_children(game, *states[key], *assign[key])
+                for pi_next in children.values():
+                    next_states[s.oracle.node_key(t + 1, pi_next, z_next)] = (pi_next, z_next)
+            yield from walk(t + 1, next_states, assign)
+
+    pi1, z1 = game.initial_points[initial_index]
+    return [s.OracleProfile(leader={key: lm for key, (lm, _) in assign.items()},
+                            follower={key: fm for key, (_, fm) in assign.items()})
+            for assign in walk(1, {s.oracle.node_key(1, pi1, z1): (pi1, z1)}, {})]
+
+
+def exhaustive_smfe(game, initial_index=0, tol=1e-9):
+    """The unpruned reference: every profile evaluated, then the consistency,
+    follower and leader-gap filter of ``enumerate_smfe``.  Returns
+    (evaluation, leader gain) per equilibrium and the evaluations made."""
+    recursion = s.oracle._ExactStageRecursion(game, tol)
+    out, evaluations = [], []
+    for profile in all_profiles(game, initial_index):
+        ev = s.oracle.evaluate_profile(game, profile, initial_index)
+        evaluations.append(ev)
+        if not (ev.consistent and ev.follower_ok(tol)):
+            continue
+        worst = max(s.oracle._leader_node_gaps(game, ev, recursion).values())
+        if worst <= tol:
+            out.append((ev, max(worst, 0.0)))
+    return out, evaluations
+
+
+def bits(value):
+    return np.asarray(value, dtype=np.float64).tobytes()
+
+
+def same_rows(a: dict, b: dict) -> bool:
+    return a.keys() == b.keys() and all(bits(a[k]) == bits(b[k]) for k in a)
+
+
+def assert_matches_exhaustive(spec):
+    expected, _ = exhaustive_smfe(make_tiny(spec))
+    results = s.enumerate_smfe(make_tiny(spec))
+    assert [r.profile.key() for r in results] == [ev.profile.key() for ev, _ in expected]
+    for r, (ev, gain) in zip(results, expected):
+        got = r.evaluation
+        assert bits(got.root_leader_value) == bits(ev.root_leader_value)
+        assert bits(r.leader_gain) == bits(gain)
+        assert bits(r.max_follower_gain) == bits(ev.max_follower_gap)
+        assert same_rows(got.follower_values, ev.follower_values)
+        assert same_rows(got.follower_best, ev.follower_best)
+        assert same_rows(got.leader_values, ev.leader_values)
+
+
+@pytest.mark.parametrize("spec", [
+    toy_spec_two_leader_states(), toy_spec(horizon=1, seed=4),
+    toy_spec_two_leader_states(horizon=1), zero_reward_spec(),
+    *(tiny_game_spec(seed, n_al) for seed in range(6) for n_al in (2, 3))],
+    ids=["two-leader-types", "horizon-1", "two-leader-types-horizon-1", "zero-reward",
+         *(f"tiny-{seed}-{n_al}al" for seed in range(6) for n_al in (2, 3))])
+def test_pruned_enumeration_matches_exhaustive(spec):
+    """Dropping last-stage follower deviations before profiles are formed
+    keeps every equilibrium, its order, and every value bit."""
+    assert_matches_exhaustive(spec)
+
+
+def test_zero_reward_game_prunes_nothing():
+    game = make_tiny(zero_reward_spec())
+    assert s.oracle.enumerate_profiles(game) == all_profiles(game)
+
+
+def passes_last_stage(ev, horizon, tol=1e-9):
+    """No last-stage node of the evaluated profile has a follower gap above tol."""
+    return not any(float(np.max(ev.follower_best[k] - ev.follower_values[k])) > tol
+                   for k, node in ev.tree.items() if node.t == horizon)
+
+
+@pytest.mark.parametrize("n_al, evaluated, total", [(2, 16, 64), (3, 36, 144)])
+def test_only_profiles_passing_the_last_stage_are_evaluated(monkeypatch, n_al, evaluated, total):
+    spec = tiny_game_spec(0, n_al)
+    _, reference = exhaustive_smfe(make_tiny(spec))
+    assert len(reference) == total
+    assert sum(passes_last_stage(ev, spec.horizon) for ev in reference) == evaluated
+    calls = []
+    evaluate = s.oracle.evaluate_profile
+
+    def counted(game, profile, initial_index=0):
+        calls.append(profile)
+        return evaluate(game, profile, initial_index)
+
+    monkeypatch.setattr(s.oracle, "evaluate_profile", counted)
+    s.enumerate_smfe(make_tiny(spec))
+    assert calls == [ev.profile for ev in reference if passes_last_stage(ev, spec.horizon)]
+
+
+def test_zero_reward_game_everything_is_smfe():
+    game = make_tiny(zero_reward_spec())
     results = s.enumerate_smfe(game)
     # 2 leader actions x 4 follower maps, all worthless deviations
     assert len(results) == 8
@@ -131,6 +271,17 @@ def test_enumeration_cap():
         s.enumerate_smfe(game)
 
 
+@pytest.mark.parametrize("spec", [toy_spec(horizon=2, seed=1, n_leader_actions=3),
+                                  toy_spec_two_leader_states()],
+                         ids=["three-leader-actions", "two-leader-types"])
+def test_cap_counts_every_profile_not_just_the_evaluated_ones(spec):
+    total = len(all_profiles(make_tiny(spec)))
+    assert len(s.oracle.enumerate_profiles(make_tiny(spec))) < total - 1
+    s.enumerate_smfe(make_tiny(spec, max_profiles=total))
+    with pytest.raises(s.EnumerationTooLarge):
+        s.enumerate_smfe(make_tiny(spec, max_profiles=total - 1))
+
+
 def test_mean_field_tree_consistency():
     built = solve_clean_tiny(seed=12)
     assert built is not None
@@ -222,8 +373,8 @@ def test_consistency_check_sees_a_perturbed_child():
 
 
 def test_memoised_arrays_are_read_only():
-    """A stray in-place write into a memoised tensor, next mean field or
-    next belief raises instead of corrupting later profiles."""
+    """A stray in-place write into a memoised tensor, next mean field, next
+    belief or last-stage action-value table raises instead of corrupting later profiles."""
     game = make_tiny(toy_spec_two_leader_states())
     s.oracle_report(game)
     arrays = {}
@@ -236,7 +387,7 @@ def test_memoised_arrays_are_read_only():
         if isinstance(value, list):
             arrays.setdefault(key[0], []).extend(value)
     assert set(arrays) == {"follower_kernel", "follower_reward", "leader_kernel",
-                           "leader_reward", "children"}
+                           "leader_reward", "children", "last_stage"}
     for arr in (a for found in arrays.values() for a in found):
         with pytest.raises(ValueError):
             arr[...] = 0.0

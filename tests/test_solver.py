@@ -212,6 +212,15 @@ def test_stationary_rejects_max_iter_below_one():
             s.solve_stationary(spec, joint, max_iter=max_iter)
 
 
+def test_stationary_rejects_tol_not_above_zero():
+    """A tolerance the sweep deltas can never fall below is refused up front."""
+    spec = s.build_infection_game(s.InfectionParams(subsidy_points=3))
+    joint = s.JointGrid(pi_grid=s.build_grid(1, 1), z_grid=s.build_grid(2, 4))
+    for tol in (0.0, -1e-6, float("nan")):
+        with pytest.raises(ValueError, match="tol"):
+            s.solve_stationary(spec, joint, tol=tol)
+
+
 def test_forward_pass_rejects_unknown_mode_and_offgrid():
     """Both are checked before the first step, also from an on-lattice start
     whose lookups never leave the grid."""
