@@ -8,6 +8,7 @@ too large.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, field, fields
@@ -380,7 +381,9 @@ def _add_forward(p: argparse.ArgumentParser):
     p.add_argument("--pi0", type=float, nargs="+", help="initial belief override")
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="stackmfg",
         description="Equilibrium solver for leader/followers mean-field games")
@@ -409,7 +412,11 @@ def main(argv=None) -> int:
     _add_forward(p_export)
     p_export.add_argument("--run-dir", required=True)
     p_export.add_argument("--out-file")
+    return parser
 
+
+def main(argv=None) -> int:
+    parser = _parser()
     args = parser.parse_args(argv)
     known = {f.name for f in fields(RunConfig)}
     config = RunConfig(**{k: v for k, v in vars(args).items() if k in known})

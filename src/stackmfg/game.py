@@ -23,6 +23,10 @@ from .grids import build_grid
 
 ROW_SUM_TOL = 1e-12
 MAX_REPORTED = 50
+# Every stage selection (engine, reference, oracle) takes the first pair in
+# (leader, follower) order whose leader objective is within this of the best,
+# so rounding in how an objective was summed cannot change the choice.
+SELECTION_TOL = 1e-9
 
 
 def _frozen_array(values, n: int, name: str) -> np.ndarray:

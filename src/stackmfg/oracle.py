@@ -28,7 +28,7 @@ import numpy as np
 
 from .dynamics import Prescription, belief_step_total, mean_field_step
 from .errors import EnumerationTooLarge, NoEquilibriumError, UncheckableProfile
-from .game import GameSpec
+from .game import SELECTION_TOL, GameSpec
 
 _KEY_DECIMALS = 12
 
@@ -143,17 +143,19 @@ def _node_children(game, pi, z, leader_map, follower_map):
                           children)
 
 
-def _last_stage_gap(game, pi, z, leader_map, follower_map) -> float:
-    """Largest follower gain from deviating at a last-stage node.
-
-    The continuation is zero there, so the gap reads one ``_action_values``
-    table per (exact state, leader map), memoised in ``game``; it equals the
-    node's term of ``evaluate_profile``'s follower gap bit for bit.
-    """
+def _last_stage_values(game, pi, z, leader_map) -> np.ndarray:
+    """``_action_values`` at a last-stage node, whose continuation is zero:
+    one table per (exact state, leader map), memoised in ``game``."""
     n_f = game.spec.n_follower_states
-    table = game._memoised(("last_stage", _exact(pi), _exact(z), leader_map), lambda: _frozen(
+    return game._memoised(("last_stage", _exact(pi), _exact(z), leader_map), lambda: _frozen(
         _action_values(game, pi, z, leader_map, lambda al: np.zeros(n_f))))
-    return float(np.max(table.max(axis=1) - table[np.arange(n_f), follower_map]))
+
+
+def _last_stage_gap(game, pi, z, leader_map, follower_map) -> float:
+    """Largest follower gain from deviating at a last-stage node; it equals
+    the node's term of ``evaluate_profile``'s follower gap bit for bit."""
+    table = _last_stage_values(game, pi, z, leader_map)
+    return float(np.max(table.max(axis=1) - table[np.arange(len(table)), follower_map]))
 
 
 def enumerate_profiles(game: TinyGame, initial_index: int = 0, tol: float = 1e-9):
@@ -374,13 +376,13 @@ class _ExactStageRecursion:
         for lm in itertools.product(range(spec.n_leader_actions), repeat=n_l):
             for fm in itertools.product(range(spec.n_follower_actions), repeat=n_f):
                 z_next, children = _node_children(game, pi, z, lm, fm)
-                cont = {}
-                for al, pi_next in children.items():
-                    if t < self.horizon:
-                        cont[al] = self.values(t + 1, pi_next, z_next)
-                    else:
-                        cont[al] = (zero_f, zero_l)
-                vals = _action_values(game, pi, z, lm, lambda al: cont[al][0])
+                if t < self.horizon:
+                    cont = {al: self.values(t + 1, pi_next, z_next)
+                            for al, pi_next in children.items()}
+                    vals = _action_values(game, pi, z, lm, lambda al: cont[al][0])
+                else:
+                    cont = dict.fromkeys(children, (zero_f, zero_l))
+                    vals = _last_stage_values(game, pi, z, lm)
                 if np.any(vals[np.arange(n_f), fm] < vals.max(axis=1) - self.tol):
                     continue
                 vl = _leader_values(game, z, lm, fm, lambda al: cont[al][1])
@@ -389,7 +391,9 @@ class _ExactStageRecursion:
         return out
 
     def values(self, t: int, pi, z):
-        """(V^f, V^l) rows of the leader-optimistic stage selection."""
+        """(V^f, V^l) rows of the leader-optimistic stage selection: the
+        first stage-valid pair whose leader value is within ``SELECTION_TOL``
+        of the best."""
         key = self.game._key(t, pi, z)
         if key in self._values:
             return self._values[key]
@@ -399,18 +403,16 @@ class _ExactStageRecursion:
                 "no pure stage equilibrium while pricing leader deviations; "
                 "tiny game not oracle-compatible", t=t, pi=pi, z=z)
         best = max(c[2] for c in cands)
-        lm, fm, _, vl = next(c for c in cands if c[2] == best)
+        lm, fm, _, vl = next(c for c in cands if c[2] >= best - SELECTION_TOL)
         # follower values of the selected pair, with its own continuation
         game = self.game
-        z_next, children = _node_children(game, pi, z, lm, fm)
-        n_f = game.spec.n_follower_states
-
-        def child(al):
-            if t < self.horizon:
-                return self.values(t + 1, children[al], z_next)[0]
-            return np.zeros(n_f)
-
-        vf = _action_values(game, pi, z, lm, child)[np.arange(n_f), fm]
+        if t < self.horizon:
+            z_next, children = _node_children(game, pi, z, lm, fm)
+            vals = _action_values(game, pi, z, lm,
+                                  lambda al: self.values(t + 1, children[al], z_next)[0])
+        else:
+            vals = _last_stage_values(game, pi, z, lm)
+        vf = vals[np.arange(len(vals)), fm]
         self._values[key] = (vf, vl)
         return self._values[key]
 

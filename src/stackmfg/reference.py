@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NoEquilibriumError, NonConvergenceError
-from .game import GameSpec
+from .game import SELECTION_TOL, GameSpec
 from .grids import SimplexGrid, simplex_weights
 
 
@@ -78,7 +78,8 @@ def _sweep(spec, grid, pairs, stencils, vf, vl, br_tol, t=None):
     A pair's follower map is a fixed point if each type's played action
     attains the row maximum of the expected reward-to-go computed with the
     next mean field induced by the map itself.  Each point takes the first
-    fixed point of greatest leader total in (a^l, map) order.
+    fixed point in (a^l, map) order whose leader total is within
+    ``SELECTION_TOL`` of the greatest.
     """
     reward, kernel, lead, al, bf, s = pairs
     delta = spec.discount
@@ -95,7 +96,9 @@ def _sweep(spec, grid, pairs, stencils, vf, vl, br_tol, t=None):
     if not solved.all():
         raise NoEquilibriumError("no stage fixed point", t=t, pi=np.array([1.0]),
                                  z=grid.points[int(np.argmin(solved))].copy())
-    choice = np.argmax(np.where(fixed, lead, -np.inf), axis=1)
+    lead_fixed = np.where(fixed, lead, -np.inf)
+    choice = np.argmax(lead_fixed >= lead_fixed.max(axis=1, keepdims=True) - SELECTION_TOL,
+                       axis=1)
     points = np.arange(grid.n_points)
     policy = [(int(al[c]), tuple(bf[c].tolist())) for c in choice]
     return (_ZTable(grid, played[points, choice]), _ZTable(grid, lead[points, choice][:, None]),

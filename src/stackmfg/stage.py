@@ -7,14 +7,15 @@ follower type must already be playing an argmax action.  Pure candidates are
 checked exhaustively; a damped best-response iteration over mixed
 prescriptions is the fallback when no pure fixed point exists.  The leader
 then picks the prescription pair maximizing her expected stage value, with
-optimistic selection over follower multiplicity and lexicographic
-tie-breaking for determinism.
+optimistic selection over follower multiplicity: the first pair in
+(leader, follower) order whose objective is within ``SELECTION_TOL`` of the
+best, so rounding among near-ties does not decide selection.
 
 ``StageEngine`` stacks every (public state, leader candidate, follower map)
 pair into arrays once; a sweep is a gather, elementwise contractions, a
 masked fixed-point test and a per-state selection.  No sweep contraction
 goes through BLAS, so pairs with identical inputs get bit-identical
-objectives wherever they sit in the batch, and exact ties decide selection.
+objectives wherever they sit in the batch.
 
 Pair building is one batch over every (state, leader candidate) row: the
 Bayes steps of all played leader actions come from one ``belief_batch``
@@ -46,18 +47,16 @@ import numpy as np
 
 from .dynamics import Prescription, belief_batch, mean_field_batch
 from .errors import NoEquilibriumError
-from .game import GameSpec
+from .game import SELECTION_TOL, GameSpec
 from .grids import JointGrid, JointTable, simplex_stencils, stencil_products
 
 _ARGMAX_TIE_TOL = 1e-12
-SELECTION_TOL = 1e-9        # near-optimality window for forced tie-breaking
 DAMPING = 0.5               # weight on the new best response in the fallback
 DAMP_MAX_ITER = 500
 DAMP_TOL = 1e-9
 _BR_WINDOW = 32             # best responses a damped row's lookahead searches for a period
 MIXED_STEP = 0.1            # mesh of the optional mixed leader grid
 MIXED_CANDIDATE_CAP = 100_000
-_SPLIT = 134217729.0        # 2**27 + 1, Dekker's splitting constant
 
 
 @dataclass
@@ -76,7 +75,7 @@ class StageDiagnostics:
     n_follower_candidates: int = 0
     br_set_sizes: list = field(default_factory=list)
     empty_br_candidates: int = 0
-    tie_events: int = 0
+    tie_events: int = 0             # pairs other than the chosen within SELECTION_TOL of the best
     used_damped_fallback: bool = False
     bayes_fallbacks: int = 0
     # (leader actions, follower actions, leader objective) per evaluated pair;
@@ -240,39 +239,10 @@ def _build_pairs(joint: JointGrid, pi, z, tensors, leaders, followers, n_slots: 
         pi_idx, pi_w)))
 
 
-def _fma(a, b, c):
-    """Correctly rounded a * b + c in float64, without a hardware FMA.
-
-    Dekker's product and two-sums give a * b + c exactly as th + tl + e; the
-    tail is rounded to odd and added once (Boldo & Melquiond 2008).
-    """
-    t = a * _SPLIT
-    a_hi = t - (t - a)
-    t = b * _SPLIT
-    b_hi = t - (t - b)
-    p = a * b
-    e = ((a_hi * b_hi - p) + a_hi * (b - b_hi) + (a - a_hi) * b_hi) + (a - a_hi) * (b - b_hi)
-    th, tl = _two_sum(c, p)
-    v, err = _two_sum(tl, e)
-    even = (v.view(np.int64) & 1) == 0
-    v = np.where((err != 0) & even, np.nextafter(v, np.copysign(np.inf, err)), v)
-    return th + v
-
-
-def _two_sum(a, b):
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
 def _interpolate(p: _Pairs, flat_values):
-    """Table values at every pair's next state per slot, (R, F, A, n): the
-    stencil summed in order as a chain of fused multiply-adds."""
-    gathered = flat_values[p.idx]                       # (R, F, A, K, n)
-    out = p.w[..., 0, None] * gathered[..., 0, :]
-    for k in range(1, p.w.shape[-1]):
-        out = _fma(p.w[..., k, None], gathered[..., k, :], out)
-    return out
+    """Table values at every pair's next state per slot, (R, F, A, n): each
+    stencil's weighted table rows, summed."""
+    return np.sum(p.w[..., None] * flat_values[p.idx], axis=-2)
 
 
 def _dot(x, y):
@@ -481,9 +451,10 @@ class StageEngine:
               prefer: Optional[Callable] = None, allow_partial: bool = False) -> StageSweep:
         """Solve every state; raises NoEquilibriumError unless ``allow_partial``.
 
-        The leader takes the exact maximum objective, the first in
-        (leader, follower) order on ties.  ``prefer(t, pi, z, gl, bf)``
-        overrides that with the first preferred pair within SELECTION_TOL.
+        The leader takes the first pair in (leader, follower) order whose
+        objective is within ``SELECTION_TOL`` of the maximum.  With
+        ``prefer(t, pi, z, gl, bf)`` she takes the first preferred pair in
+        that window, and the first pair when none is preferred.
         """
         S, L, F = len(self.states), len(self.leaders), len(self.followers)
         fv, lead, lv, fixed = self._evaluate_pure(vf_flat, vl_flat)
@@ -499,12 +470,12 @@ class StageEngine:
             pi, z = self.states[int(np.argmin(solved))]
             raise NoEquilibriumError("no leader candidate admits a follower fixed point",
                                      t=t, pi=pi.copy(), z=z.copy())
-        chosen = np.argmax(flat_values == best[:, None], axis=1)
+        window = flat_values >= best[:, None] - SELECTION_TOL
+        chosen = np.argmax(window, axis=1)
         if prefer is not None:
             for s in np.flatnonzero(solved):
-                near = np.flatnonzero(flat_values[s] >= best[s] - SELECTION_TOL)
-                chosen[s] = next((e for e in near if prefer(t, *self.states[s], *self._keys[e])),
-                                 chosen[s])
+                chosen[s] = next((e for e in np.flatnonzero(window[s])
+                                  if prefer(t, *self.states[s], *self._keys[e])), chosen[s])
 
         rows, cols = np.arange(S) * L + chosen // (F + 1), chosen % (F + 1)
         pure = np.minimum(cols, F - 1)      # damped entries are overwritten below
@@ -531,7 +502,7 @@ class StageEngine:
             diag = StageDiagnostics(
                 n_leader_candidates=L, n_follower_candidates=F,
                 br_set_sizes=sizes.tolist(), empty_br_candidates=int(np.sum(sizes == 0)),
-                tie_events=int(np.sum(values == values.max())) - 1,
+                tie_events=int(np.sum(values >= values.max() - SELECTION_TOL)) - 1,
                 used_damped_fallback=bool(np.any(np.all(values[:, :F] == -np.inf, axis=1))),
                 bayes_fallbacks=int(np.sum(sizes * bayes[s])),
                 candidate_objectives=[(*self._keys[e], float(v)) for e, v

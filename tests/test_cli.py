@@ -468,3 +468,17 @@ def test_forward_pass_without_equilibrium_exits_4(tmp_path, capsys, monkeypatch,
         err = capsys.readouterr().err
         assert "forward pass" in err and "t=1" in err and "z=[0.37 0.63]" in err, err
     assert not out.exists() and not target.exists()
+
+
+def test_parser_is_built_once_and_parses_each_call_afresh(monkeypatch):
+    """Successive calls share one parser: none adds an argument, and an
+    appended ``--param`` of one call does not reach the next."""
+    run_cli(["validate", "--game", "infection"])
+    added, seen = [], []
+    monkeypatch.setattr(cli.argparse.ArgumentParser, "add_argument",
+                        lambda *args, **kwargs: added.append(args))
+    monkeypatch.setattr(cli, "cmd_validate", lambda config: seen.append(config.params) or 0)
+    for params in (["--param", "k=0.3", "--param", "q=0.5"], ["--param", "lam=0.1"], []):
+        assert run_cli(["validate", "--game", "infection", *params]) == 0
+    assert added == []
+    assert seen == [{"k": 0.3, "q": 0.5}, {"lam": 0.1}, {}]

@@ -391,3 +391,31 @@ def test_memoised_arrays_are_read_only():
     for arr in (a for found in arrays.values() for a in found):
         with pytest.raises(ValueError):
             arr[...] = 0.0
+
+
+@pytest.mark.parametrize("spec", [tiny_game_spec(0, 3), toy_spec_two_leader_states()],
+                         ids=["tiny-0-3al", "two-leader-types"])
+def test_leader_pricing_reads_last_stage_action_values_from_the_memo(monkeypatch, spec):
+    """After enumeration, pricing the root computes ``_action_values`` only
+    for the root's own pairs and the selected one: the last-stage tables come
+    from the memo, and the report equals one computed without it."""
+    n_f = spec.n_follower_states
+    action_values = s.oracle._action_values
+    monkeypatch.setattr(s.oracle, "_last_stage_values", lambda game, pi, z, lm: action_values(
+        game, pi, z, lm, lambda al: np.zeros(n_f)))
+    unmemoised = s.oracle_report(make_tiny(spec))
+    monkeypatch.undo()
+    assert s.oracle_report(make_tiny(spec)) == unmemoised
+
+    game = make_tiny(spec)
+    s.oracle.enumerate_profiles(game)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return action_values(*args)
+
+    monkeypatch.setattr(s.oracle, "_action_values", counted)
+    s.oracle._ExactStageRecursion(game).values(1, *game.initial_points[0])
+    n_pairs = spec.n_leader_actions ** spec.n_leader_states * spec.n_follower_actions ** n_f
+    assert len(calls) == n_pairs + 1

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import stackmfg as s
-from stackmfg import reference
+from stackmfg import oracle, reference
 from conftest import toy_joint_grid, toy_spec
 
 
@@ -156,7 +156,7 @@ def scalar_pairs_at(spec, z, stencils):
 
 
 def scalar_stage_at(pairs, delta, vf_next, vl_next, br_tol=1e-9):
-    best = None
+    fixed = []
     for al, bf, reward, kernel, lead, k in pairs:
         n_f = len(bf)
         vf_interp = vf_next[k] if delta != 0.0 else np.zeros(n_f)
@@ -165,9 +165,9 @@ def scalar_stage_at(pairs, delta, vf_next, vl_next, br_tol=1e-9):
             continue
         if delta != 0.0:
             lead += delta * vl_next[k]
-        if best is None or lead > best[0]:
-            best = (lead, al, bf, obj)
-    lead, al, bf, obj = best
+        fixed.append((lead, al, bf, obj))
+    top = max(f[0] for f in fixed)
+    lead, al, bf, obj = next(f for f in fixed if f[0] >= top - 1e-9)
     return obj[np.arange(len(bf)), bf], lead, (al, bf)
 
 
@@ -194,18 +194,19 @@ def assert_bits_equal(a, b):
     assert np.array_equal(np.signbit(a), np.signbit(b))
 
 
-def twin_leader_actions_spec():
-    """Two identical leader actions and a leader indifferent to the map.
-    Followers keep their state; type a is indifferent, and type b plays 1
-    where z(b) > 1/2 and 0 where z(b) < 1/2.  Every fixed point ties
-    exactly, so each point must take the first in (a^l, map) order."""
+def twin_leader_actions_spec(gain=0.0, horizon=3):
+    """Two leader actions, the second earning ``gain`` more, and a leader
+    indifferent to the map.  Followers keep their state; type a is
+    indifferent, and type b plays 1 where z(b) > 1/2 and 0 where z(b) < 1/2.
+    With ``gain`` within SELECTION_TOL every fixed point ties, so each point
+    must take the first in (a^l, map) order."""
     return s.GameSpec.from_callables(
         follower_states=("a", "b"), leader_states=("L",), follower_actions=("0", "1"),
         leader_actions=("0", "1"), leader_kernel=lambda z, al, xl: np.array([1.0]),
         follower_kernel=lambda z, xl, xf, al, af: np.eye(2)[xf],
         follower_reward=lambda z, xl, xf, al, af: xf * af * (z[1] - 0.5),
-        leader_reward=lambda z, xl, al, gamma_f: 1.0,
-        discount=0.9, horizon=3, initial_leader_belief=[1.0],
+        leader_reward=lambda z, xl, al, gamma_f: 1.0 + gain * al,
+        discount=0.9, horizon=horizon, initial_leader_belief=[1.0],
         initial_mean_field=[0.5, 0.5], name="twins")
 
 
@@ -236,6 +237,7 @@ EXACT_CASES = {
     "toy": (lambda: toy_spec(horizon=3, seed=21), 6),
     "toy-zero-discount": (lambda: toy_spec(horizon=2, seed=21, discount=0.0), 6),
     "twin-leader-actions": (twin_leader_actions_spec, 6),
+    "twin-leader-actions-near-tie": (lambda: twin_leader_actions_spec(gain=1e-12), 6),
     "three-follower-states": (three_state_spec, 4),
 }
 
@@ -251,9 +253,30 @@ def test_backward_finite_is_the_scalar_loop_bit_for_bit(case):
         assert_bits_equal(f_ref[t].values, vf)
         assert_bits_equal(l_ref[t].values, vl)
         assert policies[t] == policy
-    if case == "twin-leader-actions":
-        first = [(0, (0, int(z[1] > 0.5))) for z in grid.points]
-        assert policies == [first] * spec.horizon
+
+
+@pytest.mark.parametrize("gain", [0.0, 1e-12])
+def test_every_path_takes_the_first_of_tied_leader_actions(gain):
+    """Engine, reference and oracle all take a^l = 0 when a^l = 1 earns at
+    most rounding more."""
+    spec = twin_leader_actions_spec(gain)
+    joint = general_joint(spec, 6)
+    grid = joint.z_grid
+    first = [(0, (0, int(z[1] > 0.5))) for z in grid.points]
+    _, _, policies = reference.backward_finite(spec, grid)
+    assert policies == [first] * spec.horizon
+    gen, _ = s.backward_pass(spec, joint)
+    solutions = [[gen.stages[t].solution(joint.flat_index(0, i)) for i in range(grid.n_points)]
+                 for t in range(spec.horizon)]
+    engine = [[sol.prescription.pure_actions() for sol in row] for row in solutions]
+    assert engine == [[((al,), bf) for al, bf in first]] * spec.horizon
+    # every fixed point is in the selection window
+    assert all(sol.diagnostics.tie_events == sum(sol.diagnostics.br_set_sizes) - 1
+               for row in solutions for sol in row)
+    # Two stages of a^l = 0 earn 1 + 0.9 * 1; a^l = 1 anywhere earns more.
+    recursion = oracle._ExactStageRecursion(s.TinyGame(twin_leader_actions_spec(gain, 2)))
+    for z in grid.points:
+        assert recursion.values(1, np.array([1.0]), z)[1] == [1.0 + 0.9 * 1.0]
 
 
 def test_value_iteration_is_the_scalar_loop_bit_for_bit():

@@ -182,6 +182,17 @@ def test_stationary_contraction_once_policy_stable():
     assert checked > 0
 
 
+def test_stationary_selection_does_not_flip_on_rounding():
+    """Near z = (0, 1) several leader prices tie up to rounding; taking the
+    first within SELECTION_TOL keeps the choice fixed from sweep to sweep,
+    so the follower table stops jumping and the prescriptions settle."""
+    spec = s.build_infection_game(s.InfectionParams(k=0.2, q=0.9, lam=0.2, delta=0.9))
+    joint = s.JointGrid(pi_grid=s.build_grid(1, 1), z_grid=s.build_grid(2, 20))
+    _, _, report = s.solve_stationary(spec, joint, tol=1e-6)
+    assert max(report.deltas[50:]) <= 0.1
+    assert all(report.prescription_stable[19:])
+
+
 def test_stationary_independent_of_initial_tables():
     spec = s.build_infection_game(s.InfectionParams(subsidy_points=5))
     joint = s.JointGrid(pi_grid=s.build_grid(1, 1), z_grid=s.build_grid(2, 8))

@@ -2,7 +2,6 @@
 
 import itertools
 from collections import Counter
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +11,7 @@ import stackmfg as s
 from stackmfg import stage
 from stackmfg.gamefile import load_game_file
 from stackmfg.grids import simplex_weights, stencil_product
-from stackmfg.stage import StageEngine, _fma
+from stackmfg.stage import StageEngine
 from conftest import (random_stochastic_spec, signal_family_spec, toy_joint_grid,
                       toy_spec, toy_spec_two_leader_states)
 
@@ -239,18 +238,6 @@ def test_one_state_damped_rows_look_ahead(monkeypatch):
     assert calls["evaluate"] <= 20
     assert err.value.t == 2
     assert err.value.z == pytest.approx([0.5, 0.5])
-
-
-def test_fused_multiply_add_is_correctly_rounded():
-    """The emulated a * b + c rounds once, like a hardware FMA, including
-    near-total cancellation and exact zeros."""
-    rng = np.random.default_rng(7)
-    a = np.concatenate([rng.random(600), np.zeros(50), rng.random(350)])
-    b = rng.normal(size=1000) * 10.0 ** rng.integers(-8, 8, size=1000)
-    c = rng.normal(size=1000) * 10.0 ** rng.integers(-8, 8, size=1000)
-    c[:300] = -(a[:300] * b[:300]) * (1.0 + rng.normal(size=300) * 1e-15)
-    exact = [float(Fraction(x) * Fraction(y) + Fraction(w)) for x, y, w in zip(a, b, c)]
-    assert np.array_equal(_fma(a, b, c), exact)
 
 
 def test_identical_pairs_get_identical_objectives_anywhere_in_the_batch():
