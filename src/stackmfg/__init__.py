@@ -16,10 +16,10 @@ from .games import (InfectionParams, TechAdoptionParams, build_game,
 from .grids import JointGrid, JointTable, SimplexGrid, build_grid, simplex_weights
 from .oracle import (OracleProfile, SMFEResult, TinyGame, deviation_gain,
                      enumerate_smfe, oracle_report, profile_from_generator)
-from .solver import (ConvergenceReport, EquilibriumGenerator, StagePolicy,
-                     Trajectory, backward_pass, exact_values, forward_pass,
-                     generator_policy, solve_stationary)
-from .stage import (SolverConfig, StageSolution, follower_br_set,
+from .solver import (ConvergenceReport, EquilibriumGenerator, Trajectory,
+                     backward_pass, exact_values, forward_pass, generator_policy,
+                     solve_stationary)
+from .stage import (SolverConfig, StageSolution, StageSweep, follower_br_set,
                     leader_optimize, stage_values)
 
 __version__ = "0.1.0"
@@ -28,9 +28,9 @@ __all__ = [
     "GameSpec", "ValidationReport", "validate", "spec_hash",
     "SimplexGrid", "JointGrid", "JointTable", "build_grid", "simplex_weights",
     "Prescription", "mean_field_step", "belief_step", "belief_step_total",
-    "SolverConfig", "StageSolution", "follower_br_set", "leader_optimize",
+    "SolverConfig", "StageSolution", "StageSweep", "follower_br_set", "leader_optimize",
     "stage_values",
-    "EquilibriumGenerator", "StagePolicy", "ConvergenceReport", "Trajectory",
+    "EquilibriumGenerator", "ConvergenceReport", "Trajectory",
     "backward_pass", "forward_pass", "solve_stationary", "exact_values",
     "generator_policy",
     "TinyGame", "OracleProfile", "SMFEResult", "enumerate_smfe",

@@ -22,7 +22,6 @@ from .errors import (EnumerationTooLarge, NoEquilibriumError, NonConvergenceErro
                      OffSimplexError, UncheckableProfile)
 from .game import spec_hash, validate
 from .gamefile import load_game_dict, load_game_file
-from .games import BUILTIN_GAMES
 from .grids import JointGrid, build_grid, project_to_simplex
 from .oracle import TinyGame, oracle_report
 from .solver import backward_pass, forward_pass, solve_stationary
@@ -92,9 +91,6 @@ def build_spec(config: RunConfig):
                 cfg = dict(cfg, horizon=config.horizon)
             spec = load_game_dict(cfg)
     elif config.game:
-        if config.game not in BUILTIN_GAMES:
-            raise ValueError(f"unknown game {config.game!r}; "
-                             f"available: {sorted(BUILTIN_GAMES)}")
         params = dict(config.params)
         if config.action_resolution is not None:
             key = "subsidy_points" if config.game == "infection" else "price_points"
@@ -258,13 +254,8 @@ def cmd_validate(config: RunConfig) -> int:
 def cmd_oracle(config: RunConfig, check_solver: bool) -> int:
     try:
         spec = build_spec(config)
-        initial_points = None
-        meta_points = spec.metadata.get("initial_points")
-        if meta_points:
-            initial_points = [(np.asarray(p["pi"], dtype=np.float64),
-                               np.asarray(p["z"], dtype=np.float64))
-                              for p in meta_points]
-        game = TinyGame(spec, initial_points=initial_points or [])
+        game = TinyGame(spec, initial_points=[
+            (p["pi"], p["z"]) for p in spec.metadata["config"].get("initial_points") or []])
     except (ValueError, FileNotFoundError, KeyError) as exc:
         _err(str(exc))
         return EXIT_VALIDATION
@@ -324,24 +315,16 @@ def cmd_export(run_dir: str, config: RunConfig, out_file: Optional[str]) -> int:
     return EXIT_OK
 
 
-def _positive_int(text: str) -> int:
-    if int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
-    return int(text)
-
-
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not (np.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be finite and above 0, got {text}")
-    return value
-
-
-def _nonnegative_float(text: str) -> float:
-    value = float(text)
-    if not (np.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(f"must be finite and at least 0, got {text}")
-    return value
+def _at_least(kind, low, strict: bool = False):
+    """argparse type: a finite ``kind`` at least ``low``, or above it if ``strict``."""
+    def parse(text: str):
+        value = kind(text)
+        if not (np.isfinite(value) and (value > low if strict else value >= low)):
+            raise argparse.ArgumentTypeError(
+                f"must be finite and {'above' if strict else 'at least'} {low}, got {text}")
+        return value
+    parse.__name__ = kind.__name__      # argparse names the type in its errors
+    return parse
 
 
 def _add_game(p: argparse.ArgumentParser):
@@ -358,23 +341,24 @@ def _add_game(p: argparse.ArgumentParser):
 
 
 def _add_grid(p: argparse.ArgumentParser):
-    p.add_argument("--z-res", type=_positive_int, dest="z_resolution",
+    p.add_argument("--z-res", type=_at_least(int, 1), dest="z_resolution",
                    help="mean-field grid resolution (default 50 for 2 types)")
-    p.add_argument("--pi-res", type=_positive_int, dest="pi_resolution", default=10,
+    p.add_argument("--pi-res", type=_at_least(int, 1), dest="pi_resolution", default=10,
                    help="belief grid resolution (default 10)")
-    p.add_argument("--br-tol", type=_nonnegative_float, default=1e-9,
+    p.add_argument("--br-tol", type=_at_least(float, 0), default=1e-9,
                    help="best-response fixed-point tolerance, finite and at least 0")
-    p.add_argument("--bayes-eps", type=_nonnegative_float, default=1e-12,
+    p.add_argument("--bayes-eps", type=_at_least(float, 0), default=1e-12,
                    help="leader-action probability at or below which no Bayes update "
                         "is made, finite and at least 0")
     p.add_argument("--out", help="output directory (solve: default out/<spec-hash>)")
 
 
 def _add_forward(p: argparse.ArgumentParser):
-    p.add_argument("--steps", type=_positive_int,
+    p.add_argument("--steps", type=_at_least(int, 1),
                    help="forward steps, at least 1 (default 200 stationary)")
     p.add_argument("--mode", choices=["expected", "sampled"], default="expected")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(int, 0), default=0,
+                   help="seed of the sampled mode, at least 0")
     p.add_argument("--offgrid", choices=["resolve", "nearest"], default="resolve",
                    help="prescription lookup at off-grid public states")
     p.add_argument("--z0", type=float, nargs="+", help="initial mean field override")
@@ -392,9 +376,9 @@ def _parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="solve a game and export artifacts")
     _add_game(p_solve)
     _add_grid(p_solve)
-    p_solve.add_argument("--tol", type=_positive_float, default=1e-6,
+    p_solve.add_argument("--tol", type=_at_least(float, 0, strict=True), default=1e-6,
                          help="value-iteration stopping tolerance, finite and above 0")
-    p_solve.add_argument("--max-iter", type=_positive_int, default=2000,
+    p_solve.add_argument("--max-iter", type=_at_least(int, 1), default=2000,
                          help="stationary sweeps before giving up, at least 1")
     _add_forward(p_solve)
 
@@ -418,6 +402,9 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
+    if getattr(args, "game_file", None) and (args.game or args.params
+                                             or args.action_resolution is not None):
+        parser.error("--game-file takes no --game, --param or --action-res")
     known = {f.name for f in fields(RunConfig)}
     config = RunConfig(**{k: v for k, v in vars(args).items() if k in known})
     config.params = dict(config.params)

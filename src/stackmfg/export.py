@@ -13,10 +13,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import Prescription
 from .grids import JointGrid, JointTable, build_grid
-from .solver import EquilibriumGenerator, StagePolicy
-from .stage import SolverConfig, StageDiagnostics, StageSolution
+from .solver import EquilibriumGenerator
+from .stage import SolverConfig, StageSweep
 
 
 def fmt(x) -> str:
@@ -57,58 +56,47 @@ def write_csv(path, header, rows):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _joint_tables_rows(tables, spec, joint, stage):
-    vf, vl = tables
-    rows = []
-    for i in range(joint.pi_grid.n_points):
-        for j in range(joint.z_grid.n_points):
-            coords = [fmt(v) for v in joint.pi_grid.points[i]] \
-                + [fmt(v) for v in joint.z_grid.points[j]]
-            for s, lab in enumerate(spec.follower_states):
-                rows.append([str(stage), "follower", lab] + coords + [fmt(vf.values[i, j, s])])
-            for s, lab in enumerate(spec.leader_states):
-                rows.append([str(stage), "leader", lab] + coords + [fmt(vl.values[i, j, s])])
-    return rows
+def _stage_points(generator, stages):
+    """(stage label, entry of ``stages``, flat index, belief, mean field) per
+    grid point; a stationary solve has the one stage "stationary"."""
+    labels = ["stationary"] if generator.stationary else range(1, len(stages) + 1)
+    for label, entry in zip(labels, stages):
+        for flat in range(generator.joint.n_points):
+            yield (str(label), entry, flat, *generator.joint.point(flat))
 
 
 def values_csv(path, generator, spec):
-    """All value tables of a solve, one row per (stage, side, state, point)."""
-    joint = generator.joint
+    """All value tables of a solve, one row per (stage, point, side, state)."""
     header = ["stage", "side", "state"] \
         + [f"pi_{v}" for v in spec.leader_states] \
         + [f"z_{v}" for v in spec.follower_states] + ["value"]
     rows = []
-    if generator.stationary:
-        rows.extend(_joint_tables_rows(generator.tables[0], spec, joint, "stationary"))
-    else:
-        for k, tables in enumerate(generator.tables):
-            rows.extend(_joint_tables_rows(tables, spec, joint, k + 1))
+    for label, (vf, vl), flat, pi, z in _stage_points(generator, generator.tables):
+        coords = [fmt(v) for v in pi] + [fmt(v) for v in z]
+        for side, states, table in (("follower", spec.follower_states, vf),
+                                    ("leader", spec.leader_states, vl)):
+            rows += [[label, side, x] + coords + [fmt(v)]
+                     for x, v in zip(states, table.flat_values()[flat])]
     write_csv(path, header, rows)
 
 
 def policy_csv(path, generator, spec):
     """Equilibrium prescriptions per (stage, grid point)."""
-    joint = generator.joint
     header = ["stage"] \
         + [f"pi_{v}" for v in spec.leader_states] \
         + [f"z_{v}" for v in spec.follower_states] \
         + [f"gl_{x}_{a}" for x in spec.leader_states for a in spec.leader_actions] \
         + [f"gf_{x}_{a}" for x in spec.follower_states for a in spec.follower_actions]
     rows = []
-    stages = ["stationary"] if generator.stationary else \
-        [str(t + 1) for t in range(len(generator.stages))]
-    for stage_label, policy in zip(stages, generator.stages):
-        for flat in range(joint.n_points):
-            sol = policy.solution(flat)
-            pi, z = joint.point(flat)
-            row = [stage_label] + [fmt(v) for v in pi] + [fmt(v) for v in z]
-            if sol is None:
-                row += ["nan"] * (spec.n_leader_states * spec.n_leader_actions
-                                  + spec.n_follower_states * spec.n_follower_actions)
-            else:
-                row += [fmt(v) for v in sol.prescription.leader.ravel()]
-                row += [fmt(v) for v in sol.prescription.follower.ravel()]
-            rows.append(row)
+    for label, sweep, flat, pi, z in _stage_points(generator, generator.stages):
+        row = [label] + [fmt(v) for v in pi] + [fmt(v) for v in z]
+        if sweep.solved[flat]:
+            row += [fmt(v) for v in sweep.leader[flat].ravel()]
+            row += [fmt(v) for v in sweep.follower[flat].ravel()]
+        else:
+            row += ["nan"] * (spec.n_leader_states * spec.n_leader_actions
+                              + spec.n_follower_states * spec.n_follower_actions)
+        rows.append(row)
     write_csv(path, header, rows)
 
 
@@ -138,20 +126,14 @@ def trajectory_csv(path, trajectory, spec):
 def diagnostics_jsonl(path, generator):
     """Per-grid-point stage diagnostics as line-delimited JSON."""
     lines = []
-    stages = ["stationary"] if generator.stationary else \
-        [str(t + 1) for t in range(len(generator.stages))]
-    for stage_label, policy in zip(stages, generator.stages):
-        for flat in range(generator.joint.n_points):
-            sol = policy.solution(flat)
-            pi, z = generator.joint.point(flat)
-            record = {"stage": stage_label,
-                      "pi": [float(fmt(v)) for v in pi],
-                      "z": [float(fmt(v)) for v in z]}
-            if sol is None:
-                record["unsolved"] = True
-            else:
-                record.update(sol.diagnostics.to_dict())
-            lines.append(json.dumps(json_ready(record), sort_keys=True))
+    for label, sweep, flat, pi, z in _stage_points(generator, generator.stages):
+        record = {"stage": label, "pi": [float(fmt(v)) for v in pi],
+                  "z": [float(fmt(v)) for v in z]}
+        if sweep.solved[flat]:
+            record.update(sweep.diagnostic_fields(flat))
+        else:
+            record["unsolved"] = True
+        lines.append(json.dumps(json_ready(record), sort_keys=True))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -172,10 +154,8 @@ def write_state(path, generator, game_config, config: SolverConfig):
         z_resolution=joint.z_grid.resolution,
         follower_values=np.stack([vf.values for vf, _ in generator.tables]),
         leader_values=np.stack([vl.values for _, vl in generator.tables]),
-        leader_prescriptions=np.array([[sol.prescription.leader for sol in policy.solutions]
-                                       for policy in generator.stages]),
-        follower_prescriptions=np.array([[sol.prescription.follower for sol in policy.solutions]
-                                         for policy in generator.stages]))
+        leader_prescriptions=np.stack([sweep.leader for sweep in generator.stages]),
+        follower_prescriptions=np.stack([sweep.follower for sweep in generator.stages]))
 
 
 def read_state(path):
@@ -192,16 +172,10 @@ def read_state(path):
                       z_grid=build_grid(vf_all.shape[-1], z_res))
     tables = [(JointTable(joint, vf), JointTable(joint, vl))
               for vf, vl in zip(vf_all, vl_all)]
-    stages = []
     # tables[k] holds the values of stage k+1; a finite game's terminal
     # zeros have no stage and drop out of the zip.
-    for (vf, vl), gl_stage, gf_stage in zip(tables, gl_all, gf_all):
-        vf_flat, vl_flat = vf.flat_values(), vl.flat_values()
-        stages.append(StagePolicy(joint, [
-            StageSolution(prescription=Prescription(leader=gl, follower=gf),
-                          follower_values=vf_flat[flat].copy(),
-                          leader_values=vl_flat[flat].copy(),
-                          diagnostics=StageDiagnostics())
-            for flat, (gl, gf) in enumerate(zip(gl_stage, gf_stage))]))
+    stages = [StageSweep(leader=gl, follower=gf, follower_values=vf.flat_values(),
+                         leader_values=vl.flat_values(), solved=np.ones(len(gl), dtype=bool))
+              for (vf, vl), gl, gf in zip(tables, gl_all, gf_all)]
     return config, EquilibriumGenerator(joint=joint, stages=stages, stationary=stationary,
                                         tables=tables), solver_config

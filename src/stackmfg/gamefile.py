@@ -17,7 +17,9 @@ average of the follower reward under the follower prescription.
 
 from __future__ import annotations
 
+import functools
 import json
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -72,22 +74,64 @@ def _affine_at(const, coef, Z, rows=False):
 
 
 def _as_labels(raw, name):
-    labels = tuple(str(v) for v in raw)
-    if not labels:
-        raise ValueError(f"{name} must be nonempty")
-    return labels
+    if not (isinstance(raw, list) and raw):
+        raise ValueError(f"{name} must be a nonempty list, got {raw!r}")
+    return tuple(str(v) for v in raw)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _integer(value, name) -> int:
+    if not (_is_number(value) and float(value).is_integer()):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+_KIND_NAMES = {int: "an integer", float: "a number", tuple: "a list of numbers",
+               type(None): "null"}
+
+
+@functools.cache
+def _param_kinds(params_cls) -> dict:
+    """The types each parameter of a built-in game may take, by name."""
+    return {key: typing.get_args(hint) or (hint,)
+            for key, hint in typing.get_type_hints(params_cls).items()}
+
+
+def _builtin_params(params_cls, params) -> dict:
+    """Overrides of a built-in game's parameters, checked against their types."""
+    if not isinstance(params, dict):
+        raise ValueError(f"params must be an object, got {params!r}")
+    out = {}
+    for key, value in params.items():
+        kinds = _param_kinds(params_cls).get(key)
+        if kinds is None:
+            raise ValueError(f"unknown parameter {key!r}; "
+                             f"expected one of {list(_param_kinds(params_cls))}")
+        if int in kinds and value is not None:
+            value = _integer(value, f"parameter {key!r}")
+        elif not (value is None and type(None) in kinds
+                  or float in kinds and _is_number(value)
+                  or tuple in kinds and isinstance(value, list) and all(map(_is_number, value))):
+            raise ValueError(f"parameter {key!r} must be "
+                             f"{' or '.join(_KIND_NAMES[k] for k in kinds)}, got {value!r}")
+        out[key] = value
+    return out
 
 
 def load_game_dict(cfg: dict) -> GameSpec:
     """Build a GameSpec from a parsed config dictionary."""
+    if not isinstance(cfg, dict):
+        raise ValueError(f"a game definition must be an object, got {cfg!r}")
     if "builtin" in cfg:
         name = cfg["builtin"]
-        if name not in BUILTIN_GAMES:
-            raise ValueError(f"unknown builtin game {name!r}")
+        if not isinstance(name, str) or name not in BUILTIN_GAMES:
+            raise ValueError(f"unknown builtin game {name!r}; "
+                             f"available: {sorted(BUILTIN_GAMES)}")
         params_cls, builder = BUILTIN_GAMES[name]
-        spec = builder(params_cls(**cfg.get("params", {})))
-        if "initial_points" in cfg:
-            spec.metadata["initial_points"] = cfg["initial_points"]
+        spec = builder(params_cls(**_builtin_params(params_cls, cfg.get("params", {}))))
         spec.metadata["config"] = cfg
         return spec
 
@@ -121,12 +165,9 @@ def load_game_dict(cfg: dict) -> GameSpec:
         return np.broadcast_to(total, batch + total.shape[-2:]).copy()
 
     horizon = cfg.get("horizon")
-    if horizon in ("infinite", None):
-        horizon = None
-    else:
-        horizon = int(horizon)
+    horizon = None if horizon in ("infinite", None) else _integer(horizon, "horizon")
 
-    spec = GameSpec(
+    return GameSpec(
         follower_states=follower_states,
         leader_states=leader_states,
         follower_actions=follower_actions,
@@ -142,9 +183,6 @@ def load_game_dict(cfg: dict) -> GameSpec:
         name=str(cfg.get("name", "config-game")),
         metadata={"config": cfg},
     )
-    if "initial_points" in cfg:
-        spec.metadata["initial_points"] = cfg["initial_points"]
-    return spec
 
 
 def load_game_file(path) -> GameSpec:

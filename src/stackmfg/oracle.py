@@ -438,10 +438,6 @@ class SMFEResult:
     leader_gain: float
     max_follower_gain: float
 
-    @property
-    def mean_field_tree(self):
-        return {key: node.z.copy() for key, node in self.evaluation.tree.items()}
-
 
 def enumerate_smfe(game: TinyGame, initial_index: int = 0,
                    tol: float = 1e-9):
@@ -533,7 +529,7 @@ def profile_from_generator(game: TinyGame, generator,
         if key in leader_assign:
             return
         flat, exact = generator.grid_lookup(pi, z)
-        pure = exact and generator.policy_for(t).solution(flat).prescription.pure_actions()
+        pure = exact and generator.policy_for(t).prescription(flat).pure_actions()
         if not pure:
             what = "prescription is not pure" if exact else "reaches an off-grid public state"
             raise UncheckableProfile(f"solver {what} at t={t}, pi={pi}, z={z}; "

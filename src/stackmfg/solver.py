@@ -18,27 +18,19 @@ from .dynamics import Prescription, belief_step_total, mean_field_step
 from .errors import NoEquilibriumError, NonConvergenceError
 from .game import GameSpec
 from .grids import JointGrid, JointTable
-from .stage import SolverConfig, StageEngine, StageSolution, leader_optimize
+from .stage import SolverConfig, StageEngine, StageSweep, leader_optimize
 
-
-@dataclass
-class StagePolicy:
-    """Stage solutions per joint grid point (flat indexing)."""
-
-    joint: JointGrid
-    solutions: list
-
-    def solution(self, flat: int) -> Optional[StageSolution]:
-        return self.solutions[flat]
+BRANCH_CAP = 64     # expected-path branches kept per forward step, by weight
 
 
 @dataclass
 class EquilibriumGenerator:
     """Prescriptions for every stage and joint grid point.
 
-    For finite horizons ``stages`` has one policy per stage; a stationary
-    solve stores a single policy used at all times.  ``failures`` lists
-    (stage, belief, mean field) coordinates left unsolved in partial mode.
+    ``stages`` holds one ``StageSweep`` per stage over the grid points in
+    flat order; a stationary solve stores a single one used at all times.
+    ``failures`` lists (stage, belief, mean field) coordinates left
+    unsolved in partial mode.
     """
 
     joint: JointGrid
@@ -51,8 +43,8 @@ class EquilibriumGenerator:
     def n_stages(self) -> int:
         return len(self.stages)
 
-    def policy_for(self, t: int) -> StagePolicy:
-        """Stage policy used at 1-based stage ``t``."""
+    def policy_for(self, t: int) -> StageSweep:
+        """Solved stage used at 1-based stage ``t``."""
         if self.stationary:
             return self.stages[0]
         if not 1 <= t <= len(self.stages):
@@ -66,23 +58,15 @@ class EquilibriumGenerator:
         return self.tables[t]
 
     def grid_lookup(self, pi, z):
-        """(flat index, exact flag): exact grid hit or nearest grid point."""
-        pi = np.asarray(pi, dtype=np.float64)
-        z = np.asarray(z, dtype=np.float64)
+        """(flat index, exact flag): the nearest grid point, exact when it is
+        within 1e-12 of (pi, z) in every coordinate."""
+        pi, z = np.asarray(pi, dtype=np.float64), np.asarray(z, dtype=np.float64)
         pg, zg = self.joint.pi_grid, self.joint.z_grid
-        try:
-            i = pg.index_of(np.rint(pi * pg.resolution))
-            j = zg.index_of(np.rint(z * zg.resolution))
-        except KeyError:
-            i = j = None
-        if (i is not None
-                and np.max(np.abs(pg.points[i] - pi)) <= 1e-12
-                and np.max(np.abs(zg.points[j] - z)) <= 1e-12):
-            return self.joint.flat_index(i, j), True
-        d_pi = np.sum((pg.points - pi) ** 2, axis=1)
-        d_z = np.sum((zg.points - z) ** 2, axis=1)
-        flat = self.joint.flat_index(int(np.argmin(d_pi)), int(np.argmin(d_z)))
-        return flat, False
+        i = int(((pg.points - pi) ** 2).sum(axis=1).argmin())
+        j = int(((zg.points - z) ** 2).sum(axis=1).argmin())
+        exact = (np.abs(pg.points[i] - pi).max() <= 1e-12
+                 and np.abs(zg.points[j] - z).max() <= 1e-12)
+        return self.joint.flat_index(i, j), bool(exact)
 
 
 @dataclass
@@ -134,10 +118,9 @@ def backward_pass(spec: GameSpec, joint: JointGrid,
         vf_next, vl_next = tables[t]
         sweep, vf, vl = _sweep(engine, vf_next, vl_next, t=t, prefer=prefer,
                                allow_partial=allow_partial)
-        stages[t - 1] = StagePolicy(joint, engine.solutions(sweep))
-        tables[t - 1] = (vf, vl)
-        failures.extend((t, pi.copy(), z.copy()) for sol, (pi, z)
-                        in zip(stages[t - 1].solutions, engine.states) if sol is None)
+        stages[t - 1], tables[t - 1] = sweep, (vf, vl)
+        failures.extend((t, pi.copy(), z.copy()) for (pi, z), ok
+                        in zip(engine.states, sweep.solved) if not ok)
     gen = EquilibriumGenerator(joint=joint, stages=stages, stationary=False,
                                tables=tables, failures=failures)
     return gen, tables
@@ -182,7 +165,7 @@ def solve_stationary(spec: GameSpec, joint: JointGrid, tol: float = 1e-6,
         if delta < tol:
             report.converged = True
             gen = EquilibriumGenerator(joint=joint, stationary=True, tables=[(vf, vl)],
-                                       stages=[StagePolicy(joint, engine.solutions(sweep))])
+                                       stages=[sweep])
             return gen, (vf, vl), report
     raise NonConvergenceError(
         f"stationary solve did not reach {tol:g} in {max_iter} sweeps "
@@ -240,11 +223,11 @@ def _branch_prescription(spec, generator, t, branch, offgrid, config):
     if not exact and offgrid == "resolve":
         vf, vl = generator.continuation_for(t)
         return leader_optimize(branch.pi, branch.z, vl, vf, spec, config, t=t).prescription, 1
-    sol = generator.policy_for(t).solution(flat)
-    if sol is None:
+    gamma = generator.policy_for(t).prescription(flat)
+    if gamma is None:
         raise NoEquilibriumError("trajectory hit an unsolved grid point",
                                  t=t, pi=branch.pi, z=branch.z)
-    return sol.prescription, int(not exact)
+    return gamma, int(not exact)
 
 
 def _instant_rewards(spec, branch, gamma: Prescription):
@@ -286,7 +269,7 @@ def forward_pass(spec: GameSpec, generator: EquilibriumGenerator, pi1, z1,
 
     Expected-path mode propagates the mean field exactly and branches the
     belief over realized leader actions (branches with identical beliefs are
-    merged; at most ``config.branch_cap`` kept by weight).  Sampled mode
+    merged; at most ``BRANCH_CAP`` kept by weight).  Sampled mode
     draws one leader action path with the given seed.
     """
     if mode not in ("expected", "sampled"):
@@ -368,11 +351,11 @@ def forward_pass(spec: GameSpec, generator: EquilibriumGenerator, pi1, z1,
             follower_reward=step_pop, offgrid_lookups=step_offgrid))
         offgrid_total += step_offgrid
 
-        if len(next_branches) > config.branch_cap:
+        if len(next_branches) > BRANCH_CAP:
             next_branches.sort(key=lambda b: -b.weight)
-            dropped = next_branches[config.branch_cap:]
+            dropped = next_branches[BRANCH_CAP:]
             lost_weight += sum(b.weight for b in dropped)
-            next_branches = next_branches[:config.branch_cap]
+            next_branches = next_branches[:BRANCH_CAP]
             total = sum(b.weight for b in next_branches)
             for b in next_branches:
                 b.weight /= total
@@ -448,9 +431,9 @@ def generator_policy(generator: EquilibriumGenerator) -> Callable:
         flat, exact = generator.grid_lookup(pi, z)
         if not exact:
             raise ValueError(f"public state off-grid at t={t}: pi={pi}, z={z}")
-        sol = generator.policy_for(t if not generator.stationary else 1).solution(flat)
-        if sol is None:
+        gamma = generator.policy_for(t if not generator.stationary else 1).prescription(flat)
+        if gamma is None:
             raise NoEquilibriumError("unsolved grid point", t=t, pi=pi, z=z)
-        return sol.prescription
+        return gamma
 
     return policy

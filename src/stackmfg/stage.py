@@ -66,7 +66,6 @@ class SolverConfig:
     br_tol: float = 1e-9            # slack accepted in best-response certificates
     bayes_eps: float = 1e-12
     leader_mixed_grid: bool = False
-    branch_cap: int = 64
 
 
 @dataclass
@@ -293,15 +292,58 @@ def _br_periods(window, filled):
                                    axis=2), axis=2)
     return np.argmax(run, axis=1) + 1
 
+
 @dataclass
 class StageSweep:
-    """Per-state outcome of one sweep, as arrays over the engine's states."""
+    """One solved stage, as arrays over the engine's states.  ``objectives``,
+    ``bayes`` and ``keys`` are None for a stage reloaded from ``state.npz``;
+    ``bayes`` and ``keys`` are the engine's own, not copies."""
 
     leader: np.ndarray              # (S, n_l, n_al) chosen leader prescriptions
     follower: np.ndarray            # (S, n_f, n_af) chosen follower prescriptions
     follower_values: np.ndarray     # (S, n_f), zero where unsolved
     leader_values: np.ndarray       # (S, n_l), zero where unsolved
-    objectives: np.ndarray          # (S, L, F + 1), -inf off the BR set; column F: damped
+    solved: np.ndarray              # (S,) states with an equilibrium
+    objectives: Optional[np.ndarray] = None  # (S, L, F + 1), -inf off the BR set; column F: damped
+    bayes: Optional[np.ndarray] = None       # (S, L) played actions where Bayes kept the prior
+    keys: Optional[list] = None     # (leader actions, follower actions) per flat (L, F + 1) entry
+    _prescriptions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def prescription(self, flat: int) -> Optional[Prescription]:
+        """The prescription pair at state ``flat``, built once; None where unsolved."""
+        if self.solved[flat] and flat not in self._prescriptions:
+            self._prescriptions[flat] = Prescription(self.leader[flat], self.follower[flat])
+        return self._prescriptions.get(flat)
+
+    def diagnostic_fields(self, flat: int) -> dict:
+        """``StageDiagnostics`` fields at a solved state, but the candidate list."""
+        if self.objectives is None:
+            return {}
+        values = self.objectives[flat]
+        F = values.shape[1] - 1
+        sizes = np.isfinite(values).sum(axis=1)
+        return dict(
+            n_leader_candidates=len(values), n_follower_candidates=F,
+            br_set_sizes=sizes.tolist(), empty_br_candidates=int(np.sum(sizes == 0)),
+            tie_events=int(np.sum(values >= values.max() - SELECTION_TOL)) - 1,
+            used_damped_fallback=bool(np.any(np.all(values[:, :F] == -np.inf, axis=1))),
+            bayes_fallbacks=int(np.sum(sizes * self.bayes[flat])))
+
+    def solution(self, flat: int) -> Optional[StageSolution]:
+        """StageSolution at state ``flat``, built on demand; None where unsolved."""
+        if not self.solved[flat]:
+            return None
+        diag = StageDiagnostics(**self.diagnostic_fields(flat))
+        if self.objectives is not None:
+            diag.candidate_objectives = [(*self.keys[e], float(v)) for e, v
+                                         in enumerate(self.objectives[flat].ravel()) if v > -np.inf]
+        return StageSolution(self.prescription(flat), self.follower_values[flat].copy(),
+                             self.leader_values[flat].copy(), diag)
+
+    @property
+    def solutions(self) -> list:
+        """StageSolution per state (None where unsolved)."""
+        return [self.solution(flat) for flat in range(len(self.solved))]
 
 
 class StageEngine:
@@ -484,33 +526,10 @@ class StageEngine:
             follower=self._follower_mats[pure],
             follower_values=np.where(solved[:, None], fv[rows, pure], 0.0),
             leader_values=np.where(solved[:, None], lv[rows, pure], 0.0),
-            objectives=values.reshape(S, L, F + 1))
+            solved=solved, objectives=values.reshape(S, L, F + 1),
+            bayes=self.pairs.bayes.reshape(S, L), keys=self._keys)
         for s in np.flatnonzero(solved & (cols == F)):
             out.follower[s], _, out.follower_values[s], out.leader_values[s] = damped[rows[s]]
-        return out
-
-    def solutions(self, sweep: StageSweep) -> list:
-        """StageSolution per state (None where unsolved)."""
-        L, F = len(self.leaders), len(self.followers)
-        bayes = self.pairs.bayes.reshape(-1, L)
-        out = []
-        for s, values in enumerate(sweep.objectives):
-            if values.max() == -np.inf:
-                out.append(None)
-                continue
-            sizes = np.isfinite(values).sum(axis=1)
-            diag = StageDiagnostics(
-                n_leader_candidates=L, n_follower_candidates=F,
-                br_set_sizes=sizes.tolist(), empty_br_candidates=int(np.sum(sizes == 0)),
-                tie_events=int(np.sum(values >= values.max() - SELECTION_TOL)) - 1,
-                used_damped_fallback=bool(np.any(np.all(values[:, :F] == -np.inf, axis=1))),
-                bayes_fallbacks=int(np.sum(sizes * bayes[s])),
-                candidate_objectives=[(*self._keys[e], float(v)) for e, v
-                                      in enumerate(values.ravel()) if v > -np.inf])
-            out.append(StageSolution(
-                prescription=Prescription(leader=sweep.leader[s], follower=sweep.follower[s]),
-                follower_values=sweep.follower_values[s].copy(),
-                leader_values=sweep.leader_values[s].copy(), diagnostics=diag))
         return out
 
 
@@ -540,7 +559,7 @@ def leader_optimize(pi, z, v_l_next: JointTable, v_f_next: JointTable,
     engine = StageEngine(spec, v_l_next.joint, [(pi, z)], config)
     wrapped = None if prefer is None else (lambda t, pi, z, gl, bf: prefer(gl, bf))
     sweep = engine.sweep(v_f_next.flat_values(), v_l_next.flat_values(), t=t, prefer=wrapped)
-    return engine.solutions(sweep)[0]
+    return sweep.solution(0)
 
 
 def pair_objectives(pi, z, prescription: Prescription, v_f_next: JointTable,

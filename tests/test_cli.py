@@ -482,3 +482,44 @@ def test_parser_is_built_once_and_parses_each_call_afresh(monkeypatch):
         assert run_cli(["validate", "--game", "infection", *params]) == 0
     assert added == []
     assert seen == [{"k": 0.3, "q": 0.5}, {"lam": 0.1}, {}]
+
+
+def test_seed_must_be_a_nonnegative_integer(tmp_path):
+    """A negative seed would fail in numpy after the whole solve; it is a
+    usage error before anything runs."""
+    out = tmp_path / "run"
+    for seed in ("-1", "abc", "1.5"):
+        for args in (["solve", "--game", "infection", "--z-res", "3", "--action-res", "3",
+                      "--mode", "sampled", "--out", str(out)],
+                     ["export", "--run-dir", str(out), "--mode", "sampled"]):
+            with pytest.raises(SystemExit) as exc:
+                run_cli(args + ["--seed", seed])
+            assert exc.value.code == 2, (args[0], seed)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", [["--game", "tech"], ["--param", "k=0.3"],
+                                  ["--action-res", "3"]])
+def test_game_file_rejects_builtin_game_flags(tmp_path, flag):
+    """--game, --param and --action-res describe a built-in game; with
+    --game-file they would be ignored, so the combination is a usage error.
+    --horizon overrides a file's horizon and stays allowed."""
+    out = tmp_path / "run"
+    for base in (["solve", "--game-file", str(SAMPLE_GAME), "--z-res", "4", "--out", str(out)],
+                 ["validate", "--game-file", str(SAMPLE_GAME)],
+                 ["oracle", "--game-file", str(SAMPLE_GAME), "--out", str(out)]):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(base + flag)
+        assert exc.value.code == 2, base[0]
+    assert not out.exists()
+    assert run_cli(["validate", "--game-file", str(SAMPLE_GAME), "--horizon", "2"]) == 0
+
+
+def test_malformed_game_parameters_exit_3(tmp_path, capsys):
+    bad_file = tmp_path / "bad.json"
+    bad_file.write_text(json.dumps({"builtin": "tech", "params": {"bogus": 1}}))
+    for args, field in ((["--game", "tech", "--param", "bogus=3"], "bogus"),
+                        (["--game", "tech", "--param", "price_points=abc"], "price_points"),
+                        (["--game-file", str(bad_file)], "bogus")):
+        assert run_cli(["validate", *args]) == 3, args
+        assert field in capsys.readouterr().err

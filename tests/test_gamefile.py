@@ -107,3 +107,34 @@ def test_shipped_sample_game_is_valid():
     spec = load_game_file(sample)
     assert s.validate(spec, grid_resolution=4, n_random=10).ok
     assert s.TinyGame(spec)
+
+
+@pytest.mark.parametrize("cfg, field", [
+    ({"builtin": "tech", "params": {"bogus": 1}}, "bogus"),
+    ({"builtin": "tech", "params": {"price_points": "abc"}}, "price_points"),
+    ({"builtin": "tech", "params": {"price_points": 2.5}}, "price_points"),
+    ({"builtin": "tech", "params": {"price_points": None}}, "price_points"),
+    ({"builtin": "tech", "params": {"horizon": 2.5}}, "horizon"),
+    ({"builtin": "tech", "params": {"price_grid": ["a"]}}, "price_grid"),
+    ({"builtin": "infection", "params": {"k": "abc"}}, "k"),
+    ({"builtin": "infection", "params": {"k": True}}, "k"),
+    ({"builtin": "infection", "params": [1]}, "params"),
+    (dict(TINY_CONFIG, follower_states=5), "follower_states"),
+    (dict(TINY_CONFIG, horizon=2.5), "horizon"),
+    (dict(TINY_CONFIG, horizon="2"), "horizon"),
+    ([TINY_CONFIG], "object"),
+])
+def test_malformed_fields_raise_value_error_naming_them(cfg, field):
+    """A field of the wrong type or an unknown parameter is a ValueError that
+    names it, not a TypeError from deep inside the game builder, and a
+    non-integral horizon is not truncated."""
+    with pytest.raises(ValueError, match=field):
+        load_game_dict(cfg)
+
+
+def test_well_typed_overrides_still_load():
+    spec = load_game_dict({"builtin": "tech", "params": {
+        "price_points": 3.0, "horizon": None, "c_max": 1, "price_grid": [0, 0.5]}})
+    assert spec.leader_actions == ("0", "0.5")
+    assert spec.horizon is None
+    assert load_game_dict(dict(TINY_CONFIG, horizon=3.0)).horizon == 3

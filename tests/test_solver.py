@@ -250,7 +250,25 @@ def test_backward_requires_finite_horizon(infection_spec):
         s.backward_pass(infection_spec, joint)
 
 
-def test_branch_cap_lumps_low_weight_branches():
+def test_forward_pass_builds_each_grid_prescription_once(monkeypatch):
+    """A solved stage builds a grid point's Prescription the first time the
+    forward pass reads it, and reuses it on every later step and pass."""
+    spec = s.build_infection_game(s.InfectionParams(subsidy_points=3))
+    joint = toy_joint_grid(spec, z_res=4)
+    gen, _, _ = s.solve_stationary(spec, joint)
+    built = []
+    check = s.Prescription.__post_init__
+    monkeypatch.setattr(s.Prescription, "__post_init__",
+                        lambda self: (built.append(1), check(self))[1])
+    traj = s.forward_pass(spec, gen, [1.0], [0.37, 0.63], steps=40, offgrid="nearest")
+    assert len(traj.steps) == 40
+    assert 1 <= len(built) <= joint.n_points
+    first = len(built)
+    s.forward_pass(spec, gen, [1.0], [0.37, 0.63], steps=40, offgrid="nearest")
+    assert len(built) == first
+
+
+def test_branch_cap_lumps_low_weight_branches(monkeypatch):
     """Two revealing leader types split the tree each step; a cap of one
     branch keeps the heaviest and records the lumped weight."""
 
@@ -277,8 +295,8 @@ def test_branch_cap_lumps_low_weight_branches():
     full = s.forward_pass(spec, gen, [0.6, 0.4], [0.5, 0.5], offgrid="nearest")
     assert len(full.steps[1].branches) == 2
     assert full.lost_weight == 0.0
-    capped = s.forward_pass(spec, gen, [0.6, 0.4], [0.5, 0.5], offgrid="nearest",
-                            config=s.SolverConfig(branch_cap=1))
+    monkeypatch.setattr(s.solver, "BRANCH_CAP", 1)
+    capped = s.forward_pass(spec, gen, [0.6, 0.4], [0.5, 0.5], offgrid="nearest")
     assert len(capped.steps[1].branches) == 1
     assert capped.lost_weight == pytest.approx(0.4, abs=1e-12)
     # kept branch is renormalized
