@@ -155,6 +155,11 @@ def _roll_forward(spec, generator, config: RunConfig):
     return steps, trajectory
 
 
+def _print_reuse(trajectory):
+    print(f"forward branch-steps: {trajectory.computed_steps} computed, "
+          f"{trajectory.reused_steps} reused")
+
+
 def run(config: RunConfig) -> int:
     """Solve a game, roll the equilibrium forward, write all artifacts."""
     try:
@@ -236,6 +241,7 @@ def run(config: RunConfig) -> int:
     print(f"forward steps: {steps}  final mean field: "
           + "[" + ", ".join(export.fmt(v) for v in final_z) + "]")
     print(f"leader discounted reward: {export.fmt(trajectory.leader_discounted)}")
+    _print_reuse(trajectory)
     print(f"artifacts: {outdir}")
     return EXIT_OK
 
@@ -311,6 +317,7 @@ def cmd_export(run_dir: str, config: RunConfig, out_file: Optional[str]) -> int:
         return _no_equilibrium(exc, " in the forward pass")
     target = Path(out_file) if out_file else path / "trajectory_export.csv"
     export.trajectory_csv(target, trajectory, spec)
+    _print_reuse(trajectory)
     print(f"trajectory: {target}")
     return EXIT_OK
 

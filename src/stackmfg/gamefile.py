@@ -28,16 +28,20 @@ from .game import GameSpec
 from .games import BUILTIN_GAMES
 
 
-def _affine(entry, n_z):
-    if isinstance(entry, (int, float)):
+def _affine(entry, n_z, name, idx):
+    if _is_number(entry):
         return float(entry), np.zeros(n_z)
     if isinstance(entry, dict):
-        const = float(entry.get("const", 0.0))
-        coef = np.asarray(entry.get("z", [0.0] * n_z), dtype=np.float64)
-        if coef.shape != (n_z,):
-            raise ValueError(f"affine entry z-coefficients must have length {n_z}")
-        return const, coef
-    raise ValueError(f"table entry must be a number or an affine dict, got {entry!r}")
+        const, coef = entry.get("const", 0.0), entry.get("z", [0.0] * n_z)
+        if not _is_number(const):
+            raise ValueError(f"{name}{list(idx)}: affine entry const must be a number, "
+                             f"got {const!r}")
+        if not (isinstance(coef, list) and len(coef) == n_z and all(map(_is_number, coef))):
+            raise ValueError(f"{name}{list(idx)}: affine entry z-coefficients must be "
+                             f"{n_z} numbers, got {coef!r}")
+        return float(const), np.asarray(coef, dtype=np.float64)
+    raise ValueError(f"{name}{list(idx)}: table entry must be a number or an affine dict, "
+                     f"got {entry!r}")
 
 
 def _affine_table(nested, shape, n_z, name):
@@ -46,7 +50,7 @@ def _affine_table(nested, shape, n_z, name):
 
     def fill(node, idx):
         if len(idx) == len(shape):
-            c, w = _affine(node, n_z)
+            c, w = _affine(node, n_z, name, idx)
             const[idx] = c
             coef[idx] = w
             return
@@ -150,7 +154,11 @@ def load_game_dict(cfg: dict) -> GameSpec:
                                (n_l, n_f, n_al, n_af), n_f, "follower_reward")
     lr_c, lr_w = _affine_table(cfg["leader_reward"],
                                (n_l, n_al), n_f, "leader_reward")
-    welfare = bool(cfg.get("leader_reward_includes_welfare", False))
+    welfare = cfg.get("leader_reward_includes_welfare", False)
+    if not isinstance(welfare, bool):
+        raise ValueError(f"leader_reward_includes_welfare must be true or false, got {welfare!r}")
+    if not _is_number(cfg["discount"]):
+        raise ValueError(f"discount must be a number, got {cfg['discount']!r}")
 
     def leader_reward(Z, Gf):
         Z, Gf = np.asarray(Z, dtype=np.float64), np.asarray(Gf, dtype=np.float64)

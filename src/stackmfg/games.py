@@ -208,9 +208,7 @@ BUILTIN_GAMES = {
 
 
 def build_game(name: str, overrides: Optional[dict] = None) -> GameSpec:
-    """Build a named game with keyword parameter overrides."""
-    if name not in BUILTIN_GAMES:
-        raise KeyError(f"unknown game {name!r}; available: {sorted(BUILTIN_GAMES)}")
-    params_cls, builder = BUILTIN_GAMES[name]
-    params = params_cls(**(overrides or {}))
-    return builder(params)
+    """Build a named game with keyword parameter overrides, checked as the
+    game file ``{"builtin": name, "params": overrides}`` is."""
+    from .gamefile import load_game_dict    # gamefile imports BUILTIN_GAMES
+    return load_game_dict({"builtin": name, "params": overrides or {}})

@@ -208,6 +208,10 @@ class Trajectory:
     seed: Optional[int]
     lost_weight: float = 0.0
     offgrid_lookups: int = 0
+    # branch-steps worked out anew, and those taken from an earlier branch
+    # at the same (stage, pi, z)
+    computed_steps: int = 0
+    reused_steps: int = 0
 
     def mean_field_path(self) -> np.ndarray:
         """Weight-averaged mean field per step (exact when unbranched)."""
@@ -231,7 +235,8 @@ def _branch_prescription(spec, generator, t, branch, offgrid, config):
 
 
 def _instant_rewards(spec, branch, gamma: Prescription):
-    pi, z, xi = branch.pi, branch.z, branch.xi
+    """(leader reward, population reward, follower reward per type)."""
+    pi, z = branch.pi, branch.z
     gl, gf = gamma.leader, gamma.follower
     rf = spec.follower_reward(z)                        # (n_l, n_f, n_al, n_af)
     lead = spec.leader_reward(z, gf)                    # (n_l, n_al)
@@ -240,13 +245,11 @@ def _instant_rewards(spec, branch, gamma: Prescription):
     for xl, al in zip(*np.nonzero(w_la > 0.0)):
         rl += w_la[xl, al] * float(lead[xl, al])
     per_type = np.einsum("la,lfab,fb->f", w_la, rf, gf)  # E[R^f | x^f]
-    pop = float(z @ per_type)
-    rep = xi @ per_type                                  # per starting type
-    return rl, pop, rep
+    return rl, float(z @ per_type), per_type
 
 
 def _transition_kernels(spec, branch, gamma: Prescription):
-    """Per leader action: (marginal prob, posterior, follower transition matrix)."""
+    """Per leader action: (marginal prob, follower transition matrix)."""
     pi, z = branch.pi, branch.z
     gl, gf = gamma.leader, gamma.follower
     qf = spec.follower_kernel(z)
@@ -257,8 +260,22 @@ def _transition_kernels(spec, branch, gamma: Prescription):
             continue
         post = pi * gl[:, al] / w
         k = np.einsum("l,lfbn,fb->fn", post, qf[:, :, al, :, :], gf)
-        out[al] = (w, post, k)
+        out[al] = (w, k)
     return out
+
+
+def _branch_step(spec, generator, t, branch, offgrid, config):
+    """All a step from ``branch`` computes from (t, pi, z) alone, arrays read-only."""
+    gamma, off = _branch_prescription(spec, generator, t, branch, offgrid, config)
+    kernels = _transition_kernels(spec, branch, gamma)
+    marginal = np.array([kernels.get(al, (0.0,))[0] for al in range(spec.n_leader_actions)])
+    z_next = mean_field_step(branch.pi, branch.z, gamma, spec)
+    beliefs = {al: belief_step_total(branch.pi, branch.z, gamma.leader, al, spec,
+                                     eps=config.bayes_eps)[0] for al in kernels}
+    rl, pop, per_type = _instant_rewards(spec, branch, gamma)
+    for arr in (marginal, z_next, per_type, *beliefs.values(), *(k for _, k in kernels.values())):
+        arr.flags.writeable = False
+    return gamma, off, rl, pop, per_type, kernels, marginal, z_next, beliefs
 
 
 def forward_pass(spec: GameSpec, generator: EquilibriumGenerator, pi1, z1,
@@ -295,6 +312,8 @@ def forward_pass(spec: GameSpec, generator: EquilibriumGenerator, pi1, z1,
     lost_weight = 0.0
     offgrid_total = 0
     disc = 1.0
+    memo = {}           # the previous step's _branch_step results by state
+    computed = 0
 
     for t in range(1, steps + 1):
         stage_t = t if not generator.stationary else 1
@@ -304,38 +323,36 @@ def forward_pass(spec: GameSpec, generator: EquilibriumGenerator, pi1, z1,
         step_pop = 0.0
         step_offgrid = 0
         next_branches = []
+        step_memo = {}
         for branch in branches:
-            gamma, off = _branch_prescription(spec, generator, stage_t, branch,
-                                              offgrid, config)
+            # Every term but those in xi is a pure function of this state.
+            state = (stage_t, branch.pi.tobytes(), branch.z.tobytes())
+            entry = step_memo.get(state) or memo.get(state)
+            if entry is None:
+                entry = _branch_step(spec, generator, stage_t, branch, offgrid, config)
+                computed += 1
+            step_memo[state] = entry
+            gamma, off, rl, pop, per_type, kernels, marginal, z_next, beliefs = entry
             step_offgrid += off
             prescriptions.append(gamma)
-            rl, pop, rep = _instant_rewards(spec, branch, gamma)
+            marginals.append(marginal)
             step_rl += branch.weight * rl
             step_pop += branch.weight * pop
             leader_acc += disc * branch.weight * rl
-            follower_acc += disc * branch.weight * rep
-
-            kernels = _transition_kernels(spec, branch, gamma)
-            marginals.append(np.array([kernels.get(al, (0.0,))[0]
-                                       for al in range(spec.n_leader_actions)]))
-            z_next = mean_field_step(branch.pi, branch.z, gamma, spec)
+            follower_acc += disc * branch.weight * (branch.xi @ per_type)
 
             if mode == "sampled":
                 als = sorted(kernels)
                 probs = np.array([kernels[al][0] for al in als])
                 al = als[int(rng.choice(len(als), p=probs / probs.sum()))]
-                w, post, k = kernels[al]
-                pi_next, _ = belief_step_total(branch.pi, branch.z, gamma.leader,
-                                               al, spec, eps=config.bayes_eps)
-                next_branches.append(Branch(weight=branch.weight, pi=pi_next,
-                                            z=z_next, xi=branch.xi @ k))
+                next_branches.append(Branch(weight=branch.weight, pi=beliefs[al],
+                                            z=z_next, xi=branch.xi @ kernels[al][1]))
                 continue
 
             # Expected path: group leader actions by the belief they induce.
             groups = {}
-            for al, (w, post, k) in kernels.items():
-                pi_next, _ = belief_step_total(branch.pi, branch.z, gamma.leader,
-                                               al, spec, eps=config.bayes_eps)
+            for al, (w, k) in kernels.items():
+                pi_next = beliefs[al]
                 key = tuple(np.round(pi_next, 12))
                 if key not in groups:
                     groups[key] = [0.0, pi_next, np.zeros_like(branch.xi)]
@@ -344,6 +361,7 @@ def forward_pass(spec: GameSpec, generator: EquilibriumGenerator, pi1, z1,
             for _, (w, pi_next, xi_acc) in sorted(groups.items()):
                 next_branches.append(Branch(weight=branch.weight * w, pi=pi_next,
                                             z=z_next, xi=xi_acc / w))
+        memo = step_memo
 
         steps_out.append(TrajectoryStep(
             t=t, branches=branches, prescriptions=prescriptions,
@@ -364,7 +382,9 @@ def forward_pass(spec: GameSpec, generator: EquilibriumGenerator, pi1, z1,
 
     return Trajectory(steps=steps_out, leader_discounted=leader_acc,
                       follower_discounted=follower_acc, mode=mode, seed=seed,
-                      lost_weight=lost_weight, offgrid_lookups=offgrid_total)
+                      lost_weight=lost_weight, offgrid_lookups=offgrid_total,
+                      computed_steps=computed,
+                      reused_steps=sum(len(s.branches) for s in steps_out) - computed)
 
 
 # ---------------------------------------------------------------------------

@@ -518,8 +518,11 @@ def test_game_file_rejects_builtin_game_flags(tmp_path, flag):
 def test_malformed_game_parameters_exit_3(tmp_path, capsys):
     bad_file = tmp_path / "bad.json"
     bad_file.write_text(json.dumps({"builtin": "tech", "params": {"bogus": 1}}))
+    bad_table = tmp_path / "bad_table.json"
+    bad_table.write_text(json.dumps(dict(json.loads(SAMPLE_GAME.read_text()), discount=None)))
     for args, field in ((["--game", "tech", "--param", "bogus=3"], "bogus"),
                         (["--game", "tech", "--param", "price_points=abc"], "price_points"),
-                        (["--game-file", str(bad_file)], "bogus")):
+                        (["--game-file", str(bad_file)], "bogus"),
+                        (["--game-file", str(bad_table)], "discount")):
         assert run_cli(["validate", *args]) == 3, args
         assert field in capsys.readouterr().err

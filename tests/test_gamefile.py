@@ -123,6 +123,17 @@ def test_shipped_sample_game_is_valid():
     (dict(TINY_CONFIG, horizon=2.5), "horizon"),
     (dict(TINY_CONFIG, horizon="2"), "horizon"),
     ([TINY_CONFIG], "object"),
+    (dict(TINY_CONFIG, discount=None), "discount"),
+    (dict(TINY_CONFIG, discount=[0.9]), "discount"),
+    (dict(TINY_CONFIG, discount=True), "discount"),
+    (dict(TINY_CONFIG, discount="0.9"), "discount"),
+    (dict(TINY_CONFIG, leader_reward_includes_welfare=1), "leader_reward_includes_welfare"),
+    (dict(TINY_CONFIG, leader_reward_includes_welfare="yes"), "leader_reward_includes_welfare"),
+    (dict(TINY_CONFIG, leader_reward=[[{"const": None}, 0.0]]), "const"),
+    (dict(TINY_CONFIG, leader_reward=[[{"const": [1.0]}, 0.0]]), "const"),
+    (dict(TINY_CONFIG, leader_reward=[[{"const": True}, 0.0]]), "const"),
+    (dict(TINY_CONFIG, leader_reward=[[True, 0.0]]), "leader_reward"),
+    (dict(TINY_CONFIG, leader_reward=[[{"z": [None, 0.0]}, 0.0]]), "z-coefficients"),
 ])
 def test_malformed_fields_raise_value_error_naming_them(cfg, field):
     """A field of the wrong type or an unknown parameter is a ValueError that

@@ -116,5 +116,7 @@ def test_tech_validates(params):
 def test_build_game_by_name():
     spec = s.build_game("infection", {"k": 0.3})
     assert spec.metadata["params"]["k"] == 0.3
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="nope"):
         s.build_game("nope")
+    with pytest.raises(ValueError, match="bogus"):
+        s.build_game("tech", {"bogus": 1})

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import stackmfg as s
-from conftest import signal_family_spec, solve_clean_tiny, toy_joint_grid, toy_spec
+from conftest import (signal_family_spec, solve_clean_tiny, toy_joint_grid, toy_spec,
+                      toy_spec_two_leader_states)
 
 
 def zeroed_rewards(spec):
@@ -266,6 +267,124 @@ def test_forward_pass_builds_each_grid_prescription_once(monkeypatch):
     first = len(built)
     s.forward_pass(spec, gen, [1.0], [0.37, 0.63], steps=40, offgrid="nearest")
     assert len(built) == first
+
+
+@pytest.fixture(scope="module")
+def infection_solved():
+    """The benchmark's stationary infection solve: z-res 10, 11 prices."""
+    spec = s.build_infection_game(s.InfectionParams(subsidy_points=11))
+    gen, _, _ = s.solve_stationary(spec, toy_joint_grid(spec, z_res=10))
+    return spec, gen
+
+
+@pytest.fixture(scope="module")
+def tech_solved():
+    spec = s.build_tech_adoption_game(s.TechAdoptionParams(price_points=41))
+    gen, _, _ = s.solve_stationary(spec, toy_joint_grid(spec, z_res=10))
+    return spec, gen
+
+
+@pytest.fixture(scope="module")
+def two_leader_solved():
+    """A stationary game whose two leader types split the path into two
+    branches that revisit the same few states."""
+    spec = toy_spec_two_leader_states(horizon=None, seed=3)
+    gen, _, _ = s.solve_stationary(spec, toy_joint_grid(spec))
+    return spec, gen
+
+
+OFF_LATTICE_Z0 = [0.6231471329413584, 0.3768528670586416]
+
+
+def distinct_states(traj):
+    return {(b.pi.tobytes(), b.z.tobytes()) for step in traj.steps for b in step.branches}
+
+
+def assert_steps_match_fresh_passes(spec, gen, traj, offgrid):
+    """Each step of ``traj`` equals, bit for bit, a fresh expected-path pass
+    started from each of its branches, so no step reused a stale value."""
+    for t, step in enumerate(traj.steps):
+        rl = pop = 0.0
+        fresh_next = []
+        for branch, gamma, marginal in zip(step.branches, step.prescriptions,
+                                           step.action_marginals):
+            fresh = s.forward_pass(spec, gen, branch.pi, branch.z, steps=2, offgrid=offgrid)
+            first = fresh.steps[0]
+            assert first.prescriptions[0].leader.tobytes() == gamma.leader.tobytes()
+            assert first.prescriptions[0].follower.tobytes() == gamma.follower.tobytes()
+            assert first.action_marginals[0].tobytes() == marginal.tobytes()
+            assert first.offgrid_lookups == int(not gen.grid_lookup(branch.pi, branch.z)[1])
+            rl += branch.weight * first.leader_reward
+            pop += branch.weight * first.follower_reward
+            fresh_next += [(branch.weight * b.weight, b.pi.tobytes(), b.z.tobytes())
+                           for b in fresh.steps[1].branches]
+        assert (rl, pop) == (step.leader_reward, step.follower_reward), t
+        if t + 1 == len(traj.steps):
+            continue
+        got = [(b.weight, b.pi.tobytes(), b.z.tobytes()) for b in traj.steps[t + 1].branches]
+        if traj.mode == "expected":
+            assert got == fresh_next, t
+        else:
+            assert got[0][1:] in [nxt[1:] for nxt in fresh_next], t
+
+
+def test_stationary_steps_reuse_bit_identical_work(infection_solved, tech_solved,
+                                                   two_leader_solved):
+    cases = [(infection_solved, [1.0], OFF_LATTICE_Z0, "expected", "resolve"),
+             (infection_solved, [1.0], OFF_LATTICE_Z0, "sampled", "resolve"),
+             (tech_solved, [1.0], [0.3, 0.7], "expected", "resolve"),
+             (two_leader_solved, [0.5, 0.5], [0.5, 0.5], "expected", "nearest"),
+             (two_leader_solved, [0.5, 0.5], [0.5, 0.5], "sampled", "nearest")]
+    widths = []
+    for (spec, gen), pi0, z0, mode, offgrid in cases:
+        traj = s.forward_pass(spec, gen, pi0, z0, steps=200, mode=mode, seed=7,
+                              offgrid=offgrid)
+        widths.append(max(len(step.branches) for step in traj.steps))
+        assert traj.reused_steps > 0
+        assert traj.computed_steps + traj.reused_steps == sum(
+            len(step.branches) for step in traj.steps)
+        assert_steps_match_fresh_passes(spec, gen, traj, offgrid)
+    assert widths == [1, 1, 1, 2, 1]
+
+
+def test_forward_pass_computes_each_distinct_state_once(monkeypatch, infection_solved,
+                                                        tech_solved):
+    """A branch-step is computed, and an off-grid state re-solved, once per
+    distinct (stage, pi, z) of a trajectory that never returns to a state it
+    left."""
+    calls = {"leader_optimize": 0, "_branch_prescription": 0}
+    for name in calls:
+        original = getattr(s.solver, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(s.solver, name, counted)
+    for (spec, gen), z0, n_states in [(infection_solved, OFF_LATTICE_Z0, None),
+                                      (tech_solved, [0.3, 0.7], 71)]:
+        calls.update(dict.fromkeys(calls, 0))
+        traj = s.forward_pass(spec, gen, [1.0], z0, steps=200, offgrid="resolve")
+        states = distinct_states(traj)
+        assert len(states) == (n_states or len(states)) < 200
+        assert calls["_branch_prescription"] == traj.computed_steps == len(states)
+        assert 0 < calls["leader_optimize"] == traj.offgrid_lookups < 200
+        assert calls["leader_optimize"] == sum(
+            not gen.grid_lookup(np.frombuffer(pi), np.frombuffer(z))[1] for pi, z in states)
+
+
+def test_reused_step_arrays_are_read_only(infection_solved, two_leader_solved):
+    for (spec, gen), pi0 in [(infection_solved, [1.0]), (two_leader_solved, [0.5, 0.5])]:
+        branch = s.solver.Branch(weight=1.0, pi=np.asarray(pi0), z=np.array([0.5, 0.5]),
+                                 xi=np.eye(2))
+        entry = s.solver._branch_step(spec, gen, 1, branch, "resolve", s.SolverConfig())
+        gamma, _, _, _, per_type, kernels, marginal, z_next, beliefs = entry
+        arrays = [gamma.leader, gamma.follower, per_type, marginal, z_next,
+                  *beliefs.values(), *(k for _, k in kernels.values())]
+        assert len(arrays) > 5
+        for arr in arrays:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[...] = 0.0
 
 
 def test_branch_cap_lumps_low_weight_branches(monkeypatch):
