@@ -205,6 +205,7 @@ def run(config: RunConfig) -> int:
         return EXIT_VALIDATION
 
     game_config = spec.metadata["config"]
+    final_z = trajectory.mean_field_path()[-1]
     manifest = {
         "game": {"name": spec.name, "config": export.Exact(game_config)},
         "spec_hash": digest,
@@ -221,7 +222,7 @@ def run(config: RunConfig) -> int:
         "trajectory": {
             "leader_discounted": trajectory.leader_discounted,
             "follower_discounted": list(trajectory.follower_discounted),
-            "final_mean_field": list(trajectory.mean_field_path()[-1]),
+            "final_mean_field": list(final_z),
             "lost_weight": trajectory.lost_weight,
             "offgrid_lookups": trajectory.offgrid_lookups,
         },
@@ -233,11 +234,12 @@ def run(config: RunConfig) -> int:
     export.diagnostics_jsonl(outdir / "diagnostics.jsonl", generator)
     export.write_state(outdir / "state.npz", generator, game_config, solver_config)
 
-    final_z = trajectory.mean_field_path()[-1]
     print(f"spec hash: {digest}")
     if convergence is not None:
         print(f"stationary solve converged in {convergence.iterations} sweeps "
               f"(last delta {export.fmt(convergence.deltas[-1])})")
+    print("stage engine: {} distinct next states for {} pair slots".format(
+        *generator.next_states))
     print(f"forward steps: {steps}  final mean field: "
           + "[" + ", ".join(export.fmt(v) for v in final_z) + "]")
     print(f"leader discounted reward: {export.fmt(trajectory.leader_discounted)}")

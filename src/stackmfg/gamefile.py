@@ -93,6 +93,12 @@ def _integer(value, name) -> int:
     return int(value)
 
 
+def _numbers(value, name) -> np.ndarray:
+    if not (isinstance(value, (list, tuple)) and all(map(_is_number, value))):
+        raise ValueError(f"{name} must be a list of numbers, got {value!r}")
+    return np.asarray(value, dtype=np.float64)
+
+
 _KIND_NAMES = {int: "an integer", float: "a number", tuple: "a list of numbers",
                type(None): "null"}
 
@@ -186,8 +192,8 @@ def load_game_dict(cfg: dict) -> GameSpec:
         leader_reward=leader_reward,
         discount=float(cfg["discount"]),
         horizon=horizon,
-        initial_leader_belief=np.asarray(cfg["initial_leader_belief"], dtype=np.float64),
-        initial_mean_field=np.asarray(cfg["initial_mean_field"], dtype=np.float64),
+        initial_leader_belief=_numbers(cfg["initial_leader_belief"], "initial_leader_belief"),
+        initial_mean_field=_numbers(cfg["initial_mean_field"], "initial_mean_field"),
         name=str(cfg.get("name", "config-game")),
         metadata={"config": cfg},
     )

@@ -30,7 +30,8 @@ class EquilibriumGenerator:
     ``stages`` holds one ``StageSweep`` per stage over the grid points in
     flat order; a stationary solve stores a single one used at all times.
     ``failures`` lists (stage, belief, mean field) coordinates left
-    unsolved in partial mode.
+    unsolved in partial mode.  ``next_states`` is the solving engine's
+    ``StageEngine.next_states``, None for a generator reloaded from disk.
     """
 
     joint: JointGrid
@@ -38,6 +39,7 @@ class EquilibriumGenerator:
     stationary: bool
     tables: list = field(default_factory=list)
     failures: list = field(default_factory=list)
+    next_states: Optional[tuple] = None
 
     @property
     def n_stages(self) -> int:
@@ -122,7 +124,8 @@ def backward_pass(spec: GameSpec, joint: JointGrid,
         failures.extend((t, pi.copy(), z.copy()) for (pi, z), ok
                         in zip(engine.states, sweep.solved) if not ok)
     gen = EquilibriumGenerator(joint=joint, stages=stages, stationary=False,
-                               tables=tables, failures=failures)
+                               tables=tables, failures=failures,
+                               next_states=engine.next_states)
     return gen, tables
 
 
@@ -165,7 +168,7 @@ def solve_stationary(spec: GameSpec, joint: JointGrid, tol: float = 1e-6,
         if delta < tol:
             report.converged = True
             gen = EquilibriumGenerator(joint=joint, stationary=True, tables=[(vf, vl)],
-                                       stages=[sweep])
+                                       stages=[sweep], next_states=engine.next_states)
             return gen, (vf, vl), report
     raise NonConvergenceError(
         f"stationary solve did not reach {tol:g} in {max_iter} sweeps "
@@ -312,7 +315,9 @@ def forward_pass(spec: GameSpec, generator: EquilibriumGenerator, pi1, z1,
     lost_weight = 0.0
     offgrid_total = 0
     disc = 1.0
-    memo = {}           # the previous step's _branch_step results by state
+    # _branch_step results by state: a stationary generator's for the whole
+    # pass; a finite one's stage, and so every key, changes each step.
+    memo = {}
     computed = 0
 
     for t in range(1, steps + 1):
@@ -323,15 +328,16 @@ def forward_pass(spec: GameSpec, generator: EquilibriumGenerator, pi1, z1,
         step_pop = 0.0
         step_offgrid = 0
         next_branches = []
-        step_memo = {}
+        if not generator.stationary:
+            memo = {}
         for branch in branches:
             # Every term but those in xi is a pure function of this state.
             state = (stage_t, branch.pi.tobytes(), branch.z.tobytes())
-            entry = step_memo.get(state) or memo.get(state)
+            entry = memo.get(state)
             if entry is None:
-                entry = _branch_step(spec, generator, stage_t, branch, offgrid, config)
+                entry = memo[state] = _branch_step(spec, generator, stage_t, branch, offgrid,
+                                                   config)
                 computed += 1
-            step_memo[state] = entry
             gamma, off, rl, pop, per_type, kernels, marginal, z_next, beliefs = entry
             step_offgrid += off
             prescriptions.append(gamma)
@@ -361,7 +367,6 @@ def forward_pass(spec: GameSpec, generator: EquilibriumGenerator, pi1, z1,
             for _, (w, pi_next, xi_acc) in sorted(groups.items()):
                 next_branches.append(Branch(weight=branch.weight * w, pi=pi_next,
                                             z=z_next, xi=xi_acc / w))
-        memo = step_memo
 
         steps_out.append(TrajectoryStep(
             t=t, branches=branches, prescriptions=prescriptions,

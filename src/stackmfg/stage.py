@@ -20,9 +20,13 @@ objectives wherever they sit in the batch.
 Pair building is one batch over every (state, leader candidate) row: the
 Bayes steps of all played leader actions come from one ``belief_batch``
 call, the next mean fields of all pairs from one ``mean_field_batch`` call,
-their stencils from one ``simplex_stencils`` call, and the joint gather
-arrays from broadcasting each belief stencil against them.  Per-state
-tensors are indexed by state and broadcast over the leader candidates.
+the stencils of the distinct ones from one ``simplex_stencils`` call, and
+the joint gather rows from broadcasting belief stencils against them.
+Next mean fields, their stencils, belief stencils and slots are keyed by
+exact bytes before the joint rows are built, so the gather holds one row
+per distinct next state and an inverse index names each slot's row; a
+sweep interpolates [V^f | V^l] once over those rows.  Per-state tensors
+are indexed by state and broadcast over the leader candidates.
 The kernels repeat the scalar ``belief_step_total``, ``mean_field_step``
 and ``simplex_weights`` operation for operation; sums the scalar path
 leaves to ``einsum`` run as left-to-right chains in its order and those it
@@ -55,6 +59,7 @@ DAMPING = 0.5               # weight on the new best response in the fallback
 DAMP_MAX_ITER = 500
 DAMP_TOL = 1e-9
 _BR_WINDOW = 32             # best responses a damped row's lookahead searches for a period
+_MIX = np.int64(0x9E3779B97F4A7C15 - 2**64)     # odd multiplier of the row mix
 MIXED_STEP = 0.1            # mesh of the optional mixed leader grid
 MIXED_CANDIDATE_CAP = 100_000
 
@@ -139,11 +144,14 @@ class _Pairs(NamedTuple):
     """Table-independent data of stacked (leader, follower) prescription pairs.
 
     Rows index (public state, leader candidate), columns follower maps, slots
-    the leader actions a row plays; slots and stencils are zero-padded.
+    the leader actions a row plays; slots and stencils are zero-padded.  The
+    gather holds one stencil per distinct next state, and ``inv`` names the
+    stencil of every (row, column, slot).
     """
 
-    idx: np.ndarray         # (R, F, A, K) flat gather indices into the joint tables
-    w: np.ndarray           # (R, F, A, K) joint interpolation weights
+    idx: np.ndarray         # (U, K) flat gather indices into the joint tables
+    w: np.ndarray           # (U, K) joint interpolation weights
+    inv: np.ndarray         # (R, F, A) stencil of each slot's next state
     lead_base: np.ndarray   # (R, F) belief-averaged leader reward
     vl_base: np.ndarray     # (R, F, n_l) leader reward per leader type
     base_obj: np.ndarray    # (R, n_f, n_af) belief-averaged follower reward
@@ -159,13 +167,65 @@ def _take(p: _Pairs, rows) -> _Pairs:
     return _Pairs(*(None if a is None else a[rows] for a in p))
 
 
+def _first_seen(keys):
+    """The distinct rows of ``keys`` (N, c) int64, numbered in order of first
+    appearance: each one's first row (U,) and every row's number (N,).
+
+    Rows are sorted by one int64 mix of their columns, so equal rows are
+    adjacent unless a different row has the same mix; runs of equal
+    neighbours are the groups, so a mix collision can only split a group.
+    """
+    mix = keys[:, 0]
+    for column in keys.T[1:]:
+        mix = mix * _MIX + column           # wraps modulo 2**64
+    order = np.argsort(mix)
+    ordered = keys[order]
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    first = np.minimum.reduceat(order, np.flatnonzero(new))
+    by_first = np.argsort(first)
+    number = np.empty_like(by_first)
+    number[by_first] = np.arange(len(first))
+    ids = np.empty_like(order)
+    ids[order] = number[np.cumsum(new) - 1]
+    return first[by_first], ids
+
+
+def _bits(*arrays):
+    """(N, c) int64 keys of the exact bytes of (N, c_i) int64 and float64 rows."""
+    return np.concatenate([a.view(np.int64) for a in arrays], axis=1)
+
+
 def _joint_stencils(joint: JointGrid, pi_idx, pi_w, z_next):
-    """(..., F, A, K) gather arrays of (..., A, d_pi) belief stencils against
-    the (..., F, n_f) next mean fields, in ``stencil_product`` layout."""
-    z_idx, z_w = simplex_stencils(joint.z_grid, z_next.reshape(-1, z_next.shape[-1]))
-    shape = z_next.shape[:-1] + (1, -1)
-    return stencil_products(joint, (pi_idx[..., None, :, :], pi_w[..., None, :, :]),
-                            (z_idx.reshape(shape), z_w.reshape(shape)))
+    """Gather arrays of (..., A, d_pi) belief stencils against the (..., F, n_f)
+    next mean fields: (U, K) indices and weights in ``stencil_product`` layout,
+    one row per distinct next state in order of first appearance, and the
+    (..., F, A) row of every slot.
+
+    Next mean fields are keyed by their bytes, so each distinct one gets one
+    ``simplex_stencils`` row; stencils, belief stencils and then slots are
+    keyed by the bytes of what they are built from.  A row is a function of
+    its own inputs alone, so its bits are those of a per-slot build.
+    """
+    z_rows = z_next.reshape(-1, z_next.shape[-1])
+    z_first, z_ids = _first_seen(_bits(z_rows))
+    z_idx, z_w = simplex_stencils(joint.z_grid, z_rows[z_first])
+    zs_first, zs_ids = _first_seen(_bits(z_idx, z_w))
+    z_ids = zs_ids[z_ids].reshape(z_next.shape[:-1] + (1,))                # (..., F, 1)
+    d_pi = pi_idx.shape[-1]
+    pi_rows = (pi_idx.reshape(-1, d_pi), pi_w.reshape(-1, d_pi))
+    pi_first, pi_ids = _first_seen(_bits(*pi_rows))
+    pi_ids = pi_ids.reshape(pi_idx.shape[:-2] + (1, -1))                   # (..., 1, A)
+    # An unplayed slot's stencil has no weight, so its row is zero against
+    # every mean-field stencil: key it with the first.
+    z_ids = np.where(pi_w[..., None, :, 0] > 0.0, z_ids, 0)
+    slots = z_ids * len(pi_first) + pi_ids
+    first, inv = _first_seen(slots.reshape(-1, 1))
+    z_of, pi_of = np.divmod(slots.ravel()[first], len(pi_first))
+    pi_of, z_of = pi_first[pi_of], zs_first[z_of]
+    idx, w = stencil_products(joint, (pi_rows[0][pi_of], pi_rows[1][pi_of]),
+                              (z_idx[z_of], z_w[z_of]))
+    return idx, w, inv.reshape(slots.shape)
 
 
 def _leader_terms(pi, leaders, rl):
@@ -205,16 +265,20 @@ def _build_pairs(joint: JointGrid, pi, z, tensors, leaders, followers, n_slots: 
     ``mean_field_batch``, so every array is bit-identical to a per-pair build.
     """
     QF, RF, QL, RL = tensors
-    n_l, n_al = leaders.shape[1:]
+    n_l = leaders.shape[1]
     actions, used = _slot_actions(leaders, n_slots)            # (L, A)
-    w_la = pi[:, None, :, None] * leaders                       # (S, L, n_l, n_al)
-    base_obj = 0.0
-    for xl, al in itertools.product(range(n_l), range(n_al)):
-        base_obj = base_obj + w_la[:, :, xl, al, None, None] * RF[:, None, xl, :, al]
     # Per slot: gamma_l(a|.) (L, A, n_l), its weight under the belief
     # (S, L, A, n_l) and Q^l(.|z, ., a) (S, L, A, n_l, n_l).
     column = np.swapaxes(leaders, 1, 2)[np.arange(len(leaders))[:, None], actions]
     w_slot = pi[:, None, None, :] * column
+    # The einsum chain over (x_l, a_l) from +0, keeping the played actions'
+    # terms only: with finite rewards the others are exact zeros, which
+    # leave the sum unchanged.
+    w_played = np.where(used[..., None], w_slot, 0.0)
+    r_f = np.moveaxis(RF, 3, 1)                                 # (S, n_al, n_l, n_f, n_af)
+    base_obj = 0.0
+    for xl, a in itertools.product(range(n_l), range(n_slots)):
+        base_obj = base_obj + w_played[:, :, a, xl, None, None] * r_f[:, actions[:, a], xl]
     q_l = np.swapaxes(QL, 1, 2)[:, actions]
     pi_next, fell_back = belief_batch(pi[:, None, None], column, q_l, bayes_eps)
     pi_next = np.where(used[..., None], pi_next, pi[:, None, None])
@@ -230,18 +294,27 @@ def _build_pairs(joint: JointGrid, pi, z, tensors, leaders, followers, n_slots: 
     pi_w = np.where(used[..., None], pi_w.reshape(pi_idx.shape), 0.0)
     z_next = mean_field_batch(pi[:, None, None], z[:, None, None], leaders[:, None],
                               followers, QF[:, None, None])
-    idx, w = _joint_stencils(joint, pi_idx, pi_w, z_next)
+    idx, w, inv = _joint_stencils(joint, pi_idx, pi_w, z_next)
     lead_base, vl_base = _leader_terms(pi[:, None], leaders, RL[:, None])
     bayes = np.sum(fell_back & used, axis=2)
-    return _Pairs(*(a.reshape((-1,) + a.shape[2:]) for a in (
-        idx, w, lead_base, vl_base, base_obj, cont_op, lead_cont, vl_cont, bayes,
-        pi_idx, pi_w)))
+    return _Pairs(idx, w, *(a.reshape((-1,) + a.shape[2:]) for a in (
+        inv, lead_base, vl_base, base_obj, cont_op, lead_cont, vl_cont, bayes, pi_idx, pi_w)))
 
 
 def _interpolate(p: _Pairs, flat_values):
     """Table values at every pair's next state per slot, (R, F, A, n): each
-    stencil's weighted table rows, summed."""
-    return np.sum(p.w[..., None] * flat_values[p.idx], axis=-2)
+    distinct stencil's weighted table rows, summed, then spread to its slots."""
+    return np.sum(p.w[..., None] * flat_values[p.idx], axis=-2)[p.inv]
+
+
+def _fold(ufunc, x):
+    """``ufunc.reduce`` over the last axis as a left-to-right chain of
+    elementwise calls: the same result, without the per-row cost of
+    reducing a short last axis."""
+    out = x[..., 0]
+    for n in range(1, x.shape[-1]):
+        out = ufunc(out, x[..., n])
+    return out
 
 
 def _dot(x, y):
@@ -258,16 +331,19 @@ def _evaluate(p: _Pairs, follower_mats, vf_flat, vl_flat, discount: float):
     Returns follower objectives (R, F, n_f, n_af), follower values under
     ``follower_mats`` (R, F, n_f), leader objectives (R, F) and leader values
     per leader type (R, F, n_l); only the first two without ``vl_flat``.
+    Both tables are interpolated in one gather of [V^f | V^l].
     """
-    vf = _interpolate(p, vf_flat)
-    obj = np.repeat(p.base_obj[:, None], p.w.shape[1], axis=1)
-    for a in range(p.w.shape[2]):
+    n_f, (_, F, A) = vf_flat.shape[1], p.inv.shape
+    table = vf_flat if vl_flat is None else np.concatenate([vf_flat, vl_flat], axis=1)
+    values = _interpolate(p, table)
+    vf, vl = values[..., :n_f], values[..., n_f:]
+    obj = np.repeat(p.base_obj[:, None], F, axis=1)
+    for a in range(A):
         obj += discount * _dot(p.cont_op[:, None, a], vf[:, :, a, None, None, :])
     if vl_flat is None:
         return obj, _dot(follower_mats, obj)
-    vl = _interpolate(p, vl_flat)
     lead, lv = p.lead_base.copy(), p.vl_base.copy()
-    for a in range(p.w.shape[2]):
+    for a in range(A):
         lead += discount * _dot(p.lead_cont[:, None, a], vl[:, :, a])
         lv += discount * _dot(p.vl_cont[:, None, a], vl[:, :, a, None, :])
     return obj, _dot(follower_mats, obj), lead, lv
@@ -367,23 +443,26 @@ class StageEngine:
         self.followers = _pure_candidates(spec.n_follower_states, spec.n_follower_actions)
         self._leader_mats = np.array([G for _, G in self.leaders], dtype=np.float64)
         self._follower_mats = np.array([Ff for _, Ff in self.followers])
-        self._actions = np.array([bf for bf, _ in self.followers])[None, :, :, None]
+        self._unplayed = self._follower_mats == 0.0
         # (leader actions, follower actions) per flat (leader, follower map or damped) entry
-        self._keys = [(gl, bf) for gl, _ in self.leaders
-                      for bf in [bf for bf, _ in self.followers] + [None]]
+        columns = [bf for bf, _ in self.followers] + [None]
+        self._keys = [(gl, bf) for gl, _ in self.leaders for bf in columns]
         self._slots = int(np.any(self._leader_mats > 0.0, axis=1).sum(axis=1).max())
         self._pi = np.array([pi for pi, _ in self.states])
         self._z = np.array([z for _, z in self.states])
         self._tensors = _tensors(spec, self._z, self._follower_mats)
         self.pairs = _build_pairs(joint, self._pi, self._z, self._tensors, self._leader_mats,
                                   self._follower_mats, self._slots, self.config.bayes_eps)
+        # (distinct next states, pair slots): the gather rows and their users
+        self.next_states = (len(self.pairs.idx), self.pairs.inv.size)
 
     def _evaluate_pure(self, vf_flat, vl_flat):
         """Evaluated pure pairs and the (R, F) mask of follower fixed points."""
         obj, fv, lead, lv = _evaluate(self.pairs, self._follower_mats, vf_flat, vl_flat,
                                       self.spec.discount)
-        played = np.take_along_axis(obj, self._actions, axis=3)[..., 0]
-        return fv, lead, lv, np.all(played >= obj.max(axis=3) - self.config.br_tol, axis=2)
+        best = obj >= _fold(np.maximum, obj)[..., None] - self.config.br_tol
+        ok = best | self._unplayed
+        return fv, lead, lv, _fold(np.logical_and, ok.reshape(ok.shape[:2] + (-1,)))
 
     def _mixed(self, rows):
         """Pair builder for ``rows`` (state × leader candidate) against one
@@ -394,19 +473,26 @@ class StageEngine:
         returned ``pairs(i, Ff, leader_terms=False)`` builds, for the rows
         ``rows[i]`` and prescriptions ``Ff`` (n, n_f, n_af), only what the
         follower prescription moves: the next mean fields, their stencils
-        and the gather arrays, batched over the rows.  The leader rewards
+        and the gather arrays, batched over the rows, one gather row per
+        slot (keying them measured slower at the benchmark's signal grid).  The leader rewards
         depend on ``Ff`` too and are built only with ``leader_terms``.
         """
         states = rows // len(self.leaders)
         pi, z, QF = self._pi[states], self._z[states], self._tensors[0][states]
         G = self._leader_mats[rows % len(self.leaders)]
-        fixed = _take(self.pairs._replace(idx=None, w=None, lead_base=None, vl_base=None), rows)
+        fixed = _take(self.pairs._replace(idx=None, w=None, inv=None, lead_base=None,
+                                          vl_base=None), rows)
 
         def pairs(i, Ff, leader_terms=False) -> _Pairs:
             part = _take(fixed, i)
             z_next = mean_field_batch(pi[i], z[i], G[i], Ff, QF[i])
-            idx, w = _joint_stencils(self.joint, part.pi_idx, part.pi_w, z_next[:, None])
-            part = part._replace(idx=idx, w=w)
+            # Damped steps rarely share a next state: one gather row per slot.
+            z_idx, z_w = simplex_stencils(self.joint.z_grid, z_next)
+            idx, w = stencil_products(self.joint, (part.pi_idx, part.pi_w),
+                                      (z_idx[:, None], z_w[:, None]))         # (n, A, K)
+            K = idx.shape[-1]
+            part = part._replace(idx=idx.reshape(-1, K), w=w.reshape(-1, K),
+                                 inv=np.arange(idx.size // K).reshape(len(idx), 1, -1))
             if not leader_terms:
                 return part
             rl = self.spec.leader_reward(z[i], Ff)[:, None]
@@ -465,7 +551,7 @@ class StageEngine:
             obj = _evaluate(pairs(live[np.nonzero(laid)[0]], F[laid]), F[laid][:, None],
                             vf_flat, None, discount)[0][:, 0]
             ties = np.ones(pred.shape, dtype=bool)         # all tied where not laid out
-            ties[laid] = obj >= obj.max(axis=2, keepdims=True) - _ARGMAX_TIE_TOL
+            ties[laid] = obj >= _fold(np.maximum, obj)[..., None] - _ARGMAX_TIE_TOL
             new = (1.0 - DAMPING) * F + DAMPING * _br(ties)
             stop = laid & (np.max(np.abs(new - F), axis=(2, 3)) < DAMP_TOL)
             end = k == n[:, None] - 1
@@ -485,7 +571,7 @@ class StageEngine:
             return {}
         obj, fv, lead, lv = (x[:, 0] for x in _evaluate(
             pairs(done, Ff[done], leader_terms=True), Ff[done, None], vf_flat, vl_flat, discount))
-        ok = ~np.any(fv < obj.max(axis=2) - self.config.br_tol, axis=1)
+        ok = ~np.any(fv < _fold(np.maximum, obj) - self.config.br_tol, axis=1)
         return {int(rows[i]): (Ff[i], lead[k], fv[k], lv[k])
                 for k, i in enumerate(done) if ok[k]}
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stackmfg import NoEquilibriumError, cli, export, oracle, solver, spec_hash
+from stackmfg import NoEquilibriumError, cli, export, oracle, solver, spec_hash, stage
 from stackmfg.cli import main
 from stackmfg.gamefile import load_game_dict
 from test_gamefile import TINY_CONFIG
@@ -49,6 +49,27 @@ def test_solve_writes_artifacts(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["convergence"]["converged"] is True
     assert manifest["horizon"] == "infinite"
+
+
+def test_solve_prints_engine_next_states_and_walks_the_path_once(tmp_path, capsys,
+                                                                monkeypatch):
+    """``solve`` reports its engine's distinct next states on stdout only, and
+    averages the trajectory's mean fields once for manifest and summary."""
+    calls = []
+    path = solver.Trajectory.mean_field_path
+    monkeypatch.setattr(solver.Trajectory, "mean_field_path",
+                        lambda self: (calls.append(1), path(self))[1])
+    out = tmp_path / "run"
+    assert run_cli(["solve", "--game-file", str(SAMPLE_GAME), "--horizon", "3",
+                    "--out", str(out)]) == 0
+    assert len(calls) == 1
+    spec = load_game_dict(dict(json.loads(SAMPLE_GAME.read_text()), horizon=3))
+    engine = stage.StageEngine(spec, cli._grids(spec, cli.RunConfig(game_file="x")))
+    distinct, slots = engine.next_states
+    assert 0 < distinct < slots == engine.pairs.inv.size
+    assert (f"stage engine: {distinct} distinct next states for {slots} pair slots"
+            in capsys.readouterr().out.splitlines())
+    assert not any(b"distinct" in path.read_bytes() for path in out.iterdir())
 
 
 def test_finite_horizon_artifact_count(tmp_path):

@@ -134,6 +134,12 @@ def test_shipped_sample_game_is_valid():
     (dict(TINY_CONFIG, leader_reward=[[{"const": True}, 0.0]]), "const"),
     (dict(TINY_CONFIG, leader_reward=[[True, 0.0]]), "leader_reward"),
     (dict(TINY_CONFIG, leader_reward=[[{"z": [None, 0.0]}, 0.0]]), "z-coefficients"),
+    (dict(TINY_CONFIG, initial_mean_field=["a", "b"]), "initial_mean_field"),
+    (dict(TINY_CONFIG, initial_mean_field=[0.5, None]), "initial_mean_field"),
+    (dict(TINY_CONFIG, initial_mean_field=[[0.5, 0.5]]), "initial_mean_field"),
+    (dict(TINY_CONFIG, initial_leader_belief=["1"]), "initial_leader_belief"),
+    (dict(TINY_CONFIG, initial_leader_belief=[True]), "initial_leader_belief"),
+    (dict(TINY_CONFIG, initial_leader_belief=1.0), "initial_leader_belief"),
 ])
 def test_malformed_fields_raise_value_error_naming_them(cfg, field):
     """A field of the wrong type or an unknown parameter is a ValueError that

@@ -7,7 +7,8 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "stackmfg"
 ENGINE_MODULES = {"stage", "solver"}
-ENGINE_NAMES = {"belief_batch", "mean_field_batch", "simplex_stencils", "stencil_products"}
+ENGINE_NAMES = {"belief_batch", "mean_field_batch", "simplex_stencils", "stencil_products",
+                "_first_seen"}
 
 
 @pytest.mark.parametrize("module", ["reference.py", "oracle.py"])

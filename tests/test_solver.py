@@ -372,6 +372,18 @@ def test_forward_pass_computes_each_distinct_state_once(monkeypatch, infection_s
             not gen.grid_lookup(np.frombuffer(pi), np.frombuffer(z))[1] for pi, z in states)
 
 
+def test_stationary_cycle_computes_each_state_once():
+    """A stationary path that cycles among a few states computes each of them
+    once for the whole pass, and every step equals a fresh pass from its
+    branches, bit for bit."""
+    spec = toy_spec_two_leader_states(horizon=None, seed=2)
+    gen, _, _ = s.solve_stationary(spec, toy_joint_grid(spec, z_res=4, pi_res=2))
+    traj = s.forward_pass(spec, gen, [0.5, 0.5], [0.5, 0.5], steps=200)
+    assert traj.computed_steps == len(distinct_states(traj)) <= 4
+    assert traj.reused_steps == 200 - traj.computed_steps
+    assert_steps_match_fresh_passes(spec, gen, traj, "nearest")
+
+
 def test_reused_step_arrays_are_read_only(infection_solved, two_leader_solved):
     for (spec, gen), pi0 in [(infection_solved, [1.0]), (two_leader_solved, [0.5, 0.5])]:
         branch = s.solver.Branch(weight=1.0, pi=np.asarray(pi0), z=np.array([0.5, 0.5]),

@@ -296,9 +296,16 @@ def reference_pairs(spec, joint, pi, z, leaders, followers, n_slots, bayes_eps=1
     return out
 
 
+def expanded(pairs):
+    """``pairs`` with its gather spread to one row per slot: ``idx[inv]`` and
+    ``w[inv]``, (R, F, A, K), and no ``inv``."""
+    return pairs._replace(idx=pairs.idx[pairs.inv], w=pairs.w[pairs.inv], inv=None)
+
+
 def assert_pairs_equal(pairs, expected):
-    assert set(pairs._fields) == set(expected)
-    for name in pairs._fields:
+    assert pairs.inv is None
+    assert set(pairs._fields) - {"inv"} == set(expected)
+    for name in expected:
         got = getattr(pairs, name)
         assert got.shape == expected[name].shape, name
         assert got.dtype == expected[name].dtype, name
@@ -331,7 +338,51 @@ def test_engine_pairs_match_per_pair_rebuild(game):
         rows = slice(k * L, (k + 1) * L)
         expected = reference_pairs(spec, joint, pi, z, [G for _, G in engine.leaders],
                                    engine._follower_mats, engine._slots)
-        assert_pairs_equal(stage._take(engine.pairs, rows), expected)
+        assert_pairs_equal(stage._take(expanded(engine.pairs), rows), expected)
+
+
+@pytest.mark.parametrize("game", sorted(PAIR_GAMES))
+def test_gather_holds_each_distinct_next_state_once(game):
+    """The gather stores no two equal stencils, numbers them in order of first
+    use, rebuilds identically, and interpolates every slot bit for bit as
+    the per-slot gather ``idx[inv]``, ``w[inv]`` does, for V^f alone and for
+    the joined [V^f | V^l]."""
+    spec, z_res, pi_res, mixed = PAIR_GAMES[game]()
+    joint = toy_joint_grid(spec, z_res=z_res, pi_res=pi_res)
+    config = s.SolverConfig(leader_mixed_grid=mixed)
+    pairs = StageEngine(spec, joint, config=config).pairs
+    rows = np.concatenate([pairs.idx, pairs.w.view(np.int64)], axis=1)
+    assert len(np.unique(rows, axis=0)) == len(rows) < pairs.inv.size
+    ids, first = np.unique(pairs.inv.ravel(), return_index=True)
+    assert np.array_equal(ids, np.arange(len(rows))) and np.all(np.diff(first) > 0)
+    again = StageEngine(spec, joint, config=config).pairs
+    for name in ("idx", "w", "inv"):
+        assert np.array_equal(getattr(again, name), getattr(pairs, name)), name
+    rng = np.random.default_rng(1)
+    dense = expanded(pairs)
+    for n in (spec.n_follower_states, spec.n_follower_states + spec.n_leader_states):
+        table = rng.normal(size=(joint.n_points, n)) * 10.0 ** rng.integers(-8, 8, (1, n))
+        table[rng.random(table.shape) < 0.2] = -0.0
+        per_slot = np.sum(dense.w[..., None] * table[dense.idx], axis=-2)
+        got = stage._interpolate(pairs, table)
+        assert got.shape == per_slot.shape
+        assert np.array_equal(got, per_slot)
+        assert np.array_equal(np.signbit(got), np.signbit(per_slot))
+
+
+def test_sweep_gathers_both_tables_once(monkeypatch):
+    """A sweep without damped rows interpolates [V^f | V^l] in one gather."""
+    spec, z_res, pi_res, _ = PAIR_GAMES["signal"]()
+    joint = toy_joint_grid(spec, z_res=z_res, pi_res=pi_res)
+    engine = StageEngine(spec, joint)
+    gathers = []
+    interpolate = stage._interpolate
+    monkeypatch.setattr(stage, "_interpolate",
+                        lambda p, table: (gathers.append(table.shape), interpolate(p, table))[1])
+    vf, vl = (table.flat_values() for table in zero_tables(spec, joint))
+    sweep = engine.sweep(vf, vl)
+    assert sweep.solved.all() and np.all(sweep.objectives[..., -1] == -np.inf)
+    assert gathers == [(joint.n_points, spec.n_follower_states + spec.n_leader_states)]
 
 
 def test_mixed_leader_grid_matches_enumeration_and_checks_cap_first():
@@ -423,7 +474,7 @@ def test_damped_pairs_match_per_pair_rebuild():
                     pi, z = engine.states[row // L]
                     expected = reference_pairs(spec, joint, pi, z, [engine.leaders[row % L][1]],
                                                [Ff[k]], engine._slots)
-                    got = stage._take(pairs, [k])
+                    got = stage._take(expanded(pairs), [k])
                     if not leader_terms:        # built for the certificate only
                         assert got.lead_base is None and got.vl_base is None
                         got = got._replace(lead_base=expected["lead_base"],
