@@ -11,9 +11,8 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Optional
+from zipfile import BadZipFile
 
 import numpy as np
 
@@ -34,32 +33,8 @@ EXIT_NONCONVERGENCE = 5
 EXIT_ENUMERATION = 6
 
 
-@dataclass
-class RunConfig:
-    """Everything one solve needs; mirrors the CLI flags."""
-
-    game: Optional[str] = None
-    game_file: Optional[str] = None
-    params: dict = field(default_factory=dict)
-    horizon: Optional[int] = None
-    infinite: bool = False
-    z_resolution: Optional[int] = None
-    pi_resolution: int = 10
-    action_resolution: Optional[int] = None
-    tol: float = 1e-6
-    max_iter: int = 2000
-    br_tol: float = 1e-9
-    bayes_eps: float = 1e-12
-    steps: Optional[int] = None
-    mode: str = "expected"
-    seed: int = 0
-    offgrid: str = "resolve"
-    out: Optional[str] = None
-    z0: Optional[list] = None
-    pi0: Optional[list] = None
-
-    def solver_config(self) -> SolverConfig:
-        return SolverConfig(br_tol=self.br_tol, bayes_eps=self.bayes_eps)
+def _solver_config(args) -> SolverConfig:
+    return SolverConfig(br_tol=args.br_tol, bayes_eps=args.bayes_eps)
 
 
 def _err(msg: str):
@@ -77,50 +52,50 @@ def _parse_param(text: str):
     return key, value
 
 
-def build_spec(config: RunConfig):
-    """Construct the GameSpec selected by a run configuration."""
-    if config.game_file:
-        spec = load_game_file(config.game_file)
-        if config.horizon is not None and spec.horizon != config.horizon:
+def build_spec(args):
+    """Construct the GameSpec selected by the parsed command line."""
+    if args.game_file:
+        spec = load_game_file(args.game_file)
+        if args.horizon is not None and spec.horizon != args.horizon:
             # Rebuild from a config that records the override, so the
             # manifest and state.npz describe the game that is solved.
             cfg = spec.metadata["config"]
             if "builtin" in cfg:
-                cfg = dict(cfg, params=dict(cfg.get("params", {}), horizon=config.horizon))
+                cfg = dict(cfg, params=dict(cfg.get("params", {}), horizon=args.horizon))
             else:
-                cfg = dict(cfg, horizon=config.horizon)
+                cfg = dict(cfg, horizon=args.horizon)
             spec = load_game_dict(cfg)
-    elif config.game:
-        params = dict(config.params)
-        if config.action_resolution is not None:
-            key = "subsidy_points" if config.game == "infection" else "price_points"
-            params.setdefault(key, config.action_resolution)
-        if config.horizon is not None:
-            params.setdefault("horizon", config.horizon)
-        cfg = {"builtin": config.game, "params": params}
+    elif args.game:
+        params = dict(args.params)
+        if args.action_resolution is not None:
+            key = "subsidy_points" if args.game == "infection" else "price_points"
+            params.setdefault(key, args.action_resolution)
+        if args.horizon is not None:
+            params.setdefault("horizon", args.horizon)
+        cfg = {"builtin": args.game, "params": params}
         spec = load_game_dict(cfg)
     else:
         raise ValueError("select a game with --game or --game-file")
-    if config.infinite and spec.horizon is not None:
+    if args.infinite and spec.horizon is not None:
         raise ValueError("--infinite conflicts with a finite-horizon game definition")
-    if not config.infinite and config.horizon is None and spec.horizon is None:
-        config.infinite = True      # stationary by default for infinite specs
+    if not args.infinite and args.horizon is None and spec.horizon is None:
+        args.infinite = True      # stationary by default for infinite specs
     return spec
 
 
-def _grids(spec, config: RunConfig) -> JointGrid:
-    z_res = config.z_resolution
+def _grids(spec, args) -> JointGrid:
+    z_res = args.z_resolution
     if z_res is None:
         z_res = 50 if spec.n_follower_states == 2 else 10
-    pi_res = config.pi_resolution if spec.n_leader_states > 1 else 1
+    pi_res = args.pi_resolution if spec.n_leader_states > 1 else 1
     return JointGrid(pi_grid=build_grid(spec.n_leader_states, pi_res),
                      z_grid=build_grid(spec.n_follower_states, z_res))
 
 
-def _bad_start(spec, config: RunConfig) -> bool:
+def _bad_start(spec, args) -> bool:
     """Report a ``--z0`` or ``--pi0`` that is not a start of ``spec``."""
-    for flag, vec, dim, what in (("--z0", config.z0, spec.n_follower_states, "follower"),
-                                 ("--pi0", config.pi0, spec.n_leader_states, "leader")):
+    for flag, vec, dim, what in (("--z0", args.z0, spec.n_follower_states, "follower"),
+                                 ("--pi0", args.pi0, spec.n_leader_states, "leader")):
         if vec is None:
             continue
         try:
@@ -136,22 +111,27 @@ def _no_equilibrium(exc: NoEquilibriumError, where: str) -> int:
     return EXIT_NO_EQUILIBRIUM
 
 
-def _roll_forward(spec, generator, config: RunConfig):
+def _cannot_write(path, exc: OSError) -> int:
+    _err(f"cannot write {path}: {exc}")
+    return EXIT_VALIDATION
+
+
+def _roll_forward(spec, generator, args, solver_config: SolverConfig):
     """(steps, trajectory) from the configured start.
 
     ``--steps`` defaults to 200 for a stationary solve and to the horizon of
     a finite one, and is clamped to that horizon.
     """
-    pi0 = np.asarray(config.pi0, dtype=np.float64) if config.pi0 else spec.initial_leader_belief
-    z0 = np.asarray(config.z0, dtype=np.float64) if config.z0 else spec.initial_mean_field
-    steps = config.steps
+    pi0 = np.asarray(args.pi0, dtype=np.float64) if args.pi0 else spec.initial_leader_belief
+    z0 = np.asarray(args.z0, dtype=np.float64) if args.z0 else spec.initial_mean_field
+    steps = args.steps
     if generator.stationary:
         steps = 200 if steps is None else steps
     else:
         steps = generator.n_stages if steps is None else min(steps, generator.n_stages)
     trajectory = forward_pass(spec, generator, pi0, z0, steps=steps,
-                              mode=config.mode, seed=config.seed,
-                              offgrid=config.offgrid, config=config.solver_config())
+                              mode=args.mode, seed=args.seed,
+                              offgrid=args.offgrid, config=solver_config)
     return steps, trajectory
 
 
@@ -160,29 +140,29 @@ def _print_reuse(trajectory):
           f"{trajectory.reused_steps} reused")
 
 
-def run(config: RunConfig) -> int:
+def run(args) -> int:
     """Solve a game, roll the equilibrium forward, write all artifacts."""
     try:
-        spec = build_spec(config)
+        spec = build_spec(args)
     except (ValueError, FileNotFoundError, KeyError) as exc:
         _err(str(exc))
         return EXIT_VALIDATION
-    if _bad_start(spec, config):
+    if _bad_start(spec, args):
         return EXIT_VALIDATION
 
-    joint = _grids(spec, config)
+    joint = _grids(spec, args)
     report = validate(spec, grid_resolution=min(joint.z_grid.resolution, 25))
     if not report.ok:
         _err("game definition failed validation:")
         print(str(report), file=sys.stderr)
         return EXIT_VALIDATION
 
-    solver_config = config.solver_config()
+    solver_config = _solver_config(args)
     convergence = None
     try:
         if spec.infinite_horizon:
             generator, _, convergence = solve_stationary(
-                spec, joint, tol=config.tol, max_iter=config.max_iter,
+                spec, joint, tol=args.tol, max_iter=args.max_iter,
                 config=solver_config)
         else:
             generator, _ = backward_pass(spec, joint, config=solver_config)
@@ -192,17 +172,12 @@ def run(config: RunConfig) -> int:
         _err(f"{exc}")
         return EXIT_NONCONVERGENCE
     try:
-        steps, trajectory = _roll_forward(spec, generator, config)
+        steps, trajectory = _roll_forward(spec, generator, args, solver_config)
     except NoEquilibriumError as exc:
         return _no_equilibrium(exc, " in the forward pass")
 
     digest = spec_hash(spec)
-    outdir = Path(config.out) if config.out else Path("out") / digest
-    try:
-        outdir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        _err(f"cannot create output directory {outdir}: {exc}")
-        return EXIT_VALIDATION
+    outdir = Path(args.out) if args.out else Path("out") / digest
 
     game_config = spec.metadata["config"]
     final_z = trajectory.mean_field_path()[-1]
@@ -211,12 +186,12 @@ def run(config: RunConfig) -> int:
         "spec_hash": digest,
         "grids": {"z_resolution": joint.z_grid.resolution,
                   "pi_resolution": joint.pi_grid.resolution},
-        "tolerances": {"value_iteration": config.tol, "br_tol": config.br_tol,
-                       "bayes_eps": config.bayes_eps},
+        "tolerances": {"value_iteration": args.tol, "br_tol": args.br_tol,
+                       "bayes_eps": args.bayes_eps},
         "horizon": "infinite" if spec.infinite_horizon else spec.horizon,
-        "seed": config.seed,
-        "mode": config.mode,
-        "offgrid": config.offgrid,
+        "seed": args.seed,
+        "mode": args.mode,
+        "offgrid": args.offgrid,
         "steps": steps,
         "convergence": convergence.to_dict() if convergence else None,
         "trajectory": {
@@ -227,12 +202,16 @@ def run(config: RunConfig) -> int:
             "offgrid_lookups": trajectory.offgrid_lookups,
         },
     }
-    export.write_json(outdir / "manifest.json", manifest)
-    export.values_csv(outdir / "values.csv", generator, spec)
-    export.policy_csv(outdir / "policy.csv", generator, spec)
-    export.trajectory_csv(outdir / "trajectory.csv", trajectory, spec)
-    export.diagnostics_jsonl(outdir / "diagnostics.jsonl", generator)
-    export.write_state(outdir / "state.npz", generator, game_config, solver_config)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        export.write_json(outdir / "manifest.json", manifest)
+        export.values_csv(outdir / "values.csv", generator, spec)
+        export.policy_csv(outdir / "policy.csv", generator, spec)
+        export.trajectory_csv(outdir / "trajectory.csv", trajectory, spec)
+        export.diagnostics_jsonl(outdir / "diagnostics.jsonl", generator)
+        export.write_state(outdir / "state.npz", generator, game_config, solver_config)
+    except OSError as exc:
+        return _cannot_write(exc.filename or outdir, exc)
 
     print(f"spec hash: {digest}")
     if convergence is not None:
@@ -248,9 +227,9 @@ def run(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_validate(config: RunConfig) -> int:
+def cmd_validate(args) -> int:
     try:
-        spec = build_spec(config)
+        spec = build_spec(args)
     except (ValueError, FileNotFoundError, KeyError) as exc:
         _err(str(exc))
         return EXIT_VALIDATION
@@ -259,9 +238,9 @@ def cmd_validate(config: RunConfig) -> int:
     return EXIT_OK if report.ok else EXIT_VALIDATION
 
 
-def cmd_oracle(config: RunConfig, check_solver: bool) -> int:
+def cmd_oracle(args) -> int:
     try:
-        spec = build_spec(config)
+        spec = build_spec(args)
         game = TinyGame(spec, initial_points=[
             (p["pi"], p["z"]) for p in spec.metadata["config"].get("initial_points") or []])
     except (ValueError, FileNotFoundError, KeyError) as exc:
@@ -269,10 +248,10 @@ def cmd_oracle(config: RunConfig, check_solver: bool) -> int:
         return EXIT_VALIDATION
 
     generator = None
-    if check_solver:
-        joint = _grids(spec, config)
+    if args.check_solver:
+        joint = _grids(spec, args)
         try:
-            generator, _ = backward_pass(spec, joint, config=config.solver_config())
+            generator, _ = backward_pass(spec, joint, config=_solver_config(args))
         except NoEquilibriumError as exc:
             _err(f"solver failed: {exc}")
             return EXIT_NO_EQUILIBRIUM
@@ -287,11 +266,14 @@ def cmd_oracle(config: RunConfig, check_solver: bool) -> int:
     except NoEquilibriumError as exc:
         return _no_equilibrium(exc, " in the oracle")
 
-    if config.out:
-        outdir = Path(config.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        export.write_json(outdir / "oracle_report.json", report)
-        print(f"oracle report: {outdir / 'oracle_report.json'}")
+    if args.out:
+        target = Path(args.out) / "oracle_report.json"
+        try:
+            target.parent.mkdir(parents=True, exist_ok=True)
+            export.write_json(target, report)
+        except OSError as exc:
+            return _cannot_write(target, exc)
+        print(f"oracle report: {target}")
     else:
         print(json.dumps(export.json_ready(report), sort_keys=True, indent=1))
     for entry in report["initial_points"]:
@@ -302,23 +284,26 @@ def cmd_oracle(config: RunConfig, check_solver: bool) -> int:
     return EXIT_OK
 
 
-def cmd_export(run_dir: str, config: RunConfig, out_file: Optional[str]) -> int:
-    path = Path(run_dir)
+def cmd_export(args) -> int:
+    path = Path(args.run_dir)
     try:
         game_config, generator, solver_config = export.read_state(path / "state.npz")
-    except (FileNotFoundError, KeyError):
-        _err(f"no complete state.npz under {run_dir}; re-run `stackmfg solve` to write it")
+    except (OSError, KeyError, EOFError, ValueError, BadZipFile):
+        _err(f"no complete state.npz under {args.run_dir}; re-run `stackmfg solve` to write it")
         return EXIT_VALIDATION
-    config.br_tol, config.bayes_eps = solver_config.br_tol, solver_config.bayes_eps
     spec = load_game_dict(game_config)
-    if _bad_start(spec, config):
+    if _bad_start(spec, args):
         return EXIT_VALIDATION
     try:
-        _, trajectory = _roll_forward(spec, generator, config)
+        _, trajectory = _roll_forward(spec, generator, args, solver_config)
     except NoEquilibriumError as exc:
         return _no_equilibrium(exc, " in the forward pass")
-    target = Path(out_file) if out_file else path / "trajectory_export.csv"
-    export.trajectory_csv(target, trajectory, spec)
+    target = Path(args.out_file) if args.out_file else path / "trajectory_export.csv"
+    try:
+        target.parent.mkdir(parents=True, exist_ok=True)
+        export.trajectory_csv(target, trajectory, spec)
+    except OSError as exc:
+        return _cannot_write(target, exc)
     _print_reuse(trajectory)
     print(f"trajectory: {target}")
     return EXIT_OK
@@ -414,19 +399,11 @@ def main(argv=None) -> int:
     if getattr(args, "game_file", None) and (args.game or args.params
                                              or args.action_resolution is not None):
         parser.error("--game-file takes no --game, --param or --action-res")
-    known = {f.name for f in fields(RunConfig)}
-    config = RunConfig(**{k: v for k, v in vars(args).items() if k in known})
-    config.params = dict(config.params)
-    if args.command == "solve":
-        return run(config)
-    if args.command == "validate":
-        return cmd_validate(config)
-    if args.command == "oracle":
-        return cmd_oracle(config, args.check_solver)
-    if args.command == "export":
-        return cmd_export(args.run_dir, config, args.out_file)
-    parser.error(f"unknown command {args.command}")
-    return 2
+    if "params" in args:
+        args.params = dict(args.params)
+    commands = {"solve": run, "validate": cmd_validate, "oracle": cmd_oracle,
+                "export": cmd_export}
+    return commands[args.command](args)
 
 
 if __name__ == "__main__":

@@ -89,14 +89,9 @@ def policy_csv(path, generator, spec):
         + [f"gf_{x}_{a}" for x in spec.follower_states for a in spec.follower_actions]
     rows = []
     for label, sweep, flat, pi, z in _stage_points(generator, generator.stages):
-        row = [label] + [fmt(v) for v in pi] + [fmt(v) for v in z]
-        if sweep.solved[flat]:
-            row += [fmt(v) for v in sweep.leader[flat].ravel()]
-            row += [fmt(v) for v in sweep.follower[flat].ravel()]
-        else:
-            row += ["nan"] * (spec.n_leader_states * spec.n_leader_actions
-                              + spec.n_follower_states * spec.n_follower_actions)
-        rows.append(row)
+        rows.append([label] + [fmt(v) for v in pi] + [fmt(v) for v in z]
+                    + [fmt(v) for v in sweep.leader[flat].ravel()]
+                    + [fmt(v) for v in sweep.follower[flat].ravel()])
     write_csv(path, header, rows)
 
 
@@ -128,11 +123,7 @@ def diagnostics_jsonl(path, generator):
     lines = []
     for label, sweep, flat, pi, z in _stage_points(generator, generator.stages):
         record = {"stage": label, "pi": [float(fmt(v)) for v in pi],
-                  "z": [float(fmt(v)) for v in z]}
-        if sweep.solved[flat]:
-            record.update(sweep.diagnostic_fields(flat))
-        else:
-            record["unsolved"] = True
+                  "z": [float(fmt(v)) for v in z], **sweep.diagnostic_fields(flat)}
         lines.append(json.dumps(json_ready(record), sort_keys=True))
     Path(path).write_text("\n".join(lines) + "\n")
 
@@ -142,7 +133,7 @@ def write_state(path, generator, game_config, config: SolverConfig):
 
     ``follower_values``/``leader_values`` stack ``generator.tables`` (with the
     terminal zeros of a finite game); the prescription arrays are indexed
-    (stage, flat grid point, type, action).  Every grid point must be solved.
+    (stage, flat grid point, type, action).
     """
     joint = generator.joint
     np.savez(
@@ -175,7 +166,7 @@ def read_state(path):
     # tables[k] holds the values of stage k+1; a finite game's terminal
     # zeros have no stage and drop out of the zip.
     stages = [StageSweep(leader=gl, follower=gf, follower_values=vf.flat_values(),
-                         leader_values=vl.flat_values(), solved=np.ones(len(gl), dtype=bool))
+                         leader_values=vl.flat_values())
               for (vf, vl), gl, gf in zip(tables, gl_all, gf_all)]
     return config, EquilibriumGenerator(joint=joint, stages=stages, stationary=stationary,
                                         tables=tables), solver_config

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .dynamics import Prescription, belief_step_total, mean_field_step
-from .errors import NoEquilibriumError, NonConvergenceError
+from .errors import NonConvergenceError
 from .game import GameSpec
 from .grids import JointGrid, JointTable
 from .stage import SolverConfig, StageEngine, StageSweep, leader_optimize
@@ -29,16 +29,14 @@ class EquilibriumGenerator:
 
     ``stages`` holds one ``StageSweep`` per stage over the grid points in
     flat order; a stationary solve stores a single one used at all times.
-    ``failures`` lists (stage, belief, mean field) coordinates left
-    unsolved in partial mode.  ``next_states`` is the solving engine's
-    ``StageEngine.next_states``, None for a generator reloaded from disk.
+    ``next_states`` is the solving engine's ``StageEngine.next_states``,
+    None for a generator reloaded from disk.
     """
 
     joint: JointGrid
     stages: list
     stationary: bool
     tables: list = field(default_factory=list)
-    failures: list = field(default_factory=list)
     next_states: Optional[tuple] = None
 
     @property
@@ -98,13 +96,12 @@ def _sweep(engine: StageEngine, vf: JointTable, vl: JointTable, **kwargs):
 
 def backward_pass(spec: GameSpec, joint: JointGrid,
                   config: Optional[SolverConfig] = None,
-                  prefer: Optional[Callable] = None,
-                  allow_partial: bool = False):
+                  prefer: Optional[Callable] = None):
     """Finite-horizon backward recursion over the joint grid.
 
     Returns (generator, tables) with ``tables[k]`` the stage-(k+1) value
     tables; the terminal entry is zero.  Raises NoEquilibriumError annotated
-    with (t, belief, mean field) unless ``allow_partial``.
+    with (t, belief, mean field) at the first state without an equilibrium.
     """
     if spec.horizon is None:
         raise ValueError("backward_pass needs a finite horizon; "
@@ -115,24 +112,18 @@ def backward_pass(spec: GameSpec, joint: JointGrid,
     tables[T] = (JointTable.zeros(joint, spec.n_follower_states),
                  JointTable.zeros(joint, spec.n_leader_states))
     stages = [None] * T
-    failures = []
     for t in range(T, 0, -1):
         vf_next, vl_next = tables[t]
-        sweep, vf, vl = _sweep(engine, vf_next, vl_next, t=t, prefer=prefer,
-                               allow_partial=allow_partial)
+        sweep, vf, vl = _sweep(engine, vf_next, vl_next, t=t, prefer=prefer)
         stages[t - 1], tables[t - 1] = sweep, (vf, vl)
-        failures.extend((t, pi.copy(), z.copy()) for (pi, z), ok
-                        in zip(engine.states, sweep.solved) if not ok)
     gen = EquilibriumGenerator(joint=joint, stages=stages, stationary=False,
-                               tables=tables, failures=failures,
-                               next_states=engine.next_states)
+                               tables=tables, next_states=engine.next_states)
     return gen, tables
 
 
 def solve_stationary(spec: GameSpec, joint: JointGrid, tol: float = 1e-6,
                      max_iter: int = 2000, config: Optional[SolverConfig] = None,
-                     initial_tables=None,
-                     prefer: Optional[Callable] = None):
+                     initial_tables=None):
     """Value iteration for the discounted stationary game.
 
     Sweeps the stage solver with the current tables as continuation until
@@ -157,7 +148,7 @@ def solve_stationary(spec: GameSpec, joint: JointGrid, tol: float = 1e-6,
     report = ConvergenceReport(tolerance=tol)
     prev = None
     for _ in range(max_iter):
-        sweep, new_vf, new_vl = _sweep(engine, vf, vl, prefer=prefer)
+        sweep, new_vf, new_vl = _sweep(engine, vf, vl)
         delta = max(new_vf.max_abs_diff(vf), new_vl.max_abs_diff(vl))
         stable = (prev is not None and np.array_equal(sweep.leader, prev.leader)
                   and np.array_equal(sweep.follower, prev.follower))
@@ -230,11 +221,7 @@ def _branch_prescription(spec, generator, t, branch, offgrid, config):
     if not exact and offgrid == "resolve":
         vf, vl = generator.continuation_for(t)
         return leader_optimize(branch.pi, branch.z, vl, vf, spec, config, t=t).prescription, 1
-    gamma = generator.policy_for(t).prescription(flat)
-    if gamma is None:
-        raise NoEquilibriumError("trajectory hit an unsolved grid point",
-                                 t=t, pi=branch.pi, z=branch.z)
-    return gamma, int(not exact)
+    return generator.policy_for(t).prescription(flat), int(not exact)
 
 
 def _instant_rewards(spec, branch, gamma: Prescription):
@@ -456,9 +443,6 @@ def generator_policy(generator: EquilibriumGenerator) -> Callable:
         flat, exact = generator.grid_lookup(pi, z)
         if not exact:
             raise ValueError(f"public state off-grid at t={t}: pi={pi}, z={z}")
-        gamma = generator.policy_for(t if not generator.stationary else 1).prescription(flat)
-        if gamma is None:
-            raise NoEquilibriumError("unsolved grid point", t=t, pi=pi, z=z)
-        return gamma
+        return generator.policy_for(t if not generator.stationary else 1).prescription(flat)
 
     return policy

@@ -377,22 +377,21 @@ class StageSweep:
 
     leader: np.ndarray              # (S, n_l, n_al) chosen leader prescriptions
     follower: np.ndarray            # (S, n_f, n_af) chosen follower prescriptions
-    follower_values: np.ndarray     # (S, n_f), zero where unsolved
-    leader_values: np.ndarray       # (S, n_l), zero where unsolved
-    solved: np.ndarray              # (S,) states with an equilibrium
+    follower_values: np.ndarray     # (S, n_f)
+    leader_values: np.ndarray       # (S, n_l)
     objectives: Optional[np.ndarray] = None  # (S, L, F + 1), -inf off the BR set; column F: damped
     bayes: Optional[np.ndarray] = None       # (S, L) played actions where Bayes kept the prior
     keys: Optional[list] = None     # (leader actions, follower actions) per flat (L, F + 1) entry
     _prescriptions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def prescription(self, flat: int) -> Optional[Prescription]:
-        """The prescription pair at state ``flat``, built once; None where unsolved."""
-        if self.solved[flat] and flat not in self._prescriptions:
+    def prescription(self, flat: int) -> Prescription:
+        """The prescription pair at state ``flat``, built once."""
+        if flat not in self._prescriptions:
             self._prescriptions[flat] = Prescription(self.leader[flat], self.follower[flat])
-        return self._prescriptions.get(flat)
+        return self._prescriptions[flat]
 
     def diagnostic_fields(self, flat: int) -> dict:
-        """``StageDiagnostics`` fields at a solved state, but the candidate list."""
+        """``StageDiagnostics`` fields at state ``flat``, but the candidate list."""
         if self.objectives is None:
             return {}
         values = self.objectives[flat]
@@ -405,10 +404,8 @@ class StageSweep:
             used_damped_fallback=bool(np.any(np.all(values[:, :F] == -np.inf, axis=1))),
             bayes_fallbacks=int(np.sum(sizes * self.bayes[flat])))
 
-    def solution(self, flat: int) -> Optional[StageSolution]:
-        """StageSolution at state ``flat``, built on demand; None where unsolved."""
-        if not self.solved[flat]:
-            return None
+    def solution(self, flat: int) -> StageSolution:
+        """StageSolution at state ``flat``, built on demand."""
         diag = StageDiagnostics(**self.diagnostic_fields(flat))
         if self.objectives is not None:
             diag.candidate_objectives = [(*self.keys[e], float(v)) for e, v
@@ -418,8 +415,8 @@ class StageSweep:
 
     @property
     def solutions(self) -> list:
-        """StageSolution per state (None where unsolved)."""
-        return [self.solution(flat) for flat in range(len(self.solved))]
+        """StageSolution per state."""
+        return [self.solution(flat) for flat in range(len(self.leader))]
 
 
 class StageEngine:
@@ -576,8 +573,9 @@ class StageEngine:
                 for k, i in enumerate(done) if ok[k]}
 
     def sweep(self, vf_flat, vl_flat, t: Optional[int] = None,
-              prefer: Optional[Callable] = None, allow_partial: bool = False) -> StageSweep:
-        """Solve every state; raises NoEquilibriumError unless ``allow_partial``.
+              prefer: Optional[Callable] = None) -> StageSweep:
+        """Solve every state; raises NoEquilibriumError at the first state
+        without an equilibrium.
 
         The leader takes the first pair in (leader, follower) order whose
         objective is within ``SELECTION_TOL`` of the maximum.  With
@@ -594,14 +592,14 @@ class StageEngine:
         flat_values = values.reshape(S, L * (F + 1))
         best = flat_values.max(axis=1)
         solved = best > -np.inf
-        if not (allow_partial or solved.all()):
+        if not solved.all():
             pi, z = self.states[int(np.argmin(solved))]
             raise NoEquilibriumError("no leader candidate admits a follower fixed point",
                                      t=t, pi=pi.copy(), z=z.copy())
         window = flat_values >= best[:, None] - SELECTION_TOL
         chosen = np.argmax(window, axis=1)
         if prefer is not None:
-            for s in np.flatnonzero(solved):
+            for s in range(S):
                 chosen[s] = next((e for e in np.flatnonzero(window[s])
                                   if prefer(t, *self.states[s], *self._keys[e])), chosen[s])
 
@@ -610,11 +608,10 @@ class StageEngine:
         out = StageSweep(
             leader=self._leader_mats[chosen // (F + 1)],
             follower=self._follower_mats[pure],
-            follower_values=np.where(solved[:, None], fv[rows, pure], 0.0),
-            leader_values=np.where(solved[:, None], lv[rows, pure], 0.0),
-            solved=solved, objectives=values.reshape(S, L, F + 1),
+            follower_values=fv[rows, pure], leader_values=lv[rows, pure],
+            objectives=values.reshape(S, L, F + 1),
             bayes=self.pairs.bayes.reshape(S, L), keys=self._keys)
-        for s in np.flatnonzero(solved & (cols == F)):
+        for s in np.flatnonzero(cols == F):
             out.follower[s], _, out.follower_values[s], out.leader_values[s] = damped[rows[s]]
         return out
 
@@ -639,13 +636,10 @@ def follower_br_set(pi, z, gamma_l, v_f_next: JointTable, spec: GameSpec,
 
 def leader_optimize(pi, z, v_l_next: JointTable, v_f_next: JointTable,
                     spec: GameSpec, config: Optional[SolverConfig] = None,
-                    prefer: Optional[Callable] = None,
                     t: Optional[int] = None) -> StageSolution:
     """Full stage solve: enumerate leader prescriptions, pick the best pair."""
     engine = StageEngine(spec, v_l_next.joint, [(pi, z)], config)
-    wrapped = None if prefer is None else (lambda t, pi, z, gl, bf: prefer(gl, bf))
-    sweep = engine.sweep(v_f_next.flat_values(), v_l_next.flat_values(), t=t, prefer=wrapped)
-    return sweep.solution(0)
+    return engine.sweep(v_f_next.flat_values(), v_l_next.flat_values(), t=t).solution(0)
 
 
 def pair_objectives(pi, z, prescription: Prescription, v_f_next: JointTable,

@@ -5,6 +5,7 @@ import pytest
 
 import stackmfg as s
 from stackmfg.gamefile import load_game_dict
+from stackmfg.stage import StageEngine
 
 
 def toy_spec(horizon=2, discount=0.9, n_leader_actions=2, seed=3,
@@ -114,6 +115,37 @@ def solve_clean_tiny(seed, horizon=2, n_leader_actions=2, two_leader_states=Fals
             if sol.prescription.pure_actions() is None:
                 return None
     return spec, joint, gen, tables
+
+
+def no_equilibrium_at(monkeypatch, state, sweep=1, nan=False):
+    """Make the stage engine's ``sweep``-th sweep (1-based) find no equilibrium
+    at its state ``state`` and only there.
+
+    Every pure pair at that state fails the follower fixed-point test and its
+    damped rows are not run; with ``nan``, one fixed pair there has a NaN
+    leader objective instead and every other pair keeps its true one.
+    """
+    evaluate_pure, damped = StageEngine._evaluate_pure, StageEngine._damped
+    sweeps = []
+
+    def patched_pure(self, vf_flat, vl_flat):
+        fv, lead, lv, fixed = evaluate_pure(self, vf_flat, vl_flat)
+        sweeps.append(None)
+        if len(sweeps) == sweep:
+            first = state * len(self.leaders)
+            if nan:
+                lead[first, 0], fixed[first, 0] = np.nan, True
+            else:
+                fixed[first:first + len(self.leaders)] = False
+        return fv, lead, lv, fixed
+
+    def patched_damped(self, rows, vf_flat, vl_flat):
+        if len(sweeps) == sweep:
+            rows = rows[rows // len(self.leaders) != state]
+        return damped(self, rows, vf_flat, vl_flat)
+
+    monkeypatch.setattr(StageEngine, "_evaluate_pure", patched_pure)
+    monkeypatch.setattr(StageEngine, "_damped", patched_damped)
 
 
 def signal_family_spec():

@@ -12,6 +12,7 @@ import pytest
 from stackmfg import NoEquilibriumError, cli, export, oracle, solver, spec_hash, stage
 from stackmfg.cli import main
 from stackmfg.gamefile import load_game_dict
+from conftest import no_equilibrium_at
 from test_gamefile import TINY_CONFIG
 
 SMALL = ["--z-res", "10", "--action-res", "5", "--tol", "1e-5",
@@ -64,7 +65,8 @@ def test_solve_prints_engine_next_states_and_walks_the_path_once(tmp_path, capsy
                     "--out", str(out)]) == 0
     assert len(calls) == 1
     spec = load_game_dict(dict(json.loads(SAMPLE_GAME.read_text()), horizon=3))
-    engine = stage.StageEngine(spec, cli._grids(spec, cli.RunConfig(game_file="x")))
+    engine = stage.StageEngine(spec, cli._grids(
+        spec, cli.argparse.Namespace(z_resolution=None, pi_resolution=10)))
     distinct, slots = engine.next_states
     assert 0 < distinct < slots == engine.pairs.inv.size
     assert (f"stage engine: {distinct} distinct next states for {slots} pair slots"
@@ -489,6 +491,60 @@ def test_forward_pass_without_equilibrium_exits_4(tmp_path, capsys, monkeypatch,
         err = capsys.readouterr().err
         assert "forward pass" in err and "t=1" in err and "z=[0.37 0.63]" in err, err
     assert not out.exists() and not target.exists()
+
+
+def test_backward_pass_without_equilibrium_exits_4(tmp_path, capsys, monkeypatch):
+    """A grid point without an equilibrium in the backward pass exits 4 with
+    its stage and public state, and writes nothing."""
+    no_equilibrium_at(monkeypatch, 2, sweep=2)      # stage 2 of 3, z = (0.5, 0.5)
+    out = tmp_path / "run"
+    assert run_cli(["solve", "--game-file", str(SAMPLE_GAME), "--horizon", "3",
+                    "--z-res", "4", "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert "no stage equilibrium" in err and "t=2, pi=[1.], z=[0.5 0.5]" in err, err
+    assert not out.exists()
+
+
+def test_solve_artifact_that_cannot_be_written_exits_3(tmp_path, capsys):
+    blocked = tmp_path / "run" / "manifest.json"
+    blocked.mkdir(parents=True)
+    assert run_cli(["solve", "--game-file", str(SAMPLE_GAME), "--out",
+                    str(tmp_path / "run")]) == 3
+    assert f"error: cannot write {blocked}: " in capsys.readouterr().err
+
+
+def test_oracle_out_under_a_file_exits_3(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert run_cli(["oracle", "--game-file", str(SAMPLE_GAME), "--out",
+                    str(blocker / "report")]) == 3
+    assert f"error: cannot write {blocker / 'report' / 'oracle_report.json'}: " \
+        in capsys.readouterr().err
+
+
+def test_export_out_file_makes_its_directory_or_exits_3(tmp_path, capsys, tech_run):
+    """``--out-file`` gets its missing parent directories, as ``solve --out``
+    does; a parent that cannot be made exits 3 naming the path."""
+    target = tmp_path / "new" / "dir" / "q.csv"
+    assert run_cli(["export", "--run-dir", str(tech_run), "--out-file", str(target)]) == 0
+    assert target.read_text().startswith("t,branch,weight")
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert run_cli(["export", "--run-dir", str(tech_run), "--out-file",
+                    str(blocker / "q.csv")]) == 3
+    assert f"error: cannot write {blocker / 'q.csv'}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damage", ["empty", "text", "truncated"])
+def test_export_from_a_damaged_state_exits_3(tmp_path, capsys, tech_run, damage):
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    state = (tech_run / "state.npz").read_bytes()
+    (run_dir / "state.npz").write_bytes({"empty": b"", "text": b"not a state file\n",
+                                         "truncated": state[:len(state) // 2]}[damage])
+    assert run_cli(["export", "--run-dir", str(run_dir)]) == 3
+    assert "no complete state.npz" in capsys.readouterr().err
+    assert not (run_dir / "trajectory_export.csv").exists()
 
 
 def test_parser_is_built_once_and_parses_each_call_afresh(monkeypatch):

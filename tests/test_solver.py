@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import stackmfg as s
-from conftest import (signal_family_spec, solve_clean_tiny, toy_joint_grid, toy_spec,
-                      toy_spec_two_leader_states)
+from conftest import (no_equilibrium_at, signal_family_spec, solve_clean_tiny,
+                      toy_joint_grid, toy_spec, toy_spec_two_leader_states)
 
 
 def zeroed_rewards(spec):
@@ -249,6 +249,18 @@ def test_backward_requires_finite_horizon(infection_spec):
     joint = s.JointGrid(pi_grid=s.build_grid(1, 1), z_grid=s.build_grid(2, 4))
     with pytest.raises(ValueError):
         s.backward_pass(infection_spec, joint)
+
+
+def test_backward_pass_names_the_stage_without_equilibrium(monkeypatch):
+    spec = toy_spec_two_leader_states(horizon=3)
+    joint = toy_joint_grid(spec)
+    s.backward_pass(spec, joint)
+    no_equilibrium_at(monkeypatch, 7, sweep=2)      # stage 2 of 3
+    with pytest.raises(s.NoEquilibriumError) as err:
+        s.backward_pass(spec, joint)
+    pi, z = joint.point(7)
+    assert err.value.t == 2
+    assert np.array_equal(err.value.pi, pi) and np.array_equal(err.value.z, z)
 
 
 def test_forward_pass_builds_each_grid_prescription_once(monkeypatch):

@@ -12,8 +12,8 @@ from stackmfg import stage
 from stackmfg.gamefile import load_game_file
 from stackmfg.grids import simplex_weights, stencil_product
 from stackmfg.stage import StageEngine
-from conftest import (random_stochastic_spec, signal_family_spec, toy_joint_grid,
-                      toy_spec, toy_spec_two_leader_states)
+from conftest import (no_equilibrium_at, random_stochastic_spec, signal_family_spec,
+                      toy_joint_grid, toy_spec, toy_spec_two_leader_states)
 
 
 def zero_tables(spec, joint):
@@ -218,6 +218,24 @@ def test_no_equilibrium_is_surfaced():
     assert err.value.z == pytest.approx([0.5, 0.5])
 
 
+@pytest.mark.parametrize("nan", [False, True])
+def test_sweep_names_the_one_state_without_equilibrium(monkeypatch, nan):
+    """A sweep raises at its only state without an equilibrium, here not the
+    first, with that state's (t, pi, z); also when the state's best leader
+    objective is NaN."""
+    spec = toy_spec_two_leader_states()
+    joint = toy_joint_grid(spec)
+    engine = StageEngine(spec, joint)
+    vf, vl = (table.flat_values() for table in zero_tables(spec, joint))
+    engine.sweep(vf, vl, t=2)
+    no_equilibrium_at(monkeypatch, 7, nan=nan)
+    with pytest.raises(s.NoEquilibriumError) as err:
+        engine.sweep(vf, vl, t=2)
+    pi, z = joint.point(7)
+    assert err.value.t == 2
+    assert np.array_equal(err.value.pi, pi) and np.array_equal(err.value.z, z)
+
+
 def test_one_state_damped_rows_look_ahead(monkeypatch):
     """A one-state engine's damped row batches its steps instead of
     evaluating one per call, and still ends in the same failure."""
@@ -381,7 +399,7 @@ def test_sweep_gathers_both_tables_once(monkeypatch):
                         lambda p, table: (gathers.append(table.shape), interpolate(p, table))[1])
     vf, vl = (table.flat_values() for table in zero_tables(spec, joint))
     sweep = engine.sweep(vf, vl)
-    assert sweep.solved.all() and np.all(sweep.objectives[..., -1] == -np.inf)
+    assert np.all(sweep.objectives[..., -1] == -np.inf)
     assert gathers == [(joint.n_points, spec.n_follower_states + spec.n_leader_states)]
 
 
