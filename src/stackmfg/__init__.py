@@ -8,7 +8,7 @@ trajectories, and ships a brute-force oracle for verifying small instances.
 from .dynamics import (Prescription, belief_step, belief_step_total,
                        mean_field_step)
 from .errors import (EnumerationTooLarge, GridSizeError, NoEquilibriumError,
-                     NonConvergenceError, OffSimplexError, StackMFGError,
+                     NonConvergenceError, NonFiniteValues, OffSimplexError, StackMFGError,
                      UncheckableProfile, ZeroProbabilityAction)
 from .game import GameSpec, ValidationReport, spec_hash, validate
 from .games import (InfectionParams, TechAdoptionParams, build_game,
@@ -39,5 +39,5 @@ __all__ = [
     "build_tech_adoption_game", "build_game",
     "StackMFGError", "GridSizeError", "OffSimplexError",
     "ZeroProbabilityAction", "NoEquilibriumError", "NonConvergenceError",
-    "EnumerationTooLarge", "UncheckableProfile",
+    "NonFiniteValues", "EnumerationTooLarge", "UncheckableProfile",
 ]

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import export
 from .errors import (EnumerationTooLarge, NoEquilibriumError, NonConvergenceError,
-                     OffSimplexError, UncheckableProfile)
+                     NonFiniteValues, OffSimplexError, UncheckableProfile)
 from .game import spec_hash, validate
 from .gamefile import load_game_dict, load_game_file
 from .grids import JointGrid, build_grid, project_to_simplex
@@ -168,6 +168,9 @@ def run(args) -> int:
             generator, _ = backward_pass(spec, joint, config=solver_config)
     except NoEquilibriumError as exc:
         return _no_equilibrium(exc, "")
+    except NonFiniteValues as exc:
+        _err(str(exc))
+        return EXIT_VALIDATION
     except NonConvergenceError as exc:
         _err(f"{exc}")
         return EXIT_NONCONVERGENCE
@@ -255,6 +258,9 @@ def cmd_oracle(args) -> int:
         except NoEquilibriumError as exc:
             _err(f"solver failed: {exc}")
             return EXIT_NO_EQUILIBRIUM
+        except NonFiniteValues as exc:
+            _err(f"solver failed: {exc}")
+            return EXIT_VALIDATION
     try:
         report = oracle_report(game, generator=generator)
     except EnumerationTooLarge as exc:

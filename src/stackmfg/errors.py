@@ -38,6 +38,10 @@ class NonConvergenceError(StackMFGError):
         self.deltas = list(deltas) if deltas is not None else []
 
 
+class NonFiniteValues(StackMFGError, ValueError):
+    """A solve produced value tables with a non-finite entry."""
+
+
 class EnumerationTooLarge(StackMFGError):
     """Brute-force profile enumeration would exceed the configured cap."""
 

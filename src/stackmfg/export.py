@@ -56,6 +56,12 @@ def write_csv(path, header, rows):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _tables(generator):
+    """Every stage's (V^f, V^l) ``JointTable``s, then a finite game's terminal zeros."""
+    return [generator.continuation_for(t)
+            for t in range(generator.n_stages + (not generator.stationary))]
+
+
 def _stage_points(generator, stages):
     """(stage label, entry of ``stages``, flat index, belief, mean field) per
     grid point; a stationary solve has the one stage "stationary"."""
@@ -71,7 +77,7 @@ def values_csv(path, generator, spec):
         + [f"pi_{v}" for v in spec.leader_states] \
         + [f"z_{v}" for v in spec.follower_states] + ["value"]
     rows = []
-    for label, (vf, vl), flat, pi, z in _stage_points(generator, generator.tables):
+    for label, (vf, vl), flat, pi, z in _stage_points(generator, _tables(generator)):
         coords = [fmt(v) for v in pi] + [fmt(v) for v in z]
         for side, states, table in (("follower", spec.follower_states, vf),
                                     ("leader", spec.leader_states, vl)):
@@ -131,11 +137,11 @@ def diagnostics_jsonl(path, generator):
 def write_state(path, generator, game_config, config: SolverConfig):
     """Exact run state: game config, solver tolerances, value tables and prescriptions.
 
-    ``follower_values``/``leader_values`` stack ``generator.tables`` (with the
+    ``follower_values``/``leader_values`` stack ``_tables`` (with the
     terminal zeros of a finite game); the prescription arrays are indexed
     (stage, flat grid point, type, action).
     """
-    joint = generator.joint
+    joint, tables = generator.joint, _tables(generator)
     np.savez(
         path,
         config=json.dumps(game_config, sort_keys=True),
@@ -143,8 +149,8 @@ def write_state(path, generator, game_config, config: SolverConfig):
         br_tol=config.br_tol, bayes_eps=config.bayes_eps,
         pi_resolution=joint.pi_grid.resolution,
         z_resolution=joint.z_grid.resolution,
-        follower_values=np.stack([vf.values for vf, _ in generator.tables]),
-        leader_values=np.stack([vl.values for _, vl in generator.tables]),
+        follower_values=np.stack([vf.values for vf, _ in tables]),
+        leader_values=np.stack([vl.values for _, vl in tables]),
         leader_prescriptions=np.stack([sweep.leader for sweep in generator.stages]),
         follower_prescriptions=np.stack([sweep.follower for sweep in generator.stages]))
 
@@ -168,5 +174,5 @@ def read_state(path):
     stages = [StageSweep(leader=gl, follower=gf, follower_values=vf.flat_values(),
                          leader_values=vl.flat_values())
               for (vf, vl), gl, gf in zip(tables, gl_all, gf_all)]
-    return config, EquilibriumGenerator(joint=joint, stages=stages, stationary=stationary,
-                                        tables=tables), solver_config
+    return config, EquilibriumGenerator(joint=joint, stages=stages,
+                                        stationary=stationary), solver_config

@@ -305,10 +305,6 @@ class JointTable:
     def zeros(cls, joint: JointGrid, n_states: int) -> "JointTable":
         return cls(joint, np.zeros((joint.pi_grid.n_points, joint.z_grid.n_points, n_states)))
 
-    @property
-    def n_states(self) -> int:
-        return self.values.shape[2]
-
     def flat_values(self) -> np.ndarray:
         """(n_pi * n_z, n_states) view used by the gather-based stage solver."""
         return self.values.reshape(-1, self.values.shape[2])
@@ -320,6 +316,3 @@ class JointTable:
     def interpolate_states(self, pi_point, z_point) -> np.ndarray:
         flat, w = joint_weights(self.joint, pi_point, z_point)
         return w @ self.flat_values()[flat, :]
-
-    def max_abs_diff(self, other: "JointTable") -> float:
-        return float(np.max(np.abs(self.values - other.values))) if self.values.size else 0.0

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .dynamics import Prescription, belief_step_total, mean_field_step
-from .errors import NonConvergenceError
+from .errors import NonConvergenceError, NonFiniteValues
 from .game import GameSpec
 from .grids import JointGrid, JointTable
 from .stage import SolverConfig, StageEngine, StageSweep, leader_optimize
@@ -25,18 +25,17 @@ BRANCH_CAP = 64     # expected-path branches kept per forward step, by weight
 
 @dataclass
 class EquilibriumGenerator:
-    """Prescriptions for every stage and joint grid point.
+    """Prescriptions and values for every stage and joint grid point.
 
     ``stages`` holds one ``StageSweep`` per stage over the grid points in
-    flat order; a stationary solve stores a single one used at all times.
-    ``next_states`` is the solving engine's ``StageEngine.next_states``,
-    None for a generator reloaded from disk.
+    flat order, whose arrays are the only value tables; a stationary solve
+    stores a single one used at all times.  ``next_states`` is the solving
+    engine's ``StageEngine.next_states``, None for one reloaded from disk.
     """
 
     joint: JointGrid
     stages: list
     stationary: bool
-    tables: list = field(default_factory=list)
     next_states: Optional[tuple] = None
 
     @property
@@ -52,10 +51,13 @@ class EquilibriumGenerator:
         return self.stages[t - 1]
 
     def continuation_for(self, t: int):
-        """(V^f, V^l) continuation tables used when solving stage ``t``."""
-        if self.stationary:
-            return self.tables[0]
-        return self.tables[t]
+        """(V^f, V^l) ``JointTable``s used when solving stage ``t``: the values
+        of stage t + 1, zero after the last stage."""
+        after_last = not self.stationary and t == len(self.stages)
+        sweep = self.policy_for(t if after_last else t + 1)
+        shape = (self.joint.pi_grid.n_points, self.joint.z_grid.n_points, -1)
+        return tuple(JointTable(self.joint, np.where(after_last, 0.0, v).reshape(shape))
+                     for v in (sweep.follower_values, sweep.leader_values))
 
     def grid_lookup(self, pi, z):
         """(flat index, exact flag): the nearest grid point, exact when it is
@@ -86,12 +88,13 @@ class ConvergenceReport:
         return {"iterations": self.iterations, **asdict(self)}
 
 
-def _sweep(engine: StageEngine, vf: JointTable, vl: JointTable, **kwargs):
-    """One engine sweep over the grid: (StageSweep, new V^f, new V^l)."""
-    sweep = engine.sweep(vf.flat_values(), vl.flat_values(), **kwargs)
-    shape = vf.values.shape[:2] + (-1,)
-    return (sweep, JointTable(vf.joint, sweep.follower_values.reshape(shape)),
-            JointTable(vl.joint, sweep.leader_values.reshape(shape)))
+def _values(sweep: StageSweep, joint: JointGrid, where: str):
+    """The sweep's flat (V^f, V^l); NonFiniteValues at the first non-finite point."""
+    finite = np.isfinite(np.hstack([sweep.follower_values, sweep.leader_values])).all(axis=1)
+    if not finite.all():
+        raise NonFiniteValues("value tables are not finite at {}, pi={}, z={}".format(
+            where, *joint.point(int(np.argmin(finite)))))
+    return sweep.follower_values, sweep.leader_values
 
 
 def backward_pass(spec: GameSpec, joint: JointGrid,
@@ -101,35 +104,34 @@ def backward_pass(spec: GameSpec, joint: JointGrid,
 
     Returns (generator, tables) with ``tables[k]`` the stage-(k+1) value
     tables; the terminal entry is zero.  Raises NoEquilibriumError annotated
-    with (t, belief, mean field) at the first state without an equilibrium.
+    with (t, belief, mean field) at the first state without an equilibrium
+    and NonFiniteValues at the first stage with a non-finite value.
     """
     if spec.horizon is None:
         raise ValueError("backward_pass needs a finite horizon; "
                          "use solve_stationary for discounted infinite games")
     T = spec.horizon
     engine = StageEngine(spec, joint, config=config)
-    tables = [None] * (T + 1)
-    tables[T] = (JointTable.zeros(joint, spec.n_follower_states),
-                 JointTable.zeros(joint, spec.n_leader_states))
+    vf = np.zeros((joint.n_points, spec.n_follower_states))
+    vl = np.zeros((joint.n_points, spec.n_leader_states))
     stages = [None] * T
     for t in range(T, 0, -1):
-        vf_next, vl_next = tables[t]
-        sweep, vf, vl = _sweep(engine, vf_next, vl_next, t=t, prefer=prefer)
-        stages[t - 1], tables[t - 1] = sweep, (vf, vl)
+        stages[t - 1] = engine.sweep(vf, vl, t=t, prefer=prefer)
+        vf, vl = _values(stages[t - 1], joint, f"t={t}")
     gen = EquilibriumGenerator(joint=joint, stages=stages, stationary=False,
-                               tables=tables, next_states=engine.next_states)
-    return gen, tables
+                               next_states=engine.next_states)
+    return gen, [gen.continuation_for(t) for t in range(T + 1)]
 
 
 def solve_stationary(spec: GameSpec, joint: JointGrid, tol: float = 1e-6,
-                     max_iter: int = 2000, config: Optional[SolverConfig] = None,
-                     initial_tables=None):
+                     max_iter: int = 2000, config: Optional[SolverConfig] = None):
     """Value iteration for the discounted stationary game.
 
-    Sweeps the stage solver with the current tables as continuation until
-    the sup-norm change of both tables drops below ``tol``.  Returns
-    (generator, (V^f, V^l), ConvergenceReport); raises NonConvergenceError
-    carrying the delta history otherwise.
+    Sweeps the stage solver with the last sweep's values as continuation,
+    from zero, until the sup-norm change of both tables drops below ``tol``.
+    Returns (generator, (V^f, V^l), ConvergenceReport); raises
+    NonConvergenceError carrying the delta history otherwise, and
+    NonFiniteValues at the first sweep with a non-finite value.
     """
     if not spec.infinite_horizon:
         raise ValueError("solve_stationary expects an infinite-horizon spec")
@@ -140,27 +142,24 @@ def solve_stationary(spec: GameSpec, joint: JointGrid, tol: float = 1e-6,
     if not tol > 0:
         raise ValueError(f"tol must be above 0, got {tol}")
     engine = StageEngine(spec, joint, config=config)
-    if initial_tables is None:
-        vf = JointTable.zeros(joint, spec.n_follower_states)
-        vl = JointTable.zeros(joint, spec.n_leader_states)
-    else:
-        vf, vl = initial_tables
+    vf = np.zeros((joint.n_points, spec.n_follower_states))
+    vl = np.zeros((joint.n_points, spec.n_leader_states))
     report = ConvergenceReport(tolerance=tol)
     prev = None
-    for _ in range(max_iter):
-        sweep, new_vf, new_vl = _sweep(engine, vf, vl)
-        delta = max(new_vf.max_abs_diff(vf), new_vl.max_abs_diff(vl))
+    for k in range(1, max_iter + 1):
+        sweep = engine.sweep(vf, vl)
+        new_vf, new_vl = _values(sweep, joint, f"stationary sweep {k}")
+        delta = max(np.max(np.abs(new_vf - vf)), np.max(np.abs(new_vl - vl)))
         stable = (prev is not None and np.array_equal(sweep.leader, prev.leader)
                   and np.array_equal(sweep.follower, prev.follower))
         report.deltas.append(float(delta))
         report.prescription_stable.append(stable)
-        prev = sweep
-        vf, vl = new_vf, new_vl
+        prev, vf, vl = sweep, new_vf, new_vl
         if delta < tol:
             report.converged = True
-            gen = EquilibriumGenerator(joint=joint, stationary=True, tables=[(vf, vl)],
-                                       stages=[sweep], next_states=engine.next_states)
-            return gen, (vf, vl), report
+            gen = EquilibriumGenerator(joint=joint, stages=[sweep], stationary=True,
+                                       next_states=engine.next_states)
+            return gen, gen.continuation_for(0), report
     raise NonConvergenceError(
         f"stationary solve did not reach {tol:g} in {max_iter} sweeps "
         f"(last delta {report.deltas[-1]:.3e})", deltas=report.deltas)
@@ -209,11 +208,8 @@ class Trajectory:
 
     def mean_field_path(self) -> np.ndarray:
         """Weight-averaged mean field per step (exact when unbranched)."""
-        out = []
-        for step in self.steps:
-            z = sum(b.weight * b.z for b in step.branches)
-            out.append(z / sum(b.weight for b in step.branches))
-        return np.asarray(out)
+        return np.asarray([sum(b.weight * b.z for b in step.branches)
+                           / sum(b.weight for b in step.branches) for step in self.steps])
 
 
 def _branch_prescription(spec, generator, t, branch, offgrid, config):
@@ -288,6 +284,8 @@ def forward_pass(spec: GameSpec, generator: EquilibriumGenerator, pi1, z1,
         if generator.stationary:
             raise ValueError("steps is required for a stationary generator")
         steps = generator.n_stages
+    if steps < 1:
+        raise ValueError(f"steps must be at least 1, got {steps}")
     if not generator.stationary and steps > generator.n_stages:
         raise ValueError(f"horizon has {generator.n_stages} stages, asked for {steps}")
     rng = np.random.default_rng(seed) if mode == "sampled" else None
@@ -300,7 +298,6 @@ def forward_pass(spec: GameSpec, generator: EquilibriumGenerator, pi1, z1,
     leader_acc = 0.0
     follower_acc = np.zeros(n_f)
     lost_weight = 0.0
-    offgrid_total = 0
     disc = 1.0
     # _branch_step results by state: a stationary generator's for the whole
     # pass; a finite one's stage, and so every key, changes each step.
@@ -311,8 +308,7 @@ def forward_pass(spec: GameSpec, generator: EquilibriumGenerator, pi1, z1,
         stage_t = t if not generator.stationary else 1
         prescriptions = []
         marginals = []
-        step_rl = 0.0
-        step_pop = 0.0
+        step_rl = step_pop = 0.0
         step_offgrid = 0
         next_branches = []
         if not generator.stationary:
@@ -359,12 +355,10 @@ def forward_pass(spec: GameSpec, generator: EquilibriumGenerator, pi1, z1,
             t=t, branches=branches, prescriptions=prescriptions,
             action_marginals=marginals, leader_reward=step_rl,
             follower_reward=step_pop, offgrid_lookups=step_offgrid))
-        offgrid_total += step_offgrid
 
         if len(next_branches) > BRANCH_CAP:
             next_branches.sort(key=lambda b: -b.weight)
-            dropped = next_branches[BRANCH_CAP:]
-            lost_weight += sum(b.weight for b in dropped)
+            lost_weight += sum(b.weight for b in next_branches[BRANCH_CAP:])
             next_branches = next_branches[:BRANCH_CAP]
             total = sum(b.weight for b in next_branches)
             for b in next_branches:
@@ -374,8 +368,8 @@ def forward_pass(spec: GameSpec, generator: EquilibriumGenerator, pi1, z1,
 
     return Trajectory(steps=steps_out, leader_discounted=leader_acc,
                       follower_discounted=follower_acc, mode=mode, seed=seed,
-                      lost_weight=lost_weight, offgrid_lookups=offgrid_total,
-                      computed_steps=computed,
+                      lost_weight=lost_weight, computed_steps=computed,
+                      offgrid_lookups=sum(s.offgrid_lookups for s in steps_out),
                       reused_steps=sum(len(s.branches) for s in steps_out) - computed)
 
 

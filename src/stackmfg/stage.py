@@ -52,7 +52,7 @@ import numpy as np
 from .dynamics import Prescription, belief_batch, mean_field_batch
 from .errors import NoEquilibriumError
 from .game import SELECTION_TOL, GameSpec
-from .grids import JointGrid, JointTable, simplex_stencils, stencil_products
+from .grids import JointGrid, JointTable, build_grid, simplex_stencils, stencil_products
 
 _ARGMAX_TIE_TOL = 1e-12
 DAMPING = 0.5               # weight on the new best response in the fallback
@@ -118,17 +118,12 @@ def _leader_candidates(spec: GameSpec, config: SolverConfig):
     if not config.leader_mixed_grid:
         return out
     denom, n_al = round(1.0 / MIXED_STEP), spec.n_leader_actions
-    n_rows = math.comb(denom + n_al - 1, n_al - 1)
-    total = n_rows ** spec.n_leader_states
-    if total > MIXED_CANDIDATE_CAP:
+    total = math.comb(denom + n_al - 1, n_al - 1) ** spec.n_leader_states
+    if total > MIXED_CANDIDATE_CAP:     # checked before the grid exceeds its own cap
         raise ValueError(f"mixed leader grid would enumerate {total} candidates "
                          f"(cap {MIXED_CANDIDATE_CAP})")
-    # The compositions of denom into n_al parts, lexicographic: the gaps
-    # between n_al - 1 bars placed among denom + n_al - 1 positions.
-    bars = np.array(list(itertools.combinations(range(denom + n_al - 1), n_al - 1)),
-                    dtype=np.int64).reshape(n_rows, n_al - 1)
-    rows = (np.diff(bars, axis=1, prepend=-1, append=denom + n_al - 1) - 1) / denom
-    mats = rows[_tuples(n_rows, spec.n_leader_states)]
+    rows = build_grid(n_al, denom).points
+    mats = rows[_tuples(len(rows), spec.n_leader_states)]
     mixed = ~np.all(np.max(mats, axis=2) == 1.0, axis=1)     # pure rows already enumerated
     return out + [(None, mat) for mat in mats[mixed]]
 

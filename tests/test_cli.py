@@ -256,11 +256,11 @@ def test_export_reloads_exact_run_state(tmp_path, monkeypatch, case):
     (_, solved), (spec, loaded) = seen
 
     assert loaded.stationary == solved.stationary
-    assert len(loaded.tables) == len(solved.tables)
-    for (vf1, vl1), (vf2, vl2) in zip(solved.tables, loaded.tables):
+    assert len(loaded.stages) == len(solved.stages)
+    for t in range(len(solved.stages) + (not solved.stationary)):
+        (vf1, vl1), (vf2, vl2) = solved.continuation_for(t), loaded.continuation_for(t)
         assert np.array_equal(vf1.values, vf2.values)
         assert np.array_equal(vl1.values, vl2.values)
-    assert len(loaded.stages) == len(solved.stages)
     for p1, p2 in zip(solved.stages, loaded.stages):
         assert len(p1.solutions) == len(p2.solutions)
         for s1, s2 in zip(p1.solutions, p2.solutions):
@@ -502,6 +502,24 @@ def test_backward_pass_without_equilibrium_exits_4(tmp_path, capsys, monkeypatch
                     "--z-res", "4", "--out", str(out)]) == 4
     err = capsys.readouterr().err
     assert "no stage equilibrium" in err and "t=2, pi=[1.], z=[0.5 0.5]" in err, err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_values_exit_3(tmp_path, capsys):
+    """With every follower reward 1e308, two stages' values overflow: solve
+    and oracle --check-solver exit 3 naming the stage and the first grid
+    point, and solve writes nothing."""
+    game = json.loads(SAMPLE_GAME.read_text())
+    game["follower_reward"] = np.full(np.shape(game["follower_reward"]), 1e308).tolist()
+    out = tmp_path / "run"
+    for args, horizon, t in ((["solve", "--out", str(out)], 3, 2),
+                             (["oracle", "--check-solver"], 2, 1)):
+        path = tmp_path / f"huge{horizon}.json"
+        path.write_text(json.dumps({**game, "horizon": horizon}))
+        assert run_cli([*args, "--game-file", str(path), "--z-res", "4"]) == 3, args[0]
+        err = capsys.readouterr().err
+        assert f"value tables are not finite at t={t}, pi=[1.], z=[0. 1.]" in err, err
     assert not out.exists()
 
 

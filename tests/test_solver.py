@@ -1,5 +1,7 @@
 """Backward/forward recursion, stationary solve, exact value cross-checks."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -8,13 +10,14 @@ from conftest import (no_equilibrium_at, signal_family_spec, solve_clean_tiny,
                       toy_joint_grid, toy_spec, toy_spec_two_leader_states)
 
 
-def zeroed_rewards(spec):
+def zeroed_rewards(spec, follower_reward=0.0):
+    """``spec`` with zero leader rewards and a constant follower reward."""
     return s.GameSpec.from_callables(
         follower_states=spec.follower_states, leader_states=spec.leader_states,
         follower_actions=spec.follower_actions, leader_actions=spec.leader_actions,
         leader_kernel=lambda z, al, xl: spec.leader_kernel(z)[xl, al],
         follower_kernel=lambda z, *idx: spec.follower_kernel(z)[idx],
-        follower_reward=lambda z, xl, xf, al, af: 0.0,
+        follower_reward=lambda z, xl, xf, al, af: follower_reward,
         leader_reward=lambda z, xl, al, gf: 0.0,
         discount=spec.discount, horizon=spec.horizon,
         initial_leader_belief=spec.initial_leader_belief,
@@ -194,18 +197,65 @@ def test_stationary_selection_does_not_flip_on_rounding():
     assert all(report.prescription_stable[19:])
 
 
-def test_stationary_independent_of_initial_tables():
+def test_stationary_solve_builds_its_tables_once_on_return(monkeypatch):
+    """Sweeps hand the engine's flat arrays on; the two JointTables of the
+    result are built after the last sweep, from the stored stage."""
+    built, before_sweep = [], []
+    init, sweep = s.JointTable.__init__, s.stage.StageEngine.sweep
+
+    def counted_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    def counted_sweep(self, *args, **kwargs):
+        before_sweep.append(len(built))
+        return sweep(self, *args, **kwargs)
+
+    monkeypatch.setattr(s.JointTable, "__init__", counted_init)
+    monkeypatch.setattr(s.stage.StageEngine, "sweep", counted_sweep)
     spec = s.build_infection_game(s.InfectionParams(subsidy_points=5))
     joint = s.JointGrid(pi_grid=s.build_grid(1, 1), z_grid=s.build_grid(2, 8))
-    tol = 1e-7
-    _, (vf_a, vl_a), _ = s.solve_stationary(spec, joint, tol=tol)
-    rng = np.random.default_rng(123)
-    init = (s.JointTable(joint, rng.uniform(-1, 1, size=(1, 9, 2))),
-            s.JointTable(joint, rng.uniform(-1, 1, size=(1, 9, 1))))
-    _, (vf_b, vl_b), _ = s.solve_stationary(spec, joint, tol=tol,
-                                            initial_tables=init)
-    assert vf_a.max_abs_diff(vf_b) <= 10 * tol
-    assert vl_a.max_abs_diff(vl_b) <= 10 * tol
+    gen, (vf, vl), report = s.solve_stationary(spec, joint, tol=1e-7)
+    assert report.iterations > 1 and before_sweep == [0] * report.iterations
+    assert built == [vf, vl]
+    assert np.array_equal(vf.flat_values(), gen.stages[0].follower_values)
+    assert np.array_equal(vl.flat_values(), gen.stages[0].leader_values)
+
+
+def test_continuation_for_matches_backward_tables():
+    """continuation_for(t) is tables[t], terminal zeros included, and is what
+    stage t was solved against."""
+    spec = toy_spec_two_leader_states(horizon=3)
+    joint = toy_joint_grid(spec)
+    gen, tables = s.backward_pass(spec, joint)
+    assert len(tables) == 4
+    engine = s.stage.StageEngine(spec, joint)
+    for t, (vf, vl) in enumerate(tables):
+        cf, cl = gen.continuation_for(t)
+        assert np.array_equal(cf.values, vf.values) and np.array_equal(cl.values, vl.values)
+        if t == 0:
+            continue
+        again = engine.sweep(cf.flat_values(), cl.flat_values(), t=t)
+        assert np.array_equal(again.follower_values, gen.stages[t - 1].follower_values)
+        assert np.array_equal(again.leader_values, gen.stages[t - 1].leader_values)
+    assert not tables[3][0].values.any() and not tables[3][1].values.any()
+    for t in (-1, 4):
+        with pytest.raises(IndexError):
+            gen.continuation_for(t)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_values_raise_at_the_overflowing_sweep():
+    """Follower rewards of 1e308 leave one stage's values finite and
+    overflow two stages': both solve loops raise there, naming the first
+    grid point."""
+    for horizon, where in ((3, "t=2"), (None, "stationary sweep 2")):
+        spec = zeroed_rewards(toy_spec(horizon=horizon, seed=4), follower_reward=1e308)
+        joint = toy_joint_grid(spec)
+        pi, z = joint.point(0)
+        solve = s.backward_pass if horizon else s.solve_stationary
+        with pytest.raises(s.NonFiniteValues, match=re.escape(f"{where}, pi={pi}, z={z}")):
+            solve(spec, joint)
 
 
 def test_stationary_nonconvergence_carries_history():
@@ -234,13 +284,14 @@ def test_stationary_rejects_tol_not_above_zero():
 
 
 def test_forward_pass_rejects_unknown_mode_and_offgrid():
-    """Both are checked before the first step, also from an on-lattice start
-    whose lookups never leave the grid."""
+    """Mode, offgrid policy and step count are checked before the first
+    step, also from an on-lattice start whose lookups never leave the grid."""
     spec = toy_spec(horizon=2, seed=8)
     gen, _ = s.backward_pass(spec, toy_joint_grid(spec))
     assert gen.grid_lookup([1.0], [0.5, 0.5])[1]
     for kwargs, accepted in (({"mode": "bogus"}, "'expected' or 'sampled'"),
-                             ({"offgrid": "bogus"}, "'resolve' or 'nearest'")):
+                             ({"offgrid": "bogus"}, "'resolve' or 'nearest'"),
+                             ({"steps": 0}, "at least 1"), ({"steps": -3}, "at least 1")):
         with pytest.raises(ValueError, match=accepted):
             s.forward_pass(spec, gen, [1.0], [0.5, 0.5], **kwargs)
 
