@@ -9,6 +9,7 @@ run state that ``stackmfg export`` reloads.
 from __future__ import annotations
 
 import json
+from itertools import count
 from pathlib import Path
 
 import numpy as np
@@ -51,24 +52,27 @@ def write_json(path, payload):
 
 
 def write_csv(path, header, rows):
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join([",".join(header), *rows]) + "\n")
 
 
-def _tables(generator):
-    """Every stage's (V^f, V^l) ``JointTable``s, then a finite game's terminal zeros."""
-    return [generator.continuation_for(t)
-            for t in range(generator.n_stages + (not generator.stationary))]
+def _labels(generator):
+    """Stage labels: "stationary", or 1, 2, ... for as many stages as they are zipped with."""
+    return ["stationary"] if generator.stationary else map(str, count(1))
 
 
-def _stage_points(generator, stages):
-    """(stage label, entry of ``stages``, flat index, belief, mean field) per
-    grid point; a stationary solve has the one stage "stationary"."""
-    labels = ["stationary"] if generator.stationary else range(1, len(stages) + 1)
-    for label, entry in zip(labels, stages):
-        for flat in range(generator.joint.n_points):
-            yield (str(label), entry, flat, *generator.joint.point(flat))
+def _coords(joint: JointGrid):
+    """The "pi..., z..." text of each grid point, in flat order."""
+    points = [np.concatenate(joint.point(flat)).tolist() for flat in range(joint.n_points)]
+    return [",".join(["%.12g"] * len(p)) % tuple(p) for p in points]
+
+
+def _value_arrays(generator):
+    """Every stage's flat (V^f, V^l), stacked, then a finite game's terminal zeros."""
+    vf = np.stack([sweep.follower_values for sweep in generator.stages])
+    vl = np.stack([sweep.leader_values for sweep in generator.stages])
+    if not generator.stationary:
+        vf, vl = (np.concatenate([v, np.zeros_like(v[:1])]) for v in (vf, vl))
+    return vf, vl
 
 
 def values_csv(path, generator, spec):
@@ -76,13 +80,13 @@ def values_csv(path, generator, spec):
     header = ["stage", "side", "state"] \
         + [f"pi_{v}" for v in spec.leader_states] \
         + [f"z_{v}" for v in spec.follower_states] + ["value"]
+    coords = _coords(generator.joint)
+    sides = [f"follower,{x}" for x in spec.follower_states] \
+        + [f"leader,{x}" for x in spec.leader_states]
     rows = []
-    for label, (vf, vl), flat, pi, z in _stage_points(generator, _tables(generator)):
-        coords = [fmt(v) for v in pi] + [fmt(v) for v in z]
-        for side, states, table in (("follower", spec.follower_states, vf),
-                                    ("leader", spec.leader_states, vl)):
-            rows += [[label, side, x] + coords + [fmt(v)]
-                     for x, v in zip(states, table.flat_values()[flat])]
+    for label, vf, vl in zip(_labels(generator), *_value_arrays(generator)):
+        rows += ["%s,%s,%s,%.12g" % (label, side, xy, v) for xy, values
+                 in zip(coords, np.hstack([vf, vl]).tolist()) for side, v in zip(sides, values)]
     write_csv(path, header, rows)
 
 
@@ -93,11 +97,13 @@ def policy_csv(path, generator, spec):
         + [f"z_{v}" for v in spec.follower_states] \
         + [f"gl_{x}_{a}" for x in spec.leader_states for a in spec.leader_actions] \
         + [f"gf_{x}_{a}" for x in spec.follower_states for a in spec.follower_actions]
+    coords = _coords(generator.joint)
     rows = []
-    for label, sweep, flat, pi, z in _stage_points(generator, generator.stages):
-        rows.append([label] + [fmt(v) for v in pi] + [fmt(v) for v in z]
-                    + [fmt(v) for v in sweep.leader[flat].ravel()]
-                    + [fmt(v) for v in sweep.follower[flat].ravel()])
+    for label, sweep in zip(_labels(generator), generator.stages):
+        gammas = np.hstack([sweep.leader.reshape(len(coords), -1),
+                            sweep.follower.reshape(len(coords), -1)])
+        row = "%s,%s" + ",%.12g" * gammas.shape[1]
+        rows += [row % (label, xy, *g) for xy, g in zip(coords, gammas.tolist())]
     write_csv(path, header, rows)
 
 
@@ -110,38 +116,40 @@ def trajectory_csv(path, trajectory, spec):
         + [f"gl_{x}_{a}" for x in spec.leader_states for a in spec.leader_actions] \
         + [f"gf_{x}_{a}" for x in spec.follower_states for a in spec.follower_actions] \
         + ["leader_reward", "follower_reward"]
+    row = "%d,%d" + ",%.12g" * (len(header) - 2)
     rows = []
     for step in trajectory.steps:
         for b, (branch, gamma, marg) in enumerate(
                 zip(step.branches, step.prescriptions, step.action_marginals)):
-            rows.append(
-                [str(step.t), str(b), fmt(branch.weight)]
-                + [fmt(v) for v in branch.pi] + [fmt(v) for v in branch.z]
-                + [fmt(v) for v in marg]
-                + [fmt(v) for v in gamma.leader.ravel()]
-                + [fmt(v) for v in gamma.follower.ravel()]
-                + [fmt(step.leader_reward), fmt(step.follower_reward)])
+            # Python floats: % formats them several times faster than numpy scalars.
+            rows.append(row % (step.t, b, branch.weight, *branch.pi.tolist(), *branch.z.tolist(),
+                               *marg.tolist(), *gamma.leader.ravel().tolist(),
+                               *gamma.follower.ravel().tolist(), step.leader_reward,
+                               step.follower_reward))
     write_csv(path, header, rows)
 
 
 def diagnostics_jsonl(path, generator):
     """Per-grid-point stage diagnostics as line-delimited JSON."""
-    lines = []
-    for label, sweep, flat, pi, z in _stage_points(generator, generator.stages):
-        record = {"stage": label, "pi": [float(fmt(v)) for v in pi],
-                  "z": [float(fmt(v)) for v in z], **sweep.diagnostic_fields(flat)}
-        lines.append(json.dumps(json_ready(record), sort_keys=True))
+    joint = generator.joint
+    coords = [{"pi": [float(fmt(v)) for v in pi], "z": [float(fmt(v)) for v in z]}
+              for pi, z in map(joint.point, range(joint.n_points))]
+    lines = [json.dumps({"stage": label, **xy, **sweep.diagnostic_fields(flat)}, sort_keys=True)
+             for label, sweep in zip(_labels(generator), generator.stages)
+             for flat, xy in enumerate(coords)]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def write_state(path, generator, game_config, config: SolverConfig):
     """Exact run state: game config, solver tolerances, value tables and prescriptions.
 
-    ``follower_values``/``leader_values`` stack ``_tables`` (with the
-    terminal zeros of a finite game); the prescription arrays are indexed
-    (stage, flat grid point, type, action).
+    ``follower_values``/``leader_values`` reshape ``_value_arrays`` (with the
+    terminal zeros of a finite game) to (stage, belief, mean field, type); the
+    prescription arrays are indexed (stage, flat grid point, type, action).
     """
-    joint, tables = generator.joint, _tables(generator)
+    joint = generator.joint
+    vf, vl = _value_arrays(generator)
+    shape = (len(vf), joint.pi_grid.n_points, joint.z_grid.n_points, -1)
     np.savez(
         path,
         config=json.dumps(game_config, sort_keys=True),
@@ -149,8 +157,8 @@ def write_state(path, generator, game_config, config: SolverConfig):
         br_tol=config.br_tol, bayes_eps=config.bayes_eps,
         pi_resolution=joint.pi_grid.resolution,
         z_resolution=joint.z_grid.resolution,
-        follower_values=np.stack([vf.values for vf, _ in tables]),
-        leader_values=np.stack([vl.values for _, vl in tables]),
+        follower_values=vf.reshape(shape),
+        leader_values=vl.reshape(shape),
         leader_prescriptions=np.stack([sweep.leader for sweep in generator.stages]),
         follower_prescriptions=np.stack([sweep.follower for sweep in generator.stages]))
 

@@ -183,8 +183,8 @@ def _mean_field_probes(spec: GameSpec, grid_resolution: Optional[int], n_random:
     if grid_resolution is None:
         grid_resolution = 10 if n_f > 2 else 50
     rng = np.random.default_rng(seed)
-    return np.array([*build_grid(n_f, grid_resolution).points,
-                     *(rng.dirichlet(np.ones(n_f)) for _ in range(n_random))])
+    return np.concatenate([build_grid(n_f, grid_resolution).points,
+                           rng.dirichlet(np.ones(n_f), size=n_random)])
 
 
 def _probe_gammas(n_f: int, n_af: int) -> np.ndarray:
@@ -275,8 +275,8 @@ def spec_hash(spec: GameSpec) -> str:
     """
     n_f = spec.n_follower_states
     rng = np.random.default_rng(1234321)
-    probes = np.array([*np.eye(n_f), np.full(n_f, 1.0 / n_f),
-                       *(rng.dirichlet(np.ones(n_f)) for _ in range(8))])
+    probes = np.concatenate([np.eye(n_f), np.full((1, n_f), 1.0 / n_f),
+                             rng.dirichlet(np.ones(n_f), size=8)])
     gammas = _probe_gammas(n_f, spec.n_follower_actions)
 
     payload = {

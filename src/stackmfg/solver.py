@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dynamics import Prescription, belief_step_total, mean_field_step
+from .dynamics import belief_step_total, mean_field_step
 from .errors import NonConvergenceError, NonFiniteValues
 from .game import GameSpec
 from .grids import JointGrid, JointTable
@@ -88,13 +88,16 @@ class ConvergenceReport:
         return {"iterations": self.iterations, **asdict(self)}
 
 
-def _values(sweep: StageSweep, joint: JointGrid, where: str):
-    """The sweep's flat (V^f, V^l); NonFiniteValues at the first non-finite point."""
+def _sweep(engine: StageEngine, vf, vl, where: str, **kwargs):
+    """One engine sweep as (sweep, V^f, V^l); its overflow raises NonFiniteValues
+    at the first non-finite point, in place of numpy's warnings."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sweep = engine.sweep(vf, vl, **kwargs)
     finite = np.isfinite(np.hstack([sweep.follower_values, sweep.leader_values])).all(axis=1)
     if not finite.all():
         raise NonFiniteValues("value tables are not finite at {}, pi={}, z={}".format(
-            where, *joint.point(int(np.argmin(finite)))))
-    return sweep.follower_values, sweep.leader_values
+            where, *engine.joint.point(int(np.argmin(finite)))))
+    return sweep, sweep.follower_values, sweep.leader_values
 
 
 def backward_pass(spec: GameSpec, joint: JointGrid,
@@ -116,8 +119,7 @@ def backward_pass(spec: GameSpec, joint: JointGrid,
     vl = np.zeros((joint.n_points, spec.n_leader_states))
     stages = [None] * T
     for t in range(T, 0, -1):
-        stages[t - 1] = engine.sweep(vf, vl, t=t, prefer=prefer)
-        vf, vl = _values(stages[t - 1], joint, f"t={t}")
+        stages[t - 1], vf, vl = _sweep(engine, vf, vl, f"t={t}", t=t, prefer=prefer)
     gen = EquilibriumGenerator(joint=joint, stages=stages, stationary=False,
                                next_states=engine.next_states)
     return gen, [gen.continuation_for(t) for t in range(T + 1)]
@@ -147,8 +149,7 @@ def solve_stationary(spec: GameSpec, joint: JointGrid, tol: float = 1e-6,
     report = ConvergenceReport(tolerance=tol)
     prev = None
     for k in range(1, max_iter + 1):
-        sweep = engine.sweep(vf, vl)
-        new_vf, new_vl = _values(sweep, joint, f"stationary sweep {k}")
+        sweep, new_vf, new_vl = _sweep(engine, vf, vl, f"stationary sweep {k}")
         delta = max(np.max(np.abs(new_vf - vf)), np.max(np.abs(new_vl - vl)))
         stable = (prev is not None and np.array_equal(sweep.leader, prev.leader)
                   and np.array_equal(sweep.follower, prev.follower))
@@ -212,56 +213,33 @@ class Trajectory:
                            / sum(b.weight for b in step.branches) for step in self.steps])
 
 
-def _branch_prescription(spec, generator, t, branch, offgrid, config):
-    flat, exact = generator.grid_lookup(branch.pi, branch.z)
+def _branch_step(spec, generator, t, pi, z, offgrid, config):
+    """All a step from (t, pi, z) computes, arrays read-only: prescription, off-grid
+    flag, leader, population and per-type follower rewards, leader action marginal,
+    next mean field and ``{played leader action: (probability, follower kernel, next belief)}``."""
+    flat, exact = generator.grid_lookup(pi, z)
     if not exact and offgrid == "resolve":
         vf, vl = generator.continuation_for(t)
-        return leader_optimize(branch.pi, branch.z, vl, vf, spec, config, t=t).prescription, 1
-    return generator.policy_for(t).prescription(flat), int(not exact)
-
-
-def _instant_rewards(spec, branch, gamma: Prescription):
-    """(leader reward, population reward, follower reward per type)."""
-    pi, z = branch.pi, branch.z
+        gamma = leader_optimize(pi, z, vl, vf, spec, config, t=t).prescription
+    else:
+        gamma = generator.policy_for(t).prescription(flat)
     gl, gf = gamma.leader, gamma.follower
-    rf = spec.follower_reward(z)                        # (n_l, n_f, n_al, n_af)
-    lead = spec.leader_reward(z, gf)                    # (n_l, n_al)
     w_la = pi[:, None] * gl
-    rl = 0.0
-    for xl, al in zip(*np.nonzero(w_la > 0.0)):
-        rl += w_la[xl, al] * float(lead[xl, al])
-    per_type = np.einsum("la,lfab,fb->f", w_la, rf, gf)  # E[R^f | x^f]
-    return rl, float(z @ per_type), per_type
-
-
-def _transition_kernels(spec, branch, gamma: Prescription):
-    """Per leader action: (marginal prob, follower transition matrix)."""
-    pi, z = branch.pi, branch.z
-    gl, gf = gamma.leader, gamma.follower
+    lead = spec.leader_reward(z, gf)                    # (n_l, n_al)
+    rl = sum((w_la[xl, al] * float(lead[xl, al]) for xl, al in zip(*np.nonzero(w_la > 0.0))), 0.0)
+    per_type = np.einsum("la,lfab,fb->f", w_la, spec.follower_reward(z), gf)  # E[R^f | x^f]
     qf = spec.follower_kernel(z)
-    out = {}
+    played = {}
     for al in range(spec.n_leader_actions):
         w = float(pi @ gl[:, al])
-        if w <= 0.0:
-            continue
-        post = pi * gl[:, al] / w
-        k = np.einsum("l,lfbn,fb->fn", post, qf[:, :, al, :, :], gf)
-        out[al] = (w, k)
-    return out
-
-
-def _branch_step(spec, generator, t, branch, offgrid, config):
-    """All a step from ``branch`` computes from (t, pi, z) alone, arrays read-only."""
-    gamma, off = _branch_prescription(spec, generator, t, branch, offgrid, config)
-    kernels = _transition_kernels(spec, branch, gamma)
-    marginal = np.array([kernels.get(al, (0.0,))[0] for al in range(spec.n_leader_actions)])
-    z_next = mean_field_step(branch.pi, branch.z, gamma, spec)
-    beliefs = {al: belief_step_total(branch.pi, branch.z, gamma.leader, al, spec,
-                                     eps=config.bayes_eps)[0] for al in kernels}
-    rl, pop, per_type = _instant_rewards(spec, branch, gamma)
-    for arr in (marginal, z_next, per_type, *beliefs.values(), *(k for _, k in kernels.values())):
+        if w > 0.0:
+            played[al] = (w, np.einsum("l,lfbn,fb->fn", pi * gl[:, al] / w, qf[:, :, al], gf),
+                          belief_step_total(pi, z, gl, al, spec, eps=config.bayes_eps)[0])
+    marginal = np.array([played.get(al, (0.0,))[0] for al in range(spec.n_leader_actions)])
+    z_next = mean_field_step(pi, z, gamma, spec)
+    for arr in [marginal, z_next, per_type] + [a for _, k, b in played.values() for a in (k, b)]:
         arr.flags.writeable = False
-    return gamma, off, rl, pop, per_type, kernels, marginal, z_next, beliefs
+    return gamma, int(not exact), rl, float(z @ per_type), per_type, marginal, z_next, played
 
 
 def forward_pass(spec: GameSpec, generator: EquilibriumGenerator, pi1, z1,
@@ -272,8 +250,9 @@ def forward_pass(spec: GameSpec, generator: EquilibriumGenerator, pi1, z1,
 
     Expected-path mode propagates the mean field exactly and branches the
     belief over realized leader actions (branches with identical beliefs are
-    merged; at most ``BRANCH_CAP`` kept by weight).  Sampled mode
-    draws one leader action path with the given seed.
+    merged; at most ``BRANCH_CAP`` kept by weight).  Sampled mode draws one
+    leader action per step with the given seed and expands it the same way,
+    as the only action played, at probability 1.
     """
     if mode not in ("expected", "sampled"):
         raise ValueError(f"unknown mode {mode!r}; expected 'expected' or 'sampled'")
@@ -291,9 +270,8 @@ def forward_pass(spec: GameSpec, generator: EquilibriumGenerator, pi1, z1,
     rng = np.random.default_rng(seed) if mode == "sampled" else None
 
     n_f = spec.n_follower_states
-    pi = np.asarray(pi1, dtype=np.float64)
-    z = np.asarray(z1, dtype=np.float64)
-    branches = [Branch(weight=1.0, pi=pi, z=z, xi=np.eye(n_f))]
+    branches = [Branch(weight=1.0, pi=np.asarray(pi1, dtype=np.float64),
+                       z=np.asarray(z1, dtype=np.float64), xi=np.eye(n_f))]
     steps_out = []
     leader_acc = 0.0
     follower_acc = np.zeros(n_f)
@@ -318,10 +296,10 @@ def forward_pass(spec: GameSpec, generator: EquilibriumGenerator, pi1, z1,
             state = (stage_t, branch.pi.tobytes(), branch.z.tobytes())
             entry = memo.get(state)
             if entry is None:
-                entry = memo[state] = _branch_step(spec, generator, stage_t, branch, offgrid,
-                                                   config)
+                entry = memo[state] = _branch_step(spec, generator, stage_t, branch.pi,
+                                                   branch.z, offgrid, config)
                 computed += 1
-            gamma, off, rl, pop, per_type, kernels, marginal, z_next, beliefs = entry
+            gamma, off, rl, pop, per_type, marginal, z_next, played = entry
             step_offgrid += off
             prescriptions.append(gamma)
             marginals.append(marginal)
@@ -329,24 +307,18 @@ def forward_pass(spec: GameSpec, generator: EquilibriumGenerator, pi1, z1,
             step_pop += branch.weight * pop
             leader_acc += disc * branch.weight * rl
             follower_acc += disc * branch.weight * (branch.xi @ per_type)
+            if rng is not None:
+                probs = np.array([w for w, _, _ in played.values()])
+                al = list(played)[int(rng.choice(len(probs), p=probs / probs.sum()))]
+                played = {al: (1.0, *played[al][1:])}
 
-            if mode == "sampled":
-                als = sorted(kernels)
-                probs = np.array([kernels[al][0] for al in als])
-                al = als[int(rng.choice(len(als), p=probs / probs.sum()))]
-                next_branches.append(Branch(weight=branch.weight, pi=beliefs[al],
-                                            z=z_next, xi=branch.xi @ kernels[al][1]))
-                continue
-
-            # Expected path: group leader actions by the belief they induce.
+            # Group the played leader actions by the belief they induce.
             groups = {}
-            for al, (w, k) in kernels.items():
-                pi_next = beliefs[al]
-                key = tuple(np.round(pi_next, 12))
-                if key not in groups:
-                    groups[key] = [0.0, pi_next, np.zeros_like(branch.xi)]
-                groups[key][0] += w
-                groups[key][2] += w * (branch.xi @ k)
+            for w, k, pi_next in played.values():
+                group = groups.setdefault(tuple(np.round(pi_next, 12)),
+                                          [0.0, pi_next, np.zeros_like(branch.xi)])
+                group[0] += w
+                group[2] += w * (branch.xi @ k)
             for _, (w, pi_next, xi_acc) in sorted(groups.items()):
                 next_branches.append(Branch(weight=branch.weight * w, pi=pi_next,
                                             z=z_next, xi=xi_acc / w))

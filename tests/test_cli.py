@@ -505,7 +505,7 @@ def test_backward_pass_without_equilibrium_exits_4(tmp_path, capsys, monkeypatch
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_values_exit_3(tmp_path, capsys):
     """With every follower reward 1e308, two stages' values overflow: solve
     and oracle --check-solver exit 3 naming the stage and the first grid

@@ -8,6 +8,7 @@ import pytest
 import stackmfg as s
 from conftest import (no_equilibrium_at, signal_family_spec, solve_clean_tiny,
                       toy_joint_grid, toy_spec, toy_spec_two_leader_states)
+from stackmfg import export
 
 
 def zeroed_rewards(spec, follower_reward=0.0):
@@ -244,7 +245,7 @@ def test_continuation_for_matches_backward_tables():
             gen.continuation_for(t)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_values_raise_at_the_overflowing_sweep():
     """Follower rewards of 1e308 leave one stage's values finite and
     overflow two stages': both solve loops raise there, naming the first
@@ -415,7 +416,7 @@ def test_forward_pass_computes_each_distinct_state_once(monkeypatch, infection_s
     """A branch-step is computed, and an off-grid state re-solved, once per
     distinct (stage, pi, z) of a trajectory that never returns to a state it
     left."""
-    calls = {"leader_optimize": 0, "_branch_prescription": 0}
+    calls = {"leader_optimize": 0, "_branch_step": 0}
     for name in calls:
         original = getattr(s.solver, name)
 
@@ -429,7 +430,7 @@ def test_forward_pass_computes_each_distinct_state_once(monkeypatch, infection_s
         traj = s.forward_pass(spec, gen, [1.0], z0, steps=200, offgrid="resolve")
         states = distinct_states(traj)
         assert len(states) == (n_states or len(states)) < 200
-        assert calls["_branch_prescription"] == traj.computed_steps == len(states)
+        assert calls["_branch_step"] == traj.computed_steps == len(states)
         assert 0 < calls["leader_optimize"] == traj.offgrid_lookups < 200
         assert calls["leader_optimize"] == sum(
             not gen.grid_lookup(np.frombuffer(pi), np.frombuffer(z))[1] for pi, z in states)
@@ -449,17 +450,47 @@ def test_stationary_cycle_computes_each_state_once():
 
 def test_reused_step_arrays_are_read_only(infection_solved, two_leader_solved):
     for (spec, gen), pi0 in [(infection_solved, [1.0]), (two_leader_solved, [0.5, 0.5])]:
-        branch = s.solver.Branch(weight=1.0, pi=np.asarray(pi0), z=np.array([0.5, 0.5]),
-                                 xi=np.eye(2))
-        entry = s.solver._branch_step(spec, gen, 1, branch, "resolve", s.SolverConfig())
-        gamma, _, _, _, per_type, kernels, marginal, z_next, beliefs = entry
+        entry = s.solver._branch_step(spec, gen, 1, np.asarray(pi0), np.array([0.5, 0.5]),
+                                      "resolve", s.SolverConfig())
+        gamma, _, _, _, per_type, marginal, z_next, played = entry
         arrays = [gamma.leader, gamma.follower, per_type, marginal, z_next,
-                  *beliefs.values(), *(k for _, k in kernels.values())]
+                  *(a for _, k, pi_next in played.values() for a in (k, pi_next))]
         assert len(arrays) > 5
         for arr in arrays:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[...] = 0.0
+
+
+@pytest.mark.parametrize("offgrid", ["resolve", "nearest"])
+def test_sampled_pass_equals_expected_pass_with_one_played_action(infection_solved, offgrid,
+                                                                   tmp_path):
+    """Infection's leader plays one action at every reached state, so a
+    sampled pass, which expands its drawn action at probability 1, is the
+    expected pass bit for bit, down to the trajectory CSV."""
+    spec, gen = infection_solved
+    passes = [s.forward_pass(spec, gen, [1.0], OFF_LATTICE_Z0, steps=200, mode=mode, seed=3,
+                             offgrid=offgrid) for mode in ("expected", "sampled")]
+    expected, sampled = passes
+    assert len(expected.steps) == len(sampled.steps) == 200
+    for a, b in zip(expected.steps, sampled.steps):
+        assert all(np.count_nonzero(m) == 1 for m in a.action_marginals)
+        assert [(x.weight, x.pi.tobytes(), x.z.tobytes(), x.xi.tobytes()) for x in a.branches] \
+            == [(x.weight, x.pi.tobytes(), x.z.tobytes(), x.xi.tobytes()) for x in b.branches]
+        assert [(g.leader.tobytes(), g.follower.tobytes()) for g in a.prescriptions] \
+            == [(g.leader.tobytes(), g.follower.tobytes()) for g in b.prescriptions]
+        assert [m.tobytes() for m in a.action_marginals] \
+            == [m.tobytes() for m in b.action_marginals]
+        assert (a.t, a.leader_reward, a.follower_reward, a.offgrid_lookups) \
+            == (b.t, b.leader_reward, b.follower_reward, b.offgrid_lookups)
+    assert expected.leader_discounted == sampled.leader_discounted
+    assert expected.follower_discounted.tobytes() == sampled.follower_discounted.tobytes()
+    assert expected.offgrid_lookups == sampled.offgrid_lookups > 0
+    texts = []
+    for traj in passes:
+        export.trajectory_csv(tmp_path / "trajectory.csv", traj, spec)
+        texts.append((tmp_path / "trajectory.csv").read_text())
+    assert texts[0] == texts[1]
 
 
 def test_branch_cap_lumps_low_weight_branches(monkeypatch):
