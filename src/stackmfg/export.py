@@ -134,9 +134,9 @@ def diagnostics_jsonl(path, generator):
     joint = generator.joint
     coords = [{"pi": [float(fmt(v)) for v in pi], "z": [float(fmt(v)) for v in z]}
               for pi, z in map(joint.point, range(joint.n_points))]
-    lines = [json.dumps({"stage": label, **xy, **sweep.diagnostic_fields(flat)}, sort_keys=True)
+    lines = [json.dumps({"stage": label, **xy, **fields}, sort_keys=True)
              for label, sweep in zip(_labels(generator), generator.stages)
-             for flat, xy in enumerate(coords)]
+             for xy, fields in zip(coords, sweep.diagnostic_rows())]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -18,7 +18,7 @@ from .dynamics import belief_step_total, mean_field_step
 from .errors import NonConvergenceError, NonFiniteValues
 from .game import GameSpec
 from .grids import JointGrid, JointTable
-from .stage import SolverConfig, StageEngine, StageSweep, leader_optimize
+from .stage import SolverConfig, StageEngine, StageSweep
 
 BRANCH_CAP = 64     # expected-path branches kept per forward step, by weight
 
@@ -50,14 +50,18 @@ class EquilibriumGenerator:
             raise IndexError(f"stage {t} outside horizon {len(self.stages)}")
         return self.stages[t - 1]
 
-    def continuation_for(self, t: int):
-        """(V^f, V^l) ``JointTable``s used when solving stage ``t``: the values
-        of stage t + 1, zero after the last stage."""
+    def continuation_flat(self, t: int):
+        """Flat (V^f, V^l) used when solving stage ``t``: the values of stage
+        t + 1, zero after the last stage."""
         after_last = not self.stationary and t == len(self.stages)
         sweep = self.policy_for(t if after_last else t + 1)
-        shape = (self.joint.pi_grid.n_points, self.joint.z_grid.n_points, -1)
-        return tuple(JointTable(self.joint, np.where(after_last, 0.0, v).reshape(shape))
+        return tuple(np.where(after_last, 0.0, v)
                      for v in (sweep.follower_values, sweep.leader_values))
+
+    def continuation_for(self, t: int):
+        """``continuation_flat(t)`` as (V^f, V^l) ``JointTable``s."""
+        shape = (self.joint.pi_grid.n_points, self.joint.z_grid.n_points, -1)
+        return tuple(JointTable(self.joint, v.reshape(shape)) for v in self.continuation_flat(t))
 
     def grid_lookup(self, pi, z):
         """(flat index, exact flag): the nearest grid point, exact when it is
@@ -213,16 +217,11 @@ class Trajectory:
                            / sum(b.weight for b in step.branches) for step in self.steps])
 
 
-def _branch_step(spec, generator, t, pi, z, offgrid, config):
-    """All a step from (t, pi, z) computes, arrays read-only: prescription, off-grid
-    flag, leader, population and per-type follower rewards, leader action marginal,
-    next mean field and ``{played leader action: (probability, follower kernel, next belief)}``."""
-    flat, exact = generator.grid_lookup(pi, z)
-    if not exact and offgrid == "resolve":
-        vf, vl = generator.continuation_for(t)
-        gamma = leader_optimize(pi, z, vl, vf, spec, config, t=t).prescription
-    else:
-        gamma = generator.policy_for(t).prescription(flat)
+def _branch_step(spec, pi, z, gamma, off, config):
+    """All a step from (pi, z) under prescription ``gamma`` computes, arrays
+    read-only: prescription, off-grid flag, leader, population and per-type
+    follower rewards, leader action marginal, next mean field and
+    ``{played leader action: (probability, follower kernel, next belief)}``."""
     gl, gf = gamma.leader, gamma.follower
     w_la = pi[:, None] * gl
     lead = spec.leader_reward(z, gf)                    # (n_l, n_al)
@@ -239,7 +238,7 @@ def _branch_step(spec, generator, t, pi, z, offgrid, config):
     z_next = mean_field_step(pi, z, gamma, spec)
     for arr in [marginal, z_next, per_type] + [a for _, k, b in played.values() for a in (k, b)]:
         arr.flags.writeable = False
-    return gamma, int(not exact), rl, float(z @ per_type), per_type, marginal, z_next, played
+    return gamma, int(off), rl, float(z @ per_type), per_type, marginal, z_next, played
 
 
 def forward_pass(spec: GameSpec, generator: EquilibriumGenerator, pi1, z1,
@@ -291,15 +290,27 @@ def forward_pass(spec: GameSpec, generator: EquilibriumGenerator, pi1, z1,
         next_branches = []
         if not generator.stationary:
             memo = {}
-        for branch in branches:
-            # Every term but those in xi is a pure function of this state.
-            state = (stage_t, branch.pi.tobytes(), branch.z.tobytes())
-            entry = memo.get(state)
-            if entry is None:
-                entry = memo[state] = _branch_step(spec, generator, stage_t, branch.pi,
-                                                   branch.z, offgrid, config)
-                computed += 1
-            gamma, off, rl, pop, per_type, marginal, z_next, played = entry
+        # Every term but those in xi is a pure function of the state.
+        states = [(stage_t, b.pi.tobytes(), b.z.tobytes()) for b in branches]
+        new = {}            # (pi, z, flat, exact) of each state not computed yet
+        for state, b in zip(states, branches):
+            if state not in memo and state not in new:
+                new[state] = (b.pi, b.z, *generator.grid_lookup(b.pi, b.z))
+        # The step's off-grid states, re-solved in one sweep in branch order:
+        # it raises NoEquilibriumError at the first without an equilibrium.
+        resolve = [state for state, (*_, exact) in new.items()
+                   if not exact and offgrid == "resolve"]
+        gammas = {}
+        if resolve:
+            sweep = StageEngine(spec, generator.joint, [new[s][:2] for s in resolve],
+                                config).sweep(*generator.continuation_flat(stage_t), t=stage_t)
+            gammas = {state: sweep.prescription(k) for k, state in enumerate(resolve)}
+        for state, (pi, z, flat, exact) in new.items():
+            gamma = gammas.get(state) or generator.policy_for(stage_t).prescription(flat)
+            memo[state] = _branch_step(spec, pi, z, gamma, not exact, config)
+        computed += len(new)
+        for state, branch in zip(states, branches):
+            gamma, off, rl, pop, per_type, marginal, z_next, played = memo[state]
             step_offgrid += off
             prescriptions.append(gamma)
             marginals.append(marginal)

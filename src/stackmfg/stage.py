@@ -385,19 +385,26 @@ class StageSweep:
             self._prescriptions[flat] = Prescription(self.leader[flat], self.follower[flat])
         return self._prescriptions[flat]
 
+    def diagnostic_rows(self, states=slice(None)) -> list:
+        """``StageDiagnostics`` fields but the candidate list, one dict per
+        state of ``states``, each field reduced over all of them at once;
+        empty dicts for a reloaded stage."""
+        if self.objectives is None:
+            return [{} for _ in self.leader[states]]
+        values = self.objectives[states]                        # (n, L, F + 1)
+        (n, L, F1), best = values.shape, values.max(axis=(1, 2), keepdims=True)
+        sizes = np.isfinite(values).sum(axis=2)
+        columns = dict(
+            n_leader_candidates=[L] * n, n_follower_candidates=[F1 - 1] * n,
+            br_set_sizes=sizes.tolist(), empty_br_candidates=np.sum(sizes == 0, axis=1).tolist(),
+            tie_events=(np.sum(values >= best - SELECTION_TOL, axis=(1, 2)) - 1).tolist(),
+            used_damped_fallback=np.all(values[..., :-1] == -np.inf, axis=2).any(axis=1).tolist(),
+            bayes_fallbacks=np.sum(sizes * self.bayes[states], axis=1).tolist())
+        return [dict(zip(columns, row)) for row in zip(*columns.values())]
+
     def diagnostic_fields(self, flat: int) -> dict:
         """``StageDiagnostics`` fields at state ``flat``, but the candidate list."""
-        if self.objectives is None:
-            return {}
-        values = self.objectives[flat]
-        F = values.shape[1] - 1
-        sizes = np.isfinite(values).sum(axis=1)
-        return dict(
-            n_leader_candidates=len(values), n_follower_candidates=F,
-            br_set_sizes=sizes.tolist(), empty_br_candidates=int(np.sum(sizes == 0)),
-            tie_events=int(np.sum(values >= values.max() - SELECTION_TOL)) - 1,
-            used_damped_fallback=bool(np.any(np.all(values[:, :F] == -np.inf, axis=1))),
-            bayes_fallbacks=int(np.sum(sizes * self.bayes[flat])))
+        return self.diagnostic_rows([flat])[0]
 
     def solution(self, flat: int) -> StageSolution:
         """StageSolution at state ``flat``, built on demand."""

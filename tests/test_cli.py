@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stackmfg import NoEquilibriumError, cli, export, oracle, solver, spec_hash, stage
+from stackmfg import cli, export, oracle, solver, spec_hash, stage
 from stackmfg.cli import main
 from stackmfg.gamefile import load_game_dict
 from conftest import no_equilibrium_at
@@ -478,16 +478,15 @@ def test_start_within_tolerance_is_accepted(tmp_path, tech_run):
 def test_forward_pass_without_equilibrium_exits_4(tmp_path, capsys, monkeypatch, tech_run):
     """An off-grid re-solve that finds no equilibrium surfaces as exit 4 with
     its stage and public state, from solve and from export."""
-    def no_equilibrium(pi, z, *args, t=None, **kwargs):
-        raise NoEquilibriumError("no leader candidate admits a follower fixed point",
-                                 t=t, pi=pi, z=z)
-
-    monkeypatch.setattr(solver, "leader_optimize", no_equilibrium)
     start = ["--z0", "0.37", "0.63"]         # off both lattices
     out, target = tmp_path / "run", tmp_path / "query.csv"
-    for args in (["solve", "--game-file", str(SAMPLE_GAME), "--z-res", "4", "--out", str(out)],
-                 ["export", "--run-dir", str(tech_run), "--out-file", str(target)]):
-        assert run_cli([*args, *start]) == 4, args[0]
+    # The t=1 re-solve is the first sweep after the solve's 2 backward sweeps.
+    for args, sweep in (
+            (["solve", "--game-file", str(SAMPLE_GAME), "--z-res", "4", "--out", str(out)], 3),
+            (["export", "--run-dir", str(tech_run), "--out-file", str(target)], 1)):
+        with monkeypatch.context() as patch:
+            no_equilibrium_at(patch, 0, sweep=sweep)
+            assert run_cli([*args, *start]) == 4, args[0]
         err = capsys.readouterr().err
         assert "forward pass" in err and "t=1" in err and "z=[0.37 0.63]" in err, err
     assert not out.exists() and not target.exists()

@@ -40,13 +40,15 @@ def test_single_stage_game_matches_leader_optimize():
         assert direct.leader_values == pytest.approx(sol.leader_values)
 
     # Informative leader, damped fallback: the grid sweep and the one-state
-    # solve agree exactly at every grid point of every stage.
+    # solve agree exactly at every grid point of every stage, down to the
+    # diagnostics the whole stage reduces at once.
     spec = signal_family_spec()
     joint = toy_joint_grid(spec, z_res=2, pi_res=2)
     gen, tables = s.backward_pass(spec, joint)
     damped = 0
     for t in range(1, spec.horizon + 1):
         vf_next, vl_next = tables[t]
+        rows = gen.stages[t - 1].diagnostic_rows()
         for flat in range(joint.n_points):
             pi, z = joint.point(flat)
             direct = s.leader_optimize(pi, z, vl_next, vf_next, spec, t=t)
@@ -55,7 +57,7 @@ def test_single_stage_game_matches_leader_optimize():
             assert np.array_equal(direct.prescription.follower, sol.prescription.follower)
             assert np.array_equal(direct.follower_values, sol.follower_values)
             assert np.array_equal(direct.leader_values, sol.leader_values)
-            assert direct.diagnostics.to_dict() == sol.diagnostics.to_dict()
+            assert direct.diagnostics.to_dict() == sol.diagnostics.to_dict() == rows[flat]
             damped += sol.diagnostics.used_damped_fallback
     assert damped >= 1
 
@@ -366,13 +368,16 @@ def distinct_states(traj):
 
 def assert_steps_match_fresh_passes(spec, gen, traj, offgrid):
     """Each step of ``traj`` equals, bit for bit, a fresh expected-path pass
-    started from each of its branches, so no step reused a stale value."""
+    started from each of its branches, so no step reused a stale value.  A
+    finite generator's fresh pass starts at the step's stage."""
     for t, step in enumerate(traj.steps):
         rl = pop = 0.0
         fresh_next = []
+        rest = gen if gen.stationary else s.EquilibriumGenerator(gen.joint, gen.stages[t:], False)
         for branch, gamma, marginal in zip(step.branches, step.prescriptions,
                                            step.action_marginals):
-            fresh = s.forward_pass(spec, gen, branch.pi, branch.z, steps=2, offgrid=offgrid)
+            fresh = s.forward_pass(spec, rest, branch.pi, branch.z,
+                                   steps=min(2, len(traj.steps) - t), offgrid=offgrid)
             first = fresh.steps[0]
             assert first.prescriptions[0].leader.tobytes() == gamma.leader.tobytes()
             assert first.prescriptions[0].follower.tobytes() == gamma.follower.tobytes()
@@ -381,7 +386,7 @@ def assert_steps_match_fresh_passes(spec, gen, traj, offgrid):
             rl += branch.weight * first.leader_reward
             pop += branch.weight * first.follower_reward
             fresh_next += [(branch.weight * b.weight, b.pi.tobytes(), b.z.tobytes())
-                           for b in fresh.steps[1].branches]
+                           for b in fresh.steps[-1].branches]
         assert (rl, pop) == (step.leader_reward, step.follower_reward), t
         if t + 1 == len(traj.steps):
             continue
@@ -416,24 +421,28 @@ def test_forward_pass_computes_each_distinct_state_once(monkeypatch, infection_s
     """A branch-step is computed, and an off-grid state re-solved, once per
     distinct (stage, pi, z) of a trajectory that never returns to a state it
     left."""
-    calls = {"leader_optimize": 0, "_branch_step": 0}
-    for name in calls:
-        original = getattr(s.solver, name)
+    calls, resolved = {"_branch_step": 0}, []
+    branch_step, engine = s.solver._branch_step, s.solver.StageEngine
 
-        def counted(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
-        monkeypatch.setattr(s.solver, name, counted)
+    def counted(*args, **kwargs):
+        calls["_branch_step"] += 1
+        return branch_step(*args, **kwargs)
+
+    def resolving_engine(spec, joint, states, config):
+        resolved.extend((pi.tobytes(), z.tobytes()) for pi, z in states)
+        return engine(spec, joint, states, config)
+    monkeypatch.setattr(s.solver, "_branch_step", counted)
+    monkeypatch.setattr(s.solver, "StageEngine", resolving_engine)
     for (spec, gen), z0, n_states in [(infection_solved, OFF_LATTICE_Z0, None),
                                       (tech_solved, [0.3, 0.7], 71)]:
-        calls.update(dict.fromkeys(calls, 0))
+        calls["_branch_step"], resolved[:] = 0, []
         traj = s.forward_pass(spec, gen, [1.0], z0, steps=200, offgrid="resolve")
         states = distinct_states(traj)
         assert len(states) == (n_states or len(states)) < 200
         assert calls["_branch_step"] == traj.computed_steps == len(states)
-        assert 0 < calls["leader_optimize"] == traj.offgrid_lookups < 200
-        assert calls["leader_optimize"] == sum(
-            not gen.grid_lookup(np.frombuffer(pi), np.frombuffer(z))[1] for pi, z in states)
+        assert 0 < len(resolved) == len(set(resolved)) == traj.offgrid_lookups < 200
+        assert set(resolved) == {(pi, z) for pi, z in states
+                                 if not gen.grid_lookup(np.frombuffer(pi), np.frombuffer(z))[1]}
 
 
 def test_stationary_cycle_computes_each_state_once():
@@ -450,8 +459,10 @@ def test_stationary_cycle_computes_each_state_once():
 
 def test_reused_step_arrays_are_read_only(infection_solved, two_leader_solved):
     for (spec, gen), pi0 in [(infection_solved, [1.0]), (two_leader_solved, [0.5, 0.5])]:
-        entry = s.solver._branch_step(spec, gen, 1, np.asarray(pi0), np.array([0.5, 0.5]),
-                                      "resolve", s.SolverConfig())
+        pi, z = np.asarray(pi0), np.array([0.5, 0.5])
+        flat, exact = gen.grid_lookup(pi, z)
+        entry = s.solver._branch_step(spec, pi, z, gen.policy_for(1).prescription(flat),
+                                      not exact, s.SolverConfig())
         gamma, _, _, _, per_type, marginal, z_next, played = entry
         arrays = [gamma.leader, gamma.follower, per_type, marginal, z_next,
                   *(a for _, k, pi_next in played.values() for a in (k, pi_next))]
@@ -460,6 +471,70 @@ def test_reused_step_arrays_are_read_only(infection_solved, two_leader_solved):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[...] = 0.0
+
+
+def signal_start(seed=0):
+    """(pi0, z0) of the benchmark's signal game at ``seed``, drawn in its order."""
+    start = np.random.default_rng(seed)
+    return start.dirichlet(np.ones(2)), start.dirichlet(np.ones(3))
+
+
+@pytest.fixture(scope="module")
+def signal_solved():
+    spec = signal_family_spec()
+    return spec, s.backward_pass(spec, toy_joint_grid(spec, z_res=2, pi_res=2))[0]
+
+
+def test_batched_resolves_equal_one_state_solves(signal_solved):
+    """Each off-grid state of a step is re-solved in one engine with the
+    step's others, and gets the prescription of a one-state solve, bit for
+    bit."""
+    spec, gen = signal_solved
+    for pi0, z0 in [(spec.initial_leader_belief, spec.initial_mean_field), signal_start()]:
+        traj = s.forward_pass(spec, gen, pi0, z0, offgrid="resolve")
+        assert max(step.offgrid_lookups for step in traj.steps) >= 2
+        for step in traj.steps:
+            vf, vl = gen.continuation_for(step.t)
+            for b, gamma in zip(step.branches, step.prescriptions):
+                assert not gen.grid_lookup(b.pi, b.z)[1]
+                one = s.leader_optimize(b.pi, b.z, vl, vf, spec, t=step.t).prescription
+                assert gamma.leader.tobytes() == one.leader.tobytes()
+                assert gamma.follower.tobytes() == one.follower.tobytes()
+        assert_steps_match_fresh_passes(spec, gen, traj, "resolve")
+
+
+def test_batched_resolve_names_the_failing_branch(monkeypatch, signal_solved):
+    """A batched step without an equilibrium at a later branch raises
+    NoEquilibriumError with that branch's stage and public state."""
+    spec, gen = signal_solved
+    pi0, z0 = spec.initial_leader_belief, spec.initial_mean_field
+    traj = s.forward_pass(spec, gen, pi0, z0, offgrid="resolve")
+    # Every branch is off the grid and its own state, so step t's branches
+    # are the states of the t-th sweep, in order.
+    assert traj.computed_steps == traj.offgrid_lookups == sum(len(st.branches) for st in traj.steps)
+    for t, state in [(2, 1), (4, 3)]:
+        branch = traj.steps[t - 1].branches[state]
+        with monkeypatch.context() as patch:
+            no_equilibrium_at(patch, state, sweep=t)
+            with pytest.raises(s.NoEquilibriumError) as info:
+                s.forward_pass(spec, gen, pi0, z0, offgrid="resolve")
+        assert info.value.t == t
+        assert np.array_equal(info.value.pi, branch.pi) and np.array_equal(info.value.z, branch.z)
+
+
+def test_signal_forward_pass_builds_one_engine_per_step(monkeypatch):
+    """At the benchmark's signal grid and seed-0 start, the 15 off-grid
+    branch-steps of the horizon-4 pass are re-solved by 4 engines."""
+    spec = signal_family_spec()
+    gen, _ = s.backward_pass(spec, toy_joint_grid(spec, z_res=3, pi_res=3))
+    batches, engine = [], s.solver.StageEngine
+
+    def counted(spec, joint, states, config):
+        batches.append(len(states))
+        return engine(spec, joint, states, config)
+    monkeypatch.setattr(s.solver, "StageEngine", counted)
+    traj = s.forward_pass(spec, gen, *signal_start(), offgrid="resolve")
+    assert batches == [step.offgrid_lookups for step in traj.steps] == [1, 2, 4, 8]
 
 
 @pytest.mark.parametrize("offgrid", ["resolve", "nearest"])
