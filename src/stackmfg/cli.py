@@ -2,7 +2,10 @@
 
 Exit codes: 0 success, 2 usage (argparse), 3 validation failure,
 4 no stage equilibrium, 5 stationary non-convergence, 6 oracle enumeration
-too large.
+too large.  The commands (``run``, ``cmd_validate``, ``cmd_oracle``,
+``cmd_export``) raise; ``main`` alone turns a failure into its exit code
+from ``EXIT_CODES`` and one ``error:`` line.  A command may label the phase
+it is in with ``_failing``, which heads that line.
 """
 
 from __future__ import annotations
@@ -12,33 +15,50 @@ import functools
 import json
 import sys
 from pathlib import Path
-from zipfile import BadZipFile
 
 import numpy as np
 
 from . import export
 from .errors import (EnumerationTooLarge, NoEquilibriumError, NonConvergenceError,
-                     NonFiniteValues, OffSimplexError, UncheckableProfile)
+                     OffSimplexError, StackMFGError)
 from .game import spec_hash, validate
 from .gamefile import load_game_dict, load_game_file
 from .grids import JointGrid, build_grid, project_to_simplex
-from .oracle import TinyGame, oracle_report
+from .oracle import TinyGame, config_initial_points, oracle_report
 from .solver import backward_pass, forward_pass, solve_stationary
 from .stage import SolverConfig
 
-EXIT_OK = 0
-EXIT_VALIDATION = 3
-EXIT_NO_EQUILIBRIUM = 4
-EXIT_NONCONVERGENCE = 5
-EXIT_ENUMERATION = 6
+# The exit code of each failure ``main`` reports; the first class that matches wins.
+EXIT_CODES = {NoEquilibriumError: 4, NonConvergenceError: 5, EnumerationTooLarge: 6,
+              StackMFGError: 3, OSError: 3, ValueError: 3}
+
+
+class _failing:
+    """``with _failing(kind, label):`` a ``kind`` failure inside it goes on
+    to ``main`` with ``label``, or ``label(exc)``, heading its error line."""
+
+    def __init__(self, kind, label):
+        self.kind, self.label = kind, label
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, _type, exc, _traceback):
+        if isinstance(exc, self.kind):
+            exc.cli_label = self.label(exc) if callable(self.label) else self.label
+
+
+def _writing(path: Path) -> _failing:
+    """Label an I/O failure while writing ``path``: it names the file under
+    ``path`` that failed, or else ``path``."""
+    def label(exc):
+        failed = Path(exc.filename) if exc.filename else path
+        return f"cannot write {failed if failed.is_relative_to(path) else path}"
+    return _failing(OSError, label)
 
 
 def _solver_config(args) -> SolverConfig:
     return SolverConfig(br_tol=args.br_tol, bayes_eps=args.bayes_eps)
-
-
-def _err(msg: str):
-    print(f"error: {msg}", file=sys.stderr)
 
 
 def _parse_param(text: str):
@@ -92,28 +112,14 @@ def _grids(spec, args) -> JointGrid:
                      z_grid=build_grid(spec.n_follower_states, z_res))
 
 
-def _bad_start(spec, args) -> bool:
-    """Report a ``--z0`` or ``--pi0`` that is not a start of ``spec``."""
+def _check_starts(spec, args):
+    """Raise on a ``--z0`` or ``--pi0`` that is not a start of ``spec``."""
     for flag, vec, dim, what in (("--z0", args.z0, spec.n_follower_states, "follower"),
                                  ("--pi0", args.pi0, spec.n_leader_states, "leader")):
-        if vec is None:
-            continue
-        try:
-            project_to_simplex(vec, dim, tol=1e-9)
-        except OffSimplexError as exc:
-            _err(f"{flag} {vec} is not a {what}-state distribution of length {dim}: {exc}")
-            return True
-    return False
-
-
-def _no_equilibrium(exc: NoEquilibriumError, where: str) -> int:
-    _err(f"no stage equilibrium{where}: {exc} at t={exc.t}, pi={exc.pi}, z={exc.z}")
-    return EXIT_NO_EQUILIBRIUM
-
-
-def _cannot_write(path, exc: OSError) -> int:
-    _err(f"cannot write {path}: {exc}")
-    return EXIT_VALIDATION
+        if vec is not None:
+            with _failing(OffSimplexError,
+                          f"{flag} {vec} is not a {what}-state distribution of length {dim}"):
+                project_to_simplex(vec, dim, tol=1e-9)
 
 
 def _roll_forward(spec, generator, args, solver_config: SolverConfig):
@@ -129,9 +135,10 @@ def _roll_forward(spec, generator, args, solver_config: SolverConfig):
         steps = 200 if steps is None else steps
     else:
         steps = generator.n_stages if steps is None else min(steps, generator.n_stages)
-    trajectory = forward_pass(spec, generator, pi0, z0, steps=steps,
-                              mode=args.mode, seed=args.seed,
-                              offgrid=args.offgrid, config=solver_config)
+    with _failing(NoEquilibriumError, "no stage equilibrium in the forward pass"):
+        trajectory = forward_pass(spec, generator, pi0, z0, steps=steps,
+                                  mode=args.mode, seed=args.seed,
+                                  offgrid=args.offgrid, config=solver_config)
     return steps, trajectory
 
 
@@ -142,42 +149,23 @@ def _print_reuse(trajectory):
 
 def run(args) -> int:
     """Solve a game, roll the equilibrium forward, write all artifacts."""
-    try:
-        spec = build_spec(args)
-    except (ValueError, FileNotFoundError, KeyError) as exc:
-        _err(str(exc))
-        return EXIT_VALIDATION
-    if _bad_start(spec, args):
-        return EXIT_VALIDATION
-
+    spec = build_spec(args)
+    _check_starts(spec, args)
     joint = _grids(spec, args)
     report = validate(spec, grid_resolution=min(joint.z_grid.resolution, 25))
     if not report.ok:
-        _err("game definition failed validation:")
-        print(str(report), file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ValueError(f"game definition failed validation:\n{report}")
 
     solver_config = _solver_config(args)
     convergence = None
-    try:
+    with _failing(NoEquilibriumError, "no stage equilibrium"):
         if spec.infinite_horizon:
             generator, _, convergence = solve_stationary(
                 spec, joint, tol=args.tol, max_iter=args.max_iter,
                 config=solver_config)
         else:
             generator, _ = backward_pass(spec, joint, config=solver_config)
-    except NoEquilibriumError as exc:
-        return _no_equilibrium(exc, "")
-    except NonFiniteValues as exc:
-        _err(str(exc))
-        return EXIT_VALIDATION
-    except NonConvergenceError as exc:
-        _err(f"{exc}")
-        return EXIT_NONCONVERGENCE
-    try:
-        steps, trajectory = _roll_forward(spec, generator, args, solver_config)
-    except NoEquilibriumError as exc:
-        return _no_equilibrium(exc, " in the forward pass")
+    steps, trajectory = _roll_forward(spec, generator, args, solver_config)
 
     digest = spec_hash(spec)
     outdir = Path(args.out) if args.out else Path("out") / digest
@@ -205,7 +193,7 @@ def run(args) -> int:
             "offgrid_lookups": trajectory.offgrid_lookups,
         },
     }
-    try:
+    with _writing(outdir):
         outdir.mkdir(parents=True, exist_ok=True)
         export.write_json(outdir / "manifest.json", manifest)
         export.values_csv(outdir / "values.csv", generator, spec)
@@ -213,8 +201,6 @@ def run(args) -> int:
         export.trajectory_csv(outdir / "trajectory.csv", trajectory, spec)
         export.diagnostics_jsonl(outdir / "diagnostics.jsonl", generator)
         export.write_state(outdir / "state.npz", generator, game_config, solver_config)
-    except OSError as exc:
-        return _cannot_write(exc.filename or outdir, exc)
 
     print(f"spec hash: {digest}")
     if convergence is not None:
@@ -227,58 +213,31 @@ def run(args) -> int:
     print(f"leader discounted reward: {export.fmt(trajectory.leader_discounted)}")
     _print_reuse(trajectory)
     print(f"artifacts: {outdir}")
-    return EXIT_OK
+    return 0
 
 
 def cmd_validate(args) -> int:
-    try:
-        spec = build_spec(args)
-    except (ValueError, FileNotFoundError, KeyError) as exc:
-        _err(str(exc))
-        return EXIT_VALIDATION
-    report = validate(spec)
+    report = validate(build_spec(args))
     print(str(report))
-    return EXIT_OK if report.ok else EXIT_VALIDATION
+    return 0 if report.ok else 3
 
 
 def cmd_oracle(args) -> int:
-    try:
-        spec = build_spec(args)
-        game = TinyGame(spec, initial_points=[
-            (p["pi"], p["z"]) for p in spec.metadata["config"].get("initial_points") or []])
-    except (ValueError, FileNotFoundError, KeyError) as exc:
-        _err(str(exc))
-        return EXIT_VALIDATION
-
+    spec = build_spec(args)
+    game = TinyGame(spec, initial_points=config_initial_points(spec))
     generator = None
     if args.check_solver:
         joint = _grids(spec, args)
-        try:
+        with _failing(StackMFGError, "solver failed"):
             generator, _ = backward_pass(spec, joint, config=_solver_config(args))
-        except NoEquilibriumError as exc:
-            _err(f"solver failed: {exc}")
-            return EXIT_NO_EQUILIBRIUM
-        except NonFiniteValues as exc:
-            _err(f"solver failed: {exc}")
-            return EXIT_VALIDATION
-    try:
+    with _failing(NoEquilibriumError, "no stage equilibrium in the oracle"):
         report = oracle_report(game, generator=generator)
-    except EnumerationTooLarge as exc:
-        _err(str(exc))
-        return EXIT_ENUMERATION
-    except UncheckableProfile as exc:
-        _err(str(exc))
-        return EXIT_VALIDATION
-    except NoEquilibriumError as exc:
-        return _no_equilibrium(exc, " in the oracle")
 
     if args.out:
         target = Path(args.out) / "oracle_report.json"
-        try:
+        with _writing(target):
             target.parent.mkdir(parents=True, exist_ok=True)
             export.write_json(target, report)
-        except OSError as exc:
-            return _cannot_write(target, exc)
         print(f"oracle report: {target}")
     else:
         print(json.dumps(export.json_ready(report), sort_keys=True, indent=1))
@@ -287,32 +246,23 @@ def cmd_oracle(args) -> int:
         if "solver_profile_in_smfe_set" in entry:
             line += f"; solver profile in set: {entry['solver_profile_in_smfe_set']}"
         print(line)
-    return EXIT_OK
+    return 0
 
 
 def cmd_export(args) -> int:
     path = Path(args.run_dir)
-    try:
-        game_config, generator, solver_config = export.read_state(path / "state.npz")
-    except (OSError, KeyError, EOFError, ValueError, BadZipFile):
-        _err(f"no complete state.npz under {args.run_dir}; re-run `stackmfg solve` to write it")
-        return EXIT_VALIDATION
-    spec = load_game_dict(game_config)
-    if _bad_start(spec, args):
-        return EXIT_VALIDATION
-    try:
-        _, trajectory = _roll_forward(spec, generator, args, solver_config)
-    except NoEquilibriumError as exc:
-        return _no_equilibrium(exc, " in the forward pass")
+    game_config, generator, solver_config = export.read_state(path / "state.npz")
+    with _failing(ValueError, f"the game saved in {path / 'state.npz'} no longer loads"):
+        spec = load_game_dict(game_config)
+    _check_starts(spec, args)
+    _, trajectory = _roll_forward(spec, generator, args, solver_config)
     target = Path(args.out_file) if args.out_file else path / "trajectory_export.csv"
-    try:
+    with _writing(target):
         target.parent.mkdir(parents=True, exist_ok=True)
         export.trajectory_csv(target, trajectory, spec)
-    except OSError as exc:
-        return _cannot_write(target, exc)
     _print_reuse(trajectory)
     print(f"trajectory: {target}")
-    return EXIT_OK
+    return 0
 
 
 def _at_least(kind, low, strict: bool = False):
@@ -400,6 +350,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; the one place where a failure becomes an exit code."""
     parser = _parser()
     args = parser.parse_args(argv)
     if getattr(args, "game_file", None) and (args.game or args.params
@@ -409,7 +360,12 @@ def main(argv=None) -> int:
         args.params = dict(args.params)
     commands = {"solve": run, "validate": cmd_validate, "oracle": cmd_oracle,
                 "export": cmd_export}
-    return commands[args.command](args)
+    try:
+        return commands[args.command](args)
+    except tuple(EXIT_CODES) as exc:
+        label = getattr(exc, "cli_label", None)
+        print(f"error: {label}: {exc}" if label else f"error: {exc}", file=sys.stderr)
+        return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -20,7 +20,8 @@ class ZeroProbabilityAction(StackMFGError):
 class NoEquilibriumError(StackMFGError):
     """No stage fixed point found for any enumerated leader prescription.
 
-    Carries the stage index and public state where the search failed.
+    Carries the stage index and public state where the search failed, and
+    names them in its text.
     """
 
     def __init__(self, message, t=None, pi=None, z=None):
@@ -28,6 +29,9 @@ class NoEquilibriumError(StackMFGError):
         self.t = t
         self.pi = pi
         self.z = z
+
+    def __str__(self):
+        return f"{super().__str__()} at t={self.t}, pi={self.pi}, z={self.z}"
 
 
 class NonConvergenceError(StackMFGError):

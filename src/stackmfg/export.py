@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from itertools import count
 from pathlib import Path
+from zipfile import BadZipFile
 
 import numpy as np
 
@@ -164,15 +165,24 @@ def write_state(path, generator, game_config, config: SolverConfig):
 
 
 def read_state(path):
-    """(game config, EquilibriumGenerator, SolverConfig) from ``write_state``'s file."""
-    with np.load(path, allow_pickle=False) as state:
-        config = json.loads(state["config"].item())
-        stationary = bool(state["stationary"])
-        solver_config = SolverConfig(br_tol=float(state["br_tol"]),
-                                     bayes_eps=float(state["bayes_eps"]))
-        pi_res, z_res = int(state["pi_resolution"]), int(state["z_resolution"])
-        vf_all, vl_all = state["follower_values"], state["leader_values"]
-        gl_all, gf_all = state["leader_prescriptions"], state["follower_prescriptions"]
+    """(game config, EquilibriumGenerator, SolverConfig) from ``write_state``'s file.
+
+    A file that is missing or damaged raises one ValueError naming its run
+    directory.
+    """
+    path = Path(path)
+    try:
+        with np.load(path, allow_pickle=False) as state:
+            config = json.loads(state["config"].item())
+            stationary = bool(state["stationary"])
+            solver_config = SolverConfig(br_tol=float(state["br_tol"]),
+                                         bayes_eps=float(state["bayes_eps"]))
+            pi_res, z_res = int(state["pi_resolution"]), int(state["z_resolution"])
+            vf_all, vl_all = state["follower_values"], state["leader_values"]
+            gl_all, gf_all = state["leader_prescriptions"], state["follower_prescriptions"]
+    except (OSError, KeyError, EOFError, ValueError, BadZipFile) as exc:
+        raise ValueError(f"no complete state.npz under {path.parent} ({exc}); "
+                         "re-run `stackmfg solve` to write it") from exc
     joint = JointGrid(pi_grid=build_grid(vl_all.shape[-1], pi_res),
                       z_grid=build_grid(vf_all.shape[-1], z_res))
     tables = [(JointTable(joint, vf), JointTable(joint, vl))

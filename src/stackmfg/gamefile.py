@@ -131,6 +131,11 @@ def _builtin_params(params_cls, params) -> dict:
     return out
 
 
+_REQUIRED_FIELDS = ("follower_states", "leader_states", "follower_actions", "leader_actions",
+                   "follower_kernel", "leader_kernel", "follower_reward", "leader_reward",
+                   "discount", "initial_leader_belief", "initial_mean_field")
+
+
 def load_game_dict(cfg: dict) -> GameSpec:
     """Build a GameSpec from a parsed config dictionary."""
     if not isinstance(cfg, dict):
@@ -145,6 +150,9 @@ def load_game_dict(cfg: dict) -> GameSpec:
         spec.metadata["config"] = cfg
         return spec
 
+    missing = [key for key in _REQUIRED_FIELDS if key not in cfg]
+    if missing:
+        raise ValueError(f"game definition lacks required field(s): {', '.join(missing)}")
     follower_states = _as_labels(cfg["follower_states"], "follower_states")
     leader_states = _as_labels(cfg["leader_states"], "leader_states")
     follower_actions = _as_labels(cfg["follower_actions"], "follower_actions")

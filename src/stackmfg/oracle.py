@@ -27,8 +27,9 @@ from typing import Optional
 import numpy as np
 
 from .dynamics import Prescription, belief_step_total, mean_field_step
-from .errors import EnumerationTooLarge, NoEquilibriumError, UncheckableProfile
+from .errors import EnumerationTooLarge, NoEquilibriumError, OffSimplexError, UncheckableProfile
 from .game import SELECTION_TOL, GameSpec
+from .grids import project_to_simplex
 
 _KEY_DECIMALS = 12
 
@@ -97,6 +98,25 @@ class TinyGame:
 
     def _key(self, t: int, pi, z) -> tuple:
         return self._memoised(("key", t, _exact(pi), _exact(z)), lambda: node_key(t, pi, z))
+
+
+def config_initial_points(spec: GameSpec) -> list:
+    """The (belief, mean field) starts a game file lists under
+    ``initial_points``: objects with ``pi`` and ``z`` that are distributions
+    over the game's leader and follower types within 1e-9.  Raises a
+    ValueError naming the index of the first bad entry."""
+    entries = spec.metadata["config"].get("initial_points") or []
+    if not isinstance(entries, list):
+        raise ValueError(f"initial_points must be a list, got {entries!r}")
+    for i, entry in enumerate(entries):
+        try:
+            for key, dim in (("pi", spec.n_leader_states), ("z", spec.n_follower_states)):
+                project_to_simplex(entry[key], dim, tol=1e-9)
+        except (OffSimplexError, KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"initial_points[{i}] must be an object with pi and z "
+                             f"distributions of lengths {spec.n_leader_states} and "
+                             f"{spec.n_follower_states}, got {entry!r} ({exc})") from None
+    return [(entry["pi"], entry["z"]) for entry in entries]
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 """Command-line interface: subcommands, exit codes, artifact determinism."""
 
+import ast
+import builtins
 import json
 import os
 import subprocess
@@ -9,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stackmfg import cli, export, oracle, solver, spec_hash, stage
+from stackmfg import StackMFGError, cli, export, oracle, solver, spec_hash, stage
 from stackmfg.cli import main
 from stackmfg.gamefile import load_game_dict
 from conftest import no_equilibrium_at
@@ -620,3 +622,101 @@ def test_malformed_game_parameters_exit_3(tmp_path, capsys):
                         (["--game-file", str(bad_table)], "discount")):
         assert run_cli(["validate", *args]) == 3, args
         assert field in capsys.readouterr().err
+
+
+
+def tiny_game_file(tmp_path, **fields):
+    """``tiny.json`` with ``fields`` set, or dropped where None, written under ``tmp_path``."""
+    game = {**json.loads(SAMPLE_GAME.read_text()), **fields}
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps({k: v for k, v in game.items() if v is not None}))
+    return str(path)
+
+
+def unloadable_run(tmp_path, run_dir):
+    """A run directory whose state is ``run_dir``'s but for a game that no longer loads."""
+    with np.load(run_dir / "state.npz") as state:
+        arrays = dict(state)
+    (tmp_path / "run").mkdir()
+    np.savez(tmp_path / "run" / "state.npz", **{**arrays, "config": '{"builtin": "nope"}'})
+    return str(tmp_path / "run")
+
+
+FAILURES = {
+    # case: (command line from (tmp_path, tech run), exit code, error-line substrings)
+    "validate-directory": (lambda tmp, run: ["validate", "--game-file", str(tmp)],
+                           3, ["Is a directory"]),
+    "solve-directory": (lambda tmp, run: ["solve", "--game-file", str(tmp),
+                                          "--out", str(tmp / "out")], 3, ["Is a directory"]),
+    "oracle-directory": (lambda tmp, run: ["oracle", "--game-file", str(tmp)],
+                         3, ["Is a directory"]),
+    "solve-grid-cap": (lambda tmp, run: ["solve", "--game-file", str(SAMPLE_GAME),
+                                         "--z-res", "3000000", "--out", str(tmp / "out")],
+                       3, ["3000001 points", "cap 2000000"]),
+    "check-solver-grid-cap": (lambda tmp, run: ["oracle", "--game-file", str(SAMPLE_GAME),
+                                                "--check-solver", "--z-res", "3000000"],
+                              3, ["3000001 points", "cap 2000000"]),
+    "missing-field": (lambda tmp, run: ["validate", "--game-file",
+                                        tiny_game_file(tmp, follower_states=None)],
+                      3, ["lacks required field(s): follower_states"]),
+    "initial-point-without-pi": (
+        lambda tmp, run: ["oracle", "--game-file",
+                          tiny_game_file(tmp, initial_points=[{"z": [0.5, 0.5]}])],
+        3, ["initial_points[0] must be an object with pi and z"]),
+    "initial-point-short-z": (
+        lambda tmp, run: ["oracle", "--game-file", tiny_game_file(tmp, initial_points=[
+            {"pi": [1.0], "z": [0.5, 0.5]}, {"pi": [1.0], "z": [1.0]}])],
+        3, ["initial_points[1]", "lengths 1 and 2", "got shape (1,)"]),
+    "initial-points-not-a-list": (
+        lambda tmp, run: ["oracle", "--game-file", tiny_game_file(tmp, initial_points=5)],
+        3, ["initial_points must be a list, got 5"]),
+    "export-unloadable-game": (lambda tmp, run: ["export", "--run-dir", unloadable_run(tmp, run)],
+                               3, ["no longer loads", "unknown builtin game 'nope'"]),
+    "check-solver-no-equilibrium": (
+        lambda tmp, run: ["oracle", "--game-file", str(SAMPLE_GAME), "--check-solver",
+                          "--z-res", "4"],
+        4, ["solver failed: ", "t=2, pi=[1.], z=[0. 1.]"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAILURES))
+def test_failure_exits_with_its_code_and_one_error_line(tmp_path, capsys, monkeypatch,
+                                                        tech_run, case):
+    """Each failure reaches ``main`` and exits with its code and one
+    ``error:`` line naming what failed, never a traceback; nothing is written."""
+    command, code, parts = FAILURES[case]
+    if case == "check-solver-no-equilibrium":
+        no_equilibrium_at(monkeypatch, 0)       # the first sweep solves t=2 of 2
+    assert run_cli(command(tmp_path, tech_run)) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert all(part in err for part in parts), err
+    assert not (tmp_path / "out").exists()
+
+
+def named_class(node):
+    """The class an ``except`` clause of ``cli.py`` names."""
+    if isinstance(node, ast.Attribute):
+        return getattr(named_class(node.value), node.attr)
+    return vars(cli)[node.id] if node.id in vars(cli) else getattr(builtins, node.id)
+
+
+def test_only_main_handles_library_and_io_errors():
+    """In ``cli.py`` only ``main`` has ``except`` clauses that catch a library,
+    I/O or value error, so every command fails through its one table; the
+    argparse type helpers, which turn bad text into usage errors, are exempt."""
+    handled = (StackMFGError, OSError, ValueError)
+    clauses = []
+    for top in ast.parse(Path(cli.__file__).read_text()).body:
+        if getattr(top, "name", None) in ("main", "_parse_param", "_at_least"):
+            continue
+        for node in ast.walk(top):
+            if not isinstance(node, ast.ExceptHandler):
+                continue
+            kinds = (node.type.elts if isinstance(node.type, ast.Tuple)
+                     else [node.type] if node.type else [])
+            classes = [named_class(kind) for kind in kinds] or [BaseException]
+            if any(issubclass(c, handled) or any(issubclass(h, c) for h in handled)
+                   for c in classes):
+                clauses.append((getattr(top, "name", None), node.lineno))
+    assert clauses == [], clauses

@@ -315,6 +315,7 @@ def test_backward_pass_names_the_stage_without_equilibrium(monkeypatch):
     pi, z = joint.point(7)
     assert err.value.t == 2
     assert np.array_equal(err.value.pi, pi) and np.array_equal(err.value.z, z)
+    assert str(err.value).endswith(f" at t=2, pi={pi}, z={z}"), str(err.value)
 
 
 def test_forward_pass_builds_each_grid_prescription_once(monkeypatch):
