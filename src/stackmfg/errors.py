@@ -21,7 +21,8 @@ class NoEquilibriumError(StackMFGError):
     """No stage fixed point found for any enumerated leader prescription.
 
     Carries the stage index and public state where the search failed, and
-    names them in its text.
+    names them in its text; ``where``, when set, stands for ``t=`` there (a
+    stationary solve names its sweep).
     """
 
     def __init__(self, message, t=None, pi=None, z=None):
@@ -29,9 +30,10 @@ class NoEquilibriumError(StackMFGError):
         self.t = t
         self.pi = pi
         self.z = z
+        self.where = None
 
     def __str__(self):
-        return f"{super().__str__()} at t={self.t}, pi={self.pi}, z={self.z}"
+        return f"{super().__str__()} at {self.where or f't={self.t}'}, pi={self.pi}, z={self.z}"
 
 
 class NonConvergenceError(StackMFGError):

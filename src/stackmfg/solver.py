@@ -15,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .dynamics import belief_step_total, mean_field_step
-from .errors import NonConvergenceError, NonFiniteValues
+from .errors import NoEquilibriumError, NonConvergenceError, NonFiniteValues
 from .game import GameSpec
 from .grids import JointGrid, JointTable
 from .stage import SolverConfig, StageEngine, StageSweep
@@ -94,9 +94,14 @@ class ConvergenceReport:
 
 def _sweep(engine: StageEngine, vf, vl, where: str, **kwargs):
     """One engine sweep as (sweep, V^f, V^l); its overflow raises NonFiniteValues
-    at the first non-finite point, in place of numpy's warnings."""
+    at the first non-finite point, in place of numpy's warnings; a
+    NoEquilibriumError names ``where``."""
     with np.errstate(over="ignore", invalid="ignore"):
-        sweep = engine.sweep(vf, vl, **kwargs)
+        try:
+            sweep = engine.sweep(vf, vl, **kwargs)
+        except NoEquilibriumError as err:
+            err.where = where
+            raise
     finite = np.isfinite(np.hstack([sweep.follower_values, sweep.leader_values])).all(axis=1)
     if not finite.all():
         raise NonFiniteValues("value tables are not finite at {}, pi={}, z={}".format(

@@ -4,8 +4,9 @@ For a candidate leader prescription the follower side must be a
 self-consistent best response: the next mean field is computed from the
 candidate follower prescription itself, and under that next mean field every
 follower type must already be playing an argmax action.  Pure candidates are
-checked exhaustively; a damped best-response iteration over mixed
-prescriptions is the fallback when no pure fixed point exists.  The leader
+checked exhaustively; when none is a fixed point, the mixed maps that mix
+each type uniformly over a subset of its actions are checked, largest
+supports first, and the first that is a fixed point is taken.  The leader
 then picks the prescription pair maximizing her expected stage value, with
 optimistic selection over follower multiplicity: the first pair in
 (leader, follower) order whose objective is within ``SELECTION_TOL`` of the
@@ -31,13 +32,9 @@ The kernels repeat the scalar ``belief_step_total``, ``mean_field_step``
 and ``simplex_weights`` operation for operation; sums the scalar path
 leaves to ``einsum`` run as left-to-right chains in its order and those it
 leaves to BLAS as stacked ``matmul``, so the arrays are bit-identical to a
-per-pair build.  The damped fallback keeps each row's leader side (Bayes
-steps, belief stencils, reward and kernel terms) from the pair arrays, so a
-damped step rebuilds only what the follower prescription moves.  It
-evaluates several predicted steps of every live row in one batch and keeps
-each row's steps up to its first mispredicted best response: a row's step
-depends only on its own prescription and a pair's bits not on its place in
-the batch, so the result is that of one step at a time.
+per-pair build.  The mixed check keeps each row's leader side (Bayes
+steps, belief stencils and kernel terms) from the pair arrays and builds
+what the follower prescription moves for every row and map in one batch.
 """
 
 from __future__ import annotations
@@ -54,11 +51,6 @@ from .errors import NoEquilibriumError
 from .game import SELECTION_TOL, GameSpec
 from .grids import JointGrid, JointTable, build_grid, simplex_stencils, stencil_products
 
-_ARGMAX_TIE_TOL = 1e-12
-DAMPING = 0.5               # weight on the new best response in the fallback
-DAMP_MAX_ITER = 500
-DAMP_TOL = 1e-9
-_BR_WINDOW = 32             # best responses a damped row's lookahead searches for a period
 _MIX = np.int64(0x9E3779B97F4A7C15 - 2**64)     # odd multiplier of the row mix
 MIXED_STEP = 0.1            # mesh of the optional mixed leader grid
 MIXED_CANDIDATE_CAP = 100_000
@@ -80,10 +72,12 @@ class StageDiagnostics:
     br_set_sizes: list = field(default_factory=list)
     empty_br_candidates: int = 0
     tie_events: int = 0             # pairs other than the chosen within SELECTION_TOL of the best
+    # Some leader candidate has no pure follower fixed point, so the mixed
+    # check ran; ``perfbench`` reads the field by this older name.
     used_damped_fallback: bool = False
     bayes_fallbacks: int = 0
     # (leader actions, follower actions, leader objective) per evaluated pair;
-    # follower part is None for a damped mixed fixed point.
+    # follower part is None for a mixed fixed point.
     candidate_objectives: list = field(default_factory=list)
 
     def to_dict(self):
@@ -344,24 +338,24 @@ def _evaluate(p: _Pairs, follower_mats, vf_flat, vl_flat, discount: float):
     return obj, _dot(follower_mats, obj), lead, lv
 
 
-def _br(ties):
-    """Best responses mixing uniformly over each follower type's tied actions."""
-    return ties * (1.0 / ties.sum(axis=-1, keepdims=True))
+def _uniform_maps(n_states: int, n_actions: int) -> np.ndarray:
+    """Every follower map that mixes each type uniformly over a subset of its
+    actions and is not pure, (M, n_states, n_actions).
 
-
-def _br_periods(window, filled):
-    """Per row of best-response tie masks (n, W, n_f, n_af), whose last
-    ``filled`` entries are set: the period p under which the longest run of
-    latest entries repeats the entry p before, the shortest on ties, 1 when
-    no entry does."""
-    n, W = window.shape[:2]
-    codes = np.packbits(window.reshape(n, W, -1), axis=2)
-    back = np.arange(W) - np.arange(1, W)[:, None]         # (p, t): t - p, p = 1 .. W - 1
-    same = (np.all(codes[:, None] == codes[:, np.maximum(back, 0)], axis=3)
-            & (back >= W - filled[:, None, None]))
-    run = np.argmin(np.concatenate([same[..., ::-1], np.zeros((n, W - 1, 1), dtype=bool)],
-                                   axis=2), axis=2)
-    return np.argmax(run, axis=1) + 1
+    A type's subsets run largest first, those of one size in
+    ``itertools.product((1, 0), ...)`` order; maps run lexicographically
+    over the types.  The count is checked against ``MIXED_CANDIDATE_CAP``
+    before any map is built.
+    """
+    total = (2 ** n_actions - 1) ** n_states - n_actions ** n_states
+    if total > MIXED_CANDIDATE_CAP:
+        raise ValueError(f"mixed follower check would enumerate {total} candidates "
+                         f"(cap {MIXED_CANDIDATE_CAP})")
+    subsets = sorted((m for m in itertools.product((1.0, 0.0), repeat=n_actions) if any(m)),
+                     key=lambda m: -sum(m))
+    masks = np.array(list(itertools.product(subsets, repeat=n_states)))
+    sizes = masks.sum(axis=2, keepdims=True)
+    return (masks * (1.0 / sizes))[~np.all(sizes == 1.0, axis=(1, 2))]
 
 
 @dataclass
@@ -374,7 +368,7 @@ class StageSweep:
     follower: np.ndarray            # (S, n_f, n_af) chosen follower prescriptions
     follower_values: np.ndarray     # (S, n_f)
     leader_values: np.ndarray       # (S, n_l)
-    objectives: Optional[np.ndarray] = None  # (S, L, F + 1), -inf off the BR set; column F: damped
+    objectives: Optional[np.ndarray] = None  # (S, L, F + 1), -inf off the BR set; column F: mixed
     bayes: Optional[np.ndarray] = None       # (S, L) played actions where Bayes kept the prior
     keys: Optional[list] = None     # (leader actions, follower actions) per flat (L, F + 1) entry
     _prescriptions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -443,7 +437,7 @@ class StageEngine:
         self._leader_mats = np.array([G for _, G in self.leaders], dtype=np.float64)
         self._follower_mats = np.array([Ff for _, Ff in self.followers])
         self._unplayed = self._follower_mats == 0.0
-        # (leader actions, follower actions) per flat (leader, follower map or damped) entry
+        # (leader actions, follower actions) per flat (leader, follower map or mixed) entry
         columns = [bf for bf, _ in self.followers] + [None]
         self._keys = [(gl, bf) for gl, _ in self.leaders for bf in columns]
         self._slots = int(np.any(self._leader_mats > 0.0, axis=1).sum(axis=1).max())
@@ -463,116 +457,52 @@ class StageEngine:
         ok = best | self._unplayed
         return fv, lead, lv, _fold(np.logical_and, ok.reshape(ok.shape[:2] + (-1,)))
 
-    def _mixed(self, rows):
-        """Pair builder for ``rows`` (state × leader candidate) against one
-        mixed follower prescription each.
+    def _mixed(self, rows, Ff) -> _Pairs:
+        """Pair arrays of ``rows`` (state × leader candidate) against one
+        mixed follower prescription each, ``Ff`` (n, n_f, n_af).
 
         The leader side of a row (Bayes steps, belief stencils, follower
-        reward and kernel terms) is taken from ``self.pairs`` once; the
-        returned ``pairs(i, Ff, leader_terms=False)`` builds, for the rows
-        ``rows[i]`` and prescriptions ``Ff`` (n, n_f, n_af), only what the
-        follower prescription moves: the next mean fields, their stencils
-        and the gather arrays, batched over the rows, one gather row per
-        slot (keying them measured slower at the benchmark's signal grid).  The leader rewards
-        depend on ``Ff`` too and are built only with ``leader_terms``.
+        reward and kernel terms) is taken from ``self.pairs``; only what the
+        follower prescription moves is built: the next mean fields, their
+        stencils, the gather arrays and the leader rewards, batched over the
+        rows, one gather row per slot.
         """
         states = rows // len(self.leaders)
-        pi, z, QF = self._pi[states], self._z[states], self._tensors[0][states]
+        pi, z = self._pi[states], self._z[states]
         G = self._leader_mats[rows % len(self.leaders)]
-        fixed = _take(self.pairs._replace(idx=None, w=None, inv=None, lead_base=None,
-                                          vl_base=None), rows)
+        part = _take(self.pairs._replace(idx=None, w=None, inv=None, lead_base=None,
+                                         vl_base=None), rows)
+        z_next = mean_field_batch(pi, z, G, Ff, self._tensors[0][states])
+        z_idx, z_w = simplex_stencils(self.joint.z_grid, z_next)
+        idx, w = stencil_products(self.joint, (part.pi_idx, part.pi_w),
+                                  (z_idx[:, None], z_w[:, None]))         # (n, A, K)
+        K = idx.shape[-1]
+        lead_base, vl_base = _leader_terms(pi, G, self.spec.leader_reward(z, Ff)[:, None])
+        return part._replace(idx=idx.reshape(-1, K), w=w.reshape(-1, K),
+                             inv=np.arange(idx.size // K).reshape(len(idx), 1, -1),
+                             lead_base=lead_base, vl_base=vl_base)
 
-        def pairs(i, Ff, leader_terms=False) -> _Pairs:
-            part = _take(fixed, i)
-            z_next = mean_field_batch(pi[i], z[i], G[i], Ff, QF[i])
-            # Damped steps rarely share a next state: one gather row per slot.
-            z_idx, z_w = simplex_stencils(self.joint.z_grid, z_next)
-            idx, w = stencil_products(self.joint, (part.pi_idx, part.pi_w),
-                                      (z_idx[:, None], z_w[:, None]))         # (n, A, K)
-            K = idx.shape[-1]
-            part = part._replace(idx=idx.reshape(-1, K), w=w.reshape(-1, K),
-                                 inv=np.arange(idx.size // K).reshape(len(idx), 1, -1))
-            if not leader_terms:
-                return part
-            rl = self.spec.leader_reward(z[i], Ff)[:, None]
-            lead_base, vl_base = _leader_terms(pi[i], G[i], rl)
-            return part._replace(lead_base=lead_base, vl_base=vl_base)
-        return pairs
+    def _mixed_fixed(self, rows, vf_flat, vl_flat):
+        """Mixed follower fixed points of ``rows`` (state × leader candidate).
 
-    def _damped(self, rows, vf_flat, vl_flat):
-        """Damped best-response iteration over mixed follower prescriptions.
-
-        Each row iterates F <- (1 - DAMPING) F + DAMPING BR(F) from the
-        uniform prescription and stops on its own.  A round evaluates several
-        future steps of every live row in one batch: from the recent history
-        of its best-response tie masks a row predicts its next ones (the
-        period that explains the longest suffix of the last ``_BR_WINDOW``),
-        rolls F forward with them, and keeps the steps up to and including
-        the first whose actual best response differs from the prediction.
-        A row's step depends only on its own F and a pair's objective does
-        not depend on where it sits in the batch, so every kept step is
-        bit-identical to the one-step-at-a-time iteration; a misprediction
-        costs only the evaluations after it.  A row's lookahead doubles after
-        a round without a miss and falls back to its kept run after one; a
-        round evaluates at most max(pair rows, ``DAMP_MAX_ITER``) mixed
-        pairs.  Leader terms are built once, for the certificate of the rows
-        that stopped.  Returns {row: (follower prescription, leader
-        objective, follower values, leader values)} for the rows whose limit
-        is certified.
+        Every row meets every ``_uniform_maps`` map in one batch, and takes
+        the first map whose follower values are within ``br_tol`` of each
+        type's best objective.  Returns {row: (follower prescription, leader
+        objective, follower values, leader values)} for the rows with such
+        a map.
         """
         if not len(rows):
             return {}
-        n_f, n_af = self.spec.n_follower_states, self.spec.n_follower_actions
-        pairs, discount, W = self._mixed(rows), self.spec.discount, _BR_WINDOW
-        Ff = np.full((len(rows), n_f, n_af), 1.0 / n_af)
-        window = np.zeros((len(rows), W, n_f, n_af), dtype=bool)  # last BR tie masks
-        steps = np.zeros(len(rows), dtype=np.int64)
-        ahead = np.ones(len(rows), dtype=np.int64)
-        active, stopped = np.ones(len(rows), dtype=bool), np.zeros(len(rows), dtype=bool)
-        budget = max(len(self.pairs.base_obj), DAMP_MAX_ITER)
-        while active.any():
-            # Lay out n steps per live row, predict their best responses from
-            # the row's window and roll its prescription forward with them.
-            live = np.flatnonzero(active)
-            n = np.minimum(ahead[live], DAMP_MAX_ITER - steps[live])
-            n = np.minimum(n, budget // len(live))
-            k = np.arange(n.max())
-            laid = k < n[:, None]                           # (live rows, steps)
-            period = _br_periods(window[live], np.minimum(steps[live], W))[:, None]
-            pred = window[live[:, None], W - period + k % period]
-            pred_br = _br(pred[:, :-1])
-            F = np.empty(pred.shape)
-            F[:, 0] = Ff[live]
-            for i in range(1, len(k)):
-                F[:, i] = (1.0 - DAMPING) * F[:, i - 1] + DAMPING * pred_br[:, i - 1]
-            # Evaluate the laid-out steps in one batch; each row keeps its
-            # steps up to its first stop, misprediction or last laid-out step.
-            obj = _evaluate(pairs(live[np.nonzero(laid)[0]], F[laid]), F[laid][:, None],
-                            vf_flat, None, discount)[0][:, 0]
-            ties = np.ones(pred.shape, dtype=bool)         # all tied where not laid out
-            ties[laid] = obj >= _fold(np.maximum, obj)[..., None] - _ARGMAX_TIE_TOL
-            new = (1.0 - DAMPING) * F + DAMPING * _br(ties)
-            stop = laid & (np.max(np.abs(new - F), axis=(2, 3)) < DAMP_TOL)
-            end = k == n[:, None] - 1
-            miss = laid & ~end & np.any(ties != pred, axis=(2, 3))
-            r = np.arange(len(live))
-            last = np.argmax(stop | miss | end, axis=1)
-            Ff[live] = new[r, last]
-            steps[live] += last + 1
-            stopped[live] = stop[r, last]
-            active[live] = ~stopped[live] & (steps[live] < DAMP_MAX_ITER)
-            ahead[live] = np.where(miss[r, last], last + 1, 2 * n)
-            # Slide each window past the kept steps' actual tie masks.
-            window[live] = np.concatenate([window[live], ties], axis=1)[
-                r[:, None], last[:, None] + 1 + np.arange(W)]
-        done = np.flatnonzero(stopped)
-        if not len(done):
-            return {}
+        maps = _uniform_maps(self.spec.n_follower_states, self.spec.n_follower_actions)
+        M = len(maps)
+        Ff = np.tile(maps, (len(rows), 1, 1))
         obj, fv, lead, lv = (x[:, 0] for x in _evaluate(
-            pairs(done, Ff[done], leader_terms=True), Ff[done, None], vf_flat, vl_flat, discount))
-        ok = ~np.any(fv < _fold(np.maximum, obj) - self.config.br_tol, axis=1)
-        return {int(rows[i]): (Ff[i], lead[k], fv[k], lv[k])
-                for k, i in enumerate(done) if ok[k]}
+            self._mixed(np.repeat(rows, M), Ff), Ff[:, None], vf_flat, vl_flat,
+            self.spec.discount))
+        ok = ~np.any(fv < _fold(np.maximum, obj) - self.config.br_tol, axis=1).reshape(-1, M)
+        flat = np.arange(len(rows)) * M + np.argmax(ok, axis=1)
+        return {int(rows[r]): (Ff[k], lead[k], fv[k], lv[k])
+                for r, k in enumerate(flat) if ok[r].any()}
 
     def sweep(self, vf_flat, vl_flat, t: Optional[int] = None,
               prefer: Optional[Callable] = None) -> StageSweep:
@@ -586,11 +516,11 @@ class StageEngine:
         """
         S, L, F = len(self.states), len(self.leaders), len(self.followers)
         fv, lead, lv, fixed = self._evaluate_pure(vf_flat, vl_flat)
-        damped = self._damped(np.flatnonzero(~fixed.any(axis=1)), vf_flat, vl_flat)
+        mixed = self._mixed_fixed(np.flatnonzero(~fixed.any(axis=1)), vf_flat, vl_flat)
 
         values = np.full((S * L, F + 1), -np.inf)
         values[:, :F] = np.where(fixed, lead, -np.inf)
-        values[list(damped), F] = [d[1] for d in damped.values()]
+        values[list(mixed), F] = [d[1] for d in mixed.values()]
         flat_values = values.reshape(S, L * (F + 1))
         best = flat_values.max(axis=1)
         solved = best > -np.inf
@@ -606,7 +536,7 @@ class StageEngine:
                                   if prefer(t, *self.states[s], *self._keys[e])), chosen[s])
 
         rows, cols = np.arange(S) * L + chosen // (F + 1), chosen % (F + 1)
-        pure = np.minimum(cols, F - 1)      # damped entries are overwritten below
+        pure = np.minimum(cols, F - 1)      # mixed entries are overwritten below
         out = StageSweep(
             leader=self._leader_mats[chosen // (F + 1)],
             follower=self._follower_mats[pure],
@@ -614,7 +544,7 @@ class StageEngine:
             objectives=values.reshape(S, L, F + 1),
             bayes=self.pairs.bayes.reshape(S, L), keys=self._keys)
         for s in np.flatnonzero(cols == F):
-            out.follower[s], _, out.follower_values[s], out.leader_values[s] = damped[rows[s]]
+            out.follower[s], _, out.follower_values[s], out.leader_values[s] = mixed[rows[s]]
         return out
 
 
@@ -623,8 +553,8 @@ def follower_br_set(pi, z, gamma_l, v_f_next: JointTable, spec: GameSpec,
     """Self-consistent follower best responses to a fixed leader prescription.
 
     Returns every pure fixed point (as row-stochastic matrices); when none
-    exists, a single damped-iteration mixed solution, or an empty list when
-    even that fails to converge.
+    exists, the first uniform-support mixed map that is one, or an empty
+    list when none is.
     """
     G = np.asarray(gamma_l, dtype=np.float64)
     engine = StageEngine(spec, v_f_next.joint, [(pi, z)], config, leaders=[(None, G)])
@@ -633,7 +563,7 @@ def follower_br_set(pi, z, gamma_l, v_f_next: JointTable, spec: GameSpec,
     fixed = engine._evaluate_pure(vf_flat, no_leader_table)[3][0]
     if fixed.any():
         return [Ff for (_, Ff), ok in zip(engine.followers, fixed) if ok]
-    return [d[0] for d in engine._damped(np.array([0]), vf_flat, no_leader_table).values()]
+    return [d[0] for d in engine._mixed_fixed(np.array([0]), vf_flat, no_leader_table).values()]
 
 
 def leader_optimize(pi, z, v_l_next: JointTable, v_f_next: JointTable,

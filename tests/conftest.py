@@ -95,7 +95,7 @@ def solve_clean_tiny(seed, horizon=2, n_leader_actions=2, two_leader_states=Fals
                      z_res=4):
     """Build a random tiny game whose solve is pure everywhere, or None.
 
-    Games where some grid point needs the mixed fallback (or has no fixed
+    Games where some grid point needs the mixed check (or has no fixed
     point at all) are rejected so oracle comparisons stay in the pure world.
     """
     if two_leader_states:
@@ -122,10 +122,10 @@ def no_equilibrium_at(monkeypatch, state, sweep=1, nan=False):
     at its state ``state`` and only there.
 
     Every pure pair at that state fails the follower fixed-point test and its
-    damped rows are not run; with ``nan``, one fixed pair there has a NaN
-    leader objective instead and every other pair keeps its true one.
+    rows are left out of the mixed check; with ``nan``, one fixed pair there
+    has a NaN leader objective instead and every other pair keeps its true one.
     """
-    evaluate_pure, damped = StageEngine._evaluate_pure, StageEngine._damped
+    evaluate_pure, mixed_fixed = StageEngine._evaluate_pure, StageEngine._mixed_fixed
     sweeps = []
 
     def patched_pure(self, vf_flat, vl_flat):
@@ -139,13 +139,13 @@ def no_equilibrium_at(monkeypatch, state, sweep=1, nan=False):
                 fixed[first:first + len(self.leaders)] = False
         return fv, lead, lv, fixed
 
-    def patched_damped(self, rows, vf_flat, vl_flat):
+    def patched_mixed(self, rows, vf_flat, vl_flat):
         if len(sweeps) == sweep:
             rows = rows[rows // len(self.leaders) != state]
-        return damped(self, rows, vf_flat, vl_flat)
+        return mixed_fixed(self, rows, vf_flat, vl_flat)
 
     monkeypatch.setattr(StageEngine, "_evaluate_pure", patched_pure)
-    monkeypatch.setattr(StageEngine, "_damped", patched_damped)
+    monkeypatch.setattr(StageEngine, "_mixed_fixed", patched_mixed)
 
 
 def signal_family_spec():
@@ -153,7 +153,7 @@ def signal_family_spec():
 
     Dirichlet kernels and mean-field-affine rewards drawn from seed 0, in the
     draw order of the benchmark's signal family; at pi-res 2 / z-res 2 its
-    backward pass needs the damped mixed fallback.
+    backward pass needs the mixed check (which certifies no row there).
     """
     n_l, n_f, n_al, n_af = 2, 3, 2, 2
     rng = np.random.default_rng(0)

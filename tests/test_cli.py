@@ -506,6 +506,19 @@ def test_backward_pass_without_equilibrium_exits_4(tmp_path, capsys, monkeypatch
     assert not out.exists()
 
 
+def test_stationary_sweep_without_equilibrium_exits_4(tmp_path, capsys, monkeypatch):
+    """A grid point without an equilibrium in a stationary solve exits 4,
+    naming the sweep in place of a stage, and writes nothing."""
+    no_equilibrium_at(monkeypatch, 2, sweep=3)
+    out = tmp_path / "run"
+    assert run_cli(["solve", "--game", "infection", "--infinite", "--z-res", "5",
+                    "--action-res", "3", "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "at stationary sweep 3, pi=[1.], z=[0.4 0.6]" in err, err
+    assert not out.exists()
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_values_exit_3(tmp_path, capsys):
     """With every follower reward 1e308, two stages' values overflow: solve

@@ -51,7 +51,7 @@ def test_solves_and_state_round_trip_build_no_per_point_objects(tmp_path, monkey
         _, loaded, _ = export.read_state(tmp_path / "state.npz")
         export.policy_csv(tmp_path / "policy.csv", loaded, spec)
     assert built == []
-    # the finite solve went through the damped fallback
+    # the finite solve went through the mixed check
     assert any(sol.diagnostics.used_damped_fallback
                for sweep in finite.stages for sol in sweep.solutions)
     built.clear()

@@ -39,7 +39,7 @@ def test_single_stage_game_matches_leader_optimize():
         assert direct.follower_values == pytest.approx(sol.follower_values)
         assert direct.leader_values == pytest.approx(sol.leader_values)
 
-    # Informative leader, damped fallback: the grid sweep and the one-state
+    # Informative leader, mixed check: the grid sweep and the one-state
     # solve agree exactly at every grid point of every stage, down to the
     # diagnostics the whole stage reduces at once.
     spec = signal_family_spec()

@@ -207,8 +207,9 @@ def anti_coordination_case():
 
 
 def test_no_equilibrium_is_surfaced():
-    """Anti-coordination continuation values defeat pure search, and the
-    constant-damping fallback oscillates; the error carries coordinates."""
+    """Anti-coordination continuation values defeat pure search, and no
+    uniform-support mixed map is a fixed point; the error carries
+    coordinates."""
     spec, joint, vf, vl = anti_coordination_case()
     brs = s.follower_br_set([1.0], [0.5, 0.5], np.array([[1.0]]), vf, spec)
     assert brs == []
@@ -236,24 +237,39 @@ def test_sweep_names_the_one_state_without_equilibrium(monkeypatch, nan):
     assert np.array_equal(err.value.pi, pi) and np.array_equal(err.value.z, z)
 
 
-def test_one_state_damped_rows_look_ahead(monkeypatch):
-    """A one-state engine's damped row batches its steps instead of
-    evaluating one per call, and still ends in the same failure."""
+def count_sweep_calls(monkeypatch):
+    """Counter of the Bayes steps, next-mean-field batches and ``_evaluate``
+    calls with one follower prescription per pair row (``mixed_evaluate``)
+    made from here on."""
+    counts = Counter()
+
+    def counted(name, fn, when=lambda *args: True):
+        def wrapper(*args, **kwargs):
+            counts[name] += bool(when(*args))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(stage, "belief_batch", counted("bayes", stage.belief_batch))
+    monkeypatch.setattr(s.dynamics, "belief_step_total",
+                        counted("bayes", s.dynamics.belief_step_total))
+    monkeypatch.setattr(stage, "mean_field_batch",
+                        counted("mean_field", stage.mean_field_batch))
+    monkeypatch.setattr(stage, "_evaluate", counted("mixed_evaluate", stage._evaluate,
+                                                    lambda p, mats, *_: mats.ndim == 4))
+    return counts
+
+
+def test_one_state_fallback_evaluates_once(monkeypatch):
+    """A one-state engine's fallback row makes no Bayes step, one
+    next-mean-field batch and one mixed evaluation, and still ends in the
+    same failure."""
     spec, joint, vf, vl = anti_coordination_case()
-    calls = Counter()
-    evaluate = stage._evaluate
-
-    def counted(*args, **kwargs):
-        calls["evaluate"] += 1
-        return evaluate(*args, **kwargs)
-
-    monkeypatch.setattr(stage, "_evaluate", counted)
-    assert s.follower_br_set([1.0], [0.5, 0.5], np.array([[1.0]]), vf, spec) == []
-    assert calls["evaluate"] <= 20
-    calls.clear()
+    counts = count_sweep_calls(monkeypatch)
+    engine = StageEngine(spec, joint, [([1.0], [0.5, 0.5])])
+    counts.clear()
     with pytest.raises(s.NoEquilibriumError) as err:
-        s.leader_optimize([1.0], [0.5, 0.5], vl, vf, spec, t=2)
-    assert calls["evaluate"] <= 20
+        engine.sweep(vf.flat_values(), vl.flat_values(), t=2)
+    assert counts == Counter(bayes=0, mean_field=1, mixed_evaluate=1)
     assert err.value.t == 2
     assert err.value.z == pytest.approx([0.5, 0.5])
 
@@ -389,7 +405,7 @@ def test_gather_holds_each_distinct_next_state_once(game):
 
 
 def test_sweep_gathers_both_tables_once(monkeypatch):
-    """A sweep without damped rows interpolates [V^f | V^l] in one gather."""
+    """A sweep without fallback rows interpolates [V^f | V^l] in one gather."""
     spec, z_res, pi_res, _ = PAIR_GAMES["signal"]()
     joint = toy_joint_grid(spec, z_res=z_res, pi_res=pi_res)
     engine = StageEngine(spec, joint)
@@ -435,26 +451,29 @@ def test_three_leader_types_sum_three_terms_and_fall_back():
     assert engine.pairs.bayes.sum() > 0
 
 
-def crowding_spec():
+def crowding_spec(bias=0.0):
     """Followers move to the state their action names, so against a table
     that penalises crowded states no pure map is a fixed point from z = (1, 0)
     under leader action 0, and the uniform map is one (a tie at (1/2, 1/2)).
     Leader action 1 blurs the move, and leader rewards depend on the
-    follower prescription."""
+    follower prescription.  With ``bias`` > 0 followers of type b earn it
+    for action a, so there type b must play a while type a mixes."""
     return s.GameSpec.from_callables(
         follower_states=("a", "b"), leader_states=("L",), follower_actions=("a", "b"),
         leader_actions=("0", "1"), leader_kernel=lambda z, al, xl: np.array([1.0]),
         follower_kernel=lambda z, xl, xf, al, af: (np.array([0.7, 0.3]) if al and af
                                                    else np.eye(2)[af]),
-        follower_reward=lambda z, xl, xf, al, af: 0.0,
+        follower_reward=lambda z, xl, xf, al, af: bias * (xf == 1 and af == 0),
         leader_reward=lambda z, xl, al, gf: -3.0 * al + gf[0, 1] + z[1] / 3,
         discount=0.9, horizon=1, initial_leader_belief=[1.0], initial_mean_field=[1.0, 0.0])
 
 
 def damped_cases():
-    """(spec, joint, engine, V^f, V^l) of sweeps with damped rows: the signal
-    family against its stage-3 tables, whose damped rows run every step and
-    stay uncertified, and the crowding game, whose damped rows are certified."""
+    """(spec, joint, engine, V^f, V^l) of sweeps with fallback rows: the
+    signal family against its stage-3 tables, whose fallback rows stay
+    uncertified, the crowding game, whose fallback rows are certified by
+    the uniform map, and the biased crowding game, whose first fallback row
+    is certified by a map where only type a mixes."""
     spec = signal_family_spec()
     joint = toy_joint_grid(spec, z_res=2, pi_res=2)
     _, tables = s.backward_pass(spec, joint)
@@ -468,41 +487,37 @@ def damped_cases():
     engine = StageEngine(spec, joint, [([1.0], [1.0, 0.0]), ([1.0], [0.9, 0.1])])
     yield spec, joint, engine, vf, vl
 
+    spec = crowding_spec(bias=0.01)
+    yield spec, joint, StageEngine(spec, joint, engine.states), vf, vl
+
 
 def test_damped_pairs_match_per_pair_rebuild():
-    """The follower side a damped step rebuilds, and the leader terms of the
-    certificate, equal a per-pair rebuild with the mixed prescription."""
+    """The follower side and the leader terms the mixed check builds equal a
+    per-pair rebuild with the mixed prescription."""
     rng = np.random.default_rng(5)
     certified = 0
     for spec, joint, engine, vf, vl in damped_cases():
         fixed = engine._evaluate_pure(vf, vl)[3]
         rows = np.flatnonzero(~fixed.any(axis=1))
         assert len(rows)
-        certified += len(engine._damped(rows, vf, vl))
+        certified += len(engine._mixed_fixed(rows, vf, vl))
         n_f, n_af = spec.n_follower_states, spec.n_follower_actions
         prescriptions = [np.full((len(rows), n_f, n_af), 1.0 / n_af),
                          rng.dirichlet(np.ones(n_af), size=(len(rows), n_f)),
                          np.eye(n_af)[rng.integers(n_af, size=(len(rows), n_f))]]
-        build = engine._mixed(rows)
         L = len(engine.leaders)
         for Ff in prescriptions:
-            for leader_terms in (False, True):
-                pairs = build(np.arange(len(rows)), Ff, leader_terms=leader_terms)
-                for k, row in enumerate(rows):
-                    pi, z = engine.states[row // L]
-                    expected = reference_pairs(spec, joint, pi, z, [engine.leaders[row % L][1]],
-                                               [Ff[k]], engine._slots)
-                    got = stage._take(expanded(pairs), [k])
-                    if not leader_terms:        # built for the certificate only
-                        assert got.lead_base is None and got.vl_base is None
-                        got = got._replace(lead_base=expected["lead_base"],
-                                           vl_base=expected["vl_base"])
-                    assert_pairs_equal(got, expected)
+            pairs = engine._mixed(rows, Ff)
+            for k, row in enumerate(rows):
+                pi, z = engine.states[row // L]
+                expected = reference_pairs(spec, joint, pi, z, [engine.leaders[row % L][1]],
+                                           [Ff[k]], engine._slots)
+                assert_pairs_equal(stage._take(expanded(pairs), [k]), expected)
     assert certified >= 1
 
 
 def test_certified_damped_rows_match_pair_objectives():
-    """A certified damped row's leader objective and values are those of its
+    """A certified mixed row's leader objective and values are those of its
     (leader, mixed follower) pair evaluated on its own."""
     spec, joint, engine, vf, vl = list(damped_cases())[1]
     sweep = engine.sweep(vf, vl)
@@ -514,7 +529,7 @@ def test_certified_damped_rows_match_pair_objectives():
             if not np.isfinite(sweep.objectives[k, l, -1]):
                 continue
             row = k * len(engine.leaders) + l
-            (Ff, lead, fv, lv), = engine._damped(np.array([row]), vf, vl).values()
+            (Ff, lead, fv, lv), = engine._mixed_fixed(np.array([row]), vf, vl).values()
             _, fv_ref, lead_ref, lv_ref = stage.pair_objectives(
                 pi, z, s.Prescription(leader=G, follower=Ff), vf_table, vl_table, spec)
             assert sweep.objectives[k, l, -1] == lead == lead_ref
@@ -524,36 +539,18 @@ def test_certified_damped_rows_match_pair_objectives():
     assert np.array_equal(sweep.follower[0], np.full((2, 2), 0.5))
 
 
-def test_damped_steps_do_not_repeat_leader_side_work(monkeypatch):
-    """A sweep whose damped rows run all DAMP_MAX_ITER steps makes no Bayes
-    update at all: the leader side of every row comes from the arrays built
-    with the engine, so the work does not grow with the damped step count.
-    The lookahead evaluates many steps per batched call, so the mean-field
-    batches stay far fewer than the steps."""
-    spec, joint, engine, vf, vl = next(damped_cases())
-    counts = Counter()
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(stage, "belief_batch", counted("bayes", stage.belief_batch))
-    monkeypatch.setattr(s.dynamics, "belief_step_total",
-                        counted("bayes", s.dynamics.belief_step_total))
-    monkeypatch.setattr(stage, "mean_field_batch",
-                        counted("mean_field", stage.mean_field_batch))
-    seen, full = {}, stage.DAMP_MAX_ITER
-    for steps in (full, 3):
-        monkeypatch.setattr(stage, "DAMP_MAX_ITER", steps)
+def test_fallback_sweep_repeats_no_leader_side_work(monkeypatch):
+    """A sweep with fallback rows makes no Bayes step: the leader side of
+    every row comes from the arrays built with the engine.  All rows meet
+    all uniform maps in one next-mean-field batch and one mixed evaluation,
+    whether the rows are certified or not."""
+    counts, certified = count_sweep_calls(monkeypatch), []
+    for spec, joint, engine, vf, vl in damped_cases():
         counts.clear()
         sweep = engine.sweep(vf, vl, t=3)
-        damped = np.isfinite(sweep.objectives[:, :, -1])
-        assert not damped.any()         # no row certified: every step ran
-        assert counts["mean_field"] <= min(steps, 50)
-        seen[steps] = counts["bayes"]
-    assert seen == {full: 0, 3: 0}
+        assert counts == Counter(bayes=0, mean_field=1, mixed_evaluate=1)
+        certified.append(np.isfinite(sweep.objectives[..., -1]).any())
+    assert certified == [False, True, True]
     counts.clear()
     StageEngine(spec, joint)
     assert counts["bayes"] > 0          # the counter sees the engine's Bayes steps
@@ -561,48 +558,53 @@ def test_damped_steps_do_not_repeat_leader_side_work(monkeypatch):
 
 def test_sweep_without_damped_rows_sets_up_no_fallback(monkeypatch):
     """Against zero tables every row has a pure follower fixed point, so a
-    sweep never sets up the damped fallback's mixed pair builder."""
+    sweep never sets up the mixed check's pair builder."""
     spec = toy_spec()
     joint = toy_joint_grid(spec)
     engine = StageEngine(spec, joint)
-    monkeypatch.setattr(engine, "_mixed", lambda rows: pytest.fail("damped set-up"))
+    monkeypatch.setattr(engine, "_mixed", lambda *args: pytest.fail("mixed set-up"))
     sweep = engine.sweep(*(table.flat_values() for table in zero_tables(spec, joint)))
     assert np.all(np.isinf(sweep.objectives[:, :, -1]))
 
 
 def sequential_damped(engine, rows, vf_flat, vl_flat):
-    """``StageEngine._damped`` one step per batch: every live row evaluates
-    its current prescription, takes one damped step and stops on its own."""
+    """The damped best-response iteration over mixed follower prescriptions,
+    an independent reference for the mixed check: each row iterates
+    F <- F / 2 + BR(F) / 2 from the uniform prescription, BR(F) mixing each
+    type uniformly over its actions within 1e-12 of its best, and stops
+    when a step moves F by less than 1e-9, or after 500 steps.  Returns
+    {row: (follower prescription, leader objective, follower values, leader
+    values)} for the stopped rows that pass the certificate."""
     n_f, n_af = engine.spec.n_follower_states, engine.spec.n_follower_actions
-    pairs, discount = engine._mixed(rows), engine.spec.discount
+    discount = engine.spec.discount
     Ff = np.full((len(rows), n_f, n_af), 1.0 / n_af)
     active = np.ones(len(rows), dtype=bool)
-    for _ in range(stage.DAMP_MAX_ITER):
+    for _ in range(500):
         live = np.flatnonzero(active)
         if not len(live):
             break
-        obj = stage._evaluate(pairs(live, Ff[live]), Ff[live, None], vf_flat, None,
-                              discount)[0][:, 0]
-        ties = obj >= obj.max(axis=2, keepdims=True) - stage._ARGMAX_TIE_TOL
+        obj = stage._evaluate(engine._mixed(rows[live], Ff[live]), Ff[live, None], vf_flat,
+                              vl_flat, discount)[0][:, 0]
+        ties = obj >= obj.max(axis=2, keepdims=True) - 1e-12
         br = ties * (1.0 / ties.sum(axis=2, keepdims=True))
-        new = (1.0 - stage.DAMPING) * Ff[live] + stage.DAMPING * br
+        new = (1.0 - 0.5) * Ff[live] + 0.5 * br
         step = np.max(np.abs(new - Ff[live]), axis=(1, 2))
         Ff[live] = new
-        active[live[step < stage.DAMP_TOL]] = False
+        active[live[step < 1e-9]] = False
     done = np.flatnonzero(~active)
     if not len(done):
         return {}
     obj, fv, lead, lv = (x[:, 0] for x in stage._evaluate(
-        pairs(done, Ff[done], leader_terms=True), Ff[done, None], vf_flat, vl_flat, discount))
+        engine._mixed(rows[done], Ff[done]), Ff[done, None], vf_flat, vl_flat, discount))
     ok = ~np.any(fv < obj.max(axis=2) - engine.config.br_tol, axis=1)
     return {int(rows[i]): (Ff[i], lead[k], fv[k], lv[k])
             for k, i in enumerate(done) if ok[k]}
 
 
 def fallback_cases():
-    """(engine, V^f, V^l, rows needing the damped fallback) of the damped
-    cases, the anti-coordination game on its whole grid and random games
-    against random tables."""
+    """(engine, V^f, V^l) of sweeps with rows needing the mixed check: the
+    damped cases, the anti-coordination game on its whole grid and random
+    games against random tables."""
     for _, _, engine, vf, vl in damped_cases():
         yield engine, vf, vl
     spec, joint, vf, vl = anti_coordination_case()
@@ -616,28 +618,66 @@ def fallback_cases():
                rng.normal(size=(joint.n_points, spec.n_leader_states)))
 
 
-def test_lookahead_damped_matches_sequential_iteration(monkeypatch):
-    """The lookahead returns exactly what one damped step per batch returns,
-    with the step cap and the stop test landing inside lookahead windows.
+def test_uniform_maps_list_larger_supports_first():
+    """The mixed check's maps: each type's supports largest first, types
+    lexicographic, pure maps left out; 5 for a 2x2 game, 19 for the signal
+    family's 3 types of 2 actions."""
+    h = 0.5
+    assert np.array_equal(stage._uniform_maps(2, 2), [
+        [[h, h], [h, h]], [[h, h], [1, 0]], [[h, h], [0, 1]], [[1, 0], [h, h]],
+        [[0, 1], [h, h]]])
+    assert np.array_equal(stage._uniform_maps(1, 3), [
+        [[1 / 3, 1 / 3, 1 / 3]], [[h, h, 0]], [[h, 0, h]], [[0, h, h]]])
+    assert len(stage._uniform_maps(3, 2)) == 19
 
-    A loose stop tolerance stops rows after a few steps, and an infinite
-    certificate slack then returns every stopped row, certified or not."""
-    seen = Counter()
+
+def test_mixed_check_certifies_what_the_damped_iteration_certifies():
+    """On every fallback input the check certifies each row the damped
+    iteration certifies, and where the iteration's limit is exactly one of
+    the uniform maps, it returns the same bits.  On the biased crowding game
+    the iteration stops near a map but not on it."""
+    certified = exact = 0
     for engine, vf, vl in fallback_cases():
         rows = np.flatnonzero(~engine._evaluate_pure(vf, vl)[3].any(axis=1))
         assert len(rows)
-        for cap, tol, slack in ((1, stage.DAMP_TOL, None), (3, stage.DAMP_TOL, None),
-                                (7, stage.DAMP_TOL, None), (500, stage.DAMP_TOL, None),
-                                (500, 0.05, np.inf)):
-            monkeypatch.setattr(stage, "DAMP_MAX_ITER", cap)
-            monkeypatch.setattr(stage, "DAMP_TOL", tol)
-            if slack is not None:
-                monkeypatch.setattr(engine.config, "br_tol", slack)
-            got = engine._damped(rows, vf, vl)
-            expected = sequential_damped(engine, rows, vf, vl)
-            assert got.keys() == expected.keys()
-            for row, values in expected.items():
+        got = engine._mixed_fixed(rows, vf, vl)
+        expected = sequential_damped(engine, rows, vf, vl)
+        assert set(expected) <= set(got)
+        maps = stage._uniform_maps(engine.spec.n_follower_states,
+                                   engine.spec.n_follower_actions)
+        for row, values in expected.items():
+            if any(np.array_equal(values[0], m) for m in maps):
                 assert all(np.array_equal(a, b) for a, b in zip(got[row], values))
-            seen[cap, tol] += len(got)
-            monkeypatch.undo()
-    assert seen[500, stage.DAMP_TOL] >= 2 and seen[500, 0.05] > seen[500, stage.DAMP_TOL]
+                exact += 1
+        certified += len(expected)
+    assert (certified, exact) == (3, 2)
+
+
+def test_mixed_check_takes_the_first_certified_map():
+    """In the biased crowding game at z = (1, 0), type b strictly prefers
+    action a and type a must mix: the check takes [[1/2, 1/2], [1, 0]],
+    the second map, and the sweep selects it.  The damped iteration only
+    approaches it, to within 2e-9."""
+    spec, joint, engine, vf, vl = list(damped_cases())[2]
+    (Ff, lead, _, _), = engine._mixed_fixed(np.array([0]), vf, vl).values()
+    assert np.array_equal(Ff, [[0.5, 0.5], [1.0, 0.0]])
+    assert np.array_equal(Ff, stage._uniform_maps(2, 2)[1])
+    (limit, *_), = sequential_damped(engine, np.array([0]), vf, vl).values()
+    assert not np.array_equal(limit, Ff) and np.max(np.abs(limit - Ff)) < 2e-9
+    sweep = engine.sweep(vf, vl)
+    assert np.array_equal(sweep.follower[0], Ff) and sweep.objectives[0, 0, -1] == lead
+
+
+def test_mixed_check_count_is_capped_before_any_array(monkeypatch):
+    """A sweep with fallback rows refuses more uniform maps than
+    MIXED_CANDIDATE_CAP before it builds any; a sweep without fallback
+    rows never checks the count."""
+    monkeypatch.setattr(stage, "MIXED_CANDIDATE_CAP", 4)
+    spec, joint, vf, vl = anti_coordination_case()
+    engine = StageEngine(spec, joint)
+    monkeypatch.setattr(engine, "_mixed", lambda *args: pytest.fail("mixed set-up"))
+    with pytest.raises(ValueError, match=r"would enumerate 5 candidates \(cap 4\)"):
+        engine.sweep(vf.flat_values(), vl.flat_values())
+    spec = toy_spec()
+    joint = toy_joint_grid(spec)
+    StageEngine(spec, joint).sweep(*(table.flat_values() for table in zero_tables(spec, joint)))
