@@ -14,15 +14,18 @@ in its ``TinyGame``, keyed by exact bytes.
 Profiles are formed only from last-stage prescription pairs that pass the
 follower check on their own: with a zero continuation a last-stage node's
 follower gap depends on that node alone, so a profile holding a larger gap
-fails whatever its other nodes do.  Every other profile is still evaluated,
-in enumeration order, so the results are those of the exhaustive search.
+fails whatever its other nodes do.  Each exact last-stage state is priced
+once, for every pair in one array pass.  The profiles that share a root pair
+are then screened together in arrays, in enumeration order; each screened
+quantity equals ``evaluate_profile``'s bit for bit, so the results are those
+of the exhaustive search, and only the equilibria are evaluated one by one.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -48,7 +51,9 @@ def _exact(vec) -> bytes:
 
 
 def _frozen(arr) -> np.ndarray:
-    return np.broadcast_to(arr, np.shape(arr))      # a read-only view
+    view = np.asarray(arr).view()
+    view.flags.writeable = False        # a read-only view
+    return view
 
 
 @dataclass
@@ -63,7 +68,8 @@ class TinyGame:
     of beliefs and mean fields (never rounded node keys), the tensors per
     mean field (the spec ``_tensors`` reads them), the children per map
     pair, pure prescriptions, leader reward rows, last-stage follower action
-    values per leader map, and node keys, read-only.
+    values per leader map, the ``_LastStage`` screen per last-stage state,
+    and node keys, read-only.
     """
 
     spec: GameSpec
@@ -171,11 +177,99 @@ def _last_stage_values(game, pi, z, leader_map) -> np.ndarray:
         _action_values(game, pi, z, leader_map, lambda al: np.zeros(n_f))))
 
 
-def _last_stage_gap(game, pi, z, leader_map, follower_map) -> float:
-    """Largest follower gain from deviating at a last-stage node; it equals
-    the node's term of ``evaluate_profile``'s follower gap bit for bit."""
-    table = _last_stage_values(game, pi, z, leader_map)
-    return float(np.max(table.max(axis=1) - table[np.arange(len(table)), follower_map]))
+def _joint(game) -> tuple:
+    """Every (leader map, follower map) pair, leader maps outer."""
+    spec = game.spec
+    return game._memoised(("joint",), lambda: tuple(itertools.product(
+        itertools.product(range(spec.n_leader_actions), repeat=spec.n_leader_states),
+        itertools.product(range(spec.n_follower_actions), repeat=spec.n_follower_states))))
+
+
+class _LastStage(NamedTuple):
+    """Every pair of ``_joint`` at one last-stage state, whose continuation is
+    zero, by pair index: ``valid`` is ``_ExactStageRecursion``'s stage test,
+    and each other row is, bit for bit, what ``evaluate_profile`` and
+    ``_leader_node_gaps`` compute for the pair at a node there."""
+
+    chosen: np.ndarray      # (P, n_f) value of each type's prescribed action
+    best: np.ndarray        # (P, n_f) value of each type's best action
+    gap: np.ndarray         # (P,) largest follower gain from deviating
+    valid: np.ndarray       # (P,) no type's value below its best by more than tol
+    lead: np.ndarray        # (P, n_l) leader value per type
+    own: np.ndarray         # (P,) ex-ante leader value
+
+
+def _last_stage(game, pi, z, tol: float) -> _LastStage:
+    """The ``_last_stage_values`` tables of every leader map, stacked and
+    screened in one elementwise pass: once per (exact state, tol), memoised
+    in ``game``."""
+    def screen():
+        spec, n_f = game.spec, game.spec.n_follower_states
+        joint = _joint(game)
+        leader_maps = list(dict.fromkeys(lm for lm, _ in joint))
+        follower_maps = list(dict.fromkeys(fm for _, fm in joint))
+        tables = np.stack([_last_stage_values(game, pi, z, lm) for lm in leader_maps])
+        chosen = tables[:, np.arange(n_f), np.array(follower_maps)].reshape(len(joint), n_f)
+        best = np.repeat(tables.max(axis=2), len(follower_maps), axis=0)
+        # ``_leader_values`` without a continuation: rl[x_l, leader_map[x_l]]
+        rewards = np.stack([_leader_reward(game, z, leader_maps[0], fm) for fm in follower_maps])
+        lead = rewards[np.arange(len(follower_maps))[:, None], np.arange(spec.n_leader_states),
+                       np.array(leader_maps)[:, None]].reshape(len(joint), -1)
+        return _LastStage(*map(_frozen, (
+            chosen, best, (best - chosen).max(axis=1), ~np.any(chosen < best - tol, axis=1),
+            lead, np.matmul(pi, lead[..., None])[..., 0])))
+    return game._memoised(("screen", _exact(pi), _exact(z), tol), screen)
+
+
+@dataclass
+class _Group:
+    """The profiles that share their play before the last stage: every
+    combination of the kept pairs of each last-stage node, keys in sorted
+    order, in ``itertools.product`` order."""
+
+    root_key: tuple
+    root: Optional[_Node]   # the node before the last stage; None at horizon 1
+    states: dict            # last-stage key -> (pi, z), in tree order
+    kept: dict              # last-stage key -> ``_joint`` indices of its kept pairs
+
+    def combos(self) -> list:
+        return list(itertools.product(*(self.kept[key] for key in sorted(self.states))))
+
+    def profile(self, joint, combo) -> OracleProfile:
+        pairs = dict(zip(sorted(self.states), (joint[p] for p in combo)))
+        if self.root is not None:
+            pairs = {self.root_key: (self.root.leader_map, self.root.follower_map), **pairs}
+        return OracleProfile(leader={key: lm for key, (lm, _) in pairs.items()},
+                             follower={key: fm for key, (_, fm) in pairs.items()})
+
+
+def _groups(game: TinyGame, initial_index: int, tol: float) -> list:
+    """The pruned enumeration as ``_Group``s, one per root pair (a single one
+    at horizon 1), in enumeration order.  A last-stage pair is kept unless
+    its follower gap exceeds ``tol``; ``max_profiles`` caps the unpruned count.
+    """
+    joint = _joint(game)
+    pi1, z1 = game.initial_points[initial_index]
+    root_key = game._key(1, pi1, z1)
+    roots = [None] if game.spec.horizon == 1 else [
+        _Node(t=1, pi=pi1, z=z1, leader_map=lm, follower_map=fm) for lm, fm in joint]
+    groups, count = [], 0
+    for root in roots:
+        states = {root_key: (pi1, z1)}
+        if root is not None:
+            z_next, children = _node_children(game, pi1, z1, root.leader_map, root.follower_map)
+            states = {}
+            for al, pi_next in children.items():
+                # build_tree keeps the first state to reach a node key; so does this
+                root.children[al] = key = game._key(2, pi_next, z_next)
+                states.setdefault(key, (pi_next, z_next))
+        count += len(joint) ** len(states)
+        if count > game.max_profiles:
+            raise EnumerationTooLarge(f"profile enumeration exceeded cap {game.max_profiles}")
+        groups.append(_Group(root_key, root, states, {
+            key: np.flatnonzero(~(_last_stage(game, *state, tol).gap > tol)).tolist()
+            for key, state in states.items()}))
+    return groups
 
 
 def enumerate_profiles(game: TinyGame, initial_index: int = 0, tol: float = 1e-9):
@@ -188,55 +282,9 @@ def enumerate_profiles(game: TinyGame, initial_index: int = 0, tol: float = 1e-9
     of the full product, so survivors keep their order.  ``max_profiles``
     caps the full, unpruned count.
     """
-    spec = game.spec
-    T = spec.horizon
-    pi1, z1 = game.initial_points[initial_index]
-    leader_maps = list(itertools.product(range(spec.n_leader_actions),
-                                         repeat=spec.n_leader_states))
-    follower_maps = list(itertools.product(range(spec.n_follower_actions),
-                                           repeat=spec.n_follower_states))
-    joint = list(itertools.product(leader_maps, follower_maps))
-
-    profiles = []
-    count = 0
-
-    def recurse(t, states, leader_assign, follower_assign):
-        nonlocal count
-        keys = sorted(states)
-        if t == T:
-            count += len(joint) ** len(keys)
-            if count > game.max_profiles:
-                raise EnumerationTooLarge(
-                    f"profile enumeration exceeded cap {game.max_profiles}")
-            kept = [[(lm, fm) for lm, fm in joint
-                     if not _last_stage_gap(game, *states[key], lm, fm) > tol]
-                    for key in keys]
-            for combo in itertools.product(*kept):
-                leader, follower = dict(leader_assign), dict(follower_assign)
-                for key, (lm, fm) in zip(keys, combo):
-                    leader[key], follower[key] = lm, fm
-                profiles.append(OracleProfile(leader=leader, follower=follower))
-            return
-        for combo in itertools.product(joint, repeat=len(keys)):
-            for key, (lm, fm) in zip(keys, combo):
-                leader_assign[key] = lm
-                follower_assign[key] = fm
-            next_states = {}
-            for key in keys:
-                pi, z = states[key]
-                lm, fm = leader_assign[key], follower_assign[key]
-                z_next, children = _node_children(game, pi, z, lm, fm)
-                for pi_next in children.values():
-                    # build_tree keeps the first state to reach a node key; with
-                    # a single node before the last stage (horizon <= 2) so does this
-                    next_states.setdefault(game._key(t + 1, pi_next, z_next), (pi_next, z_next))
-            recurse(t + 1, next_states, leader_assign, follower_assign)
-            for key in keys:
-                del leader_assign[key]
-                del follower_assign[key]
-
-    recurse(1, {game._key(1, pi1, z1): (pi1, z1)}, {}, {})
-    return profiles
+    joint = _joint(game)
+    return [group.profile(joint, combo) for group in _groups(game, initial_index, tol)
+            for combo in group.combos()]
 
 
 def build_tree(game: TinyGame, profile: OracleProfile, initial_index: int = 0):
@@ -314,17 +362,17 @@ def evaluate_profile(game: TinyGame, profile: OracleProfile,
 
 
 def _action_values(game, pi, z, leader_map, child) -> np.ndarray:
-    """(n_f, n_af) expected reward-to-go of each follower type and action
-    when leader type x_l plays ``leader_map[x_l]``; ``child(a_l)`` is the
-    follower value row after leader action a_l."""
+    """(..., n_f, n_af) expected reward-to-go of each follower type and
+    action when leader type x_l plays ``leader_map[x_l]``; ``child(a_l)`` is
+    the follower value row after leader action a_l, (..., n_f) for a batch."""
     spec = game._tensors
     qf, rf = spec.follower_kernel(z), spec.follower_reward(z)
     out = np.zeros((spec.n_follower_states, spec.n_follower_actions))
     for xl in np.flatnonzero(np.asarray(pi) != 0.0):
         al = leader_map[xl]
-        # (1, n_f) @ (n_f, 1): one dot product per kernel row
-        ahead = np.matmul(qf[xl, :, al, :, None, :], child(al)[:, None])[..., 0, 0]
-        out += pi[xl] * (rf[xl, :, al] + spec.discount * ahead)
+        # (1, n_f) @ (n_f, 1): one dot product per kernel row and batch entry
+        ahead = np.matmul(qf[xl, :, al, :, None, :], child(al)[..., None, None, :, None])
+        out = out + pi[xl] * (rf[xl, :, al] + spec.discount * ahead[..., 0, 0])
     return out
 
 
@@ -334,20 +382,28 @@ def _after(node: _Node, table: dict, n_f: int):
     return lambda al: table[node.children[al]] if node.children else np.zeros(n_f)
 
 
+def _leader_reward(game, z, leader_map, follower_map) -> np.ndarray:
+    """(n_l, n_al) leader reward against the follower map, memoised in ``game``
+    per (exact mean field, follower map); ``leader_map`` only completes the
+    pure prescription."""
+    return game._memoised(("leader_reward", _exact(z), follower_map), lambda: _frozen(
+        game._tensors.leader_reward(z, _pure_prescription(game, leader_map, follower_map).follower)))
+
+
 def _leader_values(game, z, leader_map, follower_map, child) -> np.ndarray:
-    """Leader value per type under a pure prescription pair; ``child(a_l)``
-    is the leader value row after leader action a_l, or None at the end."""
+    """(..., n_l) leader value per type under a pure prescription pair;
+    ``child(a_l)`` is the leader value row after leader action a_l, (..., n_l)
+    for a batch, or None at the end."""
     spec = game._tensors
-    rl = game._memoised(("leader_reward", _exact(z), follower_map), lambda: _frozen(
-        spec.leader_reward(z, _pure_prescription(game, leader_map, follower_map).follower)))
+    rl = _leader_reward(game, z, leader_map, follower_map)
     ql = spec.leader_kernel(z)
-    vl = np.zeros(spec.n_leader_states)
+    columns = []
     for xl, al in enumerate(leader_map):
         after = child(al)
-        vl[xl] = rl[xl, al]
-        if after is not None:
-            vl[xl] += spec.discount * float(ql[xl, al] @ after)
-    return vl
+        # (n_l,) @ (n_l, 1): one dot product per batch entry
+        columns.append(rl[xl, al] if after is None else
+                       rl[xl, al] + spec.discount * np.matmul(ql[xl, al], after[..., None])[..., 0])
+    return np.stack(columns, axis=-1)
 
 
 def _check_consistency(game, tree) -> bool:
@@ -382,31 +438,34 @@ class _ExactStageRecursion:
         self._values = {}
 
     def stage_candidates(self, t: int, pi, z):
-        """(leader map, follower map, ex-ante leader value, V^l rows) per
-        stage-valid pair at this public state."""
+        """(leader map, follower map, ex-ante leader value, V^l row, V^f row)
+        per stage-valid pair at this public state."""
         game, spec = self.game, self.game.spec
         key = game._key(t, pi, z)
         if key in self._stage:
             return self._stage[key]
         pi = np.asarray(pi, dtype=np.float64)
         z = np.asarray(z, dtype=np.float64)
-        n_f, n_l = spec.n_follower_states, spec.n_leader_states
-        zero_f, zero_l = np.zeros(n_f), np.zeros(n_l)
+        joint = _joint(game)
         out = []
-        for lm in itertools.product(range(spec.n_leader_actions), repeat=n_l):
-            for fm in itertools.product(range(spec.n_follower_actions), repeat=n_f):
+        if t == self.horizon:       # no children: the screen has the follower side
+            last = _last_stage(game, pi, z, self.tol)
+            zero_l = np.zeros(spec.n_leader_states)
+            for p in np.flatnonzero(last.valid):
+                lm, fm = joint[p]
+                vl = _leader_values(game, z, lm, fm, lambda al: zero_l)
+                out.append((lm, fm, float(pi @ vl), vl, last.chosen[p]))
+        else:
+            for lm, fm in joint:
                 z_next, children = _node_children(game, pi, z, lm, fm)
-                if t < self.horizon:
-                    cont = {al: self.values(t + 1, pi_next, z_next)
-                            for al, pi_next in children.items()}
-                    vals = _action_values(game, pi, z, lm, lambda al: cont[al][0])
-                else:
-                    cont = dict.fromkeys(children, (zero_f, zero_l))
-                    vals = _last_stage_values(game, pi, z, lm)
-                if np.any(vals[np.arange(n_f), fm] < vals.max(axis=1) - self.tol):
+                cont = {al: self.values(t + 1, pi_next, z_next)
+                        for al, pi_next in children.items()}
+                vals = _action_values(game, pi, z, lm, lambda al: cont[al][0])
+                vf = vals[np.arange(len(vals)), fm]
+                if np.any(vf < vals.max(axis=1) - self.tol):
                     continue
                 vl = _leader_values(game, z, lm, fm, lambda al: cont[al][1])
-                out.append((lm, fm, float(pi @ vl), vl))
+                out.append((lm, fm, float(pi @ vl), vl, vf))
         self._stage[key] = out
         return out
 
@@ -423,16 +482,7 @@ class _ExactStageRecursion:
                 "no pure stage equilibrium while pricing leader deviations; "
                 "tiny game not oracle-compatible", t=t, pi=pi, z=z)
         best = max(c[2] for c in cands)
-        lm, fm, _, vl = next(c for c in cands if c[2] >= best - SELECTION_TOL)
-        # follower values of the selected pair, with its own continuation
-        game = self.game
-        if t < self.horizon:
-            z_next, children = _node_children(game, pi, z, lm, fm)
-            vals = _action_values(game, pi, z, lm,
-                                  lambda al: self.values(t + 1, children[al], z_next)[0])
-        else:
-            vals = _last_stage_values(game, pi, z, lm)
-        vf = vals[np.arange(len(vals)), fm]
+        *_, vl, vf = next(c for c in cands if c[2] >= best - SELECTION_TOL)
         self._values[key] = (vf, vl)
         return self._values[key]
 
@@ -449,6 +499,63 @@ def _leader_node_gaps(game: TinyGame, ev: ProfileEvaluation,
         own = float(np.asarray(node.pi) @ ev.leader_values[key])
         gaps[key] = recursion.best_value(node.t, node.pi, node.z) - own
     return gaps
+
+
+def _ordered_max(columns: list) -> np.ndarray:
+    """Elementwise builtin ``max`` over ``columns`` in order: a later value
+    replaces the running one only when greater, so a NaN wins only first."""
+    out = columns[0]
+    for column in columns[1:]:
+        out = np.where(column > out, column, out)
+    return out
+
+
+class _Screen(NamedTuple):
+    """A ``_Group``'s profiles in arrays, in its ``combos`` order; each entry
+    equals the ``evaluate_profile`` / ``_leader_node_gaps`` quantity bit for bit."""
+
+    combos: list
+    follower_gap: np.ndarray    # (B,) ``max_follower_gap``
+    consistent: bool            # the same for every profile of a group
+    nodes: list                 # (t, pi, z) per tree node, in tree order
+    own: list                   # (B,) ex-ante leader value per tree node
+
+    def leader_gap(self, recursion: _ExactStageRecursion) -> np.ndarray:
+        """(B,) worst node shortfall against the stage optimum, pricing the
+        nodes in tree order."""
+        return _ordered_max([recursion.best_value(*node) - own
+                           for node, own in zip(self.nodes, self.own)])
+
+
+def _screen(game: TinyGame, group: _Group, tol: float) -> _Screen:
+    """Screen every profile of ``group`` at once: the last-stage rows come
+    from ``_last_stage``; the root, if any, is valued over all of them in one
+    batched ``_action_values`` / ``_leader_values`` call each."""
+    combos = group.combos()
+    picks = np.array(combos, dtype=np.intp).reshape(len(combos), len(group.states))
+    rows = {}           # each last-stage node's ``_LastStage`` rows, one per profile
+    for i, key in enumerate(sorted(group.states)):
+        table = _last_stage(game, *group.states[key], tol)
+        rows[key] = table._make(column[picks[:, i]] for column in table)
+    nodes = [(game.spec.horizon, *state) for state in group.states.values()]
+    gaps = [rows[key].gap for key in group.states]
+    own = [rows[key].own for key in group.states]
+    consistent = True
+    root = group.root
+    if root is not None:
+        pi, z, lm, fm = root.pi, root.z, root.leader_map, root.follower_map
+        z_next = _node_children(game, pi, z, lm, fm)[0]
+        consistent = all(np.array_equal(z_child, z_next) for _, z_child in group.states.values())
+
+        def after(column):
+            return lambda al: getattr(rows[root.children[al]], column)
+        vals = _action_values(game, pi, z, lm, after("chosen"))[:, np.arange(len(fm)), fm]
+        best = _action_values(game, pi, z, lm, after("best")).max(axis=2)
+        lead = _leader_values(game, z, lm, fm, after("lead"))
+        nodes.insert(0, (root.t, pi, z))
+        gaps.insert(0, (best - vals).max(axis=1))
+        own.insert(0, np.matmul(pi, lead[..., None])[..., 0])
+    return _Screen(combos, _ordered_max(gaps), consistent, nodes, own)
 
 
 @dataclass
@@ -472,22 +579,27 @@ def enumerate_smfe(game: TinyGame, initial_index: int = 0,
     recursion cannot generate.
 
     Profiles that a last-stage follower gap rules out are never formed (see
-    ``enumerate_profiles``), so the result, its order and the first leader
-    deviation pricing that raises ``NoEquilibriumError`` are those of the
-    full search.  Leader gaps prune nothing, so no such raise is skipped.
+    ``enumerate_profiles``); the rest are screened in arrays per root pair
+    (``_screen``), and only the equilibria go through ``evaluate_profile``.
+    The result, its order and the first leader deviation pricing that
+    raises ``NoEquilibriumError`` are those of the full search: leader
+    gaps are priced, in enumeration order, for every group holding a
+    profile that passes the follower and consistency checks.
     """
     recursion = _ExactStageRecursion(game, tol)
+    joint = _joint(game)
     out = []
-    for profile in enumerate_profiles(game, initial_index, tol):
-        ev = evaluate_profile(game, profile, initial_index)
-        if not (ev.consistent and ev.follower_ok(tol)):
+    for group in _groups(game, initial_index, tol):
+        screen = _screen(game, group, tol)
+        follower_ok = screen.consistent & (screen.follower_gap <= tol)
+        if not follower_ok.any():
             continue
-        gaps = _leader_node_gaps(game, ev, recursion)
-        worst = max(gaps.values())
-        if worst <= tol:
+        worst = screen.leader_gap(recursion)
+        for b in np.flatnonzero(follower_ok & (worst <= tol)):
+            ev = evaluate_profile(game, group.profile(joint, screen.combos[b]), initial_index)
             out.append(SMFEResult(
                 profile=ev.profile, evaluation=ev,
-                leader_gain=max(worst, 0.0),
+                leader_gain=max(float(worst[b]), 0.0),
                 max_follower_gain=ev.max_follower_gap))
     return out
 

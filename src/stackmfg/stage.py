@@ -34,7 +34,8 @@ leaves to ``einsum`` run as left-to-right chains in its order and those it
 leaves to BLAS as stacked ``matmul``, so the arrays are bit-identical to a
 per-pair build.  The mixed check keeps each row's leader side (Bayes
 steps, belief stencils and kernel terms) from the pair arrays and builds
-what the follower prescription moves for every row and map in one batch.
+what the follower prescription moves for every row and map, in batches
+of at most ``MIXED_BATCH`` (row, map) pairs.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ from .grids import JointGrid, JointTable, build_grid, simplex_stencils, stencil_
 _MIX = np.int64(0x9E3779B97F4A7C15 - 2**64)     # odd multiplier of the row mix
 MIXED_STEP = 0.1            # mesh of the optional mixed leader grid
 MIXED_CANDIDATE_CAP = 100_000
+MIXED_BATCH = 4_096         # (row, uniform map) pairs per mixed-check batch
 
 
 @dataclass
@@ -485,24 +487,29 @@ class StageEngine:
     def _mixed_fixed(self, rows, vf_flat, vl_flat):
         """Mixed follower fixed points of ``rows`` (state × leader candidate).
 
-        Every row meets every ``_uniform_maps`` map in one batch, and takes
-        the first map whose follower values are within ``br_tol`` of each
-        type's best objective.  Returns {row: (follower prescription, leader
-        objective, follower values, leader values)} for the rows with such
-        a map.
+        Every row meets every ``_uniform_maps`` map, in batches of whole
+        rows holding at most ``MIXED_BATCH`` (row, map) pairs (one row at
+        least), and takes the first map whose follower values are within
+        ``br_tol`` of each type's best objective.  Returns {row: (follower
+        prescription, leader objective, follower values, leader values)}
+        for the rows with such a map.
         """
         if not len(rows):
             return {}
         maps = _uniform_maps(self.spec.n_follower_states, self.spec.n_follower_actions)
         M = len(maps)
-        Ff = np.tile(maps, (len(rows), 1, 1))
-        obj, fv, lead, lv = (x[:, 0] for x in _evaluate(
-            self._mixed(np.repeat(rows, M), Ff), Ff[:, None], vf_flat, vl_flat,
-            self.spec.discount))
-        ok = ~np.any(fv < _fold(np.maximum, obj) - self.config.br_tol, axis=1).reshape(-1, M)
-        flat = np.arange(len(rows)) * M + np.argmax(ok, axis=1)
-        return {int(rows[r]): (Ff[k], lead[k], fv[k], lv[k])
-                for r, k in enumerate(flat) if ok[r].any()}
+        step = max(1, MIXED_BATCH // M)
+        out = {}
+        for batch in (rows[i:i + step] for i in range(0, len(rows), step)):
+            Ff = np.tile(maps, (len(batch), 1, 1))
+            obj, fv, lead, lv = (x[:, 0] for x in _evaluate(
+                self._mixed(np.repeat(batch, M), Ff), Ff[:, None], vf_flat, vl_flat,
+                self.spec.discount))
+            ok = ~np.any(fv < _fold(np.maximum, obj) - self.config.br_tol, axis=1).reshape(-1, M)
+            flat = np.arange(len(batch)) * M + np.argmax(ok, axis=1)
+            out.update({int(batch[r]): (Ff[k], lead[k], fv[k], lv[k])
+                        for r, k in enumerate(flat) if ok[r].any()})
+        return out
 
     def sweep(self, vf_flat, vl_flat, t: Optional[int] = None,
               prefer: Optional[Callable] = None) -> StageSweep:

@@ -122,12 +122,34 @@ def assert_matches_exhaustive(spec):
         assert same_rows(got.leader_values, ev.leader_values)
 
 
-@pytest.mark.parametrize("spec", [
-    toy_spec_two_leader_states(), toy_spec(horizon=1, seed=4),
-    toy_spec_two_leader_states(horizon=1), zero_reward_spec(),
-    *(tiny_game_spec(seed, n_al) for seed in range(6) for n_al in (2, 3))],
-    ids=["two-leader-types", "horizon-1", "two-leader-types-horizon-1", "zero-reward",
-         *(f"tiny-{seed}-{n_al}al" for seed in range(6) for n_al in (2, 3))])
+def nan_gap_spec():
+    """``toy_spec(horizon=2, seed=1, n_leader_actions=3)`` with an infinite
+    follower reward for type a wherever z_b > 0.5: its rows there are
+    [inf, inf], whose follower gap inf - inf is NaN."""
+    spec = toy_spec(horizon=2, seed=1, n_leader_actions=3)
+
+    def follower_reward(z, xl, xf, al, af):
+        return np.inf if xf == 0 and z[1] > 0.5 else spec.follower_reward(z)[xl, xf, al, af]
+
+    return s.GameSpec.from_callables(
+        follower_states=spec.follower_states, leader_states=spec.leader_states,
+        follower_actions=spec.follower_actions, leader_actions=spec.leader_actions,
+        leader_kernel=lambda z, al, xl: spec.leader_kernel(z)[xl, al],
+        follower_kernel=lambda z, *idx: spec.follower_kernel(z)[idx],
+        follower_reward=follower_reward,
+        leader_reward=lambda z, xl, al, gf: spec.leader_reward(z, gf)[xl, al],
+        discount=spec.discount, horizon=2, name="nan-gap",
+        initial_leader_belief=[1.0], initial_mean_field=[0.5, 0.5])
+
+
+PRUNED_SPECS = [toy_spec_two_leader_states(), toy_spec(horizon=1, seed=4),
+                toy_spec_two_leader_states(horizon=1), zero_reward_spec(),
+                *(tiny_game_spec(seed, n_al) for seed in range(6) for n_al in (2, 3))]
+PRUNED_IDS = ["two-leader-types", "horizon-1", "two-leader-types-horizon-1", "zero-reward",
+              *(f"tiny-{seed}-{n_al}al" for seed in range(6) for n_al in (2, 3))]
+
+
+@pytest.mark.parametrize("spec", PRUNED_SPECS, ids=PRUNED_IDS)
 def test_pruned_enumeration_matches_exhaustive(spec):
     """Dropping last-stage follower deviations before profiles are formed
     keeps every equilibrium, its order, and every value bit."""
@@ -145,22 +167,84 @@ def passes_last_stage(ev, horizon, tol=1e-9):
                    for k, node in ev.tree.items() if node.t == horizon)
 
 
-@pytest.mark.parametrize("n_al, evaluated, total", [(2, 16, 64), (3, 36, 144)])
-def test_only_profiles_passing_the_last_stage_are_evaluated(monkeypatch, n_al, evaluated, total):
+@pytest.mark.parametrize("n_al, screened, total", [(2, 16, 64), (3, 36, 144)])
+def test_only_profiles_passing_the_last_stage_are_screened(monkeypatch, n_al, screened, total):
+    """The screen visits exactly the profiles that pass the last stage, in
+    enumeration order, and only the equilibria are evaluated one by one."""
     spec = tiny_game_spec(0, n_al)
     _, reference = exhaustive_smfe(make_tiny(spec))
     assert len(reference) == total
-    assert sum(passes_last_stage(ev, spec.horizon) for ev in reference) == evaluated
-    calls = []
-    evaluate = s.oracle.evaluate_profile
+    passing = [ev.profile for ev in reference if passes_last_stage(ev, spec.horizon)]
+    assert len(passing) == screened
+    visited, calls = [], []
+    screen, evaluate = s.oracle._screen, s.oracle.evaluate_profile
+
+    def visiting(game, group, tol):
+        out = screen(game, group, tol)
+        visited.extend(group.profile(s.oracle._joint(game), combo) for combo in out.combos)
+        return out
 
     def counted(game, profile, initial_index=0):
         calls.append(profile)
         return evaluate(game, profile, initial_index)
 
+    monkeypatch.setattr(s.oracle, "_screen", visiting)
     monkeypatch.setattr(s.oracle, "evaluate_profile", counted)
-    s.enumerate_smfe(make_tiny(spec))
-    assert calls == [ev.profile for ev in reference if passes_last_stage(ev, spec.horizon)]
+    results = s.enumerate_smfe(make_tiny(spec))
+    assert visited == passing
+    assert results and calls == [r.profile for r in results]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("spec", [*PRUNED_SPECS, nan_gap_spec()], ids=[*PRUNED_IDS, "nan-gap"])
+def test_screen_matches_evaluate_profile_bit_for_bit(spec):
+    """For every pruned profile, the screen's follower gap, consistency and
+    worst leader gap are ``evaluate_profile``'s and ``_leader_node_gaps``'."""
+    game = make_tiny(spec)
+    joint = s.oracle._joint(game)
+    recursion = s.oracle._ExactStageRecursion(game)
+    screened, gaps = [], []
+    for group in s.oracle._groups(game, 0, 1e-9):
+        screen = s.oracle._screen(game, group, 1e-9)
+        worst = screen.leader_gap(recursion)
+        for b, combo in enumerate(screen.combos):
+            ev = s.oracle.evaluate_profile(game, group.profile(joint, combo))
+            screened.append(ev.profile)
+            gaps.append(ev.max_follower_gap)
+            assert bits(screen.follower_gap[b]) == bits(ev.max_follower_gap)
+            assert screen.consistent == ev.consistent
+            node_gaps = s.oracle._leader_node_gaps(game, ev, recursion)
+            assert bits(worst[b]) == bits(max(node_gaps.values()))
+    assert screened == s.oracle.enumerate_profiles(game)
+    assert any(np.isnan(gaps)) == (spec.name == "nan-gap")
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_nan_gap_game_matches_exhaustive():
+    """A NaN last-stage gap prunes nothing and the search keeps every bit."""
+    game = make_tiny(nan_gap_spec())
+    kept = [ev for ev in exhaustive_smfe(game)[1] if passes_last_stage(ev, 2)]
+    assert s.oracle.enumerate_profiles(game) == [ev.profile for ev in kept]
+    assert any(np.isnan(ev.follower_best[k] - ev.follower_values[k]).any()
+               for ev in kept for k, node in ev.tree.items() if node.t == 2)
+    assert_matches_exhaustive(nan_gap_spec())
+
+
+def test_only_states_before_the_horizon_step_the_mean_field(monkeypatch):
+    """The last stage builds no children: every mean-field step the search
+    takes is one of the root's pairs."""
+    spec = tiny_game_spec(0, 3)
+    game = make_tiny(spec)
+    step, states = s.oracle.mean_field_step, []
+
+    def counted(pi, z, *args):
+        states.append((bits(pi), bits(z)))
+        return step(pi, z, *args)
+
+    monkeypatch.setattr(s.oracle, "mean_field_step", counted)
+    assert s.enumerate_smfe(game)
+    pi1, z1 = game.initial_points[0]
+    assert states == [(bits(pi1), bits(z1))] * (3 * 4)     # leader maps x follower maps
 
 
 def test_zero_reward_game_everything_is_smfe():
@@ -397,8 +481,9 @@ def test_memoised_arrays_are_read_only():
                          ids=["tiny-0-3al", "two-leader-types"])
 def test_leader_pricing_reads_last_stage_action_values_from_the_memo(monkeypatch, spec):
     """After enumeration, pricing the root computes ``_action_values`` only
-    for the root's own pairs and the selected one: the last-stage tables come
-    from the memo, and the report equals one computed without it."""
+    for the root's own pairs: the last-stage tables come from the memo, the
+    selected pair's follower values from its candidate, and the report
+    equals one computed without the memo."""
     n_f = spec.n_follower_states
     action_values = s.oracle._action_values
     monkeypatch.setattr(s.oracle, "_last_stage_values", lambda game, pi, z, lm: action_values(
@@ -418,4 +503,4 @@ def test_leader_pricing_reads_last_stage_action_values_from_the_memo(monkeypatch
     monkeypatch.setattr(s.oracle, "_action_values", counted)
     s.oracle._ExactStageRecursion(game).values(1, *game.initial_points[0])
     n_pairs = spec.n_leader_actions ** spec.n_leader_states * spec.n_follower_actions ** n_f
-    assert len(calls) == n_pairs + 1
+    assert len(calls) == n_pairs

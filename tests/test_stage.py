@@ -681,3 +681,55 @@ def test_mixed_check_count_is_capped_before_any_array(monkeypatch):
     spec = toy_spec()
     joint = toy_joint_grid(spec)
     StageEngine(spec, joint).sweep(*(table.flat_values() for table in zero_tables(spec, joint)))
+
+
+def same_mixed(a: dict, b: dict) -> bool:
+    return a.keys() == b.keys() and all(
+        np.asarray(x).tobytes() == np.asarray(y).tobytes()
+        for row in a for x, y in zip(a[row], b[row]))
+
+
+def test_mixed_check_batches_rows_under_the_pair_cap(monkeypatch):
+    """The mixed check takes whole rows in batches of at most MIXED_BATCH
+    (row, map) pairs, one row at least, and returns the bits of one row at
+    a time and of a single batch."""
+    sizes = []
+    mixed = StageEngine._mixed
+    monkeypatch.setattr(StageEngine, "_mixed",
+                        lambda self, rows, Ff: sizes.append(len(rows)) or mixed(self, rows, Ff))
+    for engine, vf, vl in fallback_cases():
+        rows = np.flatnonzero(~engine._evaluate_pure(vf, vl)[3].any(axis=1))
+        M = len(stage._uniform_maps(engine.spec.n_follower_states, engine.spec.n_follower_actions))
+        got = {}
+        for cap, per_batch in ((1, 1), (3 * M + 1, 3), (10 ** 9, len(rows))):
+            monkeypatch.setattr(stage, "MIXED_BATCH", cap)
+            sizes.clear()
+            got[cap] = engine._mixed_fixed(rows, vf, vl)
+            assert sizes == [M * len(rows[i:i + per_batch])
+                             for i in range(0, len(rows), per_batch)]
+        assert same_mixed(got[1], got[3 * M + 1]) and same_mixed(got[1], got[10 ** 9])
+
+
+def test_mixed_check_of_many_maps_takes_one_row_at_a_time(monkeypatch):
+    """Four follower types of three actions have 2,320 uniform maps, so each
+    of the 7 fallback rows of this sweep is its own batch, with the bits of
+    one batch of all of them.  The signal family's 19 maps keep a sweep of
+    149 fallback rows in one batch."""
+    assert stage.MIXED_BATCH // len(stage._uniform_maps(3, 2)) >= 149
+    spec = random_stochastic_spec(2, n_f=4, n_l=1, n_af=3, n_al=2)
+    joint = s.JointGrid(pi_grid=s.build_grid(1, 1), z_grid=s.build_grid(4, 2))
+    engine = StageEngine(spec, joint)
+    rng = np.random.default_rng(1)
+    vf = rng.normal(scale=10.0, size=(joint.n_points, 4))
+    vl = rng.normal(scale=10.0, size=(joint.n_points, 1))
+    rows = np.flatnonzero(~engine._evaluate_pure(vf, vl)[3].any(axis=1))
+    assert len(rows) == 7 and len(stage._uniform_maps(4, 3)) == 2320
+    sizes = []
+    mixed = StageEngine._mixed
+    monkeypatch.setattr(StageEngine, "_mixed",
+                        lambda self, rows, Ff: sizes.append(len(rows)) or mixed(self, rows, Ff))
+    chunked = engine._mixed_fixed(rows, vf, vl)
+    assert sizes == [2320] * 7
+    monkeypatch.setattr(stage, "MIXED_BATCH", 7 * 2320)
+    assert same_mixed(chunked, engine._mixed_fixed(rows, vf, vl))
+    assert sizes[7:] == [7 * 2320]
