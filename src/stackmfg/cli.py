@@ -147,14 +147,21 @@ def _print_reuse(trajectory):
           f"{trajectory.reused_steps} reused")
 
 
-def run(args) -> int:
-    """Solve a game, roll the equilibrium forward, write all artifacts."""
-    spec = build_spec(args)
-    _check_starts(spec, args)
+def _validated(spec, args) -> JointGrid:
+    """The grids of ``spec``, once it passes ``validate`` at their mean-field
+    resolution, capped at 25."""
     joint = _grids(spec, args)
     report = validate(spec, grid_resolution=min(joint.z_grid.resolution, 25))
     if not report.ok:
         raise ValueError(f"game definition failed validation:\n{report}")
+    return joint
+
+
+def run(args) -> int:
+    """Solve a game, roll the equilibrium forward, write all artifacts."""
+    spec = build_spec(args)
+    _check_starts(spec, args)
+    joint = _validated(spec, args)
 
     solver_config = _solver_config(args)
     convergence = None
@@ -224,10 +231,10 @@ def cmd_validate(args) -> int:
 
 def cmd_oracle(args) -> int:
     spec = build_spec(args)
+    joint = _validated(spec, args)
     game = TinyGame(spec, initial_points=config_initial_points(spec))
     generator = None
     if args.check_solver:
-        joint = _grids(spec, args)
         with _failing(StackMFGError, "solver failed"):
             generator, _ = backward_pass(spec, joint, config=_solver_config(args))
     with _failing(NoEquilibriumError, "no stage equilibrium in the oracle"):

@@ -14,11 +14,15 @@ in its ``TinyGame``, keyed by exact bytes.
 Profiles are formed only from last-stage prescription pairs that pass the
 follower check on their own: with a zero continuation a last-stage node's
 follower gap depends on that node alone, so a profile holding a larger gap
-fails whatever its other nodes do.  Each exact last-stage state is priced
-once, for every pair in one array pass.  The profiles that share a root pair
-are then screened together in arrays, in enumeration order; each screened
-quantity equals ``evaluate_profile``'s bit for bit, so the results are those
-of the exhaustive search, and only the equilibria are evaluated one by one.
+fails whatever its other nodes do.  Every exact public state a search
+meets is priced once, every prescription pair in one array pass
+(``_stage_table``): at the horizon against a zero continuation, before it
+against the stage selection at each child.  That one table prunes the last
+stage, screens the profiles and prices leader deviations.  The profiles that
+share a root pair are screened together in arrays, in enumeration order;
+each screened quantity equals ``evaluate_profile``'s bit for bit, so the
+results are those of the exhaustive search, and only the equilibria are
+evaluated one by one.
 """
 
 from __future__ import annotations
@@ -67,9 +71,8 @@ class TinyGame:
     ``_memo`` keeps for the game's lifetime, under the exact float64 bytes
     of beliefs and mean fields (never rounded node keys), the tensors per
     mean field (the spec ``_tensors`` reads them), the children per map
-    pair, pure prescriptions, leader reward rows, last-stage follower action
-    values per leader map, the ``_LastStage`` screen per last-stage state,
-    and node keys, read-only.
+    pair, pure prescriptions, leader reward rows, the ``_Stage`` table per
+    (t, state, tol), and node keys, read-only.
     """
 
     spec: GameSpec
@@ -169,14 +172,6 @@ def _node_children(game, pi, z, leader_map, follower_map):
                           children)
 
 
-def _last_stage_values(game, pi, z, leader_map) -> np.ndarray:
-    """``_action_values`` at a last-stage node, whose continuation is zero:
-    one table per (exact state, leader map), memoised in ``game``."""
-    n_f = game.spec.n_follower_states
-    return game._memoised(("last_stage", _exact(pi), _exact(z), leader_map), lambda: _frozen(
-        _action_values(game, pi, z, leader_map, lambda al: np.zeros(n_f))))
-
-
 def _joint(game) -> tuple:
     """Every (leader map, follower map) pair, leader maps outer."""
     spec = game.spec
@@ -185,11 +180,12 @@ def _joint(game) -> tuple:
         itertools.product(range(spec.n_follower_actions), repeat=spec.n_follower_states))))
 
 
-class _LastStage(NamedTuple):
-    """Every pair of ``_joint`` at one last-stage state, whose continuation is
-    zero, by pair index: ``valid`` is ``_ExactStageRecursion``'s stage test,
-    and each other row is, bit for bit, what ``evaluate_profile`` and
-    ``_leader_node_gaps`` compute for the pair at a node there."""
+class _Stage(NamedTuple):
+    """Every pair of ``_joint`` at one exact public state, by pair index,
+    valued against the ``_selected`` rows of its children: a zero
+    continuation at the horizon, where each row is, bit for bit, what
+    ``evaluate_profile`` and ``_leader_node_gaps`` compute for the pair at a
+    node there."""
 
     chosen: np.ndarray      # (P, n_f) value of each type's prescribed action
     best: np.ndarray        # (P, n_f) value of each type's best action
@@ -199,26 +195,64 @@ class _LastStage(NamedTuple):
     own: np.ndarray         # (P,) ex-ante leader value
 
 
-def _last_stage(game, pi, z, tol: float) -> _LastStage:
-    """The ``_last_stage_values`` tables of every leader map, stacked and
-    screened in one elementwise pass: once per (exact state, tol), memoised
-    in ``game``."""
-    def screen():
-        spec, n_f = game.spec, game.spec.n_follower_states
+def _stage_table(game, t: int, pi, z, tol: float) -> _Stage:
+    """The ``_Stage`` at (t, pi, z): one ``_action_values`` call per leader
+    map, its follower maps the batch axis; once per (t, exact state, tol),
+    memoised in ``game``.  Children are priced in pair order, so the first
+    one without a stage equilibrium raises."""
+    def table():
+        spec, n_f = game._tensors, game.spec.n_follower_states
         joint = _joint(game)
         leader_maps = list(dict.fromkeys(lm for lm, _ in joint))
         follower_maps = list(dict.fromkeys(fm for _, fm in joint))
-        tables = np.stack([_last_stage_values(game, pi, z, lm) for lm in leader_maps])
-        chosen = tables[:, np.arange(n_f), np.array(follower_maps)].reshape(len(joint), n_f)
-        best = np.repeat(tables.max(axis=2), len(follower_maps), axis=0)
-        # ``_leader_values`` without a continuation: rl[x_l, leader_map[x_l]]
         rewards = np.stack([_leader_reward(game, z, leader_maps[0], fm) for fm in follower_maps])
-        lead = rewards[np.arange(len(follower_maps))[:, None], np.arange(spec.n_leader_states),
-                       np.array(leader_maps)[:, None]].reshape(len(joint), -1)
-        return _LastStage(*map(_frozen, (
+        ql = spec.leader_kernel(z)
+        columns = []
+        for lm in leader_maps:
+            # leader action -> (V^f, V^l) rows after it, one per follower map
+            after = dict.fromkeys(lm, (np.zeros((len(follower_maps), n_f)), None))
+            if t < game.spec.horizon:
+                picked = {}
+                for fm in follower_maps:
+                    z_next, children = _node_children(game, pi, z, lm, fm)
+                    for al, pi_next in children.items():
+                        picked.setdefault(al, []).append(
+                            _selected(game, t + 1, pi_next, z_next, tol))
+                after = {al: tuple(map(np.stack, zip(*rows))) for al, rows in picked.items()}
+            values = _action_values(game, pi, z, lm, lambda al: after[al][0])
+            # ``_leader_values`` with the follower maps as the batch axis
+            lead = np.stack([rewards[:, xl, al] if after[al][1] is None else
+                             rewards[:, xl, al] + spec.discount
+                             * np.matmul(ql[xl, al], after[al][1][..., None])[..., 0]
+                             for xl, al in enumerate(lm)], axis=-1)
+            columns.append((np.take_along_axis(values, np.array(follower_maps)[..., None],
+                                               axis=2)[..., 0], values.max(axis=2), lead))
+        chosen, best, lead = map(np.concatenate, zip(*columns))
+        return _Stage(*map(_frozen, (
             chosen, best, (best - chosen).max(axis=1), ~np.any(chosen < best - tol, axis=1),
             lead, np.matmul(pi, lead[..., None])[..., 0])))
-    return game._memoised(("screen", _exact(pi), _exact(z), tol), screen)
+    return game._memoised(("stage", t, _exact(pi), _exact(z), tol), table)
+
+
+def _best_value(game, t: int, pi, z, tol: float) -> float:
+    """The best ex-ante leader value of a valid pair at (t, pi, z): builtin
+    ``max`` in pair order, so a NaN wins only first; -inf if there is none."""
+    table = _stage_table(game, t, pi, z, tol)
+    return max(table.own[table.valid].tolist(), default=-np.inf)
+
+
+def _selected(game, t: int, pi, z, tol: float):
+    """(V^f, V^l) rows of the leader-optimistic stage selection at (t, pi,
+    z): the first valid pair whose leader value is within ``SELECTION_TOL``
+    of the best."""
+    table = _stage_table(game, t, pi, z, tol)
+    best = _best_value(game, t, pi, z, tol)
+    for p in np.flatnonzero(table.valid):
+        if table.own[p] >= best - SELECTION_TOL:
+            return table.chosen[p], table.lead[p]
+    raise NoEquilibriumError(
+        f"no pure stage equilibrium within {SELECTION_TOL} of the best leader value {best} "
+        "while pricing leader deviations; tiny game not oracle-compatible", t=t, pi=pi, z=z)
 
 
 @dataclass
@@ -248,10 +282,10 @@ def _groups(game: TinyGame, initial_index: int, tol: float) -> list:
     at horizon 1), in enumeration order.  A last-stage pair is kept unless
     its follower gap exceeds ``tol``; ``max_profiles`` caps the unpruned count.
     """
-    joint = _joint(game)
+    joint, horizon = _joint(game), game.spec.horizon
     pi1, z1 = game.initial_points[initial_index]
     root_key = game._key(1, pi1, z1)
-    roots = [None] if game.spec.horizon == 1 else [
+    roots = [None] if horizon == 1 else [
         _Node(t=1, pi=pi1, z=z1, leader_map=lm, follower_map=fm) for lm, fm in joint]
     groups, count = [], 0
     for root in roots:
@@ -267,7 +301,7 @@ def _groups(game: TinyGame, initial_index: int, tol: float) -> list:
         if count > game.max_profiles:
             raise EnumerationTooLarge(f"profile enumeration exceeded cap {game.max_profiles}")
         groups.append(_Group(root_key, root, states, {
-            key: np.flatnonzero(~(_last_stage(game, *state, tol).gap > tol)).tolist()
+            key: np.flatnonzero(~(_stage_table(game, horizon, *state, tol).gap > tol)).tolist()
             for key, state in states.items()}))
     return groups
 
@@ -418,86 +452,12 @@ def _check_consistency(game, tree) -> bool:
     return True
 
 
-class _ExactStageRecursion:
-    """Exact stage equilibria at arbitrary public states, no grids.
-
-    Works backward from the terminal time: at each queried (t, belief, mean
-    field) it enumerates every pure prescription pair, keeps the pairs whose
-    follower side is a self-consistent best response, and values them with
-    the leader-optimistic continuation at the exact child states.  Used to
-    price leader deviations: the leader must be unimprovable at every time,
-    so candidate profiles are compared against these stage optima node by
-    node.
-    """
-
-    def __init__(self, game: TinyGame, tol: float = 1e-9):
-        self.game = game
-        self.horizon = game.spec.horizon
-        self.tol = tol
-        self._stage = {}
-        self._values = {}
-
-    def stage_candidates(self, t: int, pi, z):
-        """(leader map, follower map, ex-ante leader value, V^l row, V^f row)
-        per stage-valid pair at this public state."""
-        game, spec = self.game, self.game.spec
-        key = game._key(t, pi, z)
-        if key in self._stage:
-            return self._stage[key]
-        pi = np.asarray(pi, dtype=np.float64)
-        z = np.asarray(z, dtype=np.float64)
-        joint = _joint(game)
-        out = []
-        if t == self.horizon:       # no children: the screen has the follower side
-            last = _last_stage(game, pi, z, self.tol)
-            zero_l = np.zeros(spec.n_leader_states)
-            for p in np.flatnonzero(last.valid):
-                lm, fm = joint[p]
-                vl = _leader_values(game, z, lm, fm, lambda al: zero_l)
-                out.append((lm, fm, float(pi @ vl), vl, last.chosen[p]))
-        else:
-            for lm, fm in joint:
-                z_next, children = _node_children(game, pi, z, lm, fm)
-                cont = {al: self.values(t + 1, pi_next, z_next)
-                        for al, pi_next in children.items()}
-                vals = _action_values(game, pi, z, lm, lambda al: cont[al][0])
-                vf = vals[np.arange(len(vals)), fm]
-                if np.any(vf < vals.max(axis=1) - self.tol):
-                    continue
-                vl = _leader_values(game, z, lm, fm, lambda al: cont[al][1])
-                out.append((lm, fm, float(pi @ vl), vl, vf))
-        self._stage[key] = out
-        return out
-
-    def values(self, t: int, pi, z):
-        """(V^f, V^l) rows of the leader-optimistic stage selection: the
-        first stage-valid pair whose leader value is within ``SELECTION_TOL``
-        of the best."""
-        key = self.game._key(t, pi, z)
-        if key in self._values:
-            return self._values[key]
-        cands = self.stage_candidates(t, pi, z)
-        if not cands:
-            raise NoEquilibriumError(
-                "no pure stage equilibrium while pricing leader deviations; "
-                "tiny game not oracle-compatible", t=t, pi=pi, z=z)
-        best = max(c[2] for c in cands)
-        *_, vl, vf = next(c for c in cands if c[2] >= best - SELECTION_TOL)
-        self._values[key] = (vf, vl)
-        return self._values[key]
-
-    def best_value(self, t: int, pi, z) -> float:
-        cands = self.stage_candidates(t, pi, z)
-        return max(c[2] for c in cands) if cands else -np.inf
-
-
-def _leader_node_gaps(game: TinyGame, ev: ProfileEvaluation,
-                      recursion: _ExactStageRecursion):
+def _leader_node_gaps(game: TinyGame, ev: ProfileEvaluation, tol: float):
     """Per-node shortfall of the profile's leader value vs the stage optimum."""
     gaps = {}
     for key, node in ev.tree.items():
         own = float(np.asarray(node.pi) @ ev.leader_values[key])
-        gaps[key] = recursion.best_value(node.t, node.pi, node.z) - own
+        gaps[key] = _best_value(game, node.t, node.pi, node.z, tol) - own
     return gaps
 
 
@@ -520,22 +480,22 @@ class _Screen(NamedTuple):
     nodes: list                 # (t, pi, z) per tree node, in tree order
     own: list                   # (B,) ex-ante leader value per tree node
 
-    def leader_gap(self, recursion: _ExactStageRecursion) -> np.ndarray:
+    def leader_gap(self, game: TinyGame, tol: float) -> np.ndarray:
         """(B,) worst node shortfall against the stage optimum, pricing the
         nodes in tree order."""
-        return _ordered_max([recursion.best_value(*node) - own
+        return _ordered_max([_best_value(game, *node, tol) - own
                            for node, own in zip(self.nodes, self.own)])
 
 
 def _screen(game: TinyGame, group: _Group, tol: float) -> _Screen:
     """Screen every profile of ``group`` at once: the last-stage rows come
-    from ``_last_stage``; the root, if any, is valued over all of them in one
-    batched ``_action_values`` / ``_leader_values`` call each."""
+    from the horizon's ``_stage_table``; the root, if any, is valued over all
+    of them in one batched ``_action_values`` / ``_leader_values`` call each."""
     combos = group.combos()
     picks = np.array(combos, dtype=np.intp).reshape(len(combos), len(group.states))
-    rows = {}           # each last-stage node's ``_LastStage`` rows, one per profile
+    rows = {}           # each last-stage node's ``_Stage`` rows, one per profile
     for i, key in enumerate(sorted(group.states)):
-        table = _last_stage(game, *group.states[key], tol)
+        table = _stage_table(game, game.spec.horizon, *group.states[key], tol)
         rows[key] = table._make(column[picks[:, i]] for column in table)
     nodes = [(game.spec.horizon, *state) for state in group.states.values()]
     gaps = [rows[key].gap for key in group.states]
@@ -586,7 +546,6 @@ def enumerate_smfe(game: TinyGame, initial_index: int = 0,
     gaps are priced, in enumeration order, for every group holding a
     profile that passes the follower and consistency checks.
     """
-    recursion = _ExactStageRecursion(game, tol)
     joint = _joint(game)
     out = []
     for group in _groups(game, initial_index, tol):
@@ -594,7 +553,7 @@ def enumerate_smfe(game: TinyGame, initial_index: int = 0,
         follower_ok = screen.consistent & (screen.follower_gap <= tol)
         if not follower_ok.any():
             continue
-        worst = screen.leader_gap(recursion)
+        worst = screen.leader_gap(game, tol)
         for b in np.flatnonzero(follower_ok & (worst <= tol)):
             ev = evaluate_profile(game, group.profile(joint, screen.combos[b]), initial_index)
             out.append(SMFEResult(
@@ -628,8 +587,7 @@ def deviation_gain(profile: OracleProfile, game: TinyGame, player: str,
                 gaps.append(_one_shot_gain(game, ev, key, xf))
         return max(gaps) if gaps else 0.0
     if player == "leader":
-        recursion = _ExactStageRecursion(game)
-        gaps = _leader_node_gaps(game, ev, recursion)
+        gaps = _leader_node_gaps(game, ev, 1e-9)
         picked = [gap for key, gap in gaps.items()
                   if (t is None or key[0] == t) and (info is None or key == info)]
         return max(picked) if picked else 0.0

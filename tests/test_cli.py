@@ -156,13 +156,40 @@ def test_oracle_rejects_a_solver_profile_it_cannot_check(tmp_path, capsys, case)
 def test_oracle_without_stage_equilibrium_exits_4(tmp_path, capsys, monkeypatch):
     """A public state where pricing a leader deviation finds no pure stage
     equilibrium exits 4 with its stage and public state."""
-    candidates = oracle._ExactStageRecursion.stage_candidates
-    monkeypatch.setattr(oracle._ExactStageRecursion, "stage_candidates",
-                        lambda self, t, pi, z: [] if t == 2 else candidates(self, t, pi, z))
+    stage_table = oracle._stage_table
+
+    def without_valid_pairs_at_t2(game, t, pi, z, tol):
+        table = stage_table(game, t, pi, z, tol)
+        return table._replace(valid=np.zeros_like(table.valid)) if t == 2 else table
+
+    monkeypatch.setattr(oracle, "_stage_table", without_valid_pairs_at_t2)
     out = tmp_path / "oracle"
     assert run_cli(["oracle", "--game-file", str(SAMPLE_GAME), "--out", str(out)]) == 4
     err = capsys.readouterr().err
     assert "no stage equilibrium in the oracle" in err and "t=2" in err and "z=[" in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field, path, value, issue", [
+    ("leader_reward", (0, 0), float("nan"), "leader reward (x^l=0, a^l=0) at probe 0 is nan"),
+    ("follower_kernel", (0, 0, 0, 0), [1.0, 0.4], "row sums to 1.4")])
+def test_oracle_validates_the_game_first(tmp_path, capsys, field, path, value, issue):
+    """``oracle`` runs ``solve``'s validation: a NaN leader reward or a kernel
+    row summing to 1.4 exits 3 with one ``error:`` line and writes no report."""
+    game = json.loads(SAMPLE_GAME.read_text())
+    entry = game[field]
+    for index in path[:-1]:
+        entry = entry[index]
+    entry[path[-1]] = value
+    target = tmp_path / "game.json"
+    target.write_text(json.dumps(game))
+    out = tmp_path / "oracle"
+    assert run_cli(["oracle", "--game-file", str(target), "--z-res", "4",
+                    "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: game definition failed validation:"], err
+    assert issue in err, err
     assert not out.exists()
 
 

@@ -2,13 +2,16 @@
 
 import dataclasses
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import stackmfg as s
 from conftest import solve_clean_tiny, toy_spec, toy_spec_two_leader_states
-from stackmfg.gamefile import load_game_dict
+from stackmfg.gamefile import load_game_dict, load_game_file
+
+SAMPLE_GAME = Path(__file__).resolve().parent.parent / "sample_games" / "tiny.json"
 
 
 def make_tiny(spec, **kw):
@@ -87,14 +90,13 @@ def exhaustive_smfe(game, initial_index=0, tol=1e-9):
     """The unpruned reference: every profile evaluated, then the consistency,
     follower and leader-gap filter of ``enumerate_smfe``.  Returns
     (evaluation, leader gain) per equilibrium and the evaluations made."""
-    recursion = s.oracle._ExactStageRecursion(game, tol)
     out, evaluations = [], []
     for profile in all_profiles(game, initial_index):
         ev = s.oracle.evaluate_profile(game, profile, initial_index)
         evaluations.append(ev)
         if not (ev.consistent and ev.follower_ok(tol)):
             continue
-        worst = max(s.oracle._leader_node_gaps(game, ev, recursion).values())
+        worst = max(s.oracle._leader_node_gaps(game, ev, tol).values())
         if worst <= tol:
             out.append((ev, max(worst, 0.0)))
     return out, evaluations
@@ -202,18 +204,17 @@ def test_screen_matches_evaluate_profile_bit_for_bit(spec):
     worst leader gap are ``evaluate_profile``'s and ``_leader_node_gaps``'."""
     game = make_tiny(spec)
     joint = s.oracle._joint(game)
-    recursion = s.oracle._ExactStageRecursion(game)
     screened, gaps = [], []
     for group in s.oracle._groups(game, 0, 1e-9):
         screen = s.oracle._screen(game, group, 1e-9)
-        worst = screen.leader_gap(recursion)
+        worst = screen.leader_gap(game, 1e-9)
         for b, combo in enumerate(screen.combos):
             ev = s.oracle.evaluate_profile(game, group.profile(joint, combo))
             screened.append(ev.profile)
             gaps.append(ev.max_follower_gap)
             assert bits(screen.follower_gap[b]) == bits(ev.max_follower_gap)
             assert screen.consistent == ev.consistent
-            node_gaps = s.oracle._leader_node_gaps(game, ev, recursion)
+            node_gaps = s.oracle._leader_node_gaps(game, ev, 1e-9)
             assert bits(worst[b]) == bits(max(node_gaps.values()))
     assert screened == s.oracle.enumerate_profiles(game)
     assert any(np.isnan(gaps)) == (spec.name == "nan-gap")
@@ -458,7 +459,7 @@ def test_consistency_check_sees_a_perturbed_child():
 
 def test_memoised_arrays_are_read_only():
     """A stray in-place write into a memoised tensor, next mean field, next
-    belief or last-stage action-value table raises instead of corrupting later profiles."""
+    belief or stage table raises instead of corrupting later profiles."""
     game = make_tiny(toy_spec_two_leader_states())
     s.oracle_report(game)
     arrays = {}
@@ -466,12 +467,13 @@ def test_memoised_arrays_are_read_only():
         if key[0] == "children":
             z_next, children = value
             value = [z_next, *children.values()]
-        if isinstance(value, np.ndarray):
-            value = [value]
+        if isinstance(value, (np.ndarray, s.oracle._Stage)):
+            value = [value] if isinstance(value, np.ndarray) else list(value)
         if isinstance(value, list):
             arrays.setdefault(key[0], []).extend(value)
     assert set(arrays) == {"follower_kernel", "follower_reward", "leader_kernel",
-                           "leader_reward", "children", "last_stage"}
+                           "leader_reward", "children", "stage"}
+    assert {key[1] for key in game._memo if key[0] == "stage"} == {1, 2}
     for arr in (a for found in arrays.values() for a in found):
         with pytest.raises(ValueError):
             arr[...] = 0.0
@@ -480,27 +482,73 @@ def test_memoised_arrays_are_read_only():
 @pytest.mark.parametrize("spec", [tiny_game_spec(0, 3), toy_spec_two_leader_states()],
                          ids=["tiny-0-3al", "two-leader-types"])
 def test_leader_pricing_reads_last_stage_action_values_from_the_memo(monkeypatch, spec):
-    """After enumeration, pricing the root computes ``_action_values`` only
-    for the root's own pairs: the last-stage tables come from the memo, the
-    selected pair's follower values from its candidate, and the report
-    equals one computed without the memo."""
-    n_f = spec.n_follower_states
-    action_values = s.oracle._action_values
-    monkeypatch.setattr(s.oracle, "_last_stage_values", lambda game, pi, z, lm: action_values(
-        game, pi, z, lm, lambda al: np.zeros(n_f)))
+    """After enumeration, pricing the root calls ``_action_values`` once per
+    leader map, with its follower maps as the batch axis: the last-stage
+    tables come from the memo.  The report equals one computed with no memo
+    at all."""
+    memoised = s.TinyGame._memoised
+    monkeypatch.setattr(s.TinyGame, "_memoised", lambda self, key, compute: compute())
     unmemoised = s.oracle_report(make_tiny(spec))
-    monkeypatch.undo()
+    monkeypatch.setattr(s.TinyGame, "_memoised", memoised)
     assert s.oracle_report(make_tiny(spec)) == unmemoised
 
     game = make_tiny(spec)
     s.oracle.enumerate_profiles(game)
-    calls = []
+    action_values, shapes = s.oracle._action_values, []
 
     def counted(*args):
-        calls.append(args)
-        return action_values(*args)
+        out = action_values(*args)
+        shapes.append(out.shape)
+        return out
 
     monkeypatch.setattr(s.oracle, "_action_values", counted)
-    s.oracle._ExactStageRecursion(game).values(1, *game.initial_points[0])
-    n_pairs = spec.n_leader_actions ** spec.n_leader_states * spec.n_follower_actions ** n_f
-    assert len(calls) == n_pairs
+    s.oracle._selected(game, 1, *game.initial_points[0], 1e-9)
+    n_f, n_af = spec.n_follower_states, spec.n_follower_actions
+    assert shapes == [(n_af ** n_f, n_f, n_af)] * spec.n_leader_actions ** spec.n_leader_states
+
+
+@pytest.mark.parametrize("spec", [load_game_file(SAMPLE_GAME), toy_spec_two_leader_states()],
+                         ids=["sample-tiny", "two-leader-types"])
+def test_every_memo_kind_is_read_back(monkeypatch, spec):
+    """Each kind of ``TinyGame._memo`` entry is looked up again after it is
+    stored at least once in a report: no memo is only ever written."""
+    lookups, hits = {}, {}
+    memoised = s.TinyGame._memoised
+
+    def counted(self, key, compute):
+        lookups[key[0]] = lookups.get(key[0], 0) + 1
+        hits[key[0]] = hits.get(key[0], 0) + (key in self._memo)
+        return memoised(self, key, compute)
+
+    monkeypatch.setattr(s.TinyGame, "_memoised", counted)
+    assert s.oracle_report(make_tiny(spec))["initial_points"][0]["n_smfe"] > 0
+    assert set(lookups) == {"follower_kernel", "follower_reward", "leader_kernel", "key",
+                            "gamma", "children", "joint", "leader_reward", "stage"}
+    assert all(hits[kind] > 0 for kind in lookups), (hits, lookups)
+
+
+def nan_leader_reward_spec():
+    """``toy_spec(horizon=2, seed=1)`` whose leader reward is NaN everywhere."""
+    spec = toy_spec(horizon=2, seed=1)
+    return s.GameSpec.from_callables(
+        follower_states=spec.follower_states, leader_states=spec.leader_states,
+        follower_actions=spec.follower_actions, leader_actions=spec.leader_actions,
+        leader_kernel=lambda z, al, xl: spec.leader_kernel(z)[xl, al],
+        follower_kernel=lambda z, *idx: spec.follower_kernel(z)[idx],
+        follower_reward=lambda z, *idx: spec.follower_reward(z)[idx],
+        leader_reward=lambda z, xl, al, gf: np.nan,
+        discount=spec.discount, horizon=2, name="nan-leader",
+        initial_leader_belief=[1.0], initial_mean_field=[0.5, 0.5])
+
+
+def test_nan_leader_value_names_the_state_it_selects_at():
+    """With a NaN best leader value no pair is within ``SELECTION_TOL`` of
+    it: the report raises ``NoEquilibriumError`` at the first child priced,
+    that of the first root pair."""
+    game = make_tiny(nan_leader_reward_spec())
+    with pytest.raises(s.NoEquilibriumError, match="best leader value nan") as info:
+        s.oracle_report(game)
+    pi1, z1 = game.initial_points[0]
+    z_next, children = s.oracle._node_children(game, pi1, z1, *s.oracle._joint(game)[0])
+    assert info.value.t == 2
+    assert bits(info.value.pi) == bits(children[0]) and bits(info.value.z) == bits(z_next)

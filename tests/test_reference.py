@@ -274,9 +274,9 @@ def test_every_path_takes_the_first_of_tied_leader_actions(gain):
     assert all(sol.diagnostics.tie_events == sum(sol.diagnostics.br_set_sizes) - 1
                for row in solutions for sol in row)
     # Two stages of a^l = 0 earn 1 + 0.9 * 1; a^l = 1 anywhere earns more.
-    recursion = oracle._ExactStageRecursion(s.TinyGame(twin_leader_actions_spec(gain, 2)))
+    game = s.TinyGame(twin_leader_actions_spec(gain, 2))
     for z in grid.points:
-        assert recursion.values(1, np.array([1.0]), z)[1] == [1.0 + 0.9 * 1.0]
+        assert oracle._selected(game, 1, np.array([1.0]), z, 1e-9)[1] == [1.0 + 0.9 * 1.0]
 
 
 def test_value_iteration_is_the_scalar_loop_bit_for_bit():
