@@ -9,7 +9,7 @@ stage entry applied at every time.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -89,7 +89,7 @@ class ConvergenceReport:
         return len(self.deltas)
 
     def to_dict(self):
-        return {"iterations": self.iterations, **asdict(self)}
+        return {"iterations": self.iterations, **vars(self)}
 
 
 def _sweep(engine: StageEngine, vf, vl, where: str, **kwargs):

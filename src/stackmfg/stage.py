@@ -32,10 +32,9 @@ The kernels repeat the scalar ``belief_step_total``, ``mean_field_step``
 and ``simplex_weights`` operation for operation; sums the scalar path
 leaves to ``einsum`` run as left-to-right chains in its order and those it
 leaves to BLAS as stacked ``matmul``, so the arrays are bit-identical to a
-per-pair build.  The mixed check keeps each row's leader side (Bayes
-steps, belief stencils and kernel terms) from the pair arrays and builds
-what the follower prescription moves for every row and map, in batches
-of at most ``MIXED_BATCH`` (row, map) pairs.
+per-pair build.  The mixed check builds its rows against the uniform-support
+maps with the same function, one row per (state, leader candidate) with its
+own leader, in batches of at most ``MIXED_BATCH`` (row, map) pairs.
 """
 
 from __future__ import annotations
@@ -150,12 +149,6 @@ class _Pairs(NamedTuple):
     lead_cont: np.ndarray   # (R, A, n_l) belief-weighted leader kernel
     vl_cont: np.ndarray     # (R, A, n_l, n_l) leader kernel per leader type
     bayes: np.ndarray       # (R,) played actions where Bayes rule kept the prior
-    pi_idx: np.ndarray      # (R, A, d_pi) stencil of the next belief per slot
-    pi_w: np.ndarray        # (R, A, d_pi) its weights, zero on unplayed slots
-
-
-def _take(p: _Pairs, rows) -> _Pairs:
-    return _Pairs(*(None if a is None else a[rows] for a in p))
 
 
 def _first_seen(keys):
@@ -223,29 +216,28 @@ def _leader_terms(pi, leaders, rl):
     """Belief-averaged leader reward (..., F) and the reward per leader type
     (..., F, n_l) of leader prescriptions (..., n_l, n_al) at beliefs
     (..., n_l), from the leader rewards (..., F, n_l, n_al) against F
-    follower prescriptions; one follower prescription at a time, so the
-    products never span all F."""
+    follower prescriptions."""
     w_la = pi[..., :, None] * leaders
-    terms = [(np.sum(w_la * r, axis=(-2, -1)), np.sum(leaders * r, axis=-1))
-             for r in np.moveaxis(rl, -3, 0)]
-    return np.stack([t[0] for t in terms], axis=-1), np.stack([t[1] for t in terms], axis=-2)
+    return (np.sum(w_la[..., None, :, :] * rl, axis=(-2, -1)),
+            np.sum(leaders[..., None, :, :] * rl, axis=-1))
 
 
 def _slot_actions(leaders, n_slots: int):
-    """The leader action each slot of a leader prescription (L, n_l, n_al)
+    """The leader action each slot of leader prescriptions (..., n_l, n_al)
     plays, its played actions in increasing order, and the mask of slots in
-    use, both (L, A); unused slots name action 0."""
-    played = np.any(leaders > 0.0, axis=1)                      # (L, n_al)
-    used = np.arange(n_slots) < played.sum(axis=1, keepdims=True)
+    use, both (..., A); unused slots name action 0."""
+    played = np.any(leaders > 0.0, axis=-2)                     # (..., n_al)
+    used = np.arange(n_slots) < played.sum(axis=-1, keepdims=True)
     actions = np.zeros(used.shape, dtype=np.int64)
-    actions[used] = np.nonzero(played)[1]
+    actions[used] = np.nonzero(played)[-1]
     return actions, used
 
 
 def _build_pairs(joint: JointGrid, pi, z, tensors, leaders, followers, n_slots: int,
                  bayes_eps: float) -> _Pairs:
     """Pair arrays of the public states ``pi`` (S, n_l), ``z`` (S, n_f):
-    rows (state, leader) of ``leaders`` (L, n_l, n_al), state-major, and
+    rows (state, leader) of ``leaders`` (1 or S, L, n_l, n_al), the same
+    candidates at every state or each state its own, state-major, and
     columns ``followers`` (F, n_f, n_af), all in one batch.
 
     ``tensors`` are the states' ``_tensors``, with R^l against ``followers``;
@@ -256,40 +248,41 @@ def _build_pairs(joint: JointGrid, pi, z, tensors, leaders, followers, n_slots: 
     ``mean_field_batch``, so every array is bit-identical to a per-pair build.
     """
     QF, RF, QL, RL = tensors
-    n_l = leaders.shape[1]
-    actions, used = _slot_actions(leaders, n_slots)            # (L, A)
-    # Per slot: gamma_l(a|.) (L, A, n_l), its weight under the belief
-    # (S, L, A, n_l) and Q^l(.|z, ., a) (S, L, A, n_l, n_l).
-    column = np.swapaxes(leaders, 1, 2)[np.arange(len(leaders))[:, None], actions]
+    n_l = leaders.shape[-2]
+    actions, used = _slot_actions(leaders, n_slots)            # (1 or S, L, A)
+    state = np.arange(len(pi))[:, None, None]
+    # Per slot: gamma_l(a|.) (1 or S, L, A, n_l), its weight under the
+    # belief (S, L, A, n_l) and Q^l(.|z, ., a) (S, L, A, n_l, n_l).
+    column = np.swapaxes(np.take_along_axis(leaders, actions[..., None, :], axis=-1), -1, -2)
     w_slot = pi[:, None, None, :] * column
     # The einsum chain over (x_l, a_l) from +0, keeping the played actions'
     # terms only: with finite rewards the others are exact zeros, which
     # leave the sum unchanged.
     w_played = np.where(used[..., None], w_slot, 0.0)
-    r_f = np.moveaxis(RF, 3, 1)                                 # (S, n_al, n_l, n_f, n_af)
+    r_f = np.moveaxis(RF, 3, 1)[state, actions]                 # (S, L, A, n_l, n_f, n_af)
     base_obj = 0.0
     for xl, a in itertools.product(range(n_l), range(n_slots)):
-        base_obj = base_obj + w_played[:, :, a, xl, None, None] * r_f[:, actions[:, a], xl]
-    q_l = np.swapaxes(QL, 1, 2)[:, actions]
+        base_obj = base_obj + w_played[:, :, a, xl, None, None] * r_f[:, :, a, xl]
+    q_l = np.swapaxes(QL, 1, 2)[state, actions]
     pi_next, fell_back = belief_batch(pi[:, None, None], column, q_l, bayes_eps)
     pi_next = np.where(used[..., None], pi_next, pi[:, None, None])
     q_f = np.moveaxis(QF, 3, 1)                                 # (S, n_al, n_l, n_f, n_af, n_f)
     cont_op = 0.0
     for xl in range(n_l):
-        cont_op = cont_op + w_slot[..., xl, None, None, None] * q_f[:, actions, xl]
+        cont_op = cont_op + w_slot[..., xl, None, None, None] * q_f[state, actions, xl]
     cont_op = np.where(used[..., None, None, None], cont_op, 0.0)
     lead_cont = np.where(used[..., None], np.matmul(w_slot[..., None, :], q_l)[..., 0, :], 0.0)
     vl_cont = np.where(used[..., None, None], column[..., None] * q_l, 0.0)
     pi_idx, pi_w = simplex_stencils(joint.pi_grid, pi_next.reshape(-1, n_l))
     pi_idx = np.where(used[..., None], pi_idx.reshape(pi_next.shape[:3] + (-1,)), 0)
     pi_w = np.where(used[..., None], pi_w.reshape(pi_idx.shape), 0.0)
-    z_next = mean_field_batch(pi[:, None, None], z[:, None, None], leaders[:, None],
+    z_next = mean_field_batch(pi[:, None, None], z[:, None, None], leaders[:, :, None],
                               followers, QF[:, None, None])
     idx, w, inv = _joint_stencils(joint, pi_idx, pi_w, z_next)
     lead_base, vl_base = _leader_terms(pi[:, None], leaders, RL[:, None])
     bayes = np.sum(fell_back & used, axis=2)
     return _Pairs(idx, w, *(a.reshape((-1,) + a.shape[2:]) for a in (
-        inv, lead_base, vl_base, base_obj, cont_op, lead_cont, vl_cont, bayes, pi_idx, pi_w)))
+        inv, lead_base, vl_base, base_obj, cont_op, lead_cont, vl_cont, bayes)))
 
 
 def _interpolate(p: _Pairs, flat_values):
@@ -320,19 +313,16 @@ def _evaluate(p: _Pairs, follower_mats, vf_flat, vl_flat, discount: float):
     """Every pair against continuation tables, at its self-consistent next state.
 
     Returns follower objectives (R, F, n_f, n_af), follower values under
-    ``follower_mats`` (R, F, n_f), leader objectives (R, F) and leader values
-    per leader type (R, F, n_l); only the first two without ``vl_flat``.
-    Both tables are interpolated in one gather of [V^f | V^l].
+    ``follower_mats`` (F, n_f, n_af) as (R, F, n_f), leader objectives (R, F)
+    and leader values per leader type (R, F, n_l).  Both tables are
+    interpolated in one gather of [V^f | V^l].
     """
     n_f, (_, F, A) = vf_flat.shape[1], p.inv.shape
-    table = vf_flat if vl_flat is None else np.concatenate([vf_flat, vl_flat], axis=1)
-    values = _interpolate(p, table)
+    values = _interpolate(p, np.concatenate([vf_flat, vl_flat], axis=1))
     vf, vl = values[..., :n_f], values[..., n_f:]
     obj = np.repeat(p.base_obj[:, None], F, axis=1)
     for a in range(A):
         obj += discount * _dot(p.cont_op[:, None, a], vf[:, :, a, None, None, :])
-    if vl_flat is None:
-        return obj, _dot(follower_mats, obj)
     lead, lv = p.lead_base.copy(), p.vl_base.copy()
     for a in range(A):
         lead += discount * _dot(p.lead_cont[:, None, a], vl[:, :, a])
@@ -446,7 +436,7 @@ class StageEngine:
         self._pi = np.array([pi for pi, _ in self.states])
         self._z = np.array([z for _, z in self.states])
         self._tensors = _tensors(spec, self._z, self._follower_mats)
-        self.pairs = _build_pairs(joint, self._pi, self._z, self._tensors, self._leader_mats,
+        self.pairs = _build_pairs(joint, self._pi, self._z, self._tensors, self._leader_mats[None],
                                   self._follower_mats, self._slots, self.config.bayes_eps)
         # (distinct next states, pair slots): the gather rows and their users
         self.next_states = (len(self.pairs.idx), self.pairs.inv.size)
@@ -459,56 +449,36 @@ class StageEngine:
         ok = best | self._unplayed
         return fv, lead, lv, _fold(np.logical_and, ok.reshape(ok.shape[:2] + (-1,)))
 
-    def _mixed(self, rows, Ff) -> _Pairs:
-        """Pair arrays of ``rows`` (state × leader candidate) against one
-        mixed follower prescription each, ``Ff`` (n, n_f, n_af).
-
-        The leader side of a row (Bayes steps, belief stencils, follower
-        reward and kernel terms) is taken from ``self.pairs``; only what the
-        follower prescription moves is built: the next mean fields, their
-        stencils, the gather arrays and the leader rewards, batched over the
-        rows, one gather row per slot.
-        """
-        states = rows // len(self.leaders)
-        pi, z = self._pi[states], self._z[states]
-        G = self._leader_mats[rows % len(self.leaders)]
-        part = _take(self.pairs._replace(idx=None, w=None, inv=None, lead_base=None,
-                                         vl_base=None), rows)
-        z_next = mean_field_batch(pi, z, G, Ff, self._tensors[0][states])
-        z_idx, z_w = simplex_stencils(self.joint.z_grid, z_next)
-        idx, w = stencil_products(self.joint, (part.pi_idx, part.pi_w),
-                                  (z_idx[:, None], z_w[:, None]))         # (n, A, K)
-        K = idx.shape[-1]
-        lead_base, vl_base = _leader_terms(pi, G, self.spec.leader_reward(z, Ff)[:, None])
-        return part._replace(idx=idx.reshape(-1, K), w=w.reshape(-1, K),
-                             inv=np.arange(idx.size // K).reshape(len(idx), 1, -1),
-                             lead_base=lead_base, vl_base=vl_base)
-
     def _mixed_fixed(self, rows, vf_flat, vl_flat):
         """Mixed follower fixed points of ``rows`` (state × leader candidate).
 
         Every row meets every ``_uniform_maps`` map, in batches of whole
         rows holding at most ``MIXED_BATCH`` (row, map) pairs (one row at
-        least), and takes the first map whose follower values are within
-        ``br_tol`` of each type's best objective.  Returns {row: (follower
-        prescription, leader objective, follower values, leader values)}
-        for the rows with such a map.
+        least): one ``_build_pairs`` call, each row with its own state and
+        leader candidate and the maps as columns, on the engine's tensors
+        with R^l against the maps, and one ``_evaluate`` call.  Each row
+        takes the first map whose follower values are within ``br_tol`` of
+        each type's best objective.  Returns {row: (follower prescription,
+        leader objective, follower values, leader values)} for the rows with
+        such a map.
         """
         if not len(rows):
             return {}
         maps = _uniform_maps(self.spec.n_follower_states, self.spec.n_follower_actions)
-        M = len(maps)
-        step = max(1, MIXED_BATCH // M)
+        L, step = len(self.leaders), max(1, MIXED_BATCH // len(maps))
         out = {}
         for batch in (rows[i:i + step] for i in range(0, len(rows), step)):
-            Ff = np.tile(maps, (len(batch), 1, 1))
-            obj, fv, lead, lv = (x[:, 0] for x in _evaluate(
-                self._mixed(np.repeat(batch, M), Ff), Ff[:, None], vf_flat, vl_flat,
-                self.spec.discount))
-            ok = ~np.any(fv < _fold(np.maximum, obj) - self.config.br_tol, axis=1).reshape(-1, M)
-            flat = np.arange(len(batch)) * M + np.argmax(ok, axis=1)
-            out.update({int(batch[r]): (Ff[k], lead[k], fv[k], lv[k])
-                        for r, k in enumerate(flat) if ok[r].any()})
+            states = batch // L
+            pi, z = self._pi[states], self._z[states]
+            tensors = (*(T[states] for T in self._tensors[:3]),
+                       self.spec.leader_reward(z[:, None], maps[None]))
+            pairs = _build_pairs(self.joint, pi, z, tensors, self._leader_mats[batch % L, None],
+                                 maps, self._slots, self.config.bayes_eps)
+            obj, fv, lead, lv = _evaluate(pairs, maps, vf_flat, vl_flat, self.spec.discount)
+            ok = ~np.any(fv < _fold(np.maximum, obj) - self.config.br_tol, axis=2)
+            out.update({int(row): (maps[k], lead[r, k], fv[r, k], lv[r, k])
+                        for r, (row, k) in enumerate(zip(batch, np.argmax(ok, axis=1)))
+                        if ok[r, k]})
         return out
 
     def sweep(self, vf_flat, vl_flat, t: Optional[int] = None,
@@ -589,7 +559,7 @@ def pair_objectives(pi, z, prescription: Prescription, v_f_next: JointTable,
     G, Ff = prescription.leader, prescription.follower
     z = np.asarray(z, dtype=np.float64)[None]
     pairs = _build_pairs(v_f_next.joint, np.asarray(pi, dtype=np.float64)[None], z,
-                         _tensors(spec, z, Ff[None]), G[None], Ff[None], G.shape[1],
+                         _tensors(spec, z, Ff[None]), G[None, None], Ff[None], G.shape[1],
                          (config or SolverConfig()).bayes_eps)
     ev = _evaluate(pairs, Ff, v_f_next.flat_values(), v_l_next.flat_values(), spec.discount)
     return tuple(x[0, 0] for x in ev)

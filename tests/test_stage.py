@@ -239,8 +239,7 @@ def test_sweep_names_the_one_state_without_equilibrium(monkeypatch, nan):
 
 def count_sweep_calls(monkeypatch):
     """Counter of the Bayes steps, next-mean-field batches and ``_evaluate``
-    calls with one follower prescription per pair row (``mixed_evaluate``)
-    made from here on."""
+    calls against mixed follower maps (``mixed_evaluate``) made from here on."""
     counts = Counter()
 
     def counted(name, fn, when=lambda *args: True):
@@ -255,12 +254,12 @@ def count_sweep_calls(monkeypatch):
     monkeypatch.setattr(stage, "mean_field_batch",
                         counted("mean_field", stage.mean_field_batch))
     monkeypatch.setattr(stage, "_evaluate", counted("mixed_evaluate", stage._evaluate,
-                                                    lambda p, mats, *_: mats.ndim == 4))
+                                                    lambda p, mats, *_: np.any(mats % 1.0)))
     return counts
 
 
 def test_one_state_fallback_evaluates_once(monkeypatch):
-    """A one-state engine's fallback row makes no Bayes step, one
+    """A one-state engine's fallback row makes one Bayes batch, one
     next-mean-field batch and one mixed evaluation, and still ends in the
     same failure."""
     spec, joint, vf, vl = anti_coordination_case()
@@ -269,7 +268,7 @@ def test_one_state_fallback_evaluates_once(monkeypatch):
     counts.clear()
     with pytest.raises(s.NoEquilibriumError) as err:
         engine.sweep(vf.flat_values(), vl.flat_values(), t=2)
-    assert counts == Counter(bayes=0, mean_field=1, mixed_evaluate=1)
+    assert counts == Counter(bayes=1, mean_field=1, mixed_evaluate=1)
     assert err.value.t == 2
     assert err.value.z == pytest.approx([0.5, 0.5])
 
@@ -298,13 +297,12 @@ def reference_pairs(spec, joint, pi, z, leaders, followers, n_slots, bayes_eps=1
     n_l = spec.n_leader_states
     n_f, n_af = spec.n_follower_states, spec.n_follower_actions
     R, F, A = len(leaders), len(followers), n_slots
-    d_pi, K = joint.pi_grid.dim, joint.pi_grid.dim * joint.z_grid.dim
+    K = joint.pi_grid.dim * joint.z_grid.dim
     out = {"idx": np.zeros((R, F, A, K), dtype=np.int64), "w": np.zeros((R, F, A, K)),
            "lead_base": np.zeros((R, F)), "vl_base": np.zeros((R, F, n_l)),
            "base_obj": np.zeros((R, n_f, n_af)), "cont_op": np.zeros((R, A, n_f, n_af, n_f)),
            "lead_cont": np.zeros((R, A, n_l)), "vl_cont": np.zeros((R, A, n_l, n_l)),
-           "bayes": np.zeros(R, dtype=np.int64),
-           "pi_idx": np.zeros((R, A, d_pi), dtype=np.int64), "pi_w": np.zeros((R, A, d_pi))}
+           "bayes": np.zeros(R, dtype=np.int64)}
     for r, G in enumerate(leaders):
         w_la = pi[:, None] * G
         out["base_obj"][r] = np.einsum("la,lfab->fb", w_la, RF)
@@ -312,8 +310,6 @@ def reference_pairs(spec, joint, pi, z, leaders, followers, n_slots, bayes_eps=1
         for a, al in enumerate(np.flatnonzero(np.any(G > 0.0, axis=0))):
             pi_next, fell_back = s.belief_step_total(pi, z, G, al, spec, eps=bayes_eps)
             pi_stencils.append(simplex_weights(joint.pi_grid, pi_next))
-            n = len(pi_stencils[-1][0])
-            out["pi_idx"][r, a, :n], out["pi_w"][r, a, :n] = pi_stencils[-1]
             out["bayes"][r] += fell_back
             out["cont_op"][r, a] = np.einsum("l,lfbn->fbn", w_la[:, al], QF[:, :, al, :, :])
             out["lead_cont"][r, a] = w_la[:, al] @ QL[:, al, :]
@@ -330,10 +326,11 @@ def reference_pairs(spec, joint, pi, z, leaders, followers, n_slots, bayes_eps=1
     return out
 
 
-def expanded(pairs):
-    """``pairs`` with its gather spread to one row per slot: ``idx[inv]`` and
-    ``w[inv]``, (R, F, A, K), and no ``inv``."""
-    return pairs._replace(idx=pairs.idx[pairs.inv], w=pairs.w[pairs.inv], inv=None)
+def expanded(pairs, rows=slice(None)):
+    """Rows ``rows`` of ``pairs`` with the gather spread to one row per slot:
+    ``idx[inv]`` and ``w[inv]``, (R, F, A, K), and no ``inv``."""
+    spread = pairs._replace(idx=pairs.idx[pairs.inv], w=pairs.w[pairs.inv])
+    return type(pairs)(*(a[rows] for a in spread))._replace(inv=None)
 
 
 def assert_pairs_equal(pairs, expected):
@@ -372,7 +369,7 @@ def test_engine_pairs_match_per_pair_rebuild(game):
         rows = slice(k * L, (k + 1) * L)
         expected = reference_pairs(spec, joint, pi, z, [G for _, G in engine.leaders],
                                    engine._follower_mats, engine._slots)
-        assert_pairs_equal(stage._take(expanded(engine.pairs), rows), expected)
+        assert_pairs_equal(expanded(engine.pairs, rows), expected)
 
 
 @pytest.mark.parametrize("game", sorted(PAIR_GAMES))
@@ -491,28 +488,57 @@ def damped_cases():
     yield spec, joint, StageEngine(spec, joint, engine.states), vf, vl
 
 
-def test_damped_pairs_match_per_pair_rebuild():
-    """The follower side and the leader terms the mixed check builds equal a
-    per-pair rebuild with the mixed prescription."""
+def mixed_pairs(engine, rows, followers):
+    """The pair arrays of ``rows`` (state × leader candidate), each row with
+    its own state and leader candidate, against the columns ``followers``
+    (F, n_f, n_af): the ``_build_pairs`` call the mixed check makes."""
+    states, L = rows // len(engine.leaders), len(engine.leaders)
+    pi, z = engine._pi[states], engine._z[states]
+    tensors = stage._tensors(engine.spec, z, followers)
+    return stage._build_pairs(engine.joint, pi, z, tensors, engine._leader_mats[rows % L, None],
+                              followers, engine._slots, engine.config.bayes_eps)
+
+
+def record_pair_builds(monkeypatch):
+    """(leaders, followers, pair arrays) of every ``_build_pairs`` call from
+    here on."""
+    built, build = [], stage._build_pairs
+
+    def recorded(*args):
+        built.append((args[4], args[5], build(*args)))
+        return built[-1][2]
+
+    monkeypatch.setattr(stage, "_build_pairs", recorded)
+    return built
+
+
+def test_damped_pairs_match_per_pair_rebuild(monkeypatch):
+    """The pair arrays the mixed check builds, its rows against the uniform
+    maps, and those of the same rows against random mixed and pure follower
+    prescriptions equal a per-pair rebuild, bit for bit."""
     rng = np.random.default_rng(5)
     certified = 0
+    built = record_pair_builds(monkeypatch)
     for spec, joint, engine, vf, vl in damped_cases():
         fixed = engine._evaluate_pure(vf, vl)[3]
         rows = np.flatnonzero(~fixed.any(axis=1))
         assert len(rows)
+        built.clear()
         certified += len(engine._mixed_fixed(rows, vf, vl))
-        n_f, n_af = spec.n_follower_states, spec.n_follower_actions
-        prescriptions = [np.full((len(rows), n_f, n_af), 1.0 / n_af),
-                         rng.dirichlet(np.ones(n_af), size=(len(rows), n_f)),
-                         np.eye(n_af)[rng.integers(n_af, size=(len(rows), n_f))]]
+        (leaders, maps, pairs), = built
         L = len(engine.leaders)
-        for Ff in prescriptions:
-            pairs = engine._mixed(rows, Ff)
+        assert np.array_equal(maps, stage._uniform_maps(spec.n_follower_states,
+                                                        spec.n_follower_actions))
+        assert np.array_equal(leaders[:, 0], engine._leader_mats[rows % L])
+        n_f, n_af = spec.n_follower_states, spec.n_follower_actions
+        others = np.concatenate([rng.dirichlet(np.ones(n_af), size=(2, n_f)),
+                                 np.eye(n_af)[rng.integers(n_af, size=(2, n_f))]])
+        for followers, pairs in ((maps, pairs), (others, mixed_pairs(engine, rows, others))):
             for k, row in enumerate(rows):
                 pi, z = engine.states[row // L]
                 expected = reference_pairs(spec, joint, pi, z, [engine.leaders[row % L][1]],
-                                           [Ff[k]], engine._slots)
-                assert_pairs_equal(stage._take(expanded(pairs), [k]), expected)
+                                           followers, engine._slots)
+                assert_pairs_equal(expanded(pairs, [k]), expected)
     assert certified >= 1
 
 
@@ -539,30 +565,26 @@ def test_certified_damped_rows_match_pair_objectives():
     assert np.array_equal(sweep.follower[0], np.full((2, 2), 0.5))
 
 
-def test_fallback_sweep_repeats_no_leader_side_work(monkeypatch):
-    """A sweep with fallback rows makes no Bayes step: the leader side of
-    every row comes from the arrays built with the engine.  All rows meet
-    all uniform maps in one next-mean-field batch and one mixed evaluation,
-    whether the rows are certified or not."""
+def test_fallback_sweep_builds_its_rows_in_one_batch(monkeypatch):
+    """A sweep with fallback rows builds all of them against all uniform
+    maps in one Bayes batch and one next-mean-field batch, and evaluates
+    them in one mixed evaluation, whether the rows are certified or not."""
     counts, certified = count_sweep_calls(monkeypatch), []
     for spec, joint, engine, vf, vl in damped_cases():
         counts.clear()
         sweep = engine.sweep(vf, vl, t=3)
-        assert counts == Counter(bayes=0, mean_field=1, mixed_evaluate=1)
+        assert counts == Counter(bayes=1, mean_field=1, mixed_evaluate=1)
         certified.append(np.isfinite(sweep.objectives[..., -1]).any())
     assert certified == [False, True, True]
-    counts.clear()
-    StageEngine(spec, joint)
-    assert counts["bayes"] > 0          # the counter sees the engine's Bayes steps
 
 
 def test_sweep_without_damped_rows_sets_up_no_fallback(monkeypatch):
     """Against zero tables every row has a pure follower fixed point, so a
-    sweep never sets up the mixed check's pair builder."""
+    sweep builds no pairs for the mixed check."""
     spec = toy_spec()
     joint = toy_joint_grid(spec)
     engine = StageEngine(spec, joint)
-    monkeypatch.setattr(engine, "_mixed", lambda *args: pytest.fail("mixed set-up"))
+    monkeypatch.setattr(stage, "_build_pairs", lambda *args: pytest.fail("mixed set-up"))
     sweep = engine.sweep(*(table.flat_values() for table in zero_tables(spec, joint)))
     assert np.all(np.isinf(sweep.objectives[:, :, -1]))
 
@@ -572,9 +594,11 @@ def sequential_damped(engine, rows, vf_flat, vl_flat):
     an independent reference for the mixed check: each row iterates
     F <- F / 2 + BR(F) / 2 from the uniform prescription, BR(F) mixing each
     type uniformly over its actions within 1e-12 of its best, and stops
-    when a step moves F by less than 1e-9, or after 500 steps.  Returns
-    {row: (follower prescription, leader objective, follower values, leader
-    values)} for the stopped rows that pass the certificate."""
+    when a step moves F by less than 1e-9, or after 500 steps.  Each step
+    builds the live rows against all their prescriptions in one
+    ``mixed_pairs`` call and keeps the (row, own prescription) diagonal.
+    Returns {row: (follower prescription, leader objective, follower values,
+    leader values)} for the stopped rows that pass the certificate."""
     n_f, n_af = engine.spec.n_follower_states, engine.spec.n_follower_actions
     discount = engine.spec.discount
     Ff = np.full((len(rows), n_f, n_af), 1.0 / n_af)
@@ -583,8 +607,9 @@ def sequential_damped(engine, rows, vf_flat, vl_flat):
         live = np.flatnonzero(active)
         if not len(live):
             break
-        obj = stage._evaluate(engine._mixed(rows[live], Ff[live]), Ff[live, None], vf_flat,
-                              vl_flat, discount)[0][:, 0]
+        obj = np.moveaxis(np.diagonal(stage._evaluate(
+            mixed_pairs(engine, rows[live], Ff[live]), Ff[live], vf_flat, vl_flat, discount)[0]),
+            -1, 0)
         ties = obj >= obj.max(axis=2, keepdims=True) - 1e-12
         br = ties * (1.0 / ties.sum(axis=2, keepdims=True))
         new = (1.0 - 0.5) * Ff[live] + 0.5 * br
@@ -594,8 +619,8 @@ def sequential_damped(engine, rows, vf_flat, vl_flat):
     done = np.flatnonzero(~active)
     if not len(done):
         return {}
-    obj, fv, lead, lv = (x[:, 0] for x in stage._evaluate(
-        engine._mixed(rows[done], Ff[done]), Ff[done, None], vf_flat, vl_flat, discount))
+    obj, fv, lead, lv = (np.moveaxis(np.diagonal(x), -1, 0) for x in stage._evaluate(
+        mixed_pairs(engine, rows[done], Ff[done]), Ff[done], vf_flat, vl_flat, discount))
     ok = ~np.any(fv < obj.max(axis=2) - engine.config.br_tol, axis=1)
     return {int(rows[i]): (Ff[i], lead[k], fv[k], lv[k])
             for k, i in enumerate(done) if ok[k]}
@@ -675,8 +700,9 @@ def test_mixed_check_count_is_capped_before_any_array(monkeypatch):
     monkeypatch.setattr(stage, "MIXED_CANDIDATE_CAP", 4)
     spec, joint, vf, vl = anti_coordination_case()
     engine = StageEngine(spec, joint)
-    monkeypatch.setattr(engine, "_mixed", lambda *args: pytest.fail("mixed set-up"))
-    with pytest.raises(ValueError, match=r"would enumerate 5 candidates \(cap 4\)"):
+    with monkeypatch.context() as patch, pytest.raises(
+            ValueError, match=r"would enumerate 5 candidates \(cap 4\)"):
+        patch.setattr(stage, "_build_pairs", lambda *args: pytest.fail("mixed set-up"))
         engine.sweep(vf.flat_values(), vl.flat_values())
     spec = toy_spec()
     joint = toy_joint_grid(spec)
@@ -693,20 +719,17 @@ def test_mixed_check_batches_rows_under_the_pair_cap(monkeypatch):
     """The mixed check takes whole rows in batches of at most MIXED_BATCH
     (row, map) pairs, one row at least, and returns the bits of one row at
     a time and of a single batch."""
-    sizes = []
-    mixed = StageEngine._mixed
-    monkeypatch.setattr(StageEngine, "_mixed",
-                        lambda self, rows, Ff: sizes.append(len(rows)) or mixed(self, rows, Ff))
+    built = record_pair_builds(monkeypatch)
     for engine, vf, vl in fallback_cases():
         rows = np.flatnonzero(~engine._evaluate_pure(vf, vl)[3].any(axis=1))
         M = len(stage._uniform_maps(engine.spec.n_follower_states, engine.spec.n_follower_actions))
         got = {}
         for cap, per_batch in ((1, 1), (3 * M + 1, 3), (10 ** 9, len(rows))):
             monkeypatch.setattr(stage, "MIXED_BATCH", cap)
-            sizes.clear()
+            built.clear()
             got[cap] = engine._mixed_fixed(rows, vf, vl)
-            assert sizes == [M * len(rows[i:i + per_batch])
-                             for i in range(0, len(rows), per_batch)]
+            assert [pairs.inv.shape[:2] for *_, pairs in built] == [
+                (len(rows[i:i + per_batch]), M) for i in range(0, len(rows), per_batch)]
         assert same_mixed(got[1], got[3 * M + 1]) and same_mixed(got[1], got[10 ** 9])
 
 
@@ -724,12 +747,8 @@ def test_mixed_check_of_many_maps_takes_one_row_at_a_time(monkeypatch):
     vl = rng.normal(scale=10.0, size=(joint.n_points, 1))
     rows = np.flatnonzero(~engine._evaluate_pure(vf, vl)[3].any(axis=1))
     assert len(rows) == 7 and len(stage._uniform_maps(4, 3)) == 2320
-    sizes = []
-    mixed = StageEngine._mixed
-    monkeypatch.setattr(StageEngine, "_mixed",
-                        lambda self, rows, Ff: sizes.append(len(rows)) or mixed(self, rows, Ff))
+    built = record_pair_builds(monkeypatch)
     chunked = engine._mixed_fixed(rows, vf, vl)
-    assert sizes == [2320] * 7
     monkeypatch.setattr(stage, "MIXED_BATCH", 7 * 2320)
     assert same_mixed(chunked, engine._mixed_fixed(rows, vf, vl))
-    assert sizes[7:] == [7 * 2320]
+    assert [pairs.inv.shape[:2] for *_, pairs in built] == [(1, 2320)] * 7 + [(7, 2320)]
