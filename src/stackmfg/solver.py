@@ -92,21 +92,20 @@ class ConvergenceReport:
         return {"iterations": self.iterations, **vars(self)}
 
 
-def _sweep(engine: StageEngine, vf, vl, where: str, **kwargs):
-    """One engine sweep as (sweep, V^f, V^l); its overflow raises NonFiniteValues
-    at the first non-finite point, in place of numpy's warnings; a
-    NoEquilibriumError names ``where``."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            sweep = engine.sweep(vf, vl, **kwargs)
-        except NoEquilibriumError as err:
-            err.where = where
-            raise
-    finite = np.isfinite(np.hstack([sweep.follower_values, sweep.leader_values])).all(axis=1)
+def _solve(engine: StageEngine, table, where: str, **kwargs):
+    """``engine.solve`` against [V^f | V^l]; a NoEquilibriumError names
+    ``where``, and non-finite values raise NonFiniteValues at the first
+    such point.  Callers hold numpy's overflow and invalid warnings off."""
+    try:
+        choice = engine.solve(table, **kwargs)
+    except NoEquilibriumError as err:
+        err.where = where
+        raise
+    finite = np.isfinite(choice.values).all(axis=1)
     if not finite.all():
         raise NonFiniteValues("value tables are not finite at {}, pi={}, z={}".format(
             where, *engine.joint.point(int(np.argmin(finite)))))
-    return sweep, sweep.follower_values, sweep.leader_values
+    return choice
 
 
 def backward_pass(spec: GameSpec, joint: JointGrid,
@@ -124,11 +123,12 @@ def backward_pass(spec: GameSpec, joint: JointGrid,
                          "use solve_stationary for discounted infinite games")
     T = spec.horizon
     engine = StageEngine(spec, joint, config=config)
-    vf = np.zeros((joint.n_points, spec.n_follower_states))
-    vl = np.zeros((joint.n_points, spec.n_leader_states))
+    table = np.zeros((joint.n_points, spec.n_follower_states + spec.n_leader_states))
     stages = [None] * T
-    for t in range(T, 0, -1):
-        stages[t - 1], vf, vl = _sweep(engine, vf, vl, f"t={t}", t=t, prefer=prefer)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(T, 0, -1):
+            choice = _solve(engine, table, f"t={t}", t=t, prefer=prefer)
+            stages[t - 1], table = engine.assemble(choice), choice.values
     gen = EquilibriumGenerator(joint=joint, stages=stages, stationary=False,
                                next_states=engine.next_states)
     return gen, [gen.continuation_for(t) for t in range(T + 1)]
@@ -139,7 +139,8 @@ def solve_stationary(spec: GameSpec, joint: JointGrid, tol: float = 1e-6,
     """Value iteration for the discounted stationary game.
 
     Sweeps the stage solver with the last sweep's values as continuation,
-    from zero, until the sup-norm change of both tables drops below ``tol``.
+    from zero, until the sup-norm change of both tables drops below ``tol``;
+    only the last sweep is assembled into a ``StageSweep``.
     Returns (generator, (V^f, V^l), ConvergenceReport); raises
     NonConvergenceError carrying the delta history otherwise, and
     NonFiniteValues at the first sweep with a non-finite value.
@@ -153,23 +154,21 @@ def solve_stationary(spec: GameSpec, joint: JointGrid, tol: float = 1e-6,
     if not tol > 0:
         raise ValueError(f"tol must be above 0, got {tol}")
     engine = StageEngine(spec, joint, config=config)
-    vf = np.zeros((joint.n_points, spec.n_follower_states))
-    vl = np.zeros((joint.n_points, spec.n_leader_states))
+    table = np.zeros((joint.n_points, spec.n_follower_states + spec.n_leader_states))
     report = ConvergenceReport(tolerance=tol)
     prev = None
-    for k in range(1, max_iter + 1):
-        sweep, new_vf, new_vl = _sweep(engine, vf, vl, f"stationary sweep {k}")
-        delta = max(np.max(np.abs(new_vf - vf)), np.max(np.abs(new_vl - vl)))
-        stable = (prev is not None and np.array_equal(sweep.leader, prev.leader)
-                  and np.array_equal(sweep.follower, prev.follower))
-        report.deltas.append(float(delta))
-        report.prescription_stable.append(stable)
-        prev, vf, vl = sweep, new_vf, new_vl
-        if delta < tol:
-            report.converged = True
-            gen = EquilibriumGenerator(joint=joint, stages=[sweep], stationary=True,
-                                       next_states=engine.next_states)
-            return gen, gen.continuation_for(0), report
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, max_iter + 1):
+            choice = _solve(engine, table, f"stationary sweep {k}")
+            report.deltas.append(float(np.max(np.abs(choice.values - table))))
+            report.prescription_stable.append(prev is not None and bool(
+                (choice.chosen == prev.chosen).all() and (choice.follower == prev.follower).all()))
+            prev, table = choice, choice.values
+            if report.deltas[-1] < tol:
+                report.converged = True
+                gen = EquilibriumGenerator(joint=joint, stages=[engine.assemble(choice)],
+                                           stationary=True, next_states=engine.next_states)
+                return gen, gen.continuation_for(0), report
     raise NonConvergenceError(
         f"stationary solve did not reach {tol:g} in {max_iter} sweeps "
         f"(last delta {report.deltas[-1]:.3e})", deltas=report.deltas)
@@ -220,6 +219,19 @@ class Trajectory:
         """Weight-averaged mean field per step (exact when unbranched)."""
         return np.asarray([sum(b.weight * b.z for b in step.branches)
                            / sum(b.weight for b in step.branches) for step in self.steps])
+
+
+def _belief_groups(played):
+    """The played leader actions of ``{action: (probability, follower kernel,
+    next belief)}`` grouped by the next belief rounded to 12 digits, in
+    order of that key: [total probability, next belief, [(probability,
+    follower kernel), ...]] per group."""
+    groups = {}
+    for w, k, pi_next in played.values():
+        group = groups.setdefault(tuple(np.round(pi_next, 12)), [0.0, pi_next, []])
+        group[0] += w
+        group[2].append((w, k))
+    return [group for _, group in sorted(groups.items())]
 
 
 def _branch_step(spec, pi, z, gamma, off, config):
@@ -312,10 +324,11 @@ def forward_pass(spec: GameSpec, generator: EquilibriumGenerator, pi1, z1,
             gammas = {state: sweep.prescription(k) for k, state in enumerate(resolve)}
         for state, (pi, z, flat, exact) in new.items():
             gamma = gammas.get(state) or generator.policy_for(stage_t).prescription(flat)
-            memo[state] = _branch_step(spec, pi, z, gamma, not exact, config)
+            step = _branch_step(spec, pi, z, gamma, not exact, config)
+            memo[state] = (*step, _belief_groups(step[-1]))
         computed += len(new)
         for state, branch in zip(states, branches):
-            gamma, off, rl, pop, per_type, marginal, z_next, played = memo[state]
+            gamma, off, rl, pop, per_type, marginal, z_next, played, groups = memo[state]
             step_offgrid += off
             prescriptions.append(gamma)
             marginals.append(marginal)
@@ -326,16 +339,13 @@ def forward_pass(spec: GameSpec, generator: EquilibriumGenerator, pi1, z1,
             if rng is not None:
                 probs = np.array([w for w, _, _ in played.values()])
                 al = list(played)[int(rng.choice(len(probs), p=probs / probs.sum()))]
-                played = {al: (1.0, *played[al][1:])}
+                groups = _belief_groups({al: (1.0, *played[al][1:])})
 
-            # Group the played leader actions by the belief they induce.
-            groups = {}
-            for w, k, pi_next in played.values():
-                group = groups.setdefault(tuple(np.round(pi_next, 12)),
-                                          [0.0, pi_next, np.zeros_like(branch.xi)])
-                group[0] += w
-                group[2] += w * (branch.xi @ k)
-            for _, (w, pi_next, xi_acc) in sorted(groups.items()):
+            # One branch per group of played leader actions with one next belief.
+            for w, pi_next, terms in groups:
+                xi_acc = 0.0
+                for w_a, k in terms:
+                    xi_acc = xi_acc + w_a * (branch.xi @ k)
                 next_branches.append(Branch(weight=branch.weight * w, pi=pi_next,
                                             z=z_next, xi=xi_acc / w))
 

@@ -13,10 +13,15 @@ optimistic selection over follower multiplicity: the first pair in
 best, so rounding among near-ties does not decide selection.
 
 ``StageEngine`` stacks every (public state, leader candidate, follower map)
-pair into arrays once; a sweep is a gather, elementwise contractions, a
-masked fixed-point test and a per-state selection.  No sweep contraction
-goes through BLAS, so pairs with identical inputs get bit-identical
-objectives wherever they sit in the batch.
+pair into arrays once, the (state × leader candidate) row axis last and
+contiguous; a sweep is a gather, elementwise contractions along the rows,
+in which per-row arrays broadcast over the follower maps, one fixed-point
+certificate for pure and mixed maps, and a per-state selection.
+``StageEngine.solve`` returns only what the next sweep needs, the chosen
+entries and the stacked value table [V^f | V^l]; ``assemble`` builds the
+``StageSweep`` of a stage that is kept.  No sweep contraction goes through
+BLAS, so pairs with identical inputs get bit-identical objectives wherever
+they sit in the batch.
 
 Pair building is one batch over every (state, leader candidate) row: the
 Bayes steps of all played leader actions come from one ``belief_batch``
@@ -134,20 +139,20 @@ class _Pairs(NamedTuple):
     """Table-independent data of stacked (leader, follower) prescription pairs.
 
     Rows index (public state, leader candidate), columns follower maps, slots
-    the leader actions a row plays; slots and stencils are zero-padded.  The
-    gather holds one stencil per distinct next state, and ``inv`` names the
-    stencil of every (row, column, slot).
+    the leader actions a row plays; slots and stencils are zero-padded.  Per-pair
+    arrays are stored with their axes reversed, rows last.  The gather holds
+    one stencil per distinct next state, and ``inv`` names each slot's.
     """
 
     idx: np.ndarray         # (U, K) flat gather indices into the joint tables
     w: np.ndarray           # (U, K) joint interpolation weights
-    inv: np.ndarray         # (R, F, A) stencil of each slot's next state
-    lead_base: np.ndarray   # (R, F) belief-averaged leader reward
-    vl_base: np.ndarray     # (R, F, n_l) leader reward per leader type
-    base_obj: np.ndarray    # (R, n_f, n_af) belief-averaged follower reward
-    cont_op: np.ndarray     # (R, A, n_f, n_af, n_f) belief-weighted follower kernel
-    lead_cont: np.ndarray   # (R, A, n_l) belief-weighted leader kernel
-    vl_cont: np.ndarray     # (R, A, n_l, n_l) leader kernel per leader type
+    inv: np.ndarray         # (A, F, R) stencil of each slot's next state
+    lead_base: np.ndarray   # (F, R) belief-averaged leader reward
+    vl_base: np.ndarray     # (n_l, F, R) leader reward per leader type
+    base_obj: np.ndarray    # (n_af, n_f, R) belief-averaged follower reward
+    cont_op: np.ndarray     # (n_f', n_af, n_f, A, R) belief-weighted follower kernel
+    lead_cont: np.ndarray   # (n_l', A, R) belief-weighted leader kernel
+    vl_cont: np.ndarray     # (n_l', n_l, A, R) leader kernel per leader type
     bayes: np.ndarray       # (R,) played actions where Bayes rule kept the prior
 
 
@@ -281,53 +286,51 @@ def _build_pairs(joint: JointGrid, pi, z, tensors, leaders, followers, n_slots: 
     idx, w, inv = _joint_stencils(joint, pi_idx, pi_w, z_next)
     lead_base, vl_base = _leader_terms(pi[:, None], leaders, RL[:, None])
     bayes = np.sum(fell_back & used, axis=2)
-    return _Pairs(idx, w, *(a.reshape((-1,) + a.shape[2:]) for a in (
+    return _Pairs(idx, w, *(np.ascontiguousarray(a.reshape((-1,) + a.shape[2:]).T) for a in (
         inv, lead_base, vl_base, base_obj, cont_op, lead_cont, vl_cont, bayes)))
 
 
-def _interpolate(p: _Pairs, flat_values):
-    """Table values at every pair's next state per slot, (R, F, A, n): each
+def _interpolate(p: _Pairs, table):
+    """Table values at every pair's next state per slot, (n, A, F, R): each
     distinct stencil's weighted table rows, summed, then spread to its slots."""
-    return np.sum(p.w[..., None] * flat_values[p.idx], axis=-2)[p.inv]
+    return np.add.reduce(p.w[..., None] * table.take(p.idx, axis=0), axis=-2).T.take(p.inv, axis=1)
 
 
 def _fold(ufunc, x):
-    """``ufunc.reduce`` over the last axis as a left-to-right chain of
-    elementwise calls: the same result, without the per-row cost of
-    reducing a short last axis."""
-    out = x[..., 0]
-    for n in range(1, x.shape[-1]):
-        out = ufunc(out, x[..., n])
+    """``ufunc.reduce`` over the first axis as a left-to-right chain of
+    elementwise calls."""
+    out = x[0]
+    for n in range(1, len(x)):
+        out = ufunc(out, x[n])
     return out
 
 
 def _dot(x, y):
-    """Sum of products over the last axis, left to right, elementwise."""
-    out = x[..., 0] * y[..., 0]
-    for n in range(1, x.shape[-1]):
-        out = out + x[..., n] * y[..., n]
+    """Sum of products over the first axis, left to right, elementwise."""
+    out = x[0] * y[0]
+    for n in range(1, len(x)):
+        out = out + x[n] * y[n]
     return out
 
 
-def _evaluate(p: _Pairs, follower_mats, vf_flat, vl_flat, discount: float):
-    """Every pair against continuation tables, at its self-consistent next state.
+def _evaluate(p: _Pairs, follower_mats, table, discount: float):
+    """Every pair against the continuation table [V^f | V^l], at its
+    self-consistent next state.
 
-    Returns follower objectives (R, F, n_f, n_af), follower values under
-    ``follower_mats`` (F, n_f, n_af) as (R, F, n_f), leader objectives (R, F)
-    and leader values per leader type (R, F, n_l).  Both tables are
-    interpolated in one gather of [V^f | V^l].
+    Returns follower objectives (n_af, n_f, F, R), follower values under
+    ``follower_mats`` (F, n_f, n_af) as (n_f, F, R), leader objectives (F, R)
+    and leader values per leader type (n_l, F, R).  Per-row arrays broadcast
+    over the F columns with stride 0.
     """
-    n_f, (_, F, A) = vf_flat.shape[1], p.inv.shape
-    values = _interpolate(p, np.concatenate([vf_flat, vl_flat], axis=1))
-    vf, vl = values[..., :n_f], values[..., n_f:]
-    obj = np.repeat(p.base_obj[:, None], F, axis=1)
-    for a in range(A):
-        obj += discount * _dot(p.cont_op[:, None, a], vf[:, :, a, None, None, :])
-    lead, lv = p.lead_base.copy(), p.vl_base.copy()
-    for a in range(A):
-        lead += discount * _dot(p.lead_cont[:, None, a], vl[:, :, a])
-        lv += discount * _dot(p.vl_cont[:, None, a], vl[:, :, a, None, :])
-    return obj, _dot(follower_mats, obj), lead, lv
+    n_f = len(p.cont_op)
+    values = _interpolate(p, table)
+    obj, lead, lv = p.base_obj[:, :, None], p.lead_base, p.vl_base
+    for a in range(len(p.inv)):
+        vf, vl = values[:n_f, a], values[n_f:, a]
+        obj = obj + discount * _dot(p.cont_op[..., a, None, :], vf)
+        lead = lead + discount * _dot(p.lead_cont[:, a], vl)
+        lv = lv + discount * _dot(p.vl_cont[:, :, a, None], vl)
+    return obj, _dot(follower_mats.T[..., None], obj), lead, lv
 
 
 def _uniform_maps(n_states: int, n_actions: int) -> np.ndarray:
@@ -388,13 +391,9 @@ class StageSweep:
             bayes_fallbacks=np.sum(sizes * self.bayes[states], axis=1).tolist())
         return [dict(zip(columns, row)) for row in zip(*columns.values())]
 
-    def diagnostic_fields(self, flat: int) -> dict:
-        """``StageDiagnostics`` fields at state ``flat``, but the candidate list."""
-        return self.diagnostic_rows([flat])[0]
-
     def solution(self, flat: int) -> StageSolution:
         """StageSolution at state ``flat``, built on demand."""
-        diag = StageDiagnostics(**self.diagnostic_fields(flat))
+        diag = StageDiagnostics(**self.diagnostic_rows([flat])[0])
         if self.objectives is not None:
             diag.candidate_objectives = [(*self.keys[e], float(v)) for e, v
                                          in enumerate(self.objectives[flat].ravel()) if v > -np.inf]
@@ -407,13 +406,26 @@ class StageSweep:
         return [self.solution(flat) for flat in range(len(self.leader))]
 
 
+class StageChoice(NamedTuple):
+    """A solved stage before its ``StageSweep`` is assembled: the chosen flat
+    (leader, follower map or mixed) entry (S,) and follower prescription
+    (S, n_f, n_af) per state, the objectives (S, L, F + 1) and the chosen
+    pairs' values [V^f | V^l] (S, n_f + n_l)."""
+
+    chosen: np.ndarray
+    follower: np.ndarray
+    objectives: np.ndarray
+    values: np.ndarray
+
+
 class StageEngine:
     """Stage fixed points at a set of public states against value tables.
 
     Builds the pair arrays of every (state, leader candidate, follower map)
-    once; each ``sweep`` then solves all states against one pair of
-    continuation tables.  ``leaders`` defaults to every pure leader map (and
-    the mixed grid when configured) as (action tuple or None, matrix).
+    once; each ``solve`` then solves all states against one continuation
+    table, and ``sweep`` is ``solve`` assembled.  ``leaders`` defaults to
+    every pure leader map (and the mixed grid when configured) as (action
+    tuple or None, matrix).
     """
 
     def __init__(self, spec: GameSpec, joint: JointGrid, states=None,
@@ -428,11 +440,11 @@ class StageEngine:
         self.followers = _pure_candidates(spec.n_follower_states, spec.n_follower_actions)
         self._leader_mats = np.array([G for _, G in self.leaders], dtype=np.float64)
         self._follower_mats = np.array([Ff for _, Ff in self.followers])
-        self._unplayed = self._follower_mats == 0.0
         # (leader actions, follower actions) per flat (leader, follower map or mixed) entry
         columns = [bf for bf, _ in self.followers] + [None]
         self._keys = [(gl, bf) for gl, _ in self.leaders for bf in columns]
         self._slots = int(np.any(self._leader_mats > 0.0, axis=1).sum(axis=1).max())
+        self._first_rows = np.arange(len(self.states)) * len(self.leaders)
         self._pi = np.array([pi for pi, _ in self.states])
         self._z = np.array([z for _, z in self.states])
         self._tensors = _tensors(spec, self._z, self._follower_mats)
@@ -441,15 +453,19 @@ class StageEngine:
         # (distinct next states, pair slots): the gather rows and their users
         self.next_states = (len(self.pairs.idx), self.pairs.inv.size)
 
-    def _evaluate_pure(self, vf_flat, vl_flat):
-        """Evaluated pure pairs and the (R, F) mask of follower fixed points."""
-        obj, fv, lead, lv = _evaluate(self.pairs, self._follower_mats, vf_flat, vl_flat,
-                                      self.spec.discount)
-        best = obj >= _fold(np.maximum, obj)[..., None] - self.config.br_tol
-        ok = best | self._unplayed
-        return fv, lead, lv, _fold(np.logical_and, ok.reshape(ok.shape[:2] + (-1,)))
+    def _certified(self, obj, fv):
+        """(F, R) mask of the follower fixed points, pure or mixed: the pairs
+        where no type's value is below its best objective by more than
+        ``br_tol``.  A NaN value (0·inf after an overflow) is not below, so
+        the overflow surfaces as non-finite values."""
+        return ~_fold(np.logical_or, fv < _fold(np.maximum, obj) - self.config.br_tol)
 
-    def _mixed_fixed(self, rows, vf_flat, vl_flat):
+    def _evaluate_pure(self, table):
+        """Evaluated pure pairs and the (F, R) mask of follower fixed points."""
+        obj, fv, lead, lv = _evaluate(self.pairs, self._follower_mats, table, self.spec.discount)
+        return fv, lead, lv, self._certified(obj, fv)
+
+    def _mixed_fixed(self, rows, table):
         """Mixed follower fixed points of ``rows`` (state × leader candidate).
 
         Every row meets every ``_uniform_maps`` map, in batches of whole
@@ -457,10 +473,9 @@ class StageEngine:
         least): one ``_build_pairs`` call, each row with its own state and
         leader candidate and the maps as columns, on the engine's tensors
         with R^l against the maps, and one ``_evaluate`` call.  Each row
-        takes the first map whose follower values are within ``br_tol`` of
-        each type's best objective.  Returns {row: (follower prescription,
-        leader objective, follower values, leader values)} for the rows with
-        such a map.
+        takes the first map that passes the pure pairs' certificate.
+        Returns {row: (follower prescription, leader objective, follower
+        values, leader values)} for the rows with such a map.
         """
         if not len(rows):
             return {}
@@ -474,16 +489,17 @@ class StageEngine:
                        self.spec.leader_reward(z[:, None], maps[None]))
             pairs = _build_pairs(self.joint, pi, z, tensors, self._leader_mats[batch % L, None],
                                  maps, self._slots, self.config.bayes_eps)
-            obj, fv, lead, lv = _evaluate(pairs, maps, vf_flat, vl_flat, self.spec.discount)
-            ok = ~np.any(fv < _fold(np.maximum, obj) - self.config.br_tol, axis=2)
-            out.update({int(row): (maps[k], lead[r, k], fv[r, k], lv[r, k])
-                        for r, (row, k) in enumerate(zip(batch, np.argmax(ok, axis=1)))
-                        if ok[r, k]})
+            obj, fv, lead, lv = _evaluate(pairs, maps, table, self.spec.discount)
+            ok = self._certified(obj, fv)
+            out.update({int(row): (maps[k], lead[k, r], fv[:, k, r], lv[:, k, r])
+                        for r, (row, k) in enumerate(zip(batch, np.argmax(ok, axis=0)))
+                        if ok[k, r]})
         return out
 
-    def sweep(self, vf_flat, vl_flat, t: Optional[int] = None,
-              prefer: Optional[Callable] = None) -> StageSweep:
-        """Solve every state; raises NoEquilibriumError at the first state
+    def solve(self, table, t: Optional[int] = None,
+              prefer: Optional[Callable] = None) -> StageChoice:
+        """Solve every state against the continuation table [V^f | V^l]
+        (P, n_f + n_l); raises NoEquilibriumError at the first state
         without an equilibrium.
 
         The leader takes the first pair in (leader, follower) order whose
@@ -492,12 +508,14 @@ class StageEngine:
         that window, and the first pair when none is preferred.
         """
         S, L, F = len(self.states), len(self.leaders), len(self.followers)
-        fv, lead, lv, fixed = self._evaluate_pure(vf_flat, vl_flat)
-        mixed = self._mixed_fixed(np.flatnonzero(~fixed.any(axis=1)), vf_flat, vl_flat)
+        fv, lead, lv, fixed = self._evaluate_pure(table)
+        has_fixed = fixed.any(axis=0)
+        mixed = {} if has_fixed.all() else self._mixed_fixed(np.flatnonzero(~has_fixed), table)
 
         values = np.full((S * L, F + 1), -np.inf)
-        values[:, :F] = np.where(fixed, lead, -np.inf)
-        values[list(mixed), F] = [d[1] for d in mixed.values()]
+        np.copyto(values[:, :F].T, lead, where=fixed)
+        if mixed:
+            values[list(mixed), F] = [d[1] for d in mixed.values()]
         flat_values = values.reshape(S, L * (F + 1))
         best = flat_values.max(axis=1)
         solved = best > -np.inf
@@ -512,17 +530,28 @@ class StageEngine:
                 chosen[s] = next((e for e in np.flatnonzero(window[s])
                                   if prefer(t, *self.states[s], *self._keys[e])), chosen[s])
 
-        rows, cols = np.arange(S) * L + chosen // (F + 1), chosen % (F + 1)
-        pure = np.minimum(cols, F - 1)      # mixed entries are overwritten below
-        out = StageSweep(
-            leader=self._leader_mats[chosen // (F + 1)],
-            follower=self._follower_mats[pure],
-            follower_values=fv[rows, pure], leader_values=lv[rows, pure],
-            objectives=values.reshape(S, L, F + 1),
-            bayes=self.pairs.bayes.reshape(S, L), keys=self._keys)
-        for s in np.flatnonzero(cols == F):
-            out.follower[s], _, out.follower_values[s], out.leader_values[s] = mixed[rows[s]]
-        return out
+        leader, cols = np.divmod(chosen, F + 1)
+        rows, pure = self._first_rows + leader, np.minimum(cols, F - 1)
+        follower = self._follower_mats[pure]
+        out = np.concatenate([fv[:, pure, rows], lv[:, pure, rows]]).T.copy()
+        for s in np.flatnonzero(cols == F) if mixed else ():     # overwrite the mixed entries
+            follower[s], _, *chosen_values = mixed[rows[s]]
+            out[s] = np.concatenate(chosen_values)
+        return StageChoice(chosen, follower, values.reshape(S, L, F + 1), out)
+
+    def assemble(self, choice: StageChoice) -> StageSweep:
+        """The ``StageSweep`` of a solved stage."""
+        n_f = self.spec.n_follower_states
+        return StageSweep(
+            leader=self._leader_mats[choice.chosen // (len(self.followers) + 1)],
+            follower=choice.follower, follower_values=choice.values[:, :n_f].copy(),
+            leader_values=choice.values[:, n_f:].copy(), objectives=choice.objectives,
+            bayes=self.pairs.bayes.reshape(len(self.states), -1), keys=self._keys)
+
+    def sweep(self, vf_flat, vl_flat, t: Optional[int] = None,
+              prefer: Optional[Callable] = None) -> StageSweep:
+        """``solve`` against the tables V^f, V^l, assembled."""
+        return self.assemble(self.solve(np.concatenate([vf_flat, vl_flat], axis=1), t, prefer))
 
 
 def follower_br_set(pi, z, gamma_l, v_f_next: JointTable, spec: GameSpec,
@@ -535,12 +564,11 @@ def follower_br_set(pi, z, gamma_l, v_f_next: JointTable, spec: GameSpec,
     """
     G = np.asarray(gamma_l, dtype=np.float64)
     engine = StageEngine(spec, v_f_next.joint, [(pi, z)], config, leaders=[(None, G)])
-    vf_flat = v_f_next.flat_values()
-    no_leader_table = np.zeros((len(vf_flat), spec.n_leader_states))
-    fixed = engine._evaluate_pure(vf_flat, no_leader_table)[3][0]
+    table = np.pad(v_f_next.flat_values(), ((0, 0), (0, spec.n_leader_states)))
+    fixed = engine._evaluate_pure(table)[3][:, 0]
     if fixed.any():
         return [Ff for (_, Ff), ok in zip(engine.followers, fixed) if ok]
-    return [d[0] for d in engine._mixed_fixed(np.array([0]), vf_flat, no_leader_table).values()]
+    return [d[0] for d in engine._mixed_fixed(np.array([0]), table).values()]
 
 
 def leader_optimize(pi, z, v_l_next: JointTable, v_f_next: JointTable,
@@ -554,15 +582,16 @@ def leader_optimize(pi, z, v_l_next: JointTable, v_f_next: JointTable,
 def pair_objectives(pi, z, prescription: Prescription, v_f_next: JointTable,
                     v_l_next: JointTable, spec: GameSpec,
                     config: Optional[SolverConfig] = None):
-    """(follower objectives, follower values, leader objective, leader values)
-    of one prescription pair at one public state."""
+    """(follower objectives (n_f, n_af), follower values, leader objective,
+    leader values) of one prescription pair at one public state."""
     G, Ff = prescription.leader, prescription.follower
     z = np.asarray(z, dtype=np.float64)[None]
     pairs = _build_pairs(v_f_next.joint, np.asarray(pi, dtype=np.float64)[None], z,
                          _tensors(spec, z, Ff[None]), G[None, None], Ff[None], G.shape[1],
                          (config or SolverConfig()).bayes_eps)
-    ev = _evaluate(pairs, Ff, v_f_next.flat_values(), v_l_next.flat_values(), spec.discount)
-    return tuple(x[0, 0] for x in ev)
+    table = np.concatenate([v_f_next.flat_values(), v_l_next.flat_values()], axis=1)
+    obj, fv, lead, lv = _evaluate(pairs, Ff[None], table, spec.discount)
+    return obj[:, :, 0, 0].T, fv[:, 0, 0], lead[0, 0], lv[:, 0, 0]
 
 
 def stage_values(pi, z, prescription: Prescription, v_f_next: JointTable,

@@ -128,21 +128,21 @@ def no_equilibrium_at(monkeypatch, state, sweep=1, nan=False):
     evaluate_pure, mixed_fixed = StageEngine._evaluate_pure, StageEngine._mixed_fixed
     sweeps = []
 
-    def patched_pure(self, vf_flat, vl_flat):
-        fv, lead, lv, fixed = evaluate_pure(self, vf_flat, vl_flat)
+    def patched_pure(self, table):
+        fv, lead, lv, fixed = evaluate_pure(self, table)
         sweeps.append(None)
         if len(sweeps) == sweep:
             first = state * len(self.leaders)
             if nan:
-                lead[first, 0], fixed[first, 0] = np.nan, True
+                lead[0, first], fixed[0, first] = np.nan, True
             else:
-                fixed[first:first + len(self.leaders)] = False
+                fixed[:, first:first + len(self.leaders)] = False
         return fv, lead, lv, fixed
 
-    def patched_mixed(self, rows, vf_flat, vl_flat):
+    def patched_mixed(self, rows, table):
         if len(sweeps) == sweep:
             rows = rows[rows // len(self.leaders) != state]
-        return mixed_fixed(self, rows, vf_flat, vl_flat)
+        return mixed_fixed(self, rows, table)
 
     monkeypatch.setattr(StageEngine, "_evaluate_pure", patched_pure)
     monkeypatch.setattr(StageEngine, "_mixed_fixed", patched_mixed)
@@ -189,8 +189,11 @@ def random_prescription(rng, n_states, n_actions):
 
 
 def random_stochastic_spec(seed, n_f=2, n_l=2, n_af=2, n_al=2, discount=0.9,
-                           horizon=3):
-    """Fully stochastic random game (not grid-closed); for dynamics tests."""
+                           horizon=3, leader_drift=0.0):
+    """Fully stochastic random game (not grid-closed); for dynamics tests.
+
+    With ``leader_drift`` > 0 the leader kernel moves with the mean field:
+    each row shifts by ``leader_drift * z[0]`` toward its own reversal."""
     rng = np.random.default_rng(seed)
     fk = rng.dirichlet(np.ones(n_f), size=(n_l, n_f, n_al, n_af))
     lk = rng.dirichlet(np.ones(n_l), size=(n_l, n_al))
@@ -201,7 +204,7 @@ def random_stochastic_spec(seed, n_f=2, n_l=2, n_af=2, n_al=2, discount=0.9,
         return fk[xl, xf, al, af]
 
     def leader_kernel(z, al, xl):
-        return lk[xl, al]
+        return lk[xl, al] + leader_drift * z[0] * (lk[xl, al, ::-1] - lk[xl, al])
 
     def follower_reward(z, xl, xf, al, af):
         return rf[xl, xf, al, af] + 0.1 * z[0]

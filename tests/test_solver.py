@@ -204,18 +204,18 @@ def test_stationary_solve_builds_its_tables_once_on_return(monkeypatch):
     """Sweeps hand the engine's flat arrays on; the two JointTables of the
     result are built after the last sweep, from the stored stage."""
     built, before_sweep = [], []
-    init, sweep = s.JointTable.__init__, s.stage.StageEngine.sweep
+    init, solve = s.JointTable.__init__, s.stage.StageEngine.solve
 
     def counted_init(self, *args, **kwargs):
         built.append(self)
         init(self, *args, **kwargs)
 
-    def counted_sweep(self, *args, **kwargs):
+    def counted_solve(self, *args, **kwargs):
         before_sweep.append(len(built))
-        return sweep(self, *args, **kwargs)
+        return solve(self, *args, **kwargs)
 
     monkeypatch.setattr(s.JointTable, "__init__", counted_init)
-    monkeypatch.setattr(s.stage.StageEngine, "sweep", counted_sweep)
+    monkeypatch.setattr(s.stage.StageEngine, "solve", counted_solve)
     spec = s.build_infection_game(s.InfectionParams(subsidy_points=5))
     joint = s.JointGrid(pi_grid=s.build_grid(1, 1), z_grid=s.build_grid(2, 8))
     gen, (vf, vl), report = s.solve_stationary(spec, joint, tol=1e-7)
@@ -247,18 +247,33 @@ def test_continuation_for_matches_backward_tables():
             gen.continuation_for(t)
 
 
+def opposite_overflow_spec(horizon):
+    """Followers move to the state their action names and earn +1e308 in
+    state a, -1e308 in state b: the second stage's objectives overflow to
+    +inf and -inf, so type b's value holds 0·(-inf) = NaN."""
+    return s.GameSpec.from_callables(
+        follower_states=("a", "b"), leader_states=("L",), follower_actions=("a", "b"),
+        leader_actions=("0",), leader_kernel=lambda z, al, xl: np.array([1.0]),
+        follower_kernel=lambda z, xl, xf, al, af: np.eye(2)[af],
+        follower_reward=lambda z, xl, xf, al, af: 1e308 if xf == 0 else -1e308,
+        leader_reward=lambda z, xl, al, gf: 0.0, discount=0.9, horizon=horizon,
+        initial_leader_belief=[1.0], initial_mean_field=[0.5, 0.5])
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_values_raise_at_the_overflowing_sweep():
     """Follower rewards of 1e308 leave one stage's values finite and
     overflow two stages': both solve loops raise there, naming the first
-    grid point."""
+    grid point.  So do rewards that overflow to both signs, where a NaN
+    value must not read as a stage without an equilibrium."""
     for horizon, where in ((3, "t=2"), (None, "stationary sweep 2")):
-        spec = zeroed_rewards(toy_spec(horizon=horizon, seed=4), follower_reward=1e308)
-        joint = toy_joint_grid(spec)
-        pi, z = joint.point(0)
-        solve = s.backward_pass if horizon else s.solve_stationary
-        with pytest.raises(s.NonFiniteValues, match=re.escape(f"{where}, pi={pi}, z={z}")):
-            solve(spec, joint)
+        for spec in (zeroed_rewards(toy_spec(horizon=horizon, seed=4), follower_reward=1e308),
+                     opposite_overflow_spec(horizon)):
+            joint = toy_joint_grid(spec)
+            pi, z = joint.point(0)
+            solve = s.backward_pass if horizon else s.solve_stationary
+            with pytest.raises(s.NonFiniteValues, match=re.escape(f"{where}, pi={pi}, z={z}")):
+                solve(spec, joint)
 
 
 def test_stationary_nonconvergence_carries_history():
@@ -275,6 +290,69 @@ def test_stationary_rejects_max_iter_below_one():
     for max_iter in (0, -2):
         with pytest.raises(ValueError, match="max_iter"):
             s.solve_stationary(spec, joint, max_iter=max_iter)
+
+
+def crowding_stationary_spec():
+    """Followers move to the state their action names and pay for the crowding
+    of their own state, so from z = (1, 0) no pure map is a follower fixed
+    point and every stationary sweep after the first reaches the mixed check."""
+    return s.GameSpec.from_callables(
+        follower_states=("a", "b"), leader_states=("L",), follower_actions=("a", "b"),
+        leader_actions=("0", "1"), leader_kernel=lambda z, al, xl: np.array([1.0]),
+        follower_kernel=lambda z, xl, xf, al, af: (np.array([0.7, 0.3]) if al and af
+                                                   else np.eye(2)[af]),
+        follower_reward=lambda z, xl, xf, al, af: -z[xf],
+        leader_reward=lambda z, xl, al, gf: -0.3 * al + gf[0, 1] + z[1] / 3,
+        discount=0.5, horizon=None, initial_leader_belief=[1.0], initial_mean_field=[1.0, 0.0])
+
+
+def sweep_loop(spec, joint, tol):
+    """Value iteration as a loop of ``StageEngine.sweep`` from zero tables:
+    the last sweep, the deltas and the prescription-stable flags."""
+    engine = s.stage.StageEngine(spec, joint)
+    vf = np.zeros((joint.n_points, spec.n_follower_states))
+    vl = np.zeros((joint.n_points, spec.n_leader_states))
+    deltas, stable, prev = [], [], None
+    while not deltas or deltas[-1] >= tol:
+        sweep = engine.sweep(vf, vl)
+        deltas.append(float(max(np.max(np.abs(sweep.follower_values - vf)),
+                                np.max(np.abs(sweep.leader_values - vl)))))
+        stable.append(prev is not None and np.array_equal(sweep.leader, prev.leader)
+                      and np.array_equal(sweep.follower, prev.follower))
+        prev, vf, vl = sweep, sweep.follower_values, sweep.leader_values
+    return sweep, deltas, stable
+
+
+@pytest.mark.parametrize("game", ["infection", "tech-41", "crowding"])
+def test_stationary_solve_equals_a_loop_of_engine_sweeps(game, monkeypatch):
+    """``solve_stationary`` keeps only what the next sweep needs, and its
+    deltas, stable flags and every field of its one ``StageSweep``,
+    objectives included, equal a loop of assembled engine sweeps bit for
+    bit.  Only the crowding game reaches the mixed check, and its last
+    sweep chooses mixed maps."""
+    spec, joint = {
+        "infection": lambda: (s.build_infection_game(s.InfectionParams(subsidy_points=11)),
+                              s.JointGrid(s.build_grid(1, 1), s.build_grid(2, 10))),
+        "tech-41": lambda: (s.build_tech_adoption_game(s.TechAdoptionParams(price_points=41)),
+                            s.JointGrid(s.build_grid(1, 1), s.build_grid(2, 10))),
+        "crowding": lambda: (crowding_stationary_spec(),
+                             s.JointGrid(s.build_grid(1, 1), s.build_grid(2, 4))),
+    }[game]()
+    mixed_rows = []
+    mixed_fixed = s.stage.StageEngine._mixed_fixed
+    monkeypatch.setattr(s.stage.StageEngine, "_mixed_fixed", lambda self, rows, table: (
+        mixed_rows.append(len(rows)), mixed_fixed(self, rows, table))[1])
+    gen, _, report = s.solve_stationary(spec, joint, tol=1e-6)
+    sweep, deltas, stable = sweep_loop(spec, joint, tol=1e-6)
+    assert report.converged and report.deltas == deltas
+    assert report.prescription_stable == stable and any(stable)
+    got, = gen.stages
+    for name in ("leader", "follower", "follower_values", "leader_values", "objectives", "bayes"):
+        a, b = getattr(got, name), getattr(sweep, name)
+        assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert got.keys == sweep.keys
+    mixed = game == "crowding"
+    assert any(mixed_rows) == mixed and np.any(got.follower % 1.0) == mixed
 
 
 def test_stationary_rejects_tol_not_above_zero():

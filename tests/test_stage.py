@@ -16,6 +16,11 @@ from conftest import (no_equilibrium_at, random_stochastic_spec, signal_family_s
                       toy_joint_grid, toy_spec, toy_spec_two_leader_states)
 
 
+def joined(vf, vl):
+    """The continuation table [V^f | V^l] the engine solves against."""
+    return np.concatenate([vf, vl], axis=1)
+
+
 def zero_tables(spec, joint):
     return (s.JointTable.zeros(joint, spec.n_follower_states),
             s.JointTable.zeros(joint, spec.n_leader_states))
@@ -327,9 +332,12 @@ def reference_pairs(spec, joint, pi, z, leaders, followers, n_slots, bayes_eps=1
 
 
 def expanded(pairs, rows=slice(None)):
-    """Rows ``rows`` of ``pairs`` with the gather spread to one row per slot:
-    ``idx[inv]`` and ``w[inv]``, (R, F, A, K), and no ``inv``."""
-    spread = pairs._replace(idx=pairs.idx[pairs.inv], w=pairs.w[pairs.inv])
+    """Rows ``rows`` of ``pairs`` in the row-first layout of
+    ``reference_pairs``: every per-pair array with its axes reversed back,
+    and the gather spread to one row per slot, ``idx[inv]`` and ``w[inv]``,
+    (R, F, A, K), with no ``inv``."""
+    row_first = pairs._replace(**{name: getattr(pairs, name).T for name in pairs._fields[2:]})
+    spread = row_first._replace(idx=pairs.idx[row_first.inv], w=pairs.w[row_first.inv])
     return type(pairs)(*(a[rows] for a in spread))._replace(inv=None)
 
 
@@ -353,18 +361,24 @@ PAIR_GAMES = {
                                     / "tiny.json"), 4, 1, False),
     "two-leader-types-mixed-grid": lambda: (toy_spec_two_leader_states(), 3, 2, True),
     "three-leader-types": lambda: (random_stochastic_spec(7, n_l=3, n_al=2), 3, 3, False),
+    "leader-kernel-varies-with-z": lambda: (random_stochastic_spec(8, leader_drift=0.8), 3, 2,
+                                            False),
 }
 
 
 @pytest.mark.parametrize("game", sorted(PAIR_GAMES))
 def test_engine_pairs_match_per_pair_rebuild(game):
     """Every field of the batched pair arrays equals a per-pair rebuild from
-    the scalar kernels, bit for bit, at every grid point."""
+    the scalar kernels, bit for bit, at every grid point; every per-pair
+    array holds its (state × leader candidate) row axis last, contiguous."""
     spec, z_res, pi_res, mixed = PAIR_GAMES[game]()
     joint = toy_joint_grid(spec, z_res=z_res, pi_res=pi_res)
     engine = StageEngine(spec, joint, config=s.SolverConfig(leader_mixed_grid=mixed))
     L = len(engine.leaders)
     assert L > spec.n_leader_actions ** spec.n_leader_states or not mixed
+    for name in engine.pairs._fields[2:]:
+        array = getattr(engine.pairs, name)
+        assert array.shape[-1] == len(engine.states) * L and array.flags.c_contiguous, name
     for k, (pi, z) in enumerate(engine.states):
         rows = slice(k * L, (k + 1) * L)
         expected = reference_pairs(spec, joint, pi, z, [G for _, G in engine.leaders],
@@ -384,7 +398,7 @@ def test_gather_holds_each_distinct_next_state_once(game):
     pairs = StageEngine(spec, joint, config=config).pairs
     rows = np.concatenate([pairs.idx, pairs.w.view(np.int64)], axis=1)
     assert len(np.unique(rows, axis=0)) == len(rows) < pairs.inv.size
-    ids, first = np.unique(pairs.inv.ravel(), return_index=True)
+    ids, first = np.unique(pairs.inv.T.ravel(), return_index=True)
     assert np.array_equal(ids, np.arange(len(rows))) and np.all(np.diff(first) > 0)
     again = StageEngine(spec, joint, config=config).pairs
     for name in ("idx", "w", "inv"):
@@ -394,7 +408,7 @@ def test_gather_holds_each_distinct_next_state_once(game):
     for n in (spec.n_follower_states, spec.n_follower_states + spec.n_leader_states):
         table = rng.normal(size=(joint.n_points, n)) * 10.0 ** rng.integers(-8, 8, (1, n))
         table[rng.random(table.shape) < 0.2] = -0.0
-        per_slot = np.sum(dense.w[..., None] * table[dense.idx], axis=-2)
+        per_slot = np.sum(dense.w[..., None] * table[dense.idx], axis=-2).T
         got = stage._interpolate(pairs, table)
         assert got.shape == per_slot.shape
         assert np.array_equal(got, per_slot)
@@ -520,11 +534,11 @@ def test_damped_pairs_match_per_pair_rebuild(monkeypatch):
     certified = 0
     built = record_pair_builds(monkeypatch)
     for spec, joint, engine, vf, vl in damped_cases():
-        fixed = engine._evaluate_pure(vf, vl)[3]
-        rows = np.flatnonzero(~fixed.any(axis=1))
+        fixed = engine._evaluate_pure(joined(vf, vl))[3]
+        rows = np.flatnonzero(~fixed.any(axis=0))
         assert len(rows)
         built.clear()
-        certified += len(engine._mixed_fixed(rows, vf, vl))
+        certified += len(engine._mixed_fixed(rows, joined(vf, vl)))
         (leaders, maps, pairs), = built
         L = len(engine.leaders)
         assert np.array_equal(maps, stage._uniform_maps(spec.n_follower_states,
@@ -555,7 +569,7 @@ def test_certified_damped_rows_match_pair_objectives():
             if not np.isfinite(sweep.objectives[k, l, -1]):
                 continue
             row = k * len(engine.leaders) + l
-            (Ff, lead, fv, lv), = engine._mixed_fixed(np.array([row]), vf, vl).values()
+            (Ff, lead, fv, lv), = engine._mixed_fixed(np.array([row]), joined(vf, vl)).values()
             _, fv_ref, lead_ref, lv_ref = stage.pair_objectives(
                 pi, z, s.Prescription(leader=G, follower=Ff), vf_table, vl_table, spec)
             assert sweep.objectives[k, l, -1] == lead == lead_ref
@@ -589,27 +603,41 @@ def test_sweep_without_damped_rows_sets_up_no_fallback(monkeypatch):
     assert np.all(np.isinf(sweep.objectives[:, :, -1]))
 
 
-def sequential_damped(engine, rows, vf_flat, vl_flat):
+def sequential_damped(engine, rows, table):
     """The damped best-response iteration over mixed follower prescriptions,
     an independent reference for the mixed check: each row iterates
     F <- F / 2 + BR(F) / 2 from the uniform prescription, BR(F) mixing each
     type uniformly over its actions within 1e-12 of its best, and stops
     when a step moves F by less than 1e-9, or after 500 steps.  Each step
     builds the live rows against all their prescriptions in one
-    ``mixed_pairs`` call and keeps the (row, own prescription) diagonal.
-    Returns {row: (follower prescription, leader objective, follower values,
-    leader values)} for the stopped rows that pass the certificate."""
-    n_f, n_af = engine.spec.n_follower_states, engine.spec.n_follower_actions
-    discount = engine.spec.discount
+    ``_build_pairs`` call on the engine's Q^f, R^f and Q^l, with each row's
+    R^l against its own prescription only, and keeps the (row, own
+    prescription) diagonal.  Returns {row: (follower prescription, leader
+    objective, follower values, leader values)} for the stopped rows that
+    pass the certificate."""
+    spec, L = engine.spec, len(engine.leaders)
+    n_f, n_af = spec.n_follower_states, spec.n_follower_actions
     Ff = np.full((len(rows), n_f, n_af), 1.0 / n_af)
+
+    def diagonal(live):
+        """(objectives, follower values, leader objective, leader values)
+        of rows ``live`` against their own prescriptions, row first."""
+        states, own = rows[live] // L, Ff[live]
+        z = engine._z[states]
+        tensors = (*(T[states] for T in engine._tensors[:3]),
+                   spec.leader_reward(z[:, None], own[:, None]))
+        pairs = stage._build_pairs(engine.joint, engine._pi[states], z, tensors,
+                                   engine._leader_mats[rows[live] % L, None], own,
+                                   engine._slots, engine.config.bayes_eps)
+        return [np.diagonal(x, axis1=-2, axis2=-1).T
+                for x in stage._evaluate(pairs, own, table, spec.discount)]
+
     active = np.ones(len(rows), dtype=bool)
     for _ in range(500):
         live = np.flatnonzero(active)
         if not len(live):
             break
-        obj = np.moveaxis(np.diagonal(stage._evaluate(
-            mixed_pairs(engine, rows[live], Ff[live]), Ff[live], vf_flat, vl_flat, discount)[0]),
-            -1, 0)
+        obj = diagonal(live)[0]
         ties = obj >= obj.max(axis=2, keepdims=True) - 1e-12
         br = ties * (1.0 / ties.sum(axis=2, keepdims=True))
         new = (1.0 - 0.5) * Ff[live] + 0.5 * br
@@ -619,8 +647,7 @@ def sequential_damped(engine, rows, vf_flat, vl_flat):
     done = np.flatnonzero(~active)
     if not len(done):
         return {}
-    obj, fv, lead, lv = (np.moveaxis(np.diagonal(x), -1, 0) for x in stage._evaluate(
-        mixed_pairs(engine, rows[done], Ff[done]), Ff[done], vf_flat, vl_flat, discount))
+    obj, fv, lead, lv = diagonal(done)
     ok = ~np.any(fv < obj.max(axis=2) - engine.config.br_tol, axis=1)
     return {int(rows[i]): (Ff[i], lead[k], fv[k], lv[k])
             for k, i in enumerate(done) if ok[k]}
@@ -663,10 +690,10 @@ def test_mixed_check_certifies_what_the_damped_iteration_certifies():
     the iteration stops near a map but not on it."""
     certified = exact = 0
     for engine, vf, vl in fallback_cases():
-        rows = np.flatnonzero(~engine._evaluate_pure(vf, vl)[3].any(axis=1))
+        rows = np.flatnonzero(~engine._evaluate_pure(joined(vf, vl))[3].any(axis=0))
         assert len(rows)
-        got = engine._mixed_fixed(rows, vf, vl)
-        expected = sequential_damped(engine, rows, vf, vl)
+        got = engine._mixed_fixed(rows, joined(vf, vl))
+        expected = sequential_damped(engine, rows, joined(vf, vl))
         assert set(expected) <= set(got)
         maps = stage._uniform_maps(engine.spec.n_follower_states,
                                    engine.spec.n_follower_actions)
@@ -684,10 +711,10 @@ def test_mixed_check_takes_the_first_certified_map():
     the second map, and the sweep selects it.  The damped iteration only
     approaches it, to within 2e-9."""
     spec, joint, engine, vf, vl = list(damped_cases())[2]
-    (Ff, lead, _, _), = engine._mixed_fixed(np.array([0]), vf, vl).values()
+    (Ff, lead, _, _), = engine._mixed_fixed(np.array([0]), joined(vf, vl)).values()
     assert np.array_equal(Ff, [[0.5, 0.5], [1.0, 0.0]])
     assert np.array_equal(Ff, stage._uniform_maps(2, 2)[1])
-    (limit, *_), = sequential_damped(engine, np.array([0]), vf, vl).values()
+    (limit, *_), = sequential_damped(engine, np.array([0]), joined(vf, vl)).values()
     assert not np.array_equal(limit, Ff) and np.max(np.abs(limit - Ff)) < 2e-9
     sweep = engine.sweep(vf, vl)
     assert np.array_equal(sweep.follower[0], Ff) and sweep.objectives[0, 0, -1] == lead
@@ -721,14 +748,14 @@ def test_mixed_check_batches_rows_under_the_pair_cap(monkeypatch):
     a time and of a single batch."""
     built = record_pair_builds(monkeypatch)
     for engine, vf, vl in fallback_cases():
-        rows = np.flatnonzero(~engine._evaluate_pure(vf, vl)[3].any(axis=1))
+        rows = np.flatnonzero(~engine._evaluate_pure(joined(vf, vl))[3].any(axis=0))
         M = len(stage._uniform_maps(engine.spec.n_follower_states, engine.spec.n_follower_actions))
         got = {}
         for cap, per_batch in ((1, 1), (3 * M + 1, 3), (10 ** 9, len(rows))):
             monkeypatch.setattr(stage, "MIXED_BATCH", cap)
             built.clear()
-            got[cap] = engine._mixed_fixed(rows, vf, vl)
-            assert [pairs.inv.shape[:2] for *_, pairs in built] == [
+            got[cap] = engine._mixed_fixed(rows, joined(vf, vl))
+            assert [pairs.inv.T.shape[:2] for *_, pairs in built] == [
                 (len(rows[i:i + per_batch]), M) for i in range(0, len(rows), per_batch)]
         assert same_mixed(got[1], got[3 * M + 1]) and same_mixed(got[1], got[10 ** 9])
 
@@ -745,10 +772,10 @@ def test_mixed_check_of_many_maps_takes_one_row_at_a_time(monkeypatch):
     rng = np.random.default_rng(1)
     vf = rng.normal(scale=10.0, size=(joint.n_points, 4))
     vl = rng.normal(scale=10.0, size=(joint.n_points, 1))
-    rows = np.flatnonzero(~engine._evaluate_pure(vf, vl)[3].any(axis=1))
+    rows = np.flatnonzero(~engine._evaluate_pure(joined(vf, vl))[3].any(axis=0))
     assert len(rows) == 7 and len(stage._uniform_maps(4, 3)) == 2320
     built = record_pair_builds(monkeypatch)
-    chunked = engine._mixed_fixed(rows, vf, vl)
+    chunked = engine._mixed_fixed(rows, joined(vf, vl))
     monkeypatch.setattr(stage, "MIXED_BATCH", 7 * 2320)
-    assert same_mixed(chunked, engine._mixed_fixed(rows, vf, vl))
-    assert [pairs.inv.shape[:2] for *_, pairs in built] == [(1, 2320)] * 7 + [(7, 2320)]
+    assert same_mixed(chunked, engine._mixed_fixed(rows, joined(vf, vl)))
+    assert [pairs.inv.T.shape[:2] for *_, pairs in built] == [(1, 2320)] * 7 + [(7, 2320)]
