@@ -7,10 +7,11 @@ follower type must already be playing an argmax action.  Pure candidates are
 checked exhaustively; when none is a fixed point, the mixed maps that mix
 each type uniformly over a subset of its actions are checked, largest
 supports first, and the first that is a fixed point is taken.  The leader
-then picks the prescription pair maximizing her expected stage value, with
-optimistic selection over follower multiplicity: the first pair in
-(leader, follower) order whose objective is within ``SELECTION_TOL`` of the
-best, so rounding among near-ties does not decide selection.
+then picks the prescription pair maximizing her ex-ante stage value, the
+belief average of her values per private type, with optimistic selection
+over follower multiplicity: the first pair in (leader, follower) order
+whose objective is within ``SELECTION_TOL`` of the best, so rounding among
+near-ties does not decide selection.
 
 ``StageEngine`` stacks every (public state, leader candidate, follower map)
 pair into arrays once, the (state × leader candidate) row axis last and
@@ -34,12 +35,12 @@ per distinct next state and an inverse index names each slot's row; a
 sweep interpolates [V^f | V^l] once over those rows.  Per-state tensors
 are indexed by state and broadcast over the leader candidates.
 The kernels repeat the scalar ``belief_step_total``, ``mean_field_step``
-and ``simplex_weights`` operation for operation; sums the scalar path
-leaves to ``einsum`` run as left-to-right chains in its order and those it
-leaves to BLAS as stacked ``matmul``, so the arrays are bit-identical to a
-per-pair build.  The mixed check builds its rows against the uniform-support
-maps with the same function, one row per (state, leader candidate) with its
-own leader, in batches of at most ``MIXED_BATCH`` (row, map) pairs.
+and ``simplex_weights`` operation for operation, and sums the scalar path
+leaves to ``einsum`` run as left-to-right chains in its order, so the
+arrays are bit-identical to a per-pair build.  The mixed check builds its
+rows against the uniform-support maps with the same function, one row per
+(state, leader candidate) with its own leader, in batches of at most
+``MIXED_BATCH`` (row, map) pairs.
 """
 
 from __future__ import annotations
@@ -141,17 +142,17 @@ class _Pairs(NamedTuple):
     Rows index (public state, leader candidate), columns follower maps, slots
     the leader actions a row plays; slots and stencils are zero-padded.  Per-pair
     arrays are stored with their axes reversed, rows last.  The gather holds
-    one stencil per distinct next state, and ``inv`` names each slot's.
+    one stencil per distinct next state, and ``inv`` names each slot's.  The
+    leader side is kept per leader type only; ``pi`` averages it.
     """
 
     idx: np.ndarray         # (U, K) flat gather indices into the joint tables
     w: np.ndarray           # (U, K) joint interpolation weights
     inv: np.ndarray         # (A, F, R) stencil of each slot's next state
-    lead_base: np.ndarray   # (F, R) belief-averaged leader reward
+    pi: np.ndarray          # (n_l, R) each row's belief
     vl_base: np.ndarray     # (n_l, F, R) leader reward per leader type
     base_obj: np.ndarray    # (n_af, n_f, R) belief-averaged follower reward
     cont_op: np.ndarray     # (n_f', n_af, n_f, A, R) belief-weighted follower kernel
-    lead_cont: np.ndarray   # (n_l', A, R) belief-weighted leader kernel
     vl_cont: np.ndarray     # (n_l', n_l, A, R) leader kernel per leader type
     bayes: np.ndarray       # (R,) played actions where Bayes rule kept the prior
 
@@ -217,16 +218,6 @@ def _joint_stencils(joint: JointGrid, pi_idx, pi_w, z_next):
     return idx, w, inv.reshape(slots.shape)
 
 
-def _leader_terms(pi, leaders, rl):
-    """Belief-averaged leader reward (..., F) and the reward per leader type
-    (..., F, n_l) of leader prescriptions (..., n_l, n_al) at beliefs
-    (..., n_l), from the leader rewards (..., F, n_l, n_al) against F
-    follower prescriptions."""
-    w_la = pi[..., :, None] * leaders
-    return (np.sum(w_la[..., None, :, :] * rl, axis=(-2, -1)),
-            np.sum(leaders[..., None, :, :] * rl, axis=-1))
-
-
 def _slot_actions(leaders, n_slots: int):
     """The leader action each slot of leader prescriptions (..., n_l, n_al)
     plays, its played actions in increasing order, and the mask of slots in
@@ -248,9 +239,9 @@ def _build_pairs(joint: JointGrid, pi, z, tensors, leaders, followers, n_slots: 
     ``tensors`` are the states' ``_tensors``, with R^l against ``followers``;
     they are indexed by state and broadcast over the leader candidates.
     Sums the scalar path leaves to ``einsum`` run as left-to-right chains in
-    its order, those it leaves to BLAS as stacked ``matmul``, and the Bayes
-    steps and next mean fields come from ``belief_batch`` and
-    ``mean_field_batch``, so every array is bit-identical to a per-pair build.
+    its order, and the Bayes steps and next mean fields come from
+    ``belief_batch`` and ``mean_field_batch``, so every array is
+    bit-identical to a per-pair build.
     """
     QF, RF, QL, RL = tensors
     n_l = leaders.shape[-2]
@@ -276,7 +267,6 @@ def _build_pairs(joint: JointGrid, pi, z, tensors, leaders, followers, n_slots: 
     for xl in range(n_l):
         cont_op = cont_op + w_slot[..., xl, None, None, None] * q_f[state, actions, xl]
     cont_op = np.where(used[..., None, None, None], cont_op, 0.0)
-    lead_cont = np.where(used[..., None], np.matmul(w_slot[..., None, :], q_l)[..., 0, :], 0.0)
     vl_cont = np.where(used[..., None, None], column[..., None] * q_l, 0.0)
     pi_idx, pi_w = simplex_stencils(joint.pi_grid, pi_next.reshape(-1, n_l))
     pi_idx = np.where(used[..., None], pi_idx.reshape(pi_next.shape[:3] + (-1,)), 0)
@@ -284,10 +274,11 @@ def _build_pairs(joint: JointGrid, pi, z, tensors, leaders, followers, n_slots: 
     z_next = mean_field_batch(pi[:, None, None], z[:, None, None], leaders[:, :, None],
                               followers, QF[:, None, None])
     idx, w, inv = _joint_stencils(joint, pi_idx, pi_w, z_next)
-    lead_base, vl_base = _leader_terms(pi[:, None], leaders, RL[:, None])
+    vl_base = np.sum(leaders[:, :, None] * RL[:, None], axis=-1)
     bayes = np.sum(fell_back & used, axis=2)
+    rows_pi = np.broadcast_to(pi[:, None], vl_base.shape[:2] + (n_l,))
     return _Pairs(idx, w, *(np.ascontiguousarray(a.reshape((-1,) + a.shape[2:]).T) for a in (
-        inv, lead_base, vl_base, base_obj, cont_op, lead_cont, vl_cont, bayes)))
+        inv, rows_pi, vl_base, base_obj, cont_op, vl_cont, bayes)))
 
 
 def _interpolate(p: _Pairs, table):
@@ -319,17 +310,21 @@ def _evaluate(p: _Pairs, follower_mats, table, discount: float):
 
     Returns follower objectives (n_af, n_f, F, R), follower values under
     ``follower_mats`` (F, n_f, n_af) as (n_f, F, R), leader objectives (F, R)
-    and leader values per leader type (n_l, F, R).  Per-row arrays broadcast
-    over the F columns with stride 0.
+    and leader values per leader type (n_l, F, R).  The leader objective is
+    the belief average of her values, summed over the types left to right;
+    a type with zero belief adds an exact 0, so a non-finite value of a
+    type the belief rules out does not make it NaN.  Per-row arrays
+    broadcast over the F columns with stride 0.
     """
     n_f = len(p.cont_op)
     values = _interpolate(p, table)
-    obj, lead, lv = p.base_obj[:, :, None], p.lead_base, p.vl_base
+    obj, lv = p.base_obj[:, :, None], p.vl_base
     for a in range(len(p.inv)):
         vf, vl = values[:n_f, a], values[n_f:, a]
         obj = obj + discount * _dot(p.cont_op[..., a, None, :], vf)
-        lead = lead + discount * _dot(p.lead_cont[:, a], vl)
         lv = lv + discount * _dot(p.vl_cont[:, :, a, None], vl)
+    pi = p.pi[:, None]
+    lead = _fold(np.add, np.multiply(pi, lv, out=np.zeros_like(lv), where=pi > 0.0))
     return obj, _dot(follower_mats.T[..., None], obj), lead, lv
 
 
@@ -366,13 +361,10 @@ class StageSweep:
     objectives: Optional[np.ndarray] = None  # (S, L, F + 1), -inf off the BR set; column F: mixed
     bayes: Optional[np.ndarray] = None       # (S, L) played actions where Bayes kept the prior
     keys: Optional[list] = None     # (leader actions, follower actions) per flat (L, F + 1) entry
-    _prescriptions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def prescription(self, flat: int) -> Prescription:
-        """The prescription pair at state ``flat``, built once."""
-        if flat not in self._prescriptions:
-            self._prescriptions[flat] = Prescription(self.leader[flat], self.follower[flat])
-        return self._prescriptions[flat]
+        """The prescription pair at state ``flat``."""
+        return Prescription(self.leader[flat], self.follower[flat])
 
     def diagnostic_rows(self, states=slice(None)) -> list:
         """``StageDiagnostics`` fields but the candidate list, one dict per
@@ -583,7 +575,8 @@ def pair_objectives(pi, z, prescription: Prescription, v_f_next: JointTable,
                     v_l_next: JointTable, spec: GameSpec,
                     config: Optional[SolverConfig] = None):
     """(follower objectives (n_f, n_af), follower values, leader objective,
-    leader values) of one prescription pair at one public state."""
+    leader values) of one prescription pair at one public state; the leader
+    objective is the belief average of the leader values, as in a sweep."""
     G, Ff = prescription.leader, prescription.follower
     z = np.asarray(z, dtype=np.float64)[None]
     pairs = _build_pairs(v_f_next.joint, np.asarray(pi, dtype=np.float64)[None], z,

@@ -5,11 +5,27 @@ import pytest
 
 import stackmfg as s
 from stackmfg.gamefile import load_game_dict
+from stackmfg.games import _constant
 from stackmfg.stage import StageEngine
 
 
+def _game(callables, scalar, arrays, **fields):
+    """The spec of the array functions ``arrays``, or with ``callables`` that
+    of the scalar functions ``scalar`` they equal, bit for bit
+    (``tests/test_game_arrays.py``)."""
+    if callables:
+        return s.GameSpec.from_callables(**scalar, **fields)
+    return s.GameSpec(**arrays, **fields)
+
+
+def _batch(Z, Gf):
+    """The leading axes of mean fields ``Z`` broadcast against those of
+    follower prescriptions ``Gf``."""
+    return np.broadcast_shapes(np.shape(Z)[:-1], np.shape(Gf)[:-2])
+
+
 def toy_spec(horizon=2, discount=0.9, n_leader_actions=2, seed=3,
-             z_scale=0.3, name="toy"):
+             z_scale=0.3, name="toy", callables=False):
     """Random 2-type, grid-closed toy game with a single leader state.
 
     Follower transitions are deterministic per (type, leader action, own
@@ -36,17 +52,30 @@ def toy_spec(horizon=2, discount=0.9, n_leader_actions=2, seed=3,
     def leader_reward(z, xl, al, gamma_f):
         return rl[al] + rl_z[al] * z[1] + 0.5 * gamma_f[0, 1]
 
-    return s.GameSpec.from_callables(
+    def follower_reward_array(Z):
+        zf = (z_scale * np.asarray(Z, dtype=np.float64)[..., 1])[..., None, None, None, None]
+        return rf + zf * np.arange(2)
+
+    def leader_reward_array(Z, Gf):
+        z1 = np.asarray(Z, dtype=np.float64)[..., 1, None]
+        g01 = np.asarray(Gf, dtype=np.float64)[..., 0, 1, None]
+        return (rl + rl_z * z1 + 0.5 * g01)[..., None, :]
+
+    return _game(
+        callables,
+        dict(leader_kernel=leader_kernel, follower_kernel=follower_kernel,
+             follower_reward=follower_reward, leader_reward=leader_reward),
+        dict(leader_kernel=lambda Z: _constant(np.ones((1, n_leader_actions, 1)), Z),
+             follower_kernel=lambda Z: _constant(np.eye(2)[dest][None], Z),
+             follower_reward=follower_reward_array, leader_reward=leader_reward_array),
         follower_states=("a", "b"), leader_states=("L",),
         follower_actions=("0", "1"),
         leader_actions=tuple(str(i) for i in range(n_leader_actions)),
-        leader_kernel=leader_kernel, follower_kernel=follower_kernel,
-        follower_reward=follower_reward, leader_reward=leader_reward,
         discount=discount, horizon=horizon,
         initial_leader_belief=[1.0], initial_mean_field=[0.5, 0.5], name=name)
 
 
-def toy_spec_two_leader_states(horizon=2, discount=0.9, seed=11):
+def toy_spec_two_leader_states(horizon=2, discount=0.9, seed=11, callables=False):
     """Grid-closed toy with an informative leader type.
 
     The leader kernel is a deterministic per-(type, action) map and the
@@ -75,11 +104,24 @@ def toy_spec_two_leader_states(horizon=2, discount=0.9, seed=11):
     def leader_reward(z, xl, al, gamma_f):
         return rl[xl, al] + 0.4 * z[1]
 
-    return s.GameSpec.from_callables(
+    def follower_reward_array(Z):
+        zl = (0.2 * np.asarray(Z, dtype=np.float64)[..., 1])[..., None, None, None, None]
+        return rf + zl * (np.arange(2) - 0.5)[:, None, None, None]
+
+    def leader_reward_array(Z, Gf):
+        out = rl + (0.4 * np.asarray(Z, dtype=np.float64)[..., 1])[..., None, None]
+        return np.broadcast_to(out, _batch(Z, Gf) + rl.shape).copy()
+
+    kernel = np.broadcast_to(np.eye(2)[fdest][None, :, None], (2, 2, 2, 2, 2))
+    return _game(
+        callables,
+        dict(leader_kernel=leader_kernel, follower_kernel=follower_kernel,
+             follower_reward=follower_reward, leader_reward=leader_reward),
+        dict(leader_kernel=lambda Z: _constant(np.eye(2)[ldest], Z),
+             follower_kernel=lambda Z: _constant(kernel, Z),
+             follower_reward=follower_reward_array, leader_reward=leader_reward_array),
         follower_states=("a", "b"), leader_states=("lo", "hi"),
         follower_actions=("0", "1"), leader_actions=("0", "1"),
-        leader_kernel=leader_kernel, follower_kernel=follower_kernel,
-        follower_reward=follower_reward, leader_reward=leader_reward,
         discount=discount, horizon=horizon,
         initial_leader_belief=[0.5, 0.5], initial_mean_field=[0.5, 0.5],
         name="toy2l")
@@ -189,7 +231,7 @@ def random_prescription(rng, n_states, n_actions):
 
 
 def random_stochastic_spec(seed, n_f=2, n_l=2, n_af=2, n_al=2, discount=0.9,
-                           horizon=3, leader_drift=0.0):
+                           horizon=3, leader_drift=0.0, callables=False):
     """Fully stochastic random game (not grid-closed); for dynamics tests.
 
     With ``leader_drift`` > 0 the leader kernel moves with the mean field:
@@ -212,13 +254,24 @@ def random_stochastic_spec(seed, n_f=2, n_l=2, n_af=2, n_al=2, discount=0.9,
     def leader_reward(z, xl, al, gamma_f):
         return rl[xl, al]
 
-    return s.GameSpec.from_callables(
+    def leader_kernel_array(Z):
+        drift = (leader_drift * np.asarray(Z, dtype=np.float64)[..., 0])[..., None, None, None]
+        return lk + drift * (lk[..., ::-1] - lk)
+
+    def follower_reward_array(Z):
+        return rf + (0.1 * np.asarray(Z, dtype=np.float64)[..., 0])[..., None, None, None, None]
+
+    return _game(
+        callables,
+        dict(leader_kernel=leader_kernel, follower_kernel=follower_kernel,
+             follower_reward=follower_reward, leader_reward=leader_reward),
+        dict(leader_kernel=leader_kernel_array, follower_kernel=lambda Z: _constant(fk, Z),
+             follower_reward=follower_reward_array,
+             leader_reward=lambda Z, Gf: np.broadcast_to(rl, _batch(Z, Gf) + rl.shape).copy()),
         follower_states=tuple(f"f{i}" for i in range(n_f)),
         leader_states=tuple(f"l{i}" for i in range(n_l)),
         follower_actions=tuple(f"a{i}" for i in range(n_af)),
         leader_actions=tuple(f"b{i}" for i in range(n_al)),
-        leader_kernel=leader_kernel, follower_kernel=follower_kernel,
-        follower_reward=follower_reward, leader_reward=leader_reward,
         discount=discount, horizon=horizon,
         initial_leader_belief=random_distribution(rng, n_l),
         initial_mean_field=random_distribution(rng, n_f), name=f"rand{seed}")

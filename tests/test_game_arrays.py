@@ -14,7 +14,8 @@ import pytest
 import stackmfg as s
 from stackmfg.game import _mean_field_probes
 from stackmfg.gamefile import _affine_table, load_game_dict, load_game_file
-from conftest import random_prescription
+from conftest import (random_prescription, random_stochastic_spec, toy_spec,
+                      toy_spec_two_leader_states)
 
 TINY_GAME = Path(__file__).resolve().parent.parent / "sample_games" / "tiny.json"
 
@@ -193,3 +194,45 @@ def test_array_game_matches_scalar_definition(case):
     assert_bits_equal(spec.leader_reward(Z[:len(Gf)], Gf), ref.leader_reward(Z[:len(Gf)], Gf))
     assert_bits_equal(spec.leader_reward(Z[3], Gf[1]), ref.leader_reward(Z[3], Gf[1]))
     assert s.spec_hash(spec) == s.spec_hash(ref)
+
+
+# Every (seed, shape) the suite builds, and the ranges its random draws span:
+# seed % 17 or % 13 with 1 to 3 follower and leader types.
+TEST_GAMES = {
+    "toy": [dict(seed=seed) for seed in range(26)]
+           + [dict(seed=1, n_leader_actions=3), dict(seed=2, n_leader_actions=3),
+              dict(seed=3, n_leader_actions=4), dict(seed=7, n_leader_actions=1)],
+    "toy-two-leader-states": [dict(seed=seed) for seed in (0, 1, 2, 3, 11)],
+    "random-stochastic": [dict(seed=seed, n_f=n_f, n_l=n_l) for seed in range(17)
+                          for n_f in (1, 2, 3) for n_l in (1, 2, 3)]
+                         + [dict(seed=5, n_l=3, n_al=3), dict(seed=2, n_f=4, n_l=1, n_af=3),
+                            dict(seed=8, leader_drift=0.8)],
+}
+BUILDERS = {"toy": toy_spec, "toy-two-leader-states": toy_spec_two_leader_states,
+            "random-stochastic": random_stochastic_spec}
+
+
+@pytest.mark.parametrize("family", sorted(TEST_GAMES))
+def test_test_games_match_their_scalar_definition(family):
+    """The suite's test games are array functions; each one's tensors equal
+    those its scalar callables tabulate to, bit for bit, at the lattice
+    vertices, the barycentre and random mean fields, batched and single,
+    against pure and mixed follower prescriptions in both broadcast
+    directions, and so do their ``spec_hash``es."""
+    for kwargs in TEST_GAMES[family]:
+        spec = BUILDERS[family](**kwargs)
+        ref = BUILDERS[family](callables=True, **kwargs)
+        n_f, n_af = spec.n_follower_states, spec.n_follower_actions
+        rng = np.random.default_rng(kwargs["seed"])
+        Z = np.concatenate([np.eye(n_f), np.full((1, n_f), 1.0 / n_f),
+                            rng.dirichlet(np.ones(n_f), size=6)])
+        for name in ("follower_kernel", "leader_kernel", "follower_reward"):
+            assert_bits_equal(getattr(spec, name)(Z), getattr(ref, name)(Z))
+            assert_bits_equal(getattr(spec, name)(Z[-1]), getattr(ref, name)(Z[-1]))
+        Gf = np.array([random_prescription(rng, n_f, n_af),
+                       np.eye(n_af)[rng.integers(n_af, size=n_f)]])
+        assert_bits_equal(spec.leader_reward(Z[:, None], Gf), ref.leader_reward(Z[:, None], Gf))
+        assert_bits_equal(spec.leader_reward(Z[:2], Gf), ref.leader_reward(Z[:2], Gf))
+        assert_bits_equal(spec.leader_reward(Z[0], Gf), ref.leader_reward(Z[0], Gf))
+        assert_bits_equal(spec.leader_reward(Z[-1], Gf[0]), ref.leader_reward(Z[-1], Gf[0]))
+        assert s.spec_hash(spec) == s.spec_hash(ref)

@@ -260,15 +260,31 @@ def opposite_overflow_spec(horizon):
         initial_leader_belief=[1.0], initial_mean_field=[0.5, 0.5])
 
 
+def leader_overflow_spec(horizon):
+    """Leader types lo and hi keep their type, and hi earns 1e308 a stage:
+    the second stage's hi values overflow to +inf at every state, also
+    where the belief rules hi out, and there the leader objective must stay
+    finite rather than 0·inf = NaN.  Followers move to the state their
+    action names, for no reward."""
+    return s.GameSpec.from_callables(
+        follower_states=("a", "b"), leader_states=("lo", "hi"), follower_actions=("a", "b"),
+        leader_actions=("0",), leader_kernel=lambda z, al, xl: np.eye(2)[xl],
+        follower_kernel=lambda z, xl, xf, al, af: np.eye(2)[af],
+        follower_reward=lambda z, xl, xf, al, af: 0.0,
+        leader_reward=lambda z, xl, al, gf: 1e308 if xl == 1 else 0.0, discount=0.9,
+        horizon=horizon, initial_leader_belief=[0.5, 0.5], initial_mean_field=[0.5, 0.5])
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_values_raise_at_the_overflowing_sweep():
     """Follower rewards of 1e308 leave one stage's values finite and
     overflow two stages': both solve loops raise there, naming the first
     grid point.  So do rewards that overflow to both signs, where a NaN
-    value must not read as a stage without an equilibrium."""
+    value must not read as a stage without an equilibrium, and leader
+    rewards that overflow for one leader type."""
     for horizon, where in ((3, "t=2"), (None, "stationary sweep 2")):
         for spec in (zeroed_rewards(toy_spec(horizon=horizon, seed=4), follower_reward=1e308),
-                     opposite_overflow_spec(horizon)):
+                     opposite_overflow_spec(horizon), leader_overflow_spec(horizon)):
             joint = toy_joint_grid(spec)
             pi, z = joint.point(0)
             solve = s.backward_pass if horizon else s.solve_stationary
@@ -397,8 +413,9 @@ def test_backward_pass_names_the_stage_without_equilibrium(monkeypatch):
 
 
 def test_forward_pass_builds_each_grid_prescription_once(monkeypatch):
-    """A solved stage builds a grid point's Prescription the first time the
-    forward pass reads it, and reuses it on every later step and pass."""
+    """A forward pass builds a grid point's Prescription the first time it
+    reads it and reuses it on every later step; a second pass builds the
+    same ones again, since a solved stage keeps no Prescription."""
     spec = s.build_infection_game(s.InfectionParams(subsidy_points=3))
     joint = toy_joint_grid(spec, z_res=4)
     gen, _, _ = s.solve_stationary(spec, joint)
@@ -411,7 +428,7 @@ def test_forward_pass_builds_each_grid_prescription_once(monkeypatch):
     assert 1 <= len(built) <= joint.n_points
     first = len(built)
     s.forward_pass(spec, gen, [1.0], [0.37, 0.63], steps=40, offgrid="nearest")
-    assert len(built) == first
+    assert len(built) == 2 * first
 
 
 @pytest.fixture(scope="module")

@@ -304,11 +304,11 @@ def reference_pairs(spec, joint, pi, z, leaders, followers, n_slots, bayes_eps=1
     R, F, A = len(leaders), len(followers), n_slots
     K = joint.pi_grid.dim * joint.z_grid.dim
     out = {"idx": np.zeros((R, F, A, K), dtype=np.int64), "w": np.zeros((R, F, A, K)),
-           "lead_base": np.zeros((R, F)), "vl_base": np.zeros((R, F, n_l)),
+           "pi": np.zeros((R, n_l)), "vl_base": np.zeros((R, F, n_l)),
            "base_obj": np.zeros((R, n_f, n_af)), "cont_op": np.zeros((R, A, n_f, n_af, n_f)),
-           "lead_cont": np.zeros((R, A, n_l)), "vl_cont": np.zeros((R, A, n_l, n_l)),
-           "bayes": np.zeros(R, dtype=np.int64)}
+           "vl_cont": np.zeros((R, A, n_l, n_l)), "bayes": np.zeros(R, dtype=np.int64)}
     for r, G in enumerate(leaders):
+        out["pi"][r] = pi
         w_la = pi[:, None] * G
         out["base_obj"][r] = np.einsum("la,lfab->fb", w_la, RF)
         pi_stencils = []
@@ -317,7 +317,6 @@ def reference_pairs(spec, joint, pi, z, leaders, followers, n_slots, bayes_eps=1
             pi_stencils.append(simplex_weights(joint.pi_grid, pi_next))
             out["bayes"][r] += fell_back
             out["cont_op"][r, a] = np.einsum("l,lfbn->fbn", w_la[:, al], QF[:, :, al, :, :])
-            out["lead_cont"][r, a] = w_la[:, al] @ QL[:, al, :]
             out["vl_cont"][r, a] = G[:, al, None] * QL[:, al, :]
         for c, Ff in enumerate(followers):
             z_next = s.mean_field_step(pi, z, s.Prescription(leader=G, follower=Ff), spec)
@@ -326,7 +325,6 @@ def reference_pairs(spec, joint, pi, z, leaders, followers, n_slots, bayes_eps=1
                 flat, wts = stencil_product(joint, pi_stencil, z_stencil)
                 out["idx"][r, c, a, :len(flat)], out["w"][r, c, a, :len(flat)] = flat, wts
             rl = spec.leader_reward(z, Ff)
-            out["lead_base"][r, c] = np.sum(w_la * rl)
             out["vl_base"][r, c] = np.sum(G * rl, axis=1)
     return out
 
@@ -386,6 +384,13 @@ def test_engine_pairs_match_per_pair_rebuild(game):
         assert_pairs_equal(expanded(engine.pairs, rows), expected)
 
 
+def random_table(rng, joint, n):
+    """(P, n) table of magnitudes 1e-8 to 1e8 by column, a fifth of it -0.0."""
+    table = rng.normal(size=(joint.n_points, n)) * 10.0 ** rng.integers(-8, 8, (1, n))
+    table[rng.random(table.shape) < 0.2] = -0.0
+    return table
+
+
 @pytest.mark.parametrize("game", sorted(PAIR_GAMES))
 def test_gather_holds_each_distinct_next_state_once(game):
     """The gather stores no two equal stencils, numbers them in order of first
@@ -406,13 +411,82 @@ def test_gather_holds_each_distinct_next_state_once(game):
     rng = np.random.default_rng(1)
     dense = expanded(pairs)
     for n in (spec.n_follower_states, spec.n_follower_states + spec.n_leader_states):
-        table = rng.normal(size=(joint.n_points, n)) * 10.0 ** rng.integers(-8, 8, (1, n))
-        table[rng.random(table.shape) < 0.2] = -0.0
+        table = random_table(rng, joint, n)
         per_slot = np.sum(dense.w[..., None] * table[dense.idx], axis=-2).T
         got = stage._interpolate(pairs, table)
         assert got.shape == per_slot.shape
         assert np.array_equal(got, per_slot)
         assert np.array_equal(np.signbit(got), np.signbit(per_slot))
+
+
+def belief_averages(pi, lv):
+    """Per entry of the leader values ``lv`` (..., n_l) at the beliefs ``pi``
+    (..., n_l): the sum over the types with positive belief of
+    pi(x)·V^l(x), left to right in Python floats."""
+    pi, lv = np.broadcast_arrays(pi, lv)
+    out = []
+    for p_row, v_row in zip(pi.reshape(-1, pi.shape[-1]).tolist(),
+                            lv.reshape(-1, lv.shape[-1]).tolist()):
+        terms = [p * v for p, v in zip(p_row, v_row) if p > 0.0]
+        total = terms[0]
+        for term in terms[1:]:
+            total = total + term
+        out.append(total)
+    return np.array(out).reshape(lv.shape[:-1])
+
+
+def assert_bits_equal(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def assert_sweep_objectives_average(engine, table):
+    """Every finite objective of a sweep against ``table`` is the belief
+    average of its pair's leader values: pure entries those of
+    ``_evaluate``, mixed entries those of the row's certified map.  Returns
+    the number of certified mixed rows."""
+    n_f, L, F = engine.spec.n_follower_states, len(engine.leaders), len(engine.followers)
+    objectives = engine.sweep(table[:, :n_f], table[:, n_f:]).objectives
+    lv = stage._evaluate(engine.pairs, engine._follower_mats, table, engine.spec.discount)[3]
+    lv = lv.reshape(lv.shape[:2] + (len(engine.states), L)).transpose(2, 3, 1, 0)
+    pure = objectives[..., :F]
+    finite = np.isfinite(pure)
+    assert finite.any()
+    assert_bits_equal(pure[finite], belief_averages(engine._pi[:, None, None], lv)[finite])
+    rows = np.flatnonzero(np.isfinite(objectives[..., F]).ravel())
+    mixed = engine._mixed_fixed(rows, table)
+    assert sorted(mixed) == rows.tolist()
+    for row in rows:
+        lv_row = mixed[row][3]
+        assert_bits_equal(objectives[row // L, row % L, F:],
+                          belief_averages(engine._pi[row // L], lv_row[None]))
+    return len(rows)
+
+
+@pytest.mark.parametrize("game", sorted(PAIR_GAMES))
+def test_leader_objective_is_the_belief_average_of_the_leader_values(game):
+    """Against a random table with magnitudes 1e-8 to 1e8 and -0.0 entries,
+    every pair's leader objective is, bit for bit, the left-to-right sum
+    over the types with positive belief of pi(x)·V^l(x) of its own leader
+    values; so is every finite objective of a sweep against that V^l."""
+    spec, z_res, pi_res, mixed = PAIR_GAMES[game]()
+    joint = toy_joint_grid(spec, z_res=z_res, pi_res=pi_res)
+    engine = StageEngine(spec, joint, config=s.SolverConfig(leader_mixed_grid=mixed))
+    table = random_table(np.random.default_rng(2), joint,
+                         spec.n_follower_states + spec.n_leader_states)
+    _, _, lead, lv = stage._evaluate(engine.pairs, engine._follower_mats, table, spec.discount)
+    row_pi = engine._pi.repeat(len(engine.leaders), axis=0)     # (R, n_l)
+    assert_bits_equal(lead, belief_averages(row_pi[:, None], lv.T).T)
+    table[:, :spec.n_follower_states] = 0.0     # every row has a pure fixed point
+    assert_sweep_objectives_average(engine, table)
+
+
+def test_damped_sweep_objectives_are_belief_averages():
+    """The same holds for the sweeps of the damped cases, the certified mixed
+    rows included."""
+    certified = [assert_sweep_objectives_average(engine, joined(vf, vl))
+                 for _, _, engine, vf, vl in damped_cases()]
+    assert certified[0] == 0 and min(certified[1:]) >= 1
 
 
 def test_sweep_gathers_both_tables_once(monkeypatch):
@@ -454,8 +528,9 @@ def test_mixed_leader_grid_matches_enumeration_and_checks_cap_first():
 def test_three_leader_types_sum_three_terms_and_fall_back():
     """The three-leader-type pair game has an interior belief, where a leader
     map playing one action for every type sums three nonzero terms in
-    base_obj, lead_cont and the Bayes denominator, and beliefs under which
-    a played leader action has probability zero, so Bayes rule falls back."""
+    base_obj, the leader objective and the Bayes denominator, and beliefs
+    under which a played leader action has probability zero, so Bayes rule
+    falls back."""
     spec, z_res, pi_res, mixed = PAIR_GAMES["three-leader-types"]()
     engine = StageEngine(spec, toy_joint_grid(spec, z_res=z_res, pi_res=pi_res))
     assert any(np.all(pi > 0.0) for pi, _ in engine.states)
