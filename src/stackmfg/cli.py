@@ -178,7 +178,7 @@ def run(args) -> int:
     outdir = Path(args.out) if args.out else Path("out") / digest
 
     game_config = spec.metadata["config"]
-    final_z = trajectory.mean_field_path()[-1]
+    final_z = trajectory.steps[-1].mean_field()
     manifest = {
         "game": {"name": spec.name, "config": export.Exact(game_config)},
         "spec_hash": digest,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from itertools import count
 from pathlib import Path
+from struct import pack
 from zipfile import BadZipFile
 
 import numpy as np
@@ -109,7 +110,11 @@ def policy_csv(path, generator, spec):
 
 
 def trajectory_csv(path, trajectory, spec):
-    """One row per (step, branch): public state, prescriptions, rewards."""
+    """One row per (step, branch): public state, prescriptions, rewards.
+
+    The text after "t,branch," is formatted once per distinct row, keyed by
+    the exact bits of its numbers, so the repeated steps of a settled path
+    reuse it."""
     header = ["t", "branch", "weight"] \
         + [f"pi_{v}" for v in spec.leader_states] \
         + [f"z_{v}" for v in spec.follower_states] \
@@ -117,16 +122,23 @@ def trajectory_csv(path, trajectory, spec):
         + [f"gl_{x}_{a}" for x in spec.leader_states for a in spec.leader_actions] \
         + [f"gf_{x}_{a}" for x in spec.follower_states for a in spec.follower_actions] \
         + ["leader_reward", "follower_reward"]
-    row = "%d,%d" + ",%.12g" * (len(header) - 2)
+    row = ",%.12g" * (len(header) - 2)
+    texts = {}
     rows = []
     for step in trajectory.steps:
         for b, (branch, gamma, marg) in enumerate(
                 zip(step.branches, step.prescriptions, step.action_marginals)):
-            # Python floats: % formats them several times faster than numpy scalars.
-            rows.append(row % (step.t, b, branch.weight, *branch.pi.tolist(), *branch.z.tolist(),
-                               *marg.tolist(), *gamma.leader.ravel().tolist(),
-                               *gamma.follower.ravel().tolist(), step.leader_reward,
-                               step.follower_reward))
+            key = (pack("3d", branch.weight, step.leader_reward, step.follower_reward),
+                   branch.pi.tobytes(), branch.z.tobytes(), marg.tobytes(),
+                   gamma.leader.tobytes(), gamma.follower.tobytes())
+            text = texts.get(key)
+            if text is None:
+                # Python floats: % formats them several times faster than numpy scalars.
+                text = texts[key] = row % (
+                    branch.weight, *branch.pi.tolist(), *branch.z.tolist(), *marg.tolist(),
+                    *gamma.leader.ravel().tolist(), *gamma.follower.ravel().tolist(),
+                    step.leader_reward, step.follower_reward)
+            rows.append("%d,%d%s" % (step.t, b, text))
     write_csv(path, header, rows)
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -240,10 +241,10 @@ def validate(spec: GameSpec, grid_resolution: Optional[int] = None,
                     (P, n_l, n_f, n_al, n_af))
     rl = _tabulated(report, "leader reward", spec.leader_reward, (probes[:, None], gammas),
                     (P, len(gammas), n_l, n_al))
-    # Findings per probe, keyed so that sorting restores the order of a
-    # scan over (x_l, a_l): leader kernel row, then (x_f, a_f) kernel row
-    # and reward, then the leader reward per probe prescription.
-    found = [[] for _ in range(P)]
+    # Findings of the probes that have any, keyed so that sorting restores
+    # the order of a scan over (x_l, a_l): leader kernel row, then (x_f, a_f)
+    # kernel row and reward, then the leader reward per probe prescription.
+    found = defaultdict(list)
     for (pz, xl, al), why in _row_faults(ql):
         found[pz].append(((xl, al, 0), f"leader kernel row (a^l={al}, x^l={xl})"
                                         f" at probe {pz}: {why}"))
@@ -258,11 +259,16 @@ def validate(spec: GameSpec, grid_resolution: Optional[int] = None,
     for pz, g, xl, al in zip(*np.nonzero(~np.isfinite(rl))):
         found[pz].append(((xl, al, 2, g), f"leader reward (x^l={xl}, a^l={al}) at probe {pz}"
                                           f" is {float(rl[pz, g, xl, al])}"))
-    for issues in found:
+    # Probes are reported in order until MAX_REPORTED issues; the note
+    # follows if any probe, with findings or not, is left after that.
+    left = 0                # the first probe not reported yet
+    for pz in sorted(found):
         if len(report.issues) >= MAX_REPORTED:
-            report.add("... further issues suppressed")
             break
-        report.issues.extend(msg for _, msg in sorted(issues))
+        report.issues.extend(msg for _, msg in sorted(found[pz]))
+        left = pz + 1
+    if len(report.issues) >= MAX_REPORTED and left < P:
+        report.add("... further issues suppressed")
     return report
 
 

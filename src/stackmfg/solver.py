@@ -9,6 +9,7 @@ stage entry applied at every time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -92,20 +93,23 @@ class ConvergenceReport:
         return {"iterations": self.iterations, **vars(self)}
 
 
-def _solve(engine: StageEngine, table, where: str, **kwargs):
-    """``engine.solve`` against [V^f | V^l]; a NoEquilibriumError names
-    ``where``, and non-finite values raise NonFiniteValues at the first
-    such point.  Callers hold numpy's overflow and invalid warnings off."""
+def _solve(engine: StageEngine, table, where: Callable[[], str], **kwargs):
+    """``engine.solve`` against [V^f | V^l]; a NoEquilibriumError names the
+    label ``where()``.  Callers hold numpy's overflow and invalid warnings
+    off."""
     try:
-        choice = engine.solve(table, **kwargs)
+        return engine.solve(table, **kwargs)
     except NoEquilibriumError as err:
-        err.where = where
+        err.where = where()
         raise
-    finite = np.isfinite(choice.values).all(axis=1)
+
+
+def _check_finite(engine: StageEngine, values, where: str):
+    """Raise NonFiniteValues at the first state with a non-finite value."""
+    finite = np.isfinite(values).all(axis=1)
     if not finite.all():
         raise NonFiniteValues("value tables are not finite at {}, pi={}, z={}".format(
             where, *engine.joint.point(int(np.argmin(finite)))))
-    return choice
 
 
 def backward_pass(spec: GameSpec, joint: JointGrid,
@@ -127,7 +131,8 @@ def backward_pass(spec: GameSpec, joint: JointGrid,
     stages = [None] * T
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(T, 0, -1):
-            choice = _solve(engine, table, f"t={t}", t=t, prefer=prefer)
+            choice = _solve(engine, table, lambda: f"t={t}", t=t, prefer=prefer)
+            _check_finite(engine, choice.values, f"t={t}")
             stages[t - 1], table = engine.assemble(choice), choice.values
     gen = EquilibriumGenerator(joint=joint, stages=stages, stationary=False,
                                next_states=engine.next_states)
@@ -159,12 +164,18 @@ def solve_stationary(spec: GameSpec, joint: JointGrid, tol: float = 1e-6,
     prev = None
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, max_iter + 1):
-            choice = _solve(engine, table, f"stationary sweep {k}")
-            report.deltas.append(float(np.max(np.abs(choice.values - table))))
-            report.prescription_stable.append(prev is not None and bool(
-                (choice.chosen == prev.chosen).all() and (choice.follower == prev.follower).all()))
+            choice = _solve(engine, table, lambda: f"stationary sweep {k}")
+            # The table is finite, so a finite delta means finite values.
+            delta = float(abs(choice.values - table).max())
+            if not math.isfinite(delta):
+                _check_finite(engine, choice.values, f"stationary sweep {k}")
+            report.deltas.append(delta)
+            # chosen entries are int64, so equal bytes are equal entries
+            report.prescription_stable.append(
+                prev is not None and choice.chosen.tobytes() == prev.chosen.tobytes()
+                and all(np.array_equal(m, prev.mixed[s]) for s, m in choice.mixed.items()))
             prev, table = choice, choice.values
-            if report.deltas[-1] < tol:
+            if delta < tol:
                 report.converged = True
                 gen = EquilibriumGenerator(joint=joint, stages=[engine.assemble(choice)],
                                            stationary=True, next_states=engine.next_states)
@@ -200,6 +211,11 @@ class TrajectoryStep:
     follower_reward: float       # population-average instantaneous reward
     offgrid_lookups: int = 0
 
+    def mean_field(self) -> np.ndarray:
+        """Weight-averaged mean field of the step's branches."""
+        return (sum(b.weight * b.z for b in self.branches)
+                / sum(b.weight for b in self.branches))
+
 
 @dataclass
 class Trajectory:
@@ -217,8 +233,7 @@ class Trajectory:
 
     def mean_field_path(self) -> np.ndarray:
         """Weight-averaged mean field per step (exact when unbranched)."""
-        return np.asarray([sum(b.weight * b.z for b in step.branches)
-                           / sum(b.weight for b in step.branches) for step in self.steps])
+        return np.asarray([step.mean_field() for step in self.steps])
 
 
 def _belief_groups(played):
@@ -309,24 +324,26 @@ def forward_pass(spec: GameSpec, generator: EquilibriumGenerator, pi1, z1,
             memo = {}
         # Every term but those in xi is a pure function of the state.
         states = [(stage_t, b.pi.tobytes(), b.z.tobytes()) for b in branches]
-        new = {}            # (pi, z, flat, exact) of each state not computed yet
-        for state, b in zip(states, branches):
-            if state not in memo and state not in new:
-                new[state] = (b.pi, b.z, *generator.grid_lookup(b.pi, b.z))
-        # The step's off-grid states, re-solved in one sweep in branch order:
-        # it raises NoEquilibriumError at the first without an equilibrium.
-        resolve = [state for state, (*_, exact) in new.items()
-                   if not exact and offgrid == "resolve"]
-        gammas = {}
-        if resolve:
-            sweep = StageEngine(spec, generator.joint, [new[s][:2] for s in resolve],
-                                config).sweep(*generator.continuation_flat(stage_t), t=stage_t)
-            gammas = {state: sweep.prescription(k) for k, state in enumerate(resolve)}
-        for state, (pi, z, flat, exact) in new.items():
-            gamma = gammas.get(state) or generator.policy_for(stage_t).prescription(flat)
-            step = _branch_step(spec, pi, z, gamma, not exact, config)
-            memo[state] = (*step, _belief_groups(step[-1]))
-        computed += len(new)
+        new = {state: b for state, b in zip(states, branches) if state not in memo}
+        if new:
+            computed += len(new)
+            lookups = {state: generator.grid_lookup(b.pi, b.z) for state, b in new.items()}
+            # The step's off-grid states, re-solved in one sweep in branch
+            # order: it raises NoEquilibriumError at the first without an
+            # equilibrium.
+            resolve = [state for state, (_, exact) in lookups.items()
+                       if not exact and offgrid == "resolve"]
+            gammas = {}
+            if resolve:
+                states_off = [(new[s].pi, new[s].z) for s in resolve]
+                sweep = StageEngine(spec, generator.joint, states_off, config).sweep(
+                    *generator.continuation_flat(stage_t), t=stage_t)
+                gammas = {state: sweep.prescription(k) for k, state in enumerate(resolve)}
+            for state, b in new.items():
+                flat, exact = lookups[state]
+                gamma = gammas.get(state) or generator.policy_for(stage_t).prescription(flat)
+                step = _branch_step(spec, b.pi, b.z, gamma, not exact, config)
+                memo[state] = (*step, _belief_groups(step[-1]))
         for state, branch in zip(states, branches):
             gamma, off, rl, pop, per_type, marginal, z_next, played, groups = memo[state]
             step_offgrid += off

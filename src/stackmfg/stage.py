@@ -18,9 +18,11 @@ pair into arrays once, the (state × leader candidate) row axis last and
 contiguous; a sweep is a gather, elementwise contractions along the rows,
 in which per-row arrays broadcast over the follower maps, one fixed-point
 certificate for pure and mixed maps, and a per-state selection.
-``StageEngine.solve`` returns only what the next sweep needs, the chosen
-entries and the stacked value table [V^f | V^l]; ``assemble`` builds the
-``StageSweep`` of a stage that is kept.  No sweep contraction goes through
+``StageEngine.solve`` selects from the (follower map × row) leader
+objectives and builds only what the next sweep reads, the chosen entries
+and the stacked value table [V^f | V^l]; ``assemble`` builds the chosen
+prescriptions, the per-state objectives and the rest of the ``StageSweep``
+of a stage that is kept.  No sweep contraction goes through
 BLAS, so pairs with identical inputs get bit-identical objectives wherever
 they sit in the batch.
 
@@ -324,7 +326,7 @@ def _evaluate(p: _Pairs, follower_mats, table, discount: float):
         obj = obj + discount * _dot(p.cont_op[..., a, None, :], vf)
         lv = lv + discount * _dot(p.vl_cont[:, :, a, None], vl)
     pi = p.pi[:, None]
-    lead = _fold(np.add, np.multiply(pi, lv, out=np.zeros_like(lv), where=pi > 0.0))
+    lead = _fold(np.add, np.multiply(pi, lv, out=np.zeros(lv.shape), where=pi > 0.0))
     return obj, _dot(follower_mats.T[..., None], obj), lead, lv
 
 
@@ -400,14 +402,17 @@ class StageSweep:
 
 class StageChoice(NamedTuple):
     """A solved stage before its ``StageSweep`` is assembled: the chosen flat
-    (leader, follower map or mixed) entry (S,) and follower prescription
-    (S, n_f, n_af) per state, the objectives (S, L, F + 1) and the chosen
-    pairs' values [V^f | V^l] (S, n_f + n_l)."""
+    (leader, follower map or mixed) entry (S,) and the chosen pairs' values
+    [V^f | V^l] (S, n_f + n_l) per state, which are all the next sweep
+    reads; the leader objectives (F, R) of the (state × leader candidate)
+    rows, -inf off the follower fixed points, with a row F for the mixed
+    fixed points when there are any; and {state: follower prescription} of
+    the states whose chosen entry is mixed."""
 
     chosen: np.ndarray
-    follower: np.ndarray
-    objectives: np.ndarray
     values: np.ndarray
+    objectives: np.ndarray
+    mixed: dict
 
 
 class StageEngine:
@@ -501,44 +506,66 @@ class StageEngine:
         """
         S, L, F = len(self.states), len(self.leaders), len(self.followers)
         fv, lead, lv, fixed = self._evaluate_pure(table)
-        has_fixed = fixed.any(axis=0)
-        mixed = {} if has_fixed.all() else self._mixed_fixed(np.flatnonzero(~has_fixed), table)
-
-        values = np.full((S * L, F + 1), -np.inf)
-        np.copyto(values[:, :F].T, lead, where=fixed)
-        if mixed:
-            values[list(mixed), F] = [d[1] for d in mixed.values()]
-        flat_values = values.reshape(S, L * (F + 1))
-        best = flat_values.max(axis=1)
-        solved = best > -np.inf
-        if not solved.all():
-            pi, z = self.states[int(np.argmin(solved))]
-            raise NoEquilibriumError("no leader candidate admits a follower fixed point",
-                                     t=t, pi=pi.copy(), z=z.copy())
-        window = flat_values >= best[:, None] - SELECTION_TOL
-        chosen = np.argmax(window, axis=1)
+        objectives = np.where(fixed, lead, -np.inf)             # (F, R)
+        row_best = objectives.max(axis=0)
+        mixed = {}
+        # Some row has no fixed point, or a NaN or -inf best objective.
+        if not row_best.min() > -np.inf:
+            mixed = self._mixed_fixed(np.flatnonzero(~fixed.any(axis=0)), table)
+            if mixed:
+                column = np.full(S * L, -np.inf)
+                column[list(mixed)] = [d[1] for d in mixed.values()]
+                objectives = np.vstack([objectives, column])
+                row_best = objectives.max(axis=0)
+            solved = row_best.reshape(S, L).max(axis=1) > -np.inf
+            if not solved.all():
+                pi, z = self.states[int(np.argmin(solved))]
+                raise NoEquilibriumError("no leader candidate admits a follower fixed point",
+                                         t=t, pi=pi.copy(), z=z.copy())
+        row_best = row_best.reshape(S, L)
+        low = row_best.max(axis=1) - SELECTION_TOL
+        # The first leader whose row reaches the window, then the first
+        # column of that row in it.
+        leader = (row_best >= low[:, None]).argmax(axis=1)
+        rows = self._first_rows + leader
+        cols = (objectives[:, rows] >= low).argmax(axis=0)
+        chosen = leader * (F + 1) + cols
         if prefer is not None:
+            window = objectives.reshape(-1, S, L) >= low[:, None]
             for s in range(S):
-                chosen[s] = next((e for e in np.flatnonzero(window[s])
+                entries = (lf * (F + 1) + col for lf, col in zip(*np.nonzero(window[:, s].T)))
+                chosen[s] = next((e for e in entries
                                   if prefer(t, *self.states[s], *self._keys[e])), chosen[s])
+            leader, cols = np.divmod(chosen, F + 1)
+            rows = self._first_rows + leader
 
-        leader, cols = np.divmod(chosen, F + 1)
-        rows, pure = self._first_rows + leader, np.minimum(cols, F - 1)
-        follower = self._follower_mats[pure]
-        out = np.concatenate([fv[:, pure, rows], lv[:, pure, rows]]).T.copy()
-        for s in np.flatnonzero(cols == F) if mixed else ():     # overwrite the mixed entries
-            follower[s], _, *chosen_values = mixed[rows[s]]
-            out[s] = np.concatenate(chosen_values)
-        return StageChoice(chosen, follower, values.reshape(S, L, F + 1), out)
+        # The chosen pure pairs' flat (F·R) index; a mixed entry's is overwritten.
+        flat = (np.minimum(cols, F - 1) if mixed else cols) * (S * L) + rows
+        # C order, so the next sweep's gather reads it without a copy
+        values = np.concatenate([fv.reshape(len(fv), -1).take(flat, axis=1).T,
+                                 lv.reshape(len(lv), -1).take(flat, axis=1).T], axis=1)
+        maps = {}
+        for s in np.flatnonzero(cols == F).tolist() if mixed else ():   # the mixed entries
+            maps[s], _, *chosen_values = mixed[rows[s]]
+            values[s] = np.concatenate(chosen_values)
+        return StageChoice(chosen, values, objectives, maps)
 
     def assemble(self, choice: StageChoice) -> StageSweep:
-        """The ``StageSweep`` of a solved stage."""
+        """The ``StageSweep`` of a solved stage: its chosen prescriptions and
+        (S, L, F + 1) objectives are built here, once per kept stage."""
+        S, L, F = len(self.states), len(self.leaders), len(self.followers)
+        leader, cols = np.divmod(choice.chosen, F + 1)
+        follower = self._follower_mats[np.minimum(cols, F - 1)]
+        for s, mixed_map in choice.mixed.items():
+            follower[s] = mixed_map
         n_f = self.spec.n_follower_states
+        objectives = np.full((S, L, F + 1), -np.inf)
+        objectives[..., :len(choice.objectives)] = choice.objectives.T.reshape(S, L, -1)
         return StageSweep(
-            leader=self._leader_mats[choice.chosen // (len(self.followers) + 1)],
-            follower=choice.follower, follower_values=choice.values[:, :n_f].copy(),
-            leader_values=choice.values[:, n_f:].copy(), objectives=choice.objectives,
-            bayes=self.pairs.bayes.reshape(len(self.states), -1), keys=self._keys)
+            leader=self._leader_mats[leader], follower=follower,
+            follower_values=choice.values[:, :n_f].copy(),
+            leader_values=choice.values[:, n_f:].copy(), objectives=objectives,
+            bayes=self.pairs.bayes.reshape(S, -1), keys=self._keys)
 
     def sweep(self, vf_flat, vl_flat, t: Optional[int] = None,
               prefer: Optional[Callable] = None) -> StageSweep:

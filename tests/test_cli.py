@@ -14,7 +14,7 @@ import pytest
 from stackmfg import StackMFGError, cli, export, oracle, solver, spec_hash, stage
 from stackmfg.cli import main
 from stackmfg.gamefile import load_game_dict
-from conftest import no_equilibrium_at
+from conftest import no_equilibrium_at, signal_family_spec
 from test_gamefile import TINY_CONFIG
 
 SMALL = ["--z-res", "10", "--action-res", "5", "--tol", "1e-5",
@@ -54,18 +54,21 @@ def test_solve_writes_artifacts(tmp_path):
     assert manifest["horizon"] == "infinite"
 
 
-def test_solve_prints_engine_next_states_and_walks_the_path_once(tmp_path, capsys,
-                                                                monkeypatch):
+def test_solve_prints_engine_next_states_and_reads_the_last_step_once(tmp_path, capsys,
+                                                                     monkeypatch):
     """``solve`` reports its engine's distinct next states on stdout only, and
-    averages the trajectory's mean fields once for manifest and summary."""
-    calls = []
-    path = solver.Trajectory.mean_field_path
+    averages the mean field of the trajectory's last step once, for manifest
+    and summary, without walking the whole path."""
+    calls, walks = [], []
+    mean_field, path = solver.TrajectoryStep.mean_field, solver.Trajectory.mean_field_path
+    monkeypatch.setattr(solver.TrajectoryStep, "mean_field",
+                        lambda self: (calls.append(self.t), mean_field(self))[1])
     monkeypatch.setattr(solver.Trajectory, "mean_field_path",
-                        lambda self: (calls.append(1), path(self))[1])
+                        lambda self: (walks.append(1), path(self))[1])
     out = tmp_path / "run"
     assert run_cli(["solve", "--game-file", str(SAMPLE_GAME), "--horizon", "3",
                     "--out", str(out)]) == 0
-    assert len(calls) == 1
+    assert calls == [3] and not walks
     spec = load_game_dict(dict(json.loads(SAMPLE_GAME.read_text()), horizon=3))
     engine = stage.StageEngine(spec, cli._grids(
         spec, cli.argparse.Namespace(z_resolution=None, pi_resolution=10)))
@@ -74,6 +77,27 @@ def test_solve_prints_engine_next_states_and_walks_the_path_once(tmp_path, capsy
     assert (f"stage engine: {distinct} distinct next states for {slots} pair slots"
             in capsys.readouterr().out.splitlines())
     assert not any(b"distinct" in path.read_bytes() for path in out.iterdir())
+
+
+def test_final_mean_field_is_the_last_step_of_the_path(tmp_path, capsys, monkeypatch):
+    """On a path that branches, the manifest's and the summary's final mean
+    field are the last row of ``mean_field_path``."""
+    game = tmp_path / "signal.json"
+    game.write_text(json.dumps(signal_family_spec().metadata["config"]))
+    passes, forward_pass = [], cli.forward_pass
+    monkeypatch.setattr(cli, "forward_pass", lambda *args, **kwargs: (
+        passes.append(forward_pass(*args, **kwargs)), passes[-1])[1])
+    out = tmp_path / "run"
+    assert run_cli(["solve", "--game-file", str(game), "--pi-res", "2", "--z-res", "2",
+                    "--out", str(out)]) == 0
+    traj, = passes
+    assert len(traj.steps[-1].branches) > 1
+    last = traj.mean_field_path()[-1]
+    assert traj.steps[-1].mean_field().tobytes() == last.tobytes()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["trajectory"]["final_mean_field"] == export.json_ready(last)
+    assert ("final mean field: [" + ", ".join(map(export.fmt, last)) + "]"
+            in capsys.readouterr().out)
 
 
 def test_finite_horizon_artifact_count(tmp_path):

@@ -183,3 +183,33 @@ def test_validator_scan_order_and_cap():
     assert report.probes == 8
     assert expected[-1] == "... further issues suppressed"
     assert report.issues == expected
+
+
+@pytest.mark.parametrize("cap,bad,note", [(4, (0.25, 0.75), True), (8, (0.25, 0.75), True),
+                                           (8, (0.25, 1.0), False), (4, (1.0,), False),
+                                           (100, (0.25, 0.75), False)])
+def test_validator_skips_clean_probes_with_the_same_report(monkeypatch, cap, bad, note):
+    """Only probes with findings are visited, and the report is that of a
+    scan over every probe: the note follows the cap whenever any probe is
+    left after it, clean or not, and not after the last probe."""
+    monkeypatch.setattr(s.game, "MAX_REPORTED", cap)
+    spec = s.GameSpec.from_callables(
+        follower_states=("u", "v"), leader_states=("L",),
+        follower_actions=("0", "1"), leader_actions=("0", "1"),
+        leader_kernel=lambda z, al, xl: np.array([1.0]),
+        follower_kernel=lambda z, xl, xf, al, af: np.eye(2)[af],
+        follower_reward=lambda z, xl, xf, al, af: np.inf if af and z[0] in bad else 0.0,
+        leader_reward=lambda z, xl, al, gf: 0.0,
+        discount=0.9, horizon=2, initial_leader_belief=[1.0], initial_mean_field=[0.5, 0.5])
+    report = s.validate(spec, grid_resolution=4, n_random=0)
+
+    expected = []
+    for pz, z in enumerate(_mean_field_probes(spec, 4, 0, 20240)):
+        if len(expected) >= cap:
+            expected.append("... further issues suppressed")
+            break
+        if z[0] in bad:
+            expected += [f"follower reward (x^l=0, x^f={xf}, a^l={al}, a^f=1) at probe {pz} is inf"
+                         for al in range(2) for xf in range(2)]
+    assert report.probes == 5 and report.issues == expected
+    assert (expected[-1] == "... further issues suppressed") == note

@@ -322,14 +322,15 @@ def crowding_stationary_spec():
         discount=0.5, horizon=None, initial_leader_belief=[1.0], initial_mean_field=[1.0, 0.0])
 
 
-def sweep_loop(spec, joint, tol):
-    """Value iteration as a loop of ``StageEngine.sweep`` from zero tables:
-    the last sweep, the deltas and the prescription-stable flags."""
+def sweep_loop(spec, joint, tol, max_iter=None):
+    """Value iteration as a loop of ``StageEngine.sweep`` from zero tables,
+    until a delta is below ``tol`` or after ``max_iter`` sweeps: the last
+    sweep, the deltas and the prescription-stable flags."""
     engine = s.stage.StageEngine(spec, joint)
     vf = np.zeros((joint.n_points, spec.n_follower_states))
     vl = np.zeros((joint.n_points, spec.n_leader_states))
     deltas, stable, prev = [], [], None
-    while not deltas or deltas[-1] >= tol:
+    while not deltas or deltas[-1] >= tol and len(deltas) != max_iter:
         sweep = engine.sweep(vf, vl)
         deltas.append(float(max(np.max(np.abs(sweep.follower_values - vf)),
                                 np.max(np.abs(sweep.leader_values - vl)))))
@@ -339,16 +340,19 @@ def sweep_loop(spec, joint, tol):
     return sweep, deltas, stable
 
 
-@pytest.mark.parametrize("game", ["infection", "tech-41", "crowding"])
+@pytest.mark.parametrize("game", ["infection", "infection-50", "tech-41", "crowding"])
 def test_stationary_solve_equals_a_loop_of_engine_sweeps(game, monkeypatch):
     """``solve_stationary`` keeps only what the next sweep needs, and its
     deltas, stable flags and every field of its one ``StageSweep``,
     objectives included, equal a loop of assembled engine sweeps bit for
     bit.  Only the crowding game reaches the mixed check, and its last
-    sweep chooses mixed maps."""
+    sweep chooses mixed maps.  At z-res 50 the infection game's stationary
+    equilibria are not unique, and both must select the same one."""
     spec, joint = {
         "infection": lambda: (s.build_infection_game(s.InfectionParams(subsidy_points=11)),
                               s.JointGrid(s.build_grid(1, 1), s.build_grid(2, 10))),
+        "infection-50": lambda: (s.build_infection_game(s.InfectionParams(subsidy_points=11)),
+                                 s.JointGrid(s.build_grid(1, 1), s.build_grid(2, 50))),
         "tech-41": lambda: (s.build_tech_adoption_game(s.TechAdoptionParams(price_points=41)),
                             s.JointGrid(s.build_grid(1, 1), s.build_grid(2, 10))),
         "crowding": lambda: (crowding_stationary_spec(),
@@ -369,6 +373,26 @@ def test_stationary_solve_equals_a_loop_of_engine_sweeps(game, monkeypatch):
     assert got.keys == sweep.keys
     mixed = game == "crowding"
     assert any(mixed_rows) == mixed and np.any(got.follower % 1.0) == mixed
+
+
+def test_stationary_nonconvergence_equals_a_loop_of_engine_sweeps(monkeypatch):
+    """Tech at its default 21 prices never converges: the leader's price
+    cycles at a grid point, so from the 9th sweep on the prescriptions
+    change in two sweeps of every four.  The deltas ``NonConvergenceError``
+    carries and the stable flags of the solve equal a loop of engine sweeps
+    bit for bit."""
+    spec = s.build_tech_adoption_game(s.TechAdoptionParams(price_points=21))
+    joint = s.JointGrid(s.build_grid(1, 1), s.build_grid(2, 10))
+    reports, report_cls = [], s.solver.ConvergenceReport
+    monkeypatch.setattr(s.solver, "ConvergenceReport",
+                        lambda **kwargs: reports.append(report_cls(**kwargs)) or reports[-1])
+    with pytest.raises(s.NonConvergenceError) as err:
+        s.solve_stationary(spec, joint, tol=1e-6, max_iter=60)
+    _, deltas, stable = sweep_loop(spec, joint, tol=1e-6, max_iter=60)
+    assert len(deltas) == 60 and deltas[-1] >= 1e-6
+    assert err.value.deltas == deltas and reports[0].deltas == deltas
+    assert reports[0].prescription_stable == stable and not reports[0].converged
+    assert stable[8:] == [False, False, True, True] * 13
 
 
 def test_stationary_rejects_tol_not_above_zero():
@@ -662,6 +686,50 @@ def test_sampled_pass_equals_expected_pass_with_one_played_action(infection_solv
         export.trajectory_csv(tmp_path / "trajectory.csv", traj, spec)
         texts.append((tmp_path / "trajectory.csv").read_text())
     assert texts[0] == texts[1]
+
+
+def per_row_csv(traj, spec):
+    """``trajectory.csv`` text with every row formatted on its own, from the
+    same header, as a reference for the writer's reuse of repeated rows."""
+    header = ["t", "branch", "weight"] \
+        + [f"pi_{v}" for v in spec.leader_states] + [f"z_{v}" for v in spec.follower_states] \
+        + [f"al_{a}" for a in spec.leader_actions] \
+        + [f"gl_{x}_{a}" for x in spec.leader_states for a in spec.leader_actions] \
+        + [f"gf_{x}_{a}" for x in spec.follower_states for a in spec.follower_actions] \
+        + ["leader_reward", "follower_reward"]
+    row = "%d,%d" + ",%.12g" * (len(header) - 2)
+    rows = [row % (step.t, b, branch.weight, *branch.pi, *branch.z, *marg,
+                   *gamma.leader.ravel(), *gamma.follower.ravel(), step.leader_reward,
+                   step.follower_reward)
+            for step in traj.steps for b, (branch, gamma, marg)
+            in enumerate(zip(step.branches, step.prescriptions, step.action_marginals))]
+    return "\n".join([",".join(header), *rows]) + "\n"
+
+
+@pytest.mark.parametrize("path", ["settled", "revisiting", "branched", "sampled", "capped"])
+def test_trajectory_csv_equals_per_row_formatting(path, infection_solved, two_leader_solved,
+                                                  signal_solved, monkeypatch, tmp_path):
+    """The writer formats each distinct row once and reuses it for repeats,
+    and its text is that of formatting every row: on the settled infection
+    path, whose 200 steps repeat one state, on two branches that revisit a
+    few states with other weights and step rewards, on a branched signal
+    path, on a sampled one and on one that lumps branches past
+    ``BRANCH_CAP``."""
+    if path == "capped":
+        monkeypatch.setattr(s.solver, "BRANCH_CAP", 3)
+    spec, gen = {"settled": infection_solved,
+                 "revisiting": two_leader_solved}.get(path, signal_solved)
+    start = {"settled": ([1.0], OFF_LATTICE_Z0),
+             "revisiting": ([0.5, 0.5], [0.5, 0.5])}.get(path, signal_start())
+    traj = s.forward_pass(spec, gen, *start, steps=200 if gen.stationary else None,
+                          mode="sampled" if path == "sampled" else "expected", seed=1,
+                          offgrid="resolve")
+    branches = [len(step.branches) for step in traj.steps]
+    assert {"settled": traj.reused_steps >= 198, "revisiting": traj.computed_steps < 10,
+            "branched": max(branches) == 6, "sampled": max(branches) == 1,
+            "capped": traj.lost_weight > 0.0}[path]
+    export.trajectory_csv(tmp_path / "trajectory.csv", traj, spec)
+    assert (tmp_path / "trajectory.csv").read_text() == per_row_csv(traj, spec)
 
 
 def test_branch_cap_lumps_low_weight_branches(monkeypatch):
